@@ -22,6 +22,7 @@ from .multiplets import builtin_multiplets, consistency_to_csv, verify_consisten
 from .poly import Poly, format_poly, xvar
 from .quantum import NonFiniteAmplitudeError
 from .scenarios import (
+    DEFAULT_Q_STOP,
     PacketSpec,
     default_t_end,
     hamiltonian_set,
@@ -140,7 +141,7 @@ def cmd_run(args) -> int:
     dt = _merged(args, "dt", default=1e-3, cast=float)
     t_end = _merged(args, "t_end", default=default_t_end(spec), cast=float)
     stride = _merged(args, "stride", cast=int)
-    q_stop = _merged(args, "q_stop", default=-15.0, cast=float)
+    q_stop = _merged(args, "q_stop", default=DEFAULT_Q_STOP, cast=float)
     out = _merged(args, "out", default="traj.csv")
     traj = run_scenario(
         spec,

@@ -290,15 +290,30 @@ def rk4_integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 up to the largest multiple of dt <= t_end.
 
+    ``field`` comes from ``compile_vector_field`` (or ``compile_nambu_field``,
+    ``compile_classical_field``); it is called once at ``y0`` to check its
+    output shape, and its generated ``rk4`` kernel then advances one
+    recording stride per call, or one step per call when ``stop`` is set.
     Observers are evaluated at every recorded row.  If ``stop`` fires, the
     triggering row is recorded with ``stop_flag`` and integration ends.  A
     non-finite state raises NonFiniteStateError carrying the rows so far.
     """
     if dt <= 0 or t_end <= t0:
         raise ValueError("need dt > 0 and t_end > t0")
+    if record_stride < 1:
+        raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     named_obs = _normalize_observers(observers, var_order)
     y = np.array(y0, dtype=np.float64)
     dim = y.size
+    out_shape = np.shape(field(y))
+    if out_shape != y.shape:
+        raise ValueError(f"field maps a state of shape {y.shape} to shape {out_shape}")
+    kernel = getattr(field, "rk4", None)
+    if kernel is None:
+        raise TypeError(
+            "field has no rk4 kernel; compile it with compile_vector_field, "
+            "one polynomial per variable"
+        )
     if columns is None:
         if var_order is not None:
             columns = [v.name for v in var_order]
@@ -329,20 +344,26 @@ def rk4_integrate(
         )
 
     record(0)
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for step in range(1, n_steps + 1):
-        k1 = field(y)
-        k2 = field(y + half * k1)
-        k3 = field(y + half * k2)
-        k4 = field(y + dt * k3)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    h = float(dt)
+    state = tuple(y.tolist())
+    step = 0
+    while step < n_steps:
+        n = 1 if stop is not None else min(record_stride, n_steps - step)
+        after = kernel(state, h, n)
+        y = np.array(after)
         if not np.all(np.isfinite(y)):
-            raise NonFiniteStateError(
-                f"state became non-finite at t = {t0 + step * dt:.6g} "
-                f"(step {step} of {n_steps})",
-                trajectory=build(),
-            )
+            # Polynomial arithmetic never turns inf or NaN finite again, so
+            # replaying the stride one step at a time finds the first bad step.
+            for k in range(1, n + 1):
+                state = kernel(state, h, 1)
+                if not np.all(np.isfinite(state)):
+                    raise NonFiniteStateError(
+                        f"state became non-finite at t = {t0 + (step + k) * dt:.6g} "
+                        f"(step {step + k} of {n_steps})",
+                        trajectory=build(),
+                    )
+        state = after
+        step += n
         if stop is not None and stop(y):
             record(step, stop_flag)
             break

@@ -17,6 +17,7 @@ objects; instances are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -488,45 +489,90 @@ def eval_arrays(poly: Poly, assignment: Mapping[VarId, np.ndarray]) -> np.ndarra
 # --------------------------------------------------------------------------
 
 
-def _term_source(mono: Monomial, coeff: float, idx: Mapping[VarId, int]) -> str:
+def _term_source(mono: Monomial, coeff: float, refs: Mapping[VarId, str]) -> str:
+    if not math.isfinite(coeff):
+        term = format_poly(Poly({mono: 1.0}))
+        raise ValueError(f"coefficient {coeff!r} of term {term} is not finite")
+    # Powers as repeated products: a float ** k overflow raises in Python,
+    # where a product becomes inf as numpy arithmetic does.
     factors = [repr(float(coeff))]
     for v, k in mono:
-        ref = f"y[{idx[v]}]"
-        if k <= 3:
-            factors.extend([ref] * k)
-        else:
-            factors.append(f"{ref}**{k}")
+        factors.extend([refs[v]] * k)
     return "*".join(factors)
 
 
-def _expr_source(poly: Poly, idx: Mapping[VarId, int]) -> str:
-    missing = [v for v in poly.variables() if v not in idx]
+def _expr_source(poly: Poly, refs: Mapping[VarId, str]) -> str:
+    missing = [v for v in poly.variables() if v not in refs]
     if missing:
         names = ", ".join(v.name for v in missing)
         raise UnboundVariableError(f"variables not in evaluation order: {names}")
-    pieces = [_term_source(m, c, idx) for m, c in sorted_terms(poly)]
+    pieces = [_term_source(m, c, refs) for m, c in sorted_terms(poly)]
     return " + ".join(pieces) if pieces else "0.0"
 
 
-def compile_evaluator(poly: Poly, var_order: Sequence[VarId]) -> Callable:
-    """Compile a Poly into ``f(y) -> float`` over a flat value vector."""
-    idx = {v: i for i, v in enumerate(var_order)}
-    src = f"def _poly_fn(y):\n    return {_expr_source(poly, idx)}\n"
-    ns: dict = {}
-    exec(src, ns)
-    fn = ns["_poly_fn"]
+def _exec_function(src: str, name: str, namespace: dict) -> Callable:
+    exec(src, namespace)
+    fn = namespace[name]
     fn.source = src
     return fn
 
 
+def compile_evaluator(poly: Poly, var_order: Sequence[VarId]) -> Callable:
+    """Compile a Poly into ``f(y) -> float`` over a flat value vector."""
+    refs = {v: f"y[{i}]" for i, v in enumerate(var_order)}
+    src = f"def _poly_fn(y):\n    return {_expr_source(poly, refs)}\n"
+    return _exec_function(src, "_poly_fn", {})
+
+
+def _rk4_source(polys: Sequence[Poly], var_order: Sequence[VarId]) -> str:
+    """Source of ``rk4(y, dt, n)``: ``n`` classical RK4 steps from ``y``.
+
+    Each stage is the field evaluated on local floats, and every update is
+    the numpy expression ``y + half * k1`` ... ``y + sixth * (k1 + 2.0 * k2
+    + 2.0 * k3 + k4)`` written out per component, so the operations and
+    their order, hence the rounded results, match four field calls.
+    """
+    dim = len(polys)
+    ys = ", ".join(f"y{i}" for i in range(dim))
+    lines = [
+        "def _rk4_fn(y, dt, n):",
+        f"    {ys}, = y",
+        "    half = 0.5 * dt",
+        "    sixth = dt / 6.0",
+        "    for _ in range(n):",
+    ]
+
+    def stage(s: int, prefix: str) -> None:
+        refs = {v: f"{prefix}{i}" for i, v in enumerate(var_order)}
+        lines.extend(
+            f"        k{s}_{i} = {_expr_source(poly, refs)}" for i, poly in enumerate(polys)
+        )
+
+    stage(1, "y")
+    for s, scale in ((2, "half"), (3, "half"), (4, "dt")):
+        lines.extend(f"        a{i} = y{i} + {scale} * k{s - 1}_{i}" for i in range(dim))
+        stage(s, "a")
+    lines.extend(
+        f"        y{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+        for i in range(dim)
+    )
+    lines.append(f"    return ({ys},)")
+    return "\n".join(lines) + "\n"
+
+
 def compile_vector_field(polys: Iterable[Poly], var_order: Sequence[VarId]) -> Callable:
-    """Compile a list of Polys into ``f(y) -> ndarray`` evaluated jointly."""
-    idx = {v: i for i, v in enumerate(var_order)}
-    exprs = [_expr_source(poly, idx) for poly in polys]
-    body = ", ".join(exprs)
+    """Compile a list of Polys into ``f(y) -> ndarray`` evaluated jointly.
+
+    With one Poly per variable, ``f.rk4(y, dt, n)`` advances ``n`` RK4 steps
+    on Python floats and returns the state as a tuple, bit-identical to the
+    numpy loop over four calls of ``f`` per step; otherwise ``f.rk4`` is None.
+    """
+    polys = tuple(polys)
+    refs = {v: f"y[{i}]" for i, v in enumerate(var_order)}
+    body = ", ".join(_expr_source(poly, refs) for poly in polys)
     src = f"def _field_fn(y):\n    return np.array(({body},), dtype=np.float64)\n"
-    ns: dict = {"np": np}
-    exec(src, ns)
-    fn = ns["_field_fn"]
-    fn.source = src
+    fn = _exec_function(src, "_field_fn", {"np": np})
+    fn.rk4 = None
+    if len(polys) == len(var_order):
+        fn.rk4 = _exec_function(_rk4_source(polys, var_order), "_rk4_fn", {})
     return fn

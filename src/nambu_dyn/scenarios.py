@@ -81,6 +81,12 @@ class ModelSpec:
             raise ValueError(f"unknown model {self.model_id!r}")
         if len(self.masses) != len(self.omegas):
             raise ValueError("masses and omegas must have equal length")
+        params = {"g": self.g, "lam": self.lam, "hbar": self.hbar}
+        params.update((f"masses[{i}]", m) for i, m in enumerate(self.masses))
+        params.update((f"omegas[{i}]", w) for i, w in enumerate(self.omegas))
+        for name, value in params.items():
+            if not math.isfinite(value):
+                raise ValueError(f"model parameter {name} = {value!r} is not finite")
         for m, w in zip(self.masses, self.omegas):
             if m <= 0 or w <= 0:
                 raise ValueError("masses and frequencies must be positive")

@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's own code paths: Gaussian moments
 come from the mean/variance recursion on numbers, determinants from the
-permutation sum, and derivatives from central differences.
+permutation sum, derivatives from central differences, and RK4 trajectories
+from a numpy loop that calls the field four times per step.
 """
 
 from itertools import permutations
 
 import numpy as np
 
+from nambu_dyn.dynamics import NonFiniteStateError, Trajectory
 from nambu_dyn.poly import Poly
 
 
@@ -60,3 +62,54 @@ def random_poly(rng, variables, max_degree=2, n_terms=4, scale=1.0) -> Poly:
             powers[v] = powers.get(v, 0) + 1
         out = out + Poly.monomial(powers, float(rng.uniform(-scale, scale)))
     return out
+
+
+def rk4_reference(field, y0, dt, t_end, observers=(), t0=0.0, record_stride=1, stop=None):
+    """Fixed-step RK4 on numpy arrays with four field calls per step.
+
+    Same recording, stop ("escaped") and non-finite rules as ``rk4_integrate``;
+    ``observers`` are ``(name, fn)`` pairs of callables.
+    """
+    y = np.array(y0, dtype=np.float64)
+    dim = y.size
+    n_steps = int(np.floor((t_end - t0) / dt + 1e-9))
+    ts, rows, obs_rows, flags = [], [], [], []
+
+    def record(step, flag=""):
+        ts.append(t0 + step * dt)
+        rows.append(y.copy())
+        obs_rows.append([fn(y) for _, fn in observers])
+        flags.append(flag)
+
+    def build():
+        return Trajectory(
+            np.array(ts),
+            np.array(rows).reshape(len(rows), dim),
+            [f"y{i}" for i in range(dim)],
+            np.array(obs_rows).reshape(len(obs_rows), len(observers)),
+            [name for name, _ in observers],
+            {},
+            flags,
+        )
+
+    record(0)
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for step in range(1, n_steps + 1):
+        k1 = field(y)
+        k2 = field(y + half * k1)
+        k3 = field(y + half * k2)
+        k4 = field(y + dt * k3)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteStateError(
+                f"state became non-finite at t = {t0 + step * dt:.6g} "
+                f"(step {step} of {n_steps})",
+                trajectory=build(),
+            )
+        if stop is not None and stop(y):
+            record(step, "escaped")
+            break
+        if step % record_stride == 0 or step == n_steps:
+            record(step)
+    return build()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import rk4_reference
+
 from nambu_dyn.brackets import nambu_bracket
 from nambu_dyn.dynamics import (
     HamiltonianSet,
@@ -14,7 +16,15 @@ from nambu_dyn.dynamics import (
     rk4_integrate,
     symbolic_flow,
 )
-from nambu_dyn.poly import Poly, parse_poly, p, q, xvar
+from nambu_dyn.poly import (
+    Poly,
+    compile_evaluator,
+    compile_vector_field,
+    parse_poly,
+    p,
+    q,
+    xvar,
+)
 from nambu_dyn.scenarios import (
     PacketSpec,
     classical_hamiltonian,
@@ -247,3 +257,69 @@ def test_rk4_rejects_bad_steps():
         rk4_integrate(field, np.zeros(3), -1e-3, 1.0)
     with pytest.raises(ValueError):
         rk4_integrate(field, np.zeros(3), 1e-3, 0.0)
+
+
+def _assert_same_trajectory(a, b):
+    assert np.array_equal(a.t, b.t)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.observables, b.observables)
+    assert a.flags == b.flags
+
+
+def _compiled_observers(hset):
+    order = x_vars(hset.layout)
+    return [(name, compile_evaluator(poly, order)) for name, poly in hset.observable_polys()]
+
+
+HH_Y0 = init_nambu_from_packet(
+    henon_heiles_model(), PacketSpec.make([0.3, -0.2], [0.1, 0.4])
+).values
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # harmonic triplet, recording every 10th step
+        dict(hset=HARM3, y0=[1.5, 0.5, 0.0], dt=1e-3, t_end=3.0, record_stride=10),
+        # cubic escape: the stop predicate forces one kernel call per step
+        dict(hset=CUBIC, y0=[0.0, 1.8, 0.5, 3.74], dt=1e-3, t_end=40.0,
+             record_stride=100, stop=lambda y: y[0] < -15.0),
+        # Henon-Heiles from t0 != 0 with a stride that does not divide n_steps
+        dict(hset=HH, y0=HH_Y0, dt=1e-3, t0=0.5, t_end=3.0, record_stride=7),
+    ],
+    ids=["harmonic", "cubic_stop", "henon_heiles_t0"],
+)
+def test_rk4_kernel_bit_identical_to_numpy_loop(case):
+    case = dict(case)
+    hset = case.pop("hset")
+    field = compile_nambu_field(hset)
+    observers = _compiled_observers(hset)
+    got = rk4_integrate(field, observers=observers, **case)
+    want = rk4_reference(field, observers=observers, **case)
+    _assert_same_trajectory(got, want)
+    if "stop" in case:
+        assert got.flags[-1] == "escaped"
+
+
+def test_rk4_kernel_non_finite_matches_numpy_loop():
+    field = compile_nambu_field(CUBIC)
+    y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8)).values
+    observers = _compiled_observers(CUBIC)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError) as got:
+            rk4_integrate(field, y0, 1e-3, 40.0, observers=observers, record_stride=100)
+        with pytest.raises(NonFiniteStateError) as want:
+            rk4_reference(field, y0, 1e-3, 40.0, observers=observers, record_stride=100)
+    assert str(got.value) == str(want.value)
+    _assert_same_trajectory(got.value.trajectory, want.value.trajectory)
+
+
+def test_rk4_rejects_field_shape_mismatch_and_missing_kernel():
+    x1, x2 = xvar(1), xvar(2)
+    field = compile_vector_field([Poly.var(x2), -Poly.var(x1)], [x1, x2])
+    with pytest.raises(ValueError, match=r"shape \(3,\) to shape \(2,\)"):
+        rk4_integrate(field, np.zeros(3), 1e-3, 1.0)
+    with pytest.raises(TypeError, match="rk4 kernel"):
+        rk4_integrate(lambda y: -y, np.zeros(2), 1e-3, 1.0)
+    with pytest.raises(ValueError, match="record_stride"):
+        rk4_integrate(field, np.zeros(2), 1e-3, 1.0, record_stride=0)

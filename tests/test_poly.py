@@ -186,6 +186,14 @@ def test_compile_vector_field():
     assert out.tolist() == [5.0, -2.0]
 
 
+def test_compile_rejects_non_finite_coefficients():
+    term = Poly.monomial({X1: 2, X2: 1}, float("nan"))
+    with pytest.raises(ValueError, match=r"nan of term x1\^2\*x2 is not finite"):
+        compile_vector_field([term, Poly.var(X1)], [X1, X2])
+    with pytest.raises(ValueError, match="inf of term 1"):
+        compile_evaluator(Poly.const(float("inf")), [X1])
+
+
 def test_eval_arrays_broadcasts():
     f = Poly.var(X1) * Poly.var(X2) + Poly.const(1.0)
     a = np.array([1.0, 2.0, 3.0])

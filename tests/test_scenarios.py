@@ -92,6 +92,13 @@ def test_packet_spec_validation():
         PacketSpec.make(0.0, 0.0, sigma=-0.5)
 
 
+def test_model_spec_rejects_non_finite_parameters():
+    with pytest.raises(ValueError, match="g = nan is not finite"):
+        cubic_model(g=float("nan"))
+    with pytest.raises(ValueError, match=r"omegas\[0\] = inf is not finite"):
+        harmonic_model(omega=float("inf"))
+
+
 def test_run_scenario_rejects_unknown_method():
     with pytest.raises(ValueError):
         run_scenario(cubic_model(), PacketSpec.make(0.0, 1.8), "exact")
