@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import Sequence, Union
 
 from .multiplets import MultipletDef, QUARTET_QP_Q2P2
@@ -63,12 +63,16 @@ class PotentialSpec:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isfinite(self.mass):
+            raise ValueError(f"potential mass = {self.mass!r} is not finite")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
         cleaned = {}
         for k, c in self.coefficients.items():
             if int(k) != k or k < 0:
                 raise ValueError(f"invalid potential degree {k!r}")
+            if not isfinite(c):
+                raise ValueError(f"potential coefficient of q^{k} = {c!r} is not finite")
             if c != 0.0:
                 cleaned[int(k)] = float(c)
         self.coefficients = cleaned

@@ -23,6 +23,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from . import native
+
 __all__ = [
     "VarId",
     "Poly",
@@ -524,48 +526,81 @@ def compile_evaluator(poly: Poly, var_order: Sequence[VarId]) -> Callable:
     return _exec_function(src, "_poly_fn", {})
 
 
-def _rk4_source(polys: Sequence[Poly], var_order: Sequence[VarId]) -> str:
-    """Source of ``rk4(y, dt, n)``: ``n`` classical RK4 steps from ``y``.
+def _rk4_steps(polys: Sequence[Poly], var_order: Sequence[VarId]) -> list[str]:
+    """One classical RK4 step as assignments ``name = expr``.
 
-    Each stage is the field evaluated on local floats, and every update is
+    Each stage is the field evaluated on local scalars, and every update is
     the numpy expression ``y + half * k1`` ... ``y + sixth * (k1 + 2.0 * k2
     + 2.0 * k3 + k4)`` written out per component, so the operations and
-    their order, hence the rounded results, match four field calls.
+    their order, hence the rounded results, match four field calls.  Stage
+    inputs that no component of the field reads are left out.  Each line is
+    a Python statement and, with a trailing ``;``, a C statement.
     """
-    dim = len(polys)
+    read = set().union(*(poly.variables() for poly in polys))
+    used = [i for i, v in enumerate(var_order) if v in read]
+    lines = []
+
+    def stage(s: int, prefix: str) -> None:
+        refs = {v: f"{prefix}{i}" for i, v in enumerate(var_order)}
+        lines.extend(f"k{s}_{i} = {_expr_source(poly, refs)}" for i, poly in enumerate(polys))
+
+    stage(1, "y")
+    for s, scale in ((2, "half"), (3, "half"), (4, "dt")):
+        lines.extend(f"a{i} = y{i} + {scale} * k{s - 1}_{i}" for i in used)
+        stage(s, "a")
+    lines.extend(
+        f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+        for i in range(len(polys))
+    )
+    return lines
+
+
+def _rk4_python(steps: Sequence[str], dim: int) -> str:
+    """Source of ``_rk4_fn(y, dt, n)``: ``n`` steps from the sequence ``y``,
+    returning the new state as a tuple."""
     ys = ", ".join(f"y{i}" for i in range(dim))
-    lines = [
+    return "\n".join([
         "def _rk4_fn(y, dt, n):",
         f"    {ys}, = y",
         "    half = 0.5 * dt",
         "    sixth = dt / 6.0",
         "    for _ in range(n):",
-    ]
+        *(f"        {line}" for line in steps),
+        f"    return ({ys},)",
+    ]) + "\n"
 
-    def stage(s: int, prefix: str) -> None:
-        refs = {v: f"{prefix}{i}" for i, v in enumerate(var_order)}
-        lines.extend(
-            f"        k{s}_{i} = {_expr_source(poly, refs)}" for i, poly in enumerate(polys)
-        )
 
-    stage(1, "y")
-    for s, scale in ((2, "half"), (3, "half"), (4, "dt")):
-        lines.extend(f"        a{i} = y{i} + {scale} * k{s - 1}_{i}" for i in range(dim))
-        stage(s, "a")
-    lines.extend(
-        f"        y{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-        for i in range(dim)
-    )
-    lines.append(f"    return ({ys},)")
-    return "\n".join(lines) + "\n"
+def _rk4_c(steps: Sequence[str], dim: int) -> str:
+    """Source of ``void rk4(double *y, double dt, long n)``: ``n`` steps
+    from the ``dim`` doubles at ``y``, written back in place."""
+    ys = ", ".join(f"y{i} = y[{i}]" for i in range(dim))
+    temps = ", ".join(dict.fromkeys(
+        line.split(" = ", 1)[0] for line in steps if not line.startswith("y")
+    ))
+    return "\n".join([
+        "void rk4(double *y, double dt, long n)",
+        "{",
+        f"    double {ys};",
+        f"    double {temps};",
+        "    const double half = 0.5 * dt;",
+        "    const double sixth = dt / 6.0;",
+        "    for (long step = 0; step < n; step++) {",
+        *(f"        {line};" for line in steps),
+        "    }",
+        *(f"    y[{i}] = y{i};" for i in range(dim)),
+        "}",
+    ]) + "\n"
 
 
 def compile_vector_field(polys: Iterable[Poly], var_order: Sequence[VarId]) -> Callable:
     """Compile a list of Polys into ``f(y) -> ndarray`` evaluated jointly.
 
     With one Poly per variable, ``f.rk4(y, dt, n)`` advances ``n`` RK4 steps
-    on Python floats and returns the state as a tuple, bit-identical to the
-    numpy loop over four calls of ``f`` per step; otherwise ``f.rk4`` is None.
+    and returns the state as a tuple, bit-identical to the numpy loop over
+    four calls of ``f`` per step; otherwise ``f.rk4`` is None.  The kernel is
+    native code from ``native.load_rk4`` when a C compiler and a trusted
+    cache are available, and generated Python otherwise; both run the same
+    statements with the same rounding.
     """
     polys = tuple(polys)
     refs = {v: f"y[{i}]" for i, v in enumerate(var_order)}
@@ -574,5 +609,8 @@ def compile_vector_field(polys: Iterable[Poly], var_order: Sequence[VarId]) -> C
     fn = _exec_function(src, "_field_fn", {"np": np})
     fn.rk4 = None
     if len(polys) == len(var_order):
-        fn.rk4 = _exec_function(_rk4_source(polys, var_order), "_rk4_fn", {})
+        steps = _rk4_steps(polys, var_order)
+        fn.rk4 = native.load_rk4(_rk4_c(steps, len(polys)), len(polys))
+        if fn.rk4 is None:
+            fn.rk4 = _exec_function(_rk4_python(steps, len(polys)), "_rk4_fn", {})
     return fn

@@ -9,6 +9,7 @@ mask damps amplitude near the grid edges for open (tunneling) problems.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -53,7 +54,10 @@ class Grid:
     axes: tuple[tuple[float, float, int], ...]
 
     def __post_init__(self) -> None:
-        for lo, hi, n in self.axes:
+        for axis, (lo, hi, n) in enumerate(self.axes):
+            for name, value in (("min", lo), ("max", hi)):
+                if not math.isfinite(value):
+                    raise ValueError(f"axis {axis} {name} = {value!r} is not finite")
             if hi <= lo:
                 raise ValueError(f"axis needs max > min, got [{lo}, {hi}]")
             if n < 64 or n & (n - 1):
@@ -205,7 +209,7 @@ def absorbing_mask(grid: Grid, fraction: float = 0.15) -> np.ndarray:
     return mask
 
 
-def potential_mesh(grid: Grid, V, masses: Sequence[float] | None = None) -> np.ndarray:
+def potential_mesh(grid: Grid, V) -> np.ndarray:
     """Evaluate a potential (ndarray, callable, Poly over q0.., or
     PotentialSpec) on the grid."""
     if isinstance(V, np.ndarray):
@@ -251,7 +255,7 @@ class SplitOperatorPropagator:
         self.dt = float(dt)
         self.hbar = float(hbar)
         self.masses = _per_axis(masses if masses is not None else 1.0, grid.ndim, "masses")
-        vmesh = potential_mesh(grid, V, self.masses)
+        vmesh = potential_mesh(grid, V)
         self.exp_v_half = np.exp(-0.5j * vmesh * dt / hbar)
         kin = np.zeros(grid.shape)
         for axis in range(grid.ndim):
@@ -259,15 +263,28 @@ class SplitOperatorPropagator:
             kin = kin + grid.axis_view(k**2, axis) / (2.0 * self.masses[axis])
         self.exp_t = np.exp(-1j * hbar * kin * dt)
         self.absorber = absorber
+        # One step's closing V half and the next step's opening V half,
+        # fused, then the absorber that sits between them.
+        self.exp_v_join = self.exp_v_half**2
+        if absorber is not None:
+            self.exp_v_join *= absorber
+        self.axes = tuple(range(grid.ndim))
 
     def step(self, wf: WaveFunction, n: int = 1) -> WaveFunction:
+        """Advance ``n`` Strang steps in one work array; ``wf.amps`` is
+        replaced, never written."""
         amps = wf.amps
-        for _ in range(n):
+        if n > 0:
             amps = self.exp_v_half * amps
-            amps = np.fft.ifftn(self.exp_t * np.fft.fftn(amps))
-            amps = self.exp_v_half * amps
+            for i in range(n):
+                if i:
+                    amps *= self.exp_v_join
+                np.fft.fftn(amps, axes=self.axes, out=amps)
+                amps *= self.exp_t
+                np.fft.ifftn(amps, axes=self.axes, out=amps)
+            amps *= self.exp_v_half
             if self.absorber is not None:
-                amps = self.absorber * amps
+                amps *= self.absorber
         if not np.all(np.isfinite(amps)):
             raise NonFiniteAmplitudeError("wavefunction amplitudes became non-finite")
         wf.amps = amps
@@ -346,7 +363,7 @@ def expect(
         kinetic = sum(
             _momentum_moment(wf, a, 2) / (2.0 * m[a]) for a in range(wf.grid.ndim)
         )
-        vmesh = potential_mesh(wf.grid, potential, m)
+        vmesh = potential_mesh(wf.grid, potential)
         density = wf.density()
         return float(kinetic + np.sum(vmesh * density) / np.sum(density))
     raise ValueError(f"unknown expectation kind {kind!r}")
@@ -382,8 +399,17 @@ def save_wavefunction(wf: WaveFunction, path) -> None:
 def load_wavefunction(path, hbar: float = 1.0) -> WaveFunction:
     with open(path, "rb") as fh:
         raw = fh.read()
+
+    def need(size: int, what: str) -> None:
+        if len(raw) < size:
+            raise ValueError(
+                f"snapshot {path}: {what} needs {size} bytes, file has {len(raw)}"
+            )
+
+    need(4, "axis count")
     n_axes = int(np.frombuffer(raw, dtype="<u4", count=1)[0])
     offset = 4
+    need(offset + 20 * n_axes, f"header for {n_axes} axes")
     axes = []
     for _ in range(n_axes):
         lo, hi = np.frombuffer(raw, dtype="<f8", count=2, offset=offset)
@@ -393,6 +419,13 @@ def load_wavefunction(path, hbar: float = 1.0) -> WaveFunction:
         axes.append((float(lo), float(hi), n))
     grid = Grid(tuple(axes))
     count = 2 * int(np.prod(grid.shape))
+    size = offset + 8 * count
+    need(size, f"header and {count // 2} amplitudes")
+    if len(raw) > size:
+        raise ValueError(
+            f"snapshot {path}: expected {size} bytes, file has {len(raw)} "
+            f"({len(raw) - size} trailing)"
+        )
     data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
     amps = (data[0::2] + 1j * data[1::2]).reshape(grid.shape)
     return WaveFunction(grid, amps, hbar)

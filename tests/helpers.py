@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: Gaussian moments
 come from the mean/variance recursion on numbers, determinants from the
 permutation sum, derivatives from central differences, RK4 trajectories
-from a numpy loop that calls the field four times per step, and the
+from a numpy loop that calls the field four times per step, Strang steps
+from the split-operator factors applied one at a time, and the
 Henon-Heiles mode energies from hand-written packet-center equations
 integrated with scipy's DOP853.
 """
@@ -115,6 +116,18 @@ def rk4_reference(field, y0, dt, t_end, observers=(), t0=0.0, record_stride=1, s
         if step % record_stride == 0 or step == n_steps:
             record(step)
     return build()
+
+
+def strang_reference(prop, amps, n):
+    """``n`` Strang steps of ``prop`` written out one factor at a time:
+    V half, FFT, kinetic phase, inverse FFT, V half, absorber."""
+    for _ in range(n):
+        amps = prop.exp_v_half * amps
+        amps = np.fft.ifftn(prop.exp_t * np.fft.fftn(amps))
+        amps = prop.exp_v_half * amps
+        if prop.absorber is not None:
+            amps = prop.absorber * amps
+    return amps
 
 
 def henon_heiles_mode_energies(t, qc, pc, omegas, lam):

@@ -156,6 +156,10 @@ def test_effective_potential_rejects_high_degree_and_bad_sigma():
 def test_potential_spec_validation_and_parse():
     with pytest.raises(ValueError):
         PotentialSpec({2: 1.0}, mass=0.0)
+    with pytest.raises(ValueError, match="mass = nan is not finite"):
+        PotentialSpec({2: 1.0}, mass=float("nan"))
+    with pytest.raises(ValueError, match=r"coefficient of q\^3 = nan is not finite"):
+        PotentialSpec({2: 0.5, 3: float("nan")})
     spec = parse_potential("0.5*q^2 + 0.1*q^3")
     assert spec.coefficients == {2: 0.5, 3: 0.1}
     assert spec.degree == 3

@@ -1,7 +1,11 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from helpers import rk4_reference
+
+from nambu_dyn import native
 
 from nambu_dyn.brackets import nambu_bracket
 from nambu_dyn.dynamics import (
@@ -266,6 +270,23 @@ def _assert_same_trajectory(a, b):
     assert a.flags == b.flags
 
 
+@pytest.fixture(params=["native", "python"])
+def kernel(request, monkeypatch):
+    """Which RK4 kernel ``compile_vector_field`` installs: the native build
+    or, with the loader patched out, the generated Python."""
+    if request.param == "python":
+        monkeypatch.setattr(native, "load_rk4", lambda source, dim: None)
+    elif shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    return request.param
+
+
+def _compile_field(hset, kernel):
+    field = compile_nambu_field(hset)
+    assert getattr(field.rk4, "native", False) is (kernel == "native")
+    return field
+
+
 def _compiled_observers(hset):
     order = x_vars(hset.layout)
     return [(name, compile_evaluator(poly, order)) for name, poly in hset.observable_polys()]
@@ -289,10 +310,10 @@ HH_Y0 = init_nambu_from_packet(
     ],
     ids=["harmonic", "cubic_stop", "henon_heiles_t0"],
 )
-def test_rk4_kernel_bit_identical_to_numpy_loop(case):
+def test_rk4_kernel_bit_identical_to_numpy_loop(case, kernel):
     case = dict(case)
     hset = case.pop("hset")
-    field = compile_nambu_field(hset)
+    field = _compile_field(hset, kernel)
     observers = _compiled_observers(hset)
     got = rk4_integrate(field, observers=observers, **case)
     want = rk4_reference(field, observers=observers, **case)
@@ -301,8 +322,8 @@ def test_rk4_kernel_bit_identical_to_numpy_loop(case):
         assert got.flags[-1] == "escaped"
 
 
-def test_rk4_kernel_non_finite_matches_numpy_loop():
-    field = compile_nambu_field(CUBIC)
+def test_rk4_kernel_non_finite_matches_numpy_loop(kernel):
+    field = _compile_field(CUBIC, kernel)
     y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8)).values
     observers = _compiled_observers(CUBIC)
     with np.errstate(over="ignore", invalid="ignore"):
