@@ -9,7 +9,7 @@ caller keeps the Python kernel, which computes bit-identical results.
   ``-ffast-math`` every C operation rounds exactly like the Python float
   operation it mirrors.
 * Cache: ``<tempdir>/nambu_dyn-<uid>/rk4-<crc32>-<len>.so``, keyed by the C
-  source.  The directory is used only if it is a real directory owned by this
+  source, which starts with a comment naming the flags.  The directory is used only if it is a real directory owned by this
   user that nobody else can write to.  A library is built under a fresh name
   and published with ``os.replace``, so readers never see a partial file.
 * Identity: each library embeds its kernel source as ``rk4_src``.  A cached
@@ -117,6 +117,7 @@ def load_rk4(source: str, dim: int) -> Callable | None:
     directory = _trusted_cache()
     if directory is None:
         return None
+    source = f"/* cc {' '.join(CFLAGS)} */\n{source}"
     data = source.encode()
     path = os.path.join(directory, f"rk4-{zlib.crc32(data):08x}-{len(data)}.so")
     lib = _open(path, source)

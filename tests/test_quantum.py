@@ -205,8 +205,8 @@ def test_non_finite_amplitudes_detected():
         prop.step(wf)
 
 
-@pytest.mark.parametrize("absorbed", [False, True])
-@pytest.mark.parametrize("shape", [(128,), (64, 64)])
+@pytest.mark.parametrize("absorbed", [False, True], ids=["closed", "absorbed"])
+@pytest.mark.parametrize("shape", [(128,), (64, 64)], ids=["1d", "2d"])
 def test_fused_strang_step_matches_unfused_loop(shape, absorbed):
     axes = [(-8.0, 8.0, n) for n in shape]
     g = Grid(tuple(axes))
