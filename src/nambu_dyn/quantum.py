@@ -268,7 +268,6 @@ class SplitOperatorPropagator:
         self.exp_v_join = self.exp_v_half**2
         if absorber is not None:
             self.exp_v_join *= absorber
-        self.axes = tuple(range(grid.ndim))
 
     def step(self, wf: WaveFunction, n: int = 1) -> WaveFunction:
         """Advance ``n`` Strang steps in one work array; ``wf.amps`` is
@@ -279,9 +278,12 @@ class SplitOperatorPropagator:
             for i in range(n):
                 if i:
                     amps *= self.exp_v_join
-                np.fft.fftn(amps, axes=self.axes, out=amps)
+                # No ``axes``: numpy would rebuild the transform lengths with
+                # ``np.take`` per call, ≈ 8 µs against ≈ 30 µs for a
+                # 2048-point transform.
+                np.fft.fftn(amps, out=amps)
                 amps *= self.exp_t
-                np.fft.ifftn(amps, axes=self.axes, out=amps)
+                np.fft.ifftn(amps, out=amps)
             amps *= self.exp_v_half
             if self.absorber is not None:
                 amps *= self.absorber
