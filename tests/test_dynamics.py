@@ -6,7 +6,6 @@ import pytest
 from helpers import rk4_reference
 
 from nambu_dyn import native
-
 from nambu_dyn.brackets import nambu_bracket
 from nambu_dyn.dynamics import (
     HamiltonianSet,
