@@ -14,7 +14,9 @@ caller keeps the Python kernel, which computes bit-identical results.
   and published with ``os.replace``, so readers never see a partial file.
 * Identity: each library embeds its kernel source as ``rk4_src``.  A cached
   library whose embedded source differs (a key collision, a stale file) is
-  rebuilt rather than used.
+  rebuilt rather than used.  A library this process has loaded is reused
+  for its source: ``dlopen`` of a path it has opened before returns that
+  mapping, even after the file was replaced, so it cannot load the rebuild.
 
 ``zlib`` and ``ctypes`` are already loaded by numpy; ``hashlib`` is avoided
 because it loads OpenSSL, and ``subprocess`` is imported only to build.
@@ -33,6 +35,9 @@ from typing import Callable
 __all__ = ["load_rk4", "cache_dir"]
 
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+# Kernel source -> the library loaded for it in this process.
+_loaded: dict[str, ctypes.CDLL] = {}
 
 
 def cache_dir() -> str:
@@ -107,17 +112,11 @@ def _build(directory: str, source: str, path: str):
             os.unlink(tmp)
 
 
-def load_rk4(source: str, dim: int) -> Callable | None:
-    """Native ``rk4(y, dt, n) -> tuple`` for the C kernel ``source``.
-
-    ``source`` defines ``void rk4(double *y, double dt, long n)``, advancing
-    the ``dim`` doubles at ``y`` in place.  Returns None when no trusted
-    cache, compiler or loadable library is available.
-    """
+def _load(source: str):
+    """The cached library for ``source``, built first if missing or stale."""
     directory = _trusted_cache()
     if directory is None:
         return None
-    source = f"/* cc {' '.join(CFLAGS)} */\n{source}"
     data = source.encode()
     path = os.path.join(directory, f"rk4-{zlib.crc32(data):08x}-{len(data)}.so")
     lib = _open(path, source)
@@ -126,8 +125,21 @@ def load_rk4(source: str, dim: int) -> Callable | None:
             lib = _build(directory, source, path)
         except OSError:
             return None
+    return lib
+
+
+def load_rk4(source: str, dim: int) -> Callable | None:
+    """Native ``rk4(y, dt, n) -> tuple`` for the C kernel ``source``.
+
+    ``source`` defines ``void rk4(double *y, double dt, long n)``, advancing
+    the ``dim`` doubles at ``y`` in place.  Returns None when no trusted
+    cache, compiler or loadable library is available.
+    """
+    source = f"/* cc {' '.join(CFLAGS)} */\n{source}"
+    lib = _loaded.get(source) or _load(source)
     if lib is None:
         return None
+    _loaded[source] = lib
     kernel = lib.rk4
     kernel.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_double, ctypes.c_long)
     kernel.restype = None
@@ -141,5 +153,4 @@ def load_rk4(source: str, dim: int) -> Callable | None:
         return tuple(buf[:])
 
     rk4.native = True
-    rk4.library = lib
     return rk4

@@ -334,6 +334,19 @@ def test_rk4_kernel_non_finite_matches_numpy_loop(kernel):
     _assert_same_trajectory(got.value.trajectory, want.value.trajectory)
 
 
+@pytest.mark.parametrize("stop", [None, lambda y: False], ids=["strided", "stop"])
+def test_rk4_finite_state_with_overflowing_sum_is_not_an_error(kernel, stop):
+    # The driver screens each call by the sum of the state, which overflows
+    # here although every component stays finite.
+    x1, x2 = xvar(1), xvar(2)
+    field = compile_vector_field([1e-300 * Poly.var(x2), -1e-300 * Poly.var(x1)], [x1, x2])
+    assert getattr(field.rk4, "native", False) is (kernel == "native")
+    case = dict(y0=[1e308, 1e308], dt=1e-3, t_end=0.05, record_stride=10, stop=stop)
+    got = rk4_integrate(field, **case)
+    _assert_same_trajectory(got, rk4_reference(field, **case))
+    assert len(got) == 6 and np.all(np.isfinite(got.states))
+
+
 def test_rk4_rejects_field_shape_mismatch_and_missing_kernel():
     x1, x2 = xvar(1), xvar(2)
     field = compile_vector_field([Poly.var(x2), -Poly.var(x1)], [x1, x2])

@@ -27,9 +27,11 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 
 
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
-    """Point the kernel cache at a fresh directory and count compiler runs."""
+    """Point the kernel cache at a fresh directory, forget the libraries this
+    process has loaded, and count compiler runs."""
     path = tmp_path / "cache"
     monkeypatch.setattr(native, "cache_dir", lambda: str(path))
+    monkeypatch.setattr(native, "_loaded", {})
     builds = []
     compile_ = native._compile
 
@@ -79,11 +81,17 @@ def test_cached_library_with_other_source_is_rebuilt(cache, monkeypatch):
     # the mapping this process already holds is untouched).
     shutil.copy(path / harm_library, path / "swap")
     os.replace(path / "swap", path / hh_library)
+    monkeypatch.setattr(native, "_loaded", {})
 
     field = compile_nambu_field(HH)
     assert _is_native(field) and len(builds) == 3
     want = _python_field(HH, monkeypatch).rk4(HH_Y0, 1e-3, 1000)
     assert field.rk4(HH_Y0, 1e-3, 1000) == want
+    # The stale library stays mapped under the published name, so opening
+    # that name again would return it; the rebuild is reused instead.
+    again = compile_nambu_field(HH)
+    assert _is_native(again) and len(builds) == 3
+    assert again.rk4(HH_Y0, 1e-3, 1000) == want
 
 
 @pytest.mark.parametrize("layout", ["group_writable", "symlink"])
@@ -106,6 +114,7 @@ def test_missing_compiler_gives_python_kernel_with_identical_results(
 ):
     native_field = compile_nambu_field(HH)
     assert _is_native(native_field)
+    monkeypatch.setattr(native, "_loaded", {})
     monkeypatch.setattr(native, "cache_dir", lambda: str(tmp_path / "cold"))
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     field = compile_nambu_field(HH)
