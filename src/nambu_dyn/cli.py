@@ -157,6 +157,9 @@ def cmd_run(args) -> int:
     print(f"wrote {out}: {len(traj)} rows, t in [{traj.t[0]:g}, {traj.t[-1]:g}]")
     for name, stat in drifts.items():
         print(f"  max |{name}(t) - {name}(0)| = {stat.max_abs:.3e}")
+    if "norm_loss" in traj.meta:
+        print(f"  norm loss = {float(traj.meta['norm_loss']):.3e}")
+        print(f"  max boundary |psi| = {float(traj.meta['boundary_amp_max']):.3e}")
     if any(traj.flags):
         last = traj.flags[-1]
         if last:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .brackets import _det_poly, _partial, sample_assignments
+from .brackets import _det_poly, _partial, poisson_bracket_poly, sample_assignments
 from .poly import Poly, VarId, parse_poly, p, q, xvar
 from .state import Layout
 
@@ -52,11 +52,6 @@ class UnliftableMonomialError(ValueError):
 
 class AmbiguousLiftWarning(UserWarning):
     """Several equal-degree generators could absorb a monomial."""
-
-
-def _pb_single_dof(a: Poly, b: Poly, dof: int) -> Poly:
-    qv, pv = q(dof), p(dof)
-    return _partial(a, qv) * _partial(b, pv) - _partial(a, pv) * _partial(b, qv)
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ class MultipletDef:
             nonzero = sum(
                 1
                 for i, j in combinations(range(self.N), 2)
-                if not _pb_single_dof(self.defs[dof][i], self.defs[dof][j], dof).is_zero
+                if not poisson_bracket_poly(self.defs[dof][i], self.defs[dof][j], dof + 1).is_zero
             )
             if nonzero < self.N - 1:
                 raise MalformedMultipletError(
@@ -276,7 +271,7 @@ def verify_consistency(
             images.append(image)
         for i, j in combinations(range(m.N), 2):
             lhs_poly = _constraint_contraction(m.constraints[dof], vs, i, j)
-            rhs_poly = _pb_single_dof(m.defs[dof][i], m.defs[dof][j], dof)
+            rhs_poly = poisson_bracket_poly(m.defs[dof][i], m.defs[dof][j], dof + 1)
             worst = 0.0
             for pt, image in zip(points, images):
                 r = abs(lhs_poly.eval(image) - rhs_poly.eval(pt))

@@ -9,15 +9,16 @@ mask damps amplitude near the grid edges for open (tunneling) problems.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .closure import PotentialSpec
-from .poly import Poly, q
+from .poly import Poly, compile_evaluator, q
 
 __all__ = [
     "Grid",
@@ -29,6 +30,8 @@ __all__ = [
     "propagate_split_operator",
     "absorbing_mask",
     "potential_mesh",
+    "ExpectationRow",
+    "expectation_row",
     "expect",
     "position_moment",
     "mode_energies",
@@ -98,13 +101,6 @@ class Grid:
         _, _, n = self.axes[axis]
         return 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx(axis))
 
-    def mesh(self, axis: int) -> np.ndarray:
-        """Coordinate of one axis broadcast over the full grid."""
-        x = self.coords(axis)
-        shape = [1] * self.ndim
-        shape[axis] = len(x)
-        return x.reshape(shape) * np.ones(self.shape)
-
     def axis_view(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Reshape a per-axis 1D array for broadcasting over the grid."""
         shape = [1] * self.ndim
@@ -132,14 +128,15 @@ class WaveFunction:
 
     def norm(self) -> float:
         """Total probability, sum |psi|^2 dV."""
-        return float(np.sum(np.abs(self.amps) ** 2) * self.grid.dvol)
+        return float(np.sum(self.density()) * self.grid.dvol)
 
     def normalize(self) -> "WaveFunction":
         self.amps = self.amps / np.sqrt(self.norm())
         return self
 
     def density(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+        """|psi|^2 as re^2 + im^2."""
+        return self.amps.real**2 + self.amps.imag**2
 
 
 def _per_axis(value, ndim: int, name: str) -> list[float]:
@@ -175,7 +172,7 @@ def init_gaussian(
         )
         amps = amps * grid.axis_view(line, axis)
     wf = WaveFunction(grid, amps, hbar).normalize()
-    edge = _boundary_peak(wf)
+    edge = _edge_amplitude(wf.density())
     if edge > BOUNDARY_AMPLITUDE_TOL:
         warnings.warn(
             f"packet amplitude {edge:.2e} at the grid boundary exceeds "
@@ -184,15 +181,6 @@ def init_gaussian(
             stacklevel=2,
         )
     return wf
-
-
-def _boundary_peak(wf: WaveFunction) -> float:
-    worst = 0.0
-    mags = np.abs(wf.amps)
-    for axis in range(wf.grid.ndim):
-        for edge_index in (0, -1):
-            worst = max(worst, float(np.max(np.take(mags, edge_index, axis=axis))))
-    return worst
 
 
 def absorbing_mask(grid: Grid, fraction: float = 0.15) -> np.ndarray:
@@ -218,22 +206,16 @@ def potential_mesh(grid: Grid, V) -> np.ndarray:
         return V
     if isinstance(V, PotentialSpec):
         V = V.to_poly(0)
+    views = [grid.axis_view(grid.coords(axis), axis) for axis in range(grid.ndim)]
     if isinstance(V, Poly):
-        meshes = {q(axis): grid.mesh(axis) for axis in range(grid.ndim)}
-        extra = V.variables() - set(meshes)
+        order = [q(axis) for axis in range(grid.ndim)]
+        extra = V.variables() - set(order)
         if extra:
             names = ", ".join(sorted(v.name for v in extra))
             raise ValueError(f"potential Poly uses non-position variables: {names}")
-        total = np.zeros(grid.shape)
-        for mono, coeff in V.terms.items():
-            term = np.full(grid.shape, coeff)
-            for var, k in mono:
-                term = term * meshes[var] ** k
-            total += term
-        return total
+        return np.full(grid.shape, compile_evaluator(V, order)(views), dtype=np.float64)
     if callable(V):
-        coords = [grid.mesh(axis) for axis in range(grid.ndim)]
-        return np.asarray(V(*coords), dtype=np.float64)
+        return np.full(grid.shape, V(*views), dtype=np.float64)
     raise TypeError(f"unsupported potential type {type(V)!r}")
 
 
@@ -311,24 +293,85 @@ def propagate_split_operator(
 # --------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_weights(grid: Grid, hbar: float) -> tuple:
+    """Per-axis x and hbar k broadcast along their axis, and per-axis rows
+    (1, x, x^2) and (1, hbar k, (hbar k)^2), shared by all callers: never written."""
+    x = [grid.coords(axis) for axis in range(grid.ndim)]
+    hk = [hbar * grid.wavenumbers(axis) for axis in range(grid.ndim)]
+    views = [[grid.axis_view(v, axis) for axis, v in enumerate(vs)] for vs in (x, hk)]
+    rows = [[np.stack([np.ones_like(v), v, v * v]) for v in vs] for vs in (x, hk)]
+    return (*views, *rows)
+
+
+def _marginals(values: np.ndarray) -> list[np.ndarray]:
+    """``values`` summed over every axis but one, for each axis."""
+    if values.ndim == 1:
+        return [values]
+    axes = range(values.ndim)
+    return [values.sum(axis=tuple(b for b in axes if b != a)) for a in axes]
+
+
+def _edge_amplitude(density: np.ndarray) -> float:
+    """Largest |psi| on the first and last plane of every axis."""
+    planes = (density.swapaxes(0, a)[:: n - 1] for a, n in enumerate(density.shape))
+    return math.sqrt(max(plane.max() for plane in planes))
+
+
+class ExpectationRow(NamedTuple):
+    values: list[float]
+    norm: float  # sum |psi|^2 dV
+    boundary_amp: float  # largest |psi| on the grid boundary
+
+
+# kind -> (space, power): space 0 is position, 1 is momentum.
+_MOMENTS = {"q": (0, 1), "q2": (0, 2), "p": (1, 1), "p2": (1, 2)}
+
+
+def expectation_row(wf: WaveFunction, kinds: Sequence[str]) -> ExpectationRow:
+    """Normalized ``kinds`` (q, p, q2, p2, qp_sym) on every axis, axis by axis.
+
+    Per-axis marginals of the density give q and q2 as dot products with
+    (1, x, x^2); one forward transform, F[psi], does the same for p and p2.
+    qp_sym = Re <x psi|p psi> / <psi|psi>, the symmetrized product, takes one
+    transform per axis by Parseval: Re sum conj(F[x psi]) hbar k F[psi] / sum |F[psi]|^2.
+    """
+    for kind in kinds:
+        if kind not in _MOMENTS and kind != "qp_sym":
+            raise ValueError(f"unknown expectation kind {kind!r}")
+    x, hk, position, momentum = _grid_weights(wf.grid, wf.hbar)
+    density = wf.density()
+    sums = [[rows @ m for rows, m in zip(position, _marginals(density))]]
+    if any(kind[0] == "p" or kind == "qp_sym" for kind in kinds):
+        spectrum = np.fft.fftn(wf.amps)
+        power = spectrum.real**2 + spectrum.imag**2
+        sums.append([rows @ m for rows, m in zip(momentum, _marginals(power))])
+    values = []
+    for axis in range(wf.grid.ndim):
+        for kind in kinds:
+            if kind == "qp_sym":
+                xpsi = wf.amps * x[axis]
+                np.fft.fftn(xpsi, out=xpsi)
+                xpsi *= hk[axis]
+                values.append(float(np.vdot(xpsi, spectrum).real / sums[1][axis][0]))
+            else:
+                space, order = _MOMENTS[kind]
+                s = sums[space][axis]
+                values.append(float(s[order] / s[0]))
+    norm = float(sums[0][0][0]) * wf.grid.dvol
+    return ExpectationRow(values, norm, _edge_amplitude(density))
+
+
 def position_moment(wf: WaveFunction, exponents: Sequence[int]) -> float:
     """<q0^e0 q1^e1 ...> over the position density, normalized so that a
     partially absorbed state still reports a proper expectation value."""
     if len(exponents) != wf.grid.ndim:
         raise ValueError("one exponent per axis required")
-    density = wf.density()
-    weight = density
-    for axis, e in enumerate(exponents):
+    weight = density = wf.density()
+    for x, e in zip(_grid_weights(wf.grid, wf.hbar)[0], exponents):
         if e:
-            weight = weight * wf.grid.mesh(axis) ** e
+            weight = weight * x**e
     return float(np.sum(weight) / np.sum(density))
-
-
-def _momentum_moment(wf: WaveFunction, axis: int, power: int) -> float:
-    spectrum = np.abs(np.fft.fftn(wf.amps)) ** 2
-    k = wf.grid.wavenumbers(axis)
-    weight = wf.grid.axis_view((wf.hbar * k) ** power, axis)
-    return float(np.sum(weight * spectrum) / np.sum(spectrum))
 
 
 def expect(
@@ -338,43 +381,18 @@ def expect(
     potential=None,
     masses: Sequence[float] | None = None,
 ) -> float:
-    """Expectation value of q, p, q2, p2, qp_sym, or H along one axis.
-
-    Momentum kinds use spectral differentiation; qp_sym is
-    Re <psi| q (-i hbar d/dq) |psi>, the symmetrized product.  Kind 'H'
-    needs the potential (any form potential_mesh accepts).
-    """
-    if kind == "q":
-        return position_moment(wf, _unit(wf, axis, 1))
-    if kind == "q2":
-        return position_moment(wf, _unit(wf, axis, 2))
-    if kind == "p":
-        return _momentum_moment(wf, axis, 1)
-    if kind == "p2":
-        return _momentum_moment(wf, axis, 2)
-    if kind == "qp_sym":
-        spectrum = np.fft.fftn(wf.amps)
-        k = wf.grid.wavenumbers(axis)
-        p_psi = np.fft.ifftn(wf.grid.axis_view(wf.hbar * k, axis) * spectrum)
-        value = np.sum(np.conj(wf.amps) * wf.grid.mesh(axis) * p_psi)
-        return float(value.real / np.sum(wf.density()))
-    if kind == "H":
-        if potential is None:
-            raise ValueError("expect(kind='H') needs the potential")
-        m = _per_axis(masses if masses is not None else 1.0, wf.grid.ndim, "masses")
-        kinetic = sum(
-            _momentum_moment(wf, a, 2) / (2.0 * m[a]) for a in range(wf.grid.ndim)
-        )
-        vmesh = potential_mesh(wf.grid, potential)
-        density = wf.density()
-        return float(kinetic + np.sum(vmesh * density) / np.sum(density))
-    raise ValueError(f"unknown expectation kind {kind!r}")
-
-
-def _unit(wf: WaveFunction, axis: int, power: int) -> list[int]:
-    exps = [0] * wf.grid.ndim
-    exps[axis] = power
-    return exps
+    """Expectation value of q, p, q2, p2, qp_sym (see ``expectation_row``),
+    or H along one axis.  Kind 'H' needs the potential (any form
+    potential_mesh accepts)."""
+    if kind != "H":
+        return expectation_row(wf, (kind,)).values[axis]
+    if potential is None:
+        raise ValueError("expect(kind='H') needs the potential")
+    m = _per_axis(masses if masses is not None else 1.0, wf.grid.ndim, "masses")
+    kinetic = sum(p2 / (2.0 * ma) for p2, ma in zip(expectation_row(wf, ("p2",)).values, m))
+    vmesh = potential_mesh(wf.grid, potential)
+    density = wf.density()
+    return float(kinetic + np.sum(vmesh * density) / np.sum(density))
 
 
 # --------------------------------------------------------------------------
@@ -441,6 +459,7 @@ def mode_energies(
     if wf.grid.ndim != 2:
         raise ValueError("mode energies are defined for 2D wavefunctions")
     m1, w1, m2, w2 = (float(v) for v in params)
-    e1 = expect(wf, "p2", 0) / (2 * m1) + 0.5 * m1 * w1**2 * expect(wf, "q2", 0)
-    e2 = expect(wf, "p2", 1) / (2 * m2) + 0.5 * m2 * w2**2 * expect(wf, "q2", 1)
+    q2_1, p2_1, q2_2, p2_2 = expectation_row(wf, ("q2", "p2")).values
+    e1 = p2_1 / (2 * m1) + 0.5 * m1 * w1**2 * q2_1
+    e2 = p2_2 / (2 * m2) + 0.5 * m2 * w2**2 * q2_2
     return (e1, e2)

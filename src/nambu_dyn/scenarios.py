@@ -27,9 +27,9 @@ from .poly import Poly, compile_evaluator, eval_arrays, p, q, xvar
 from .quantum import (
     Grid,
     SplitOperatorPropagator,
-    WaveFunction,
     absorbing_mask,
-    expect,
+    expect,  # noqa: F401  (bench/hooks.py traces scenarios.expect)
+    expectation_row,
     init_gaussian,
 )
 from .state import NambuState, classical_vars, x_vars
@@ -272,29 +272,6 @@ def _x_image_assignment(
     return images, assignment
 
 
-def _quantum_row(wf: WaveFunction, multiplet: MultipletDef) -> list[float]:
-    row: list[float] = []
-    for axis in range(multiplet.n_dof):
-        if multiplet.N == 4:
-            row.extend(
-                (
-                    expect(wf, "q", axis),
-                    expect(wf, "p", axis),
-                    expect(wf, "q2", axis),
-                    expect(wf, "p2", axis),
-                )
-            )
-        else:
-            row.extend(
-                (
-                    expect(wf, "q2", axis),
-                    expect(wf, "p2", axis),
-                    expect(wf, "qp_sym", axis),
-                )
-            )
-    return row
-
-
 def run_scenario(
     spec: ModelSpec,
     packet: PacketSpec,
@@ -311,7 +288,9 @@ def run_scenario(
     The cubic potential is unbounded below, so nambu/classical runs are
     truncated once the position variable falls below ``q_stop`` and the
     last row is flagged 'escaped'; the quantum run stops once the absorber
-    has drained more than 1% of the norm.
+    has drained more than 1% of the norm.  A quantum run records in its meta
+    the largest boundary amplitude |psi| over the rows (``boundary_amp_max``)
+    and the largest change of the norm from the first row (``norm_loss``).
     """
     if method not in ("nambu", "classical", "quantum"):
         raise ValueError(f"unknown method {method!r}")
@@ -387,16 +366,23 @@ def run_scenario(
             (name, compile_evaluator(poly, x_vars(layout)))
             for name, poly in hset.observable_polys()
         ]
+        kinds = ("q", "p", "q2", "p2") if multiplet.N == 4 else ("q2", "p2", "qp_sym")
         n_steps = int(np.floor(t_end / dt + 1e-9))
-        ts, rows, obs_rows, flags = [], [], [], []
+        # A row at t = 0 and one per stride, in arrays: no object per value.
+        n_rows = 1 + -(-n_steps // record_stride)
+        ts, rows = np.empty(n_rows), np.empty((n_rows, len(x_names)))
+        obs_rows, checks = np.empty((n_rows, len(observers))), np.empty((n_rows, 2))
+        flags: list[str] = []
+        count = 0
 
-        def record(step: int, flag: str = "") -> None:
-            row = _quantum_row(wf, multiplet)
-            ts.append(step * dt)
-            rows.append(row)
-            y = np.asarray(row)
-            obs_rows.append([fn(y) for _, fn in observers])
-            flags.append(flag)
+        def record(step: int) -> float:
+            nonlocal count
+            row = expectation_row(wf, kinds)
+            ts[count], rows[count] = step * dt, row.values
+            checks[count] = row.norm, row.boundary_amp
+            obs_rows[count] = [fn(rows[count]) for _, fn in observers]
+            count += 1
+            return row.norm
 
         record(0)
         step = 0
@@ -404,18 +390,15 @@ def run_scenario(
             chunk = min(record_stride, n_steps - step)
             prop.step(wf, chunk)
             step += chunk
-            if absorber is not None and wf.norm() < ABSORBED_NORM_FLOOR:
-                record(step, "absorbed")
+            if record(step) < ABSORBED_NORM_FLOOR and absorber is not None:
+                flags = [""] * (count - 1) + ["absorbed"]
                 break
-            record(step)
+        norms, edges = checks[:count].T
+        meta["boundary_amp_max"] = repr(float(edges.max()))
+        meta["norm_loss"] = repr(float(np.abs(norms - norms[0]).max()))
         traj = Trajectory(
-            np.array(ts),
-            np.array(rows),
-            x_names,
-            np.array(obs_rows),
-            [name for name, _ in observers],
-            meta,
-            flags,
+            ts[:count], rows[:count], x_names, obs_rows[:count],
+            [name for name, _ in observers], meta, flags,
         )
 
     if out_path is not None:

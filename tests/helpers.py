@@ -130,6 +130,36 @@ def strang_reference(prop, amps, n):
     return amps
 
 
+def quantum_row_reference(wf, kinds):
+    """Expectation row of ``wf``, kind by kind on every axis, as the library
+    computed it before the one-spectrum row: position moments weight |psi|^2
+    by full-grid coordinate meshes, p and p2 transform psi again each, and
+    qp_sym is Re sum conj(psi) x F^-1[hbar k F[psi]] / sum |psi|^2."""
+    grid = wf.grid
+    density = np.abs(wf.amps) ** 2
+    row = []
+    for axis in range(grid.ndim):
+        shape = [1] * grid.ndim
+        shape[axis] = grid.shape[axis]
+        x = grid.coords(axis).reshape(shape) * np.ones(grid.shape)
+        hk = (wf.hbar * grid.wavenumbers(axis)).reshape(shape)
+        for kind in kinds:
+            if kind in ("q", "q2"):
+                power = 1 if kind == "q" else 2
+                row.append(float(np.sum(density * x**power) / np.sum(density)))
+            elif kind in ("p", "p2"):
+                power = 1 if kind == "p" else 2
+                spectrum = np.abs(np.fft.fftn(wf.amps)) ** 2
+                row.append(float(np.sum(hk**power * spectrum) / np.sum(spectrum)))
+            elif kind == "qp_sym":
+                p_psi = np.fft.ifftn(hk * np.fft.fftn(wf.amps))
+                value = np.sum(np.conj(wf.amps) * x * p_psi)
+                row.append(float(value.real / np.sum(density)))
+            else:
+                raise ValueError(f"unknown kind {kind!r}")
+    return row
+
+
 def henon_heiles_mode_energies(t, qc, pc, omegas, lam):
     """Mode energies (E1, E2) of a frozen Gaussian packet in the Henon-Heiles
     potential w1^2 q1^2/2 + w2^2 q2^2/2 + lam q1 q2^2, at the times ``t``.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import strang_reference
+from helpers import quantum_row_reference, strang_reference
 
 from nambu_dyn.closure import PotentialSpec
 from nambu_dyn.poly import Poly, q
@@ -15,6 +15,7 @@ from nambu_dyn.quantum import (
     WaveFunction,
     absorbing_mask,
     expect,
+    expectation_row,
     init_gaussian,
     mode_energies,
     position_moment,
@@ -223,6 +224,74 @@ def test_fused_strang_step_matches_unfused_loop(shape, absorbed):
     # at a few ulps of unit-scale amplitudes per step.
     assert np.max(np.abs(wf.amps - want)) < 1e-12
     assert prop.step(wf, 0).amps is wf.amps
+
+
+TRIPLET = ("q2", "p2", "qp_sym")
+QUARTET = ("q", "p", "q2", "p2")
+
+
+def _row_packet(case):
+    if case == "2d":
+        g = Grid.make_2d((-8.0, 8.0, 128), (-8.0, 8.0, 64))
+        return init_gaussian(g, (0.5, -0.5), (1.0, -0.7), (0.7, 0.6))
+    if case == "drained":
+        g = Grid.make_1d(-15.0, 15.0, 512)
+        wf = init_gaussian(g, 0.0, 2.0, 1.0)
+        prop = SplitOperatorPropagator(g, Poly.zero(), 5e-3, absorber=absorbing_mask(g))
+        return prop.step(wf, 1000)
+    return init_gaussian(Grid.make_1d(-10.0, 10.0, 2048), 1.0, 0.5, 0.7)
+
+
+@pytest.mark.parametrize(
+    "case, kinds",
+    [("1d", TRIPLET), ("1d", QUARTET), ("2d", QUARTET), ("2d", TRIPLET),
+     ("drained", TRIPLET), ("drained", QUARTET)],
+    ids=["1d-triplet", "1d-quartet", "2d-quartet", "2d-triplet",
+         "drained-triplet", "drained-quartet"],
+)
+def test_expectation_row_matches_per_kind_reference(case, kinds):
+    wf = _row_packet(case)
+    if case == "drained":
+        assert 0.2 < wf.norm() < 0.99
+    row = expectation_row(wf, kinds)
+    want = quantum_row_reference(wf, kinds)
+    assert len(row.values) == len(kinds) * wf.grid.ndim
+    assert np.max(np.abs(np.subtract(row.values, want))) <= 1e-12
+    assert row.norm == pytest.approx(wf.norm(), rel=1e-13)
+    for axis in range(wf.grid.ndim):
+        for i, kind in enumerate(kinds):
+            assert expect(wf, kind, axis) == row.values[axis * len(kinds) + i]
+
+
+def test_expectation_row_transform_count(monkeypatch):
+    packets = {case: _row_packet(case) for case in ("1d", "2d")}
+    calls = []
+    for name in ("fftn", "ifftn"):
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def count(case, kinds):
+        calls.clear()
+        expectation_row(packets[case], kinds)
+        return len(calls)
+
+    assert count("1d", QUARTET) == 1
+    assert count("2d", QUARTET) == 1
+    assert count("1d", TRIPLET) <= 2
+    assert count("1d", ("q", "q2")) == 0
+
+
+def test_expectation_row_rejects_unknown_kind():
+    wf = _row_packet("1d")
+    with pytest.raises(ValueError, match="unknown expectation kind 'x3'"):
+        expectation_row(wf, ("q", "x3"))
+    with pytest.raises(ValueError, match="unknown expectation kind"):
+        expect(wf, "r")
 
 
 def test_wavefunction_shape_validation():

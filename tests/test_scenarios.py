@@ -6,6 +6,7 @@ import pytest
 from nambu_dyn.cli import main
 from nambu_dyn.dynamics import Trajectory, conserved_drift
 from nambu_dyn.poly import parse_poly, xvar
+from nambu_dyn.quantum import Grid
 from nambu_dyn.scenarios import (
     PacketSpec,
     compare,
@@ -187,6 +188,26 @@ def test_trajectory_schema_and_flags_column(tmp_path):
     assert lines[-1].endswith("escaped")
 
 
+def test_quantum_run_reports_boundary_amplitude_and_norm_loss():
+    spec = harmonic_model()
+    grid = Grid.make_1d(-10.0, 10.0, 512)
+
+    def run(qc, pc):
+        traj = run_scenario(spec, PacketSpec.make(qc, pc), "quantum", dt=1e-2,
+                            t_end=math.pi / 2, record_stride=10, grid=grid)
+        return float(traj.meta["boundary_amp_max"]), float(traj.meta["norm_loss"])
+
+    centred, centred_loss = run(0.0, 0.0)
+    near_edge, _ = run(3.0, 0.0)
+    # Starts centred, reaches x = 5 after a quarter period: only the rows
+    # recorded while propagating see it near the boundary.
+    moving, _ = run(0.0, 5.0)
+    assert centred < 1e-13  # rounding noise of the transforms
+    assert near_edge > 1e3 * centred
+    assert moving > 1e4 * near_edge
+    assert centred_loss < 1e-10
+
+
 def test_quantum_default_stride_and_columns():
     spec = harmonic_model()
     traj = run_scenario(spec, PacketSpec.make(1.0, 0.0), "quantum", dt=1e-2,
@@ -239,6 +260,16 @@ def test_cli_run_with_config_and_override(tmp_path, capsys):
     assert main(["run", "--config", str(conf), "--out", str(out2),
                  "--t-end", "0.5"]) == 0
     assert Trajectory.from_csv(out2).t[-1] == pytest.approx(0.5)
+
+
+def test_cli_quantum_run_prints_norm_loss_and_boundary_amplitude(tmp_path, capsys):
+    out_csv = tmp_path / "q.csv"
+    assert main(["run", "--model", "harmonic", "--method", "quantum", "--qc", "1",
+                 "--dt", "1e-2", "--t-end", "0.1", "--out", str(out_csv)]) == 0
+    printed = capsys.readouterr().out
+    loaded = Trajectory.from_csv(out_csv)
+    assert f"norm loss = {float(loaded.meta['norm_loss']):.3e}" in printed
+    assert f"max boundary |psi| = {float(loaded.meta['boundary_amp_max']):.3e}" in printed
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
