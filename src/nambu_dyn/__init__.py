@@ -57,6 +57,7 @@ from .dynamics import (
     compile_classical_field,
     compile_nambu_field,
     conserved_drift,
+    integrate,
     nambu_vector_field,
     rk4_integrate,
     symbolic_flow,

@@ -20,7 +20,6 @@ from .closure import ClosureMode, reduce_moment
 from .dynamics import NonFiniteStateError, conserved_drift
 from .multiplets import builtin_multiplets, consistency_to_csv, verify_consistency
 from .poly import Poly, format_poly, xvar
-from .quantum import NonFiniteAmplitudeError
 from .scenarios import (
     DEFAULT_Q_STOP,
     PacketSpec,
@@ -160,10 +159,8 @@ def cmd_run(args) -> int:
     if "norm_loss" in traj.meta:
         print(f"  norm loss = {float(traj.meta['norm_loss']):.3e}")
         print(f"  max boundary |psi| = {float(traj.meta['boundary_amp_max']):.3e}")
-    if any(traj.flags):
-        last = traj.flags[-1]
-        if last:
-            print(f"  run truncated: {last} at t = {traj.t[-1]:g}")
+    if traj.flags[-1]:
+        print(f"  run truncated: {traj.flags[-1]} at t = {traj.t[-1]:g}")
     return EXIT_OK
 
 
@@ -232,7 +229,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonFiniteStateError, NonFiniteAmplitudeError) as exc:
+    except NonFiniteStateError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

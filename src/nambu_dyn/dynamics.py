@@ -1,4 +1,5 @@
-"""Time evolution: Nambu and classical flows, RK4, drift monitoring.
+"""Time evolution: Nambu and classical flows, the stepping driver, RK4,
+drift monitoring.
 
 The Nambu flow reference path evaluates one bracket per component; time
 stepping uses flows expanded symbolically once and compiled to plain
@@ -28,6 +29,7 @@ __all__ = [
     "compile_nambu_field",
     "classical_vector_field",
     "compile_classical_field",
+    "integrate",
     "rk4_integrate",
     "conserved_drift",
 ]
@@ -255,8 +257,76 @@ def conserved_drift(traj: Trajectory) -> dict[str, DriftStat]:
 
 
 # --------------------------------------------------------------------------
-# Fixed-step RK4
+# The stepping driver and fixed-step RK4
 # --------------------------------------------------------------------------
+
+
+def _step_count(dt: float, t0: float, t_end: float) -> int:
+    return int(np.floor((t_end - t0) / dt + 1e-9))
+
+
+def integrate(
+    advance: Callable[[int], int],
+    row: Callable[[], Sequence[float]],
+    dt: float,
+    t_end: float,
+    columns: Sequence[str],
+    observers: Sequence[tuple[str, Callable]] = (),
+    t0: float = 0.0,
+    record_stride: int = 1,
+    stop: Callable[[np.ndarray], bool] | None = None,
+    stop_flag: str = "escaped",
+    meta: Mapping | None = None,
+) -> Trajectory:
+    """Drive a run to the largest multiple of dt <= t_end - t0, recording rows.
+
+    ``advance(n)`` takes up to ``n`` steps and returns how many it took, and
+    ``row()`` returns the current values, one per column.  Rows are recorded
+    at step 0, every ``record_stride`` steps and at the last step, with the
+    ``(name, fn)`` observers evaluated on each.  After every advance,
+    ``stop`` is asked about the new ``row()``; when it holds, that row is
+    recorded with ``stop_flag`` and the run ends, so row 0 is never flagged.  A NonFiniteStateError from
+    ``advance`` leaves with the rows so far as its ``trajectory``.
+    """
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt = {dt!r} is not a positive finite step")
+    if not -math.inf < t0 < t_end < math.inf:
+        raise ValueError(f"need finite t0 < t_end, got t0 = {t0!r}, t_end = {t_end!r}")
+    if not isinstance(record_stride, (int, np.integer)) or record_stride < 1:
+        raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
+    n_steps = _step_count(dt, t0, t_end)
+    n_rows = 1 + -(-n_steps // record_stride)
+    ts, states = np.empty(n_rows), np.empty((n_rows, len(columns)))
+    values, flags = np.empty((n_rows, len(observers))), []
+
+    def record(step: int, y, flag: str = "") -> None:
+        k = len(flags)
+        ts[k], states[k] = t0 + step * dt, y
+        values[k] = [fn(y) for _, fn in observers]
+        flags.append(flag)
+
+    def build() -> Trajectory:
+        k = len(flags)
+        return Trajectory(
+            ts[:k], states[:k], list(columns), values[:k],
+            [name for name, _ in observers], dict(meta or {}), flags,
+        )
+
+    record(0, row())
+    step = 0
+    try:
+        while step < n_steps:
+            step += advance(min(record_stride, n_steps - step))
+            y = row()
+            if stop is not None and stop(y):
+                record(step, y, stop_flag)
+                break
+            if step % record_stride == 0 or step == n_steps:
+                record(step, y)
+    except NonFiniteStateError as exc:
+        exc.trajectory = build()
+        raise
+    return build()
 
 
 def _normalize_observers(observers, var_order):
@@ -269,9 +339,8 @@ def _normalize_observers(observers, var_order):
         if isinstance(obs, Poly):
             if var_order is None:
                 raise ValueError("Poly observers need var_order")
-            named.append((name, compile_evaluator(obs, var_order)))
-        else:
-            named.append((name, obs))
+            obs = compile_evaluator(obs, var_order)
+        named.append((name, obs))
     return named
 
 
@@ -289,23 +358,18 @@ def rk4_integrate(
     stop_flag: str = "escaped",
     meta: Mapping | None = None,
 ) -> Trajectory:
-    """Classical fixed-step RK4 up to the largest multiple of dt <= t_end.
+    """Classical fixed-step RK4, run by ``integrate``.
 
     ``field`` comes from ``compile_vector_field`` (or ``compile_nambu_field``,
     ``compile_classical_field``); it is called once at ``y0`` to check its
     output shape, and its generated ``rk4`` kernel then advances one
     recording stride per call, or one step per call when ``stop`` is set.
-    Observers are evaluated at every recorded row.  If ``stop`` fires, the
-    triggering row is recorded with ``stop_flag`` and integration ends.  A
-    non-finite state raises NonFiniteStateError carrying the rows so far.
+    Poly observers are compiled over ``var_order``.  ``integrate`` owns the
+    argument checks, the rows and the ``stop`` rule; a non-finite state
+    raises NonFiniteStateError naming the first bad step.
     """
-    if dt <= 0 or t_end <= t0:
-        raise ValueError("need dt > 0 and t_end > t0")
-    if record_stride < 1:
-        raise ValueError(f"record_stride must be >= 1, got {record_stride}")
     named_obs = _normalize_observers(observers, var_order)
     y = np.array(y0, dtype=np.float64)
-    dim = y.size
     out_shape = np.shape(field(y))
     if out_shape != y.shape:
         raise ValueError(f"field maps a state of shape {y.shape} to shape {out_shape}")
@@ -319,39 +383,16 @@ def rk4_integrate(
         if var_order is not None:
             columns = [v.name for v in var_order]
         else:
-            columns = [f"y{i}" for i in range(dim)]
-
-    n_steps = int(np.floor((t_end - t0) / dt + 1e-9))
-    ts: list[float] = []
-    rows: list[np.ndarray] = []
-    obs_rows: list[list[float]] = []
-    flags: list[str] = []
-
-    def record(step: int, flag: str = "") -> None:
-        ts.append(t0 + step * dt)
-        rows.append(y.copy())
-        obs_rows.append([fn(y) for _, fn in named_obs])
-        flags.append(flag)
-
-    def build() -> Trajectory:
-        return Trajectory(
-            np.array(ts),
-            np.array(rows).reshape(len(rows), dim),
-            list(columns),
-            np.array(obs_rows).reshape(len(obs_rows), len(named_obs)),
-            [name for name, _ in named_obs],
-            dict(meta or {}),
-            flags,
-        )
-
-    record(0)
+            columns = [f"y{i}" for i in range(y.size)]
     h = float(dt)
     state = tuple(y.tolist())
-    step = 0
-    while step < n_steps:
-        n = 1 if stop is not None else min(record_stride, n_steps - step)
+    done = 0
+
+    def advance(n: int) -> int:
+        nonlocal state, done
+        if stop is not None:
+            n = 1
         after = kernel(state, h, n)
-        y = np.array(after)
         # A sum with a non-finite term is non-finite, and this costs far less
         # per call than np.isfinite, which counts when ``stop`` makes every
         # call one step; a finite state whose sum overflows only costs the
@@ -359,19 +400,18 @@ def rk4_integrate(
         if not math.isfinite(sum(after)):
             # Polynomial arithmetic never turns inf or NaN finite again, so
             # replaying the stride one step at a time finds the first bad step.
-            for k in range(1, n + 1):
+            for k in range(done + 1, done + n + 1):
                 state = kernel(state, h, 1)
                 if not np.all(np.isfinite(state)):
                     raise NonFiniteStateError(
-                        f"state became non-finite at t = {t0 + (step + k) * dt:.6g} "
-                        f"(step {step + k} of {n_steps})",
-                        trajectory=build(),
+                        f"state became non-finite at t = {t0 + k * dt:.6g} "
+                        f"(step {k} of {_step_count(dt, t0, t_end)})"
                     )
         state = after
-        step += n
-        if stop is not None and stop(y):
-            record(step, stop_flag)
-            break
-        if step % record_stride == 0 or step == n_steps:
-            record(step)
-    return build()
+        done += n
+        return n
+
+    return integrate(
+        advance, lambda: np.array(state), dt, t_end, columns, named_obs,
+        t0, record_stride, stop, stop_flag, meta,
+    )

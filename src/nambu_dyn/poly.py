@@ -35,7 +35,6 @@ __all__ = [
     "xvar",
     "parse_poly",
     "format_poly",
-    "eval_arrays",
     "compile_evaluator",
     "compile_vector_field",
 ]
@@ -464,26 +463,6 @@ def format_poly(poly: Poly) -> str:
     for sign, body in pieces[1:]:
         out += f" {sign} {body}"
     return out
-
-
-def eval_arrays(poly: Poly, assignment: Mapping[VarId, np.ndarray]) -> np.ndarray:
-    """Evaluate a Poly termwise over numpy arrays (broadcast together)."""
-    arrays = {}
-    for v in poly.variables():
-        try:
-            arrays[v] = assignment[v]
-        except KeyError:
-            raise UnboundVariableError(
-                f"variable {v.name} is not bound in the assignment"
-            ) from None
-    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays.values())) if arrays else ()
-    total = np.zeros(shape)
-    for mono, coeff in poly.terms.items():
-        term = np.full(shape, coeff) if shape else coeff
-        for v, k in mono:
-            term = term * arrays[v] ** k
-        total = total + term
-    return total
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .closure import PotentialSpec
+from .dynamics import NonFiniteStateError
 from .poly import Poly, compile_evaluator, q
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
 BOUNDARY_AMPLITUDE_TOL = 1e-8
 
 
-class NonFiniteAmplitudeError(RuntimeError):
+class NonFiniteAmplitudeError(NonFiniteStateError):
     """Propagation produced NaN/Inf amplitudes."""
 
 
@@ -231,8 +232,8 @@ class SplitOperatorPropagator:
         masses: Sequence[float] | None = None,
         absorber: np.ndarray | None = None,
     ):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt = {dt!r} is not a positive finite step")
         self.grid = grid
         self.dt = float(dt)
         self.hbar = float(hbar)

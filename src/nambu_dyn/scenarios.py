@@ -20,10 +20,11 @@ from .dynamics import (
     Trajectory,
     compile_classical_field,
     compile_nambu_field,
+    integrate,
     rk4_integrate,
 )
 from .multiplets import MultipletDef, builtin_multiplets
-from .poly import Poly, compile_evaluator, eval_arrays, p, q, xvar
+from .poly import Poly, compile_evaluator, p, q, xvar
 from .quantum import (
     Grid,
     SplitOperatorPropagator,
@@ -181,6 +182,8 @@ def default_t_end(spec: ModelSpec) -> float:
 
 
 def default_record_stride(spec: ModelSpec, dt: float) -> int:
+    if not 0 < dt < math.inf:
+        return 1  # not a step: the driver rejects it
     return max(1, int(round(DEFAULT_OUTPUT_INTERVAL[spec.model_id] / dt)))
 
 
@@ -195,6 +198,10 @@ class PacketSpec:
     def __post_init__(self) -> None:
         if len(self.qc) != len(self.pc):
             raise ValueError("qc and pc must have equal length")
+        for name, values in {"qc": self.qc, "pc": self.pc, "sigmas": self.sigmas or ()}.items():
+            for i, value in enumerate(values):
+                if not math.isfinite(value):
+                    raise ValueError(f"packet parameter {name}[{i}] = {value!r} is not finite")
         if self.sigmas is not None:
             if len(self.sigmas) != len(self.qc):
                 raise ValueError("sigmas must match the number of dofs")
@@ -251,27 +258,6 @@ def init_nambu_from_packet(spec: ModelSpec, packet: PacketSpec) -> NambuState:
 # --------------------------------------------------------------------------
 
 
-def _x_image_assignment(
-    multiplet: MultipletDef, states: np.ndarray
-) -> tuple[np.ndarray, dict]:
-    """Classical images x_i(q, p) for every row of a (q, p) trajectory."""
-    n_rows = states.shape[0]
-    images = np.empty((n_rows, multiplet.layout.size))
-    col = 0
-    for dof in range(multiplet.n_dof):
-        arrays = {
-            q(dof): states[:, 2 * dof],
-            p(dof): states[:, 2 * dof + 1],
-        }
-        for d in multiplet.defs[dof]:
-            images[:, col] = eval_arrays(d, arrays)
-            col += 1
-    assignment = {
-        v: images[:, k] for k, v in enumerate(x_vars(multiplet.layout))
-    }
-    return images, assignment
-
-
 def run_scenario(
     spec: ModelSpec,
     packet: PacketSpec,
@@ -285,12 +271,15 @@ def run_scenario(
 ) -> Trajectory:
     """Produce one trajectory (nambu, classical, or quantum) for a model.
 
-    The cubic potential is unbounded below, so nambu/classical runs are
-    truncated once the position variable falls below ``q_stop`` and the
-    last row is flagged 'escaped'; the quantum run stops once the absorber
-    has drained more than 1% of the norm.  A quantum run records in its meta
-    the largest boundary amplitude |psi| over the rows (``boundary_amp_max``)
-    and the largest change of the norm from the first row (``norm_loss``).
+    Each method is set up here and stepped by ``dynamics.integrate``, which
+    checks dt, t_end and the stride.  The cubic potential is unbounded
+    below, so nambu/classical runs stop once the position variable falls
+    below ``q_stop``, flagging the last row 'escaped'; the quantum run stops
+    once the absorber has drained more than 1% of the norm ('absorbed').
+    Classical images x_i(q, p) and their F, G_c are evaluated by generated
+    code on the (q, p) rows.  A quantum run records in its meta the largest
+    boundary amplitude |psi| over the rows (``boundary_amp_max``) and the
+    largest change of the norm from the first row (``norm_loss``).
     """
     if method not in ("nambu", "classical", "quantum"):
         raise ValueError(f"unknown method {method!r}")
@@ -300,59 +289,43 @@ def run_scenario(
         record_stride = default_record_stride(spec, dt)
     multiplet = model_multiplet(spec)
     hset = hamiltonian_set(spec)
-    layout = multiplet.layout
-    x_names = [v.name for v in x_vars(layout)]
+    xs = x_vars(multiplet.layout)
+    x_names = [v.name for v in xs]
     meta = {
         "model": spec.model_id,
         "method": method,
         "dt": repr(dt),
         "multiplet": spec.multiplet_name,
     }
+    stop = (lambda y: y[0] < q_stop) if spec.model_id == "cubic" else None
+    run = dict(record_stride=record_stride, stop=stop, meta=meta)
 
     if method == "nambu":
         state0 = init_nambu_from_packet(spec, packet)
-        field = compile_nambu_field(hset)
-        stop = None
-        if spec.model_id == "cubic":
-            stop = lambda y: y[0] < q_stop  # noqa: E731
         traj = rk4_integrate(
-            field,
-            state0.values,
-            dt,
-            t_end,
-            observers=hset.observable_polys(),
-            var_order=x_vars(layout),
-            columns=x_names,
-            record_stride=record_stride,
-            stop=stop,
-            meta=meta,
+            compile_nambu_field(hset), state0.values, dt, t_end,
+            observers=hset.observable_polys(), var_order=xs,
+            columns=x_names, **run,
         )
     elif method == "classical":
-        H = classical_hamiltonian(spec)
-        field = compile_classical_field(H, spec.n_dof)
         y0 = np.empty(2 * spec.n_dof)
         y0[0::2] = packet.qc
         y0[1::2] = packet.pc
-        stop = None
-        if spec.model_id == "cubic":
-            stop = lambda y: y[0] < q_stop  # noqa: E731
+        qp_vars = classical_vars(spec.n_dof)
         qp_traj = rk4_integrate(
-            field,
-            y0,
-            dt,
-            t_end,
-            columns=[v.name for v in classical_vars(spec.n_dof)],
-            record_stride=record_stride,
-            stop=stop,
-            meta=meta,
+            compile_classical_field(classical_hamiltonian(spec), spec.n_dof), y0, dt,
+            t_end, columns=[v.name for v in qp_vars], **run,
         )
-        images, assignment = _x_image_assignment(multiplet, qp_traj.states)
-        obs_names = [name for name, _ in hset.observable_polys()]
-        observables = np.column_stack(
-            [eval_arrays(poly, assignment) for _, poly in hset.observable_polys()]
-        )
+        # Generated code on column views evaluates a Poly on every row at once.
+        qp_columns = qp_traj.states.T
+        images = np.column_stack([
+            compile_evaluator(d, qp_vars)(qp_columns)
+            for dof in range(spec.n_dof) for d in multiplet.defs[dof]
+        ])
+        names, polys = zip(*hset.observable_polys())
+        observables = np.column_stack([compile_evaluator(f, xs)(images.T) for f in polys])
         traj = Trajectory(
-            qp_traj.t, images, x_names, observables, obs_names, meta, qp_traj.flags
+            qp_traj.t, images, x_names, observables, list(names), meta, qp_traj.flags
         )
     else:
         grid = grid if grid is not None else default_grid(spec)
@@ -362,44 +335,25 @@ def run_scenario(
         prop = SplitOperatorPropagator(
             grid, potential_poly(spec), dt, spec.hbar, spec.masses, absorber
         )
-        observers = [
-            (name, compile_evaluator(poly, x_vars(layout)))
-            for name, poly in hset.observable_polys()
-        ]
+        observers = [(name, compile_evaluator(f, xs)) for name, f in hset.observable_polys()]
         kinds = ("q", "p", "q2", "p2") if multiplet.N == 4 else ("q2", "p2", "qp_sym")
-        n_steps = int(np.floor(t_end / dt + 1e-9))
-        # A row at t = 0 and one per stride, in arrays: no object per value.
-        n_rows = 1 + -(-n_steps // record_stride)
-        ts, rows = np.empty(n_rows), np.empty((n_rows, len(x_names)))
-        obs_rows, checks = np.empty((n_rows, len(observers))), np.empty((n_rows, 2))
-        flags: list[str] = []
-        count = 0
+        checks: list[tuple[float, float]] = []  # (norm, boundary |psi|) per row
 
-        def record(step: int) -> float:
-            nonlocal count
-            row = expectation_row(wf, kinds)
-            ts[count], rows[count] = step * dt, row.values
-            checks[count] = row.norm, row.boundary_amp
-            obs_rows[count] = [fn(rows[count]) for _, fn in observers]
-            count += 1
-            return row.norm
+        def advance(n: int) -> int:
+            prop.step(wf, n)
+            return n
 
-        record(0)
-        step = 0
-        while step < n_steps:
-            chunk = min(record_stride, n_steps - step)
-            prop.step(wf, chunk)
-            step += chunk
-            if record(step) < ABSORBED_NORM_FLOOR and absorber is not None:
-                flags = [""] * (count - 1) + ["absorbed"]
-                break
-        norms, edges = checks[:count].T
-        meta["boundary_amp_max"] = repr(float(edges.max()))
-        meta["norm_loss"] = repr(float(np.abs(norms - norms[0]).max()))
-        traj = Trajectory(
-            ts[:count], rows[:count], x_names, obs_rows[:count],
-            [name for name, _ in observers], meta, flags,
-        )
+        def row() -> list[float]:
+            r = expectation_row(wf, kinds)
+            checks.append((r.norm, r.boundary_amp))
+            return r.values
+
+        if absorber is not None:  # the norm check replaces the cubic position stop
+            run["stop"] = lambda _: checks[-1][0] < ABSORBED_NORM_FLOOR
+        traj = integrate(advance, row, dt, t_end, x_names, observers, stop_flag="absorbed", **run)
+        norms, edges = np.array(checks).T
+        traj.meta["boundary_amp_max"] = repr(float(edges.max()))
+        traj.meta["norm_loss"] = repr(float(np.abs(norms - norms[0]).max()))
 
     if out_path is not None:
         traj.to_csv(out_path)

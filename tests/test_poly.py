@@ -11,7 +11,6 @@ from nambu_dyn.poly import (
     UnboundVariableError,
     compile_evaluator,
     compile_vector_field,
-    eval_arrays,
     format_poly,
     parse_poly,
     p,
@@ -194,10 +193,10 @@ def test_compile_rejects_non_finite_coefficients():
         compile_evaluator(Poly.const(float("inf")), [X1])
 
 
-def test_eval_arrays_broadcasts():
+def test_compile_evaluator_broadcasts():
     f = Poly.var(X1) * Poly.var(X2) + Poly.const(1.0)
     a = np.array([1.0, 2.0, 3.0])
-    b = np.array([4.0, 5.0, 6.0])
-    np.testing.assert_allclose(eval_arrays(f, {X1: a, X2: b}), a * b + 1.0)
+    b = np.array([[4.0], [5.0]])
+    np.testing.assert_allclose(compile_evaluator(f, [X1, X2])([a, b]), a * b + 1.0)
     with pytest.raises(UnboundVariableError):
-        eval_arrays(f, {X1: a})
+        compile_evaluator(f, [X1])

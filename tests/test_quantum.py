@@ -6,6 +6,7 @@ import pytest
 from helpers import quantum_row_reference, strang_reference
 
 from nambu_dyn.closure import PotentialSpec
+from nambu_dyn.dynamics import NonFiniteStateError, integrate
 from nambu_dyn.poly import Poly, q
 from nambu_dyn.quantum import (
     BoundarySupportWarning,
@@ -204,6 +205,35 @@ def test_non_finite_amplitudes_detected():
     prop = SplitOperatorPropagator(g, HARMONIC, 1e-3)
     with pytest.raises(NonFiniteAmplitudeError):
         prop.step(wf)
+
+
+def test_quantum_abort_through_driver_carries_rows_so_far():
+    # No built-in model reaches a non-finite wavefunction; a potential that
+    # is NaN at one grid point spoils the first step.
+    g = Grid.make_1d(-10.0, 10.0, 128)
+
+    def V(x):
+        v = 0.5 * x**2
+        v[40] = np.nan
+        return v
+
+    prop = SplitOperatorPropagator(g, V, 1e-2)
+    wf = init_gaussian(g, 0.0, 0.0, SIG)
+    kinds = ("q", "p", "q2", "p2")
+    first = expectation_row(wf, kinds).values
+
+    def advance(n):
+        prop.step(wf, n)
+        return n
+
+    with pytest.raises(NonFiniteAmplitudeError) as err:
+        integrate(advance, lambda: expectation_row(wf, kinds).values, 1e-2, 1.0,
+                  list(kinds), record_stride=10)
+    assert isinstance(err.value, NonFiniteStateError)
+    partial = err.value.trajectory
+    assert partial.t.tolist() == [0.0]
+    assert partial.states.tolist() == [first]
+    assert partial.flags == [""]
 
 
 @pytest.mark.parametrize("absorbed", [False, True], ids=["closed", "absorbed"])

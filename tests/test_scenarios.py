@@ -91,6 +91,31 @@ def test_packet_spec_validation():
         PacketSpec.make((0.0, 1.0), (0.0,))
     with pytest.raises(ValueError):
         PacketSpec.make(0.0, 0.0, sigma=-0.5)
+    with pytest.raises(ValueError, match=r"packet parameter qc\[1\] = nan is not finite"):
+        PacketSpec.make((0.0, float("nan")), (0.0, 0.0))
+    with pytest.raises(ValueError, match=r"packet parameter pc\[0\] = -inf is not finite"):
+        PacketSpec.make(0.0, float("-inf"))
+    with pytest.raises(ValueError, match=r"packet parameter sigmas\[0\] = nan is not finite"):
+        PacketSpec.make(0.0, 0.0, sigma=float("nan"))
+
+
+@pytest.mark.parametrize("method", ["nambu", "classical", "quantum"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(record_stride=0), "record_stride must be an integer >= 1, got 0"),
+        (dict(dt=math.inf), "dt = inf is not a positive finite step"),
+        (dict(t_end=math.inf), "need finite t0 < t_end, got t0 = 0.0, t_end = inf"),
+        (dict(t_end=0.0), "need finite t0 < t_end, got t0 = 0.0, t_end = 0.0"),
+        (dict(t_end=-1.0), "need finite t0 < t_end, got t0 = 0.0, t_end = -1.0"),
+    ],
+    ids=["stride_0", "dt_inf", "t_end_inf", "t_end_0", "t_end_negative"],
+)
+def test_bad_run_lengths_fail_before_stepping(method, bad, message):
+    kwargs = dict(dt=1e-2, t_end=1.0, record_stride=10, grid=Grid.make_1d(-10.0, 10.0, 128))
+    kwargs.update(bad)
+    with pytest.raises(ValueError, match=message):
+        run_scenario(harmonic_model(), PacketSpec.make(1.0, 0.0), method, **kwargs)
 
 
 def test_model_spec_rejects_non_finite_parameters():
@@ -279,6 +304,19 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--method", "nambu"]) == 2  # missing model
     missing = tmp_path / "nope.conf"
     assert main(["run", "--config", str(missing)]) == 2
+    out = str(tmp_path / "never.csv")
+    for flags in (
+        ["--method", "quantum", "--stride", "0"],
+        ["--method", "nambu", "--dt", "inf"],
+        ["--method", "classical", "--t-end", "inf"],
+        ["--method", "nambu", "--qc", "nan"],
+        ["--method", "quantum", "--sigma", "nan"],
+    ):
+        assert main(["run", "--model", "harmonic", *flags, "--out", out]) == 2
+    assert not (tmp_path / "never.csv").exists()
+    err = capsys.readouterr().err
+    assert "record_stride must be an integer >= 1, got 0" in err
+    assert "packet parameter sigmas[0] = nan is not finite" in err
 
 
 def test_cli_numerical_abort_exits_3(tmp_path):
