@@ -16,6 +16,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .brackets import _check_layout_vars, nambu_bracket, nambu_bracket_poly, _partial
+from .native import LONG_MAX
 from .poly import Poly, VarId, compile_evaluator, compile_vector_field, p, q, xvar
 from .state import Layout, NambuState, classical_vars, x_vars
 
@@ -262,7 +263,13 @@ def conserved_drift(traj: Trajectory) -> dict[str, DriftStat]:
 
 
 def _step_count(dt: float, t0: float, t_end: float) -> int:
-    return int(np.floor((t_end - t0) / dt + 1e-9))
+    steps = np.floor((t_end - t0) / dt + 1e-9)
+    if not steps <= LONG_MAX:
+        raise ValueError(
+            f"t_end - t0 = {t_end - t0!r} at dt = {dt!r} is {steps:.6g} steps, "
+            f"more than the limit of {LONG_MAX} (the RK4 kernel's C long)"
+        )
+    return int(steps)
 
 
 def integrate(
@@ -286,7 +293,9 @@ def integrate(
     ``(name, fn)`` observers evaluated on each.  After every advance,
     ``stop`` is asked about the new ``row()``; when it holds, that row is
     recorded with ``stop_flag`` and the run ends, so row 0 is never flagged.  A NonFiniteStateError from
-    ``advance`` leaves with the rows so far as its ``trajectory``.
+    ``advance`` leaves with the rows so far as its ``trajectory``.  Before
+    any step, ValueError rejects a bad dt, t0, t_end or stride, more than
+    ``native.LONG_MAX`` steps, and more rows than can be allocated.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt = {dt!r} is not a positive finite step")
@@ -296,8 +305,14 @@ def integrate(
         raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
     n_steps = _step_count(dt, t0, t_end)
     n_rows = 1 + -(-n_steps // record_stride)
-    ts, states = np.empty(n_rows), np.empty((n_rows, len(columns)))
-    values, flags = np.empty((n_rows, len(observers))), []
+    try:
+        ts, states = np.empty(n_rows), np.empty((n_rows, len(columns)))
+        values, flags = np.empty((n_rows, len(observers))), []
+    except (MemoryError, ValueError):  # numpy's ValueError: larger than any array
+        raise ValueError(
+            f"{n_steps} steps at record_stride {record_stride} make {n_rows} rows, "
+            "too many to allocate; raise record_stride or shorten the run"
+        ) from None
 
     def record(step: int, y, flag: str = "") -> None:
         k = len(flags)

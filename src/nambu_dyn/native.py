@@ -32,9 +32,13 @@ import tempfile
 import zlib
 from typing import Callable
 
-__all__ = ["load_rk4", "cache_dir"]
+__all__ = ["load_rk4", "cache_dir", "check_step_count", "LONG_MAX"]
 
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+# The kernel takes its step count as a C ``long``; ctypes would silently wrap
+# a larger one, and the kernel would run a different number of steps.
+LONG_MAX = 2 ** (8 * ctypes.sizeof(ctypes.c_long) - 1) - 1
 
 # Kernel source -> the library loaded for it in this process.
 _loaded: dict[str, ctypes.CDLL] = {}
@@ -128,6 +132,13 @@ def _load(source: str):
     return lib
 
 
+def check_step_count(n) -> None:
+    """Reject an RK4 step count outside 0..LONG_MAX, the range of the
+    kernel's C ``long``; both kernels call this."""
+    if not 0 <= n <= LONG_MAX:
+        raise ValueError(f"rk4 step count {n!r} is outside 0..{LONG_MAX} (a C long)")
+
+
 def load_rk4(source: str, dim: int) -> Callable | None:
     """Native ``rk4(y, dt, n) -> tuple`` for the C kernel ``source``.
 
@@ -148,6 +159,7 @@ def load_rk4(source: str, dim: int) -> Callable | None:
     def rk4(y, dt, n):
         if len(y) != dim:
             raise ValueError(f"rk4 kernel needs a state of length {dim}, got {len(y)}")
+        check_step_count(n)
         buf = State(*y)
         kernel(buf, dt, n)
         return tuple(buf[:])

@@ -536,10 +536,12 @@ def _rk4_steps(polys: Sequence[Poly], var_order: Sequence[VarId]) -> list[str]:
 
 def _rk4_python(steps: Sequence[str], dim: int) -> str:
     """Source of ``_rk4_fn(y, dt, n)``: ``n`` steps from the sequence ``y``,
-    returning the new state as a tuple."""
+    returning the new state as a tuple.  ``n`` is checked by
+    ``_check_step_count`` (``native.check_step_count``)."""
     ys = ", ".join(f"y{i}" for i in range(dim))
     return "\n".join([
         "def _rk4_fn(y, dt, n):",
+        "    _check_step_count(n)",
         f"    {ys}, = y",
         "    half = 0.5 * dt",
         "    sixth = dt / 6.0",
@@ -575,8 +577,9 @@ def compile_vector_field(polys: Iterable[Poly], var_order: Sequence[VarId]) -> C
     """Compile a list of Polys into ``f(y) -> ndarray`` evaluated jointly.
 
     With one Poly per variable, ``f.rk4(y, dt, n)`` advances ``n`` RK4 steps
-    and returns the state as a tuple, bit-identical to the numpy loop over
-    four calls of ``f`` per step; otherwise ``f.rk4`` is None.  The kernel is
+    (``0 <= n <= native.LONG_MAX``, else ValueError) and returns the state
+    as a tuple, bit-identical to the numpy loop over four calls of ``f`` per
+    step; otherwise ``f.rk4`` is None.  The kernel is
     native code from ``native.load_rk4`` when a C compiler and a trusted
     cache are available, and generated Python otherwise; both run the same
     statements with the same rounding.
@@ -591,5 +594,8 @@ def compile_vector_field(polys: Iterable[Poly], var_order: Sequence[VarId]) -> C
         steps = _rk4_steps(polys, var_order)
         fn.rk4 = native.load_rk4(_rk4_c(steps, len(polys)), len(polys))
         if fn.rk4 is None:
-            fn.rk4 = _exec_function(_rk4_python(steps, len(polys)), "_rk4_fn", {})
+            fn.rk4 = _exec_function(
+                _rk4_python(steps, len(polys)), "_rk4_fn",
+                {"_check_step_count": native.check_step_count},
+            )
     return fn

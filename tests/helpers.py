@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: Gaussian moments
 come from the mean/variance recursion on numbers, determinants from the
 permutation sum, derivatives from central differences, RK4 trajectories
 from a numpy loop that calls the field four times per step, Strang steps
-from the split-operator factors applied one at a time, and the
+from the split-operator factors applied one at a time or fused through the
+public ``np.fft`` transforms, and the
 Henon-Heiles mode energies from hand-written packet-center equations
 integrated with scipy's DOP853.
 """
@@ -127,6 +128,23 @@ def strang_reference(prop, amps, n):
         amps = prop.exp_v_half * amps
         if prop.absorber is not None:
             amps = prop.absorber * amps
+    return amps
+
+
+def fused_strang_reference(prop, amps, n):
+    """``n`` fused Strang steps of ``prop`` in one work array, with in-place
+    ``np.fft.fftn`` and ``ifftn``: the step as written before it called the
+    pocketfft gufuncs directly, which must give the same bits."""
+    amps = prop.exp_v_half * amps
+    for i in range(n):
+        if i:
+            amps *= prop.exp_v_join
+        np.fft.fftn(amps, out=amps)
+        amps *= prop.exp_t
+        np.fft.ifftn(amps, out=amps)
+    amps *= prop.exp_v_half
+    if prop.absorber is not None:
+        amps *= prop.absorber
     return amps
 
 

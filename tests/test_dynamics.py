@@ -280,6 +280,14 @@ def kernel(request, monkeypatch):
     return request.param
 
 
+def test_rk4_kernel_rejects_step_count_outside_c_long(kernel):
+    rk4 = _compile_field(HARM3, kernel).rk4
+    for n in (-1, native.LONG_MAX + 1, 10**19):
+        with pytest.raises(ValueError, match=rf"rk4 step count {n} is outside 0\.\.{native.LONG_MAX}"):
+            rk4((1.5, 0.5, 0.0), 0.1, n)
+    assert rk4((1.5, 0.5, 0.0), 0.1, 0) == (1.5, 0.5, 0.0)
+
+
 def _compile_field(hset, kernel):
     field = compile_nambu_field(hset)
     assert getattr(field.rk4, "native", False) is (kernel == "native")

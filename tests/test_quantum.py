@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import quantum_row_reference, strang_reference
+from helpers import fused_strang_reference, quantum_row_reference, strang_reference
 
+from nambu_dyn import quantum
 from nambu_dyn.closure import PotentialSpec
 from nambu_dyn.dynamics import NonFiniteStateError, integrate
 from nambu_dyn.poly import Poly, q
@@ -253,6 +254,8 @@ def test_fused_strang_step_matches_unfused_loop(shape, absorbed):
     # Fusing the two V half-steps reorders complex products; the error stays
     # at a few ulps of unit-scale amplitudes per step.
     assert np.max(np.abs(wf.amps - want)) < 1e-12
+    # The direct gufunc calls change no bit against the public transforms.
+    assert np.array_equal(wf.amps, fused_strang_reference(prop, kept, 40))
     assert prop.step(wf, 0).amps is wf.amps
 
 
@@ -296,14 +299,19 @@ def test_expectation_row_matches_per_kind_reference(case, kinds):
 def test_expectation_row_transform_count(monkeypatch):
     packets = {case: _row_packet(case) for case in ("1d", "2d")}
     calls = []
-    for name in ("fftn", "ifftn"):
-        fn = getattr(np.fft, name)
+    grid_fft = quantum._grid_fft
 
-        def counted(*args, _fn=fn, **kwargs):
-            calls.append(1)
-            return _fn(*args, **kwargs)
+    def counted_grid_fft(shape):
+        def counted(fn):
+            def run(*args):
+                calls.append(1)
+                return fn(*args)
 
-        monkeypatch.setattr(np.fft, name, counted)
+            return run
+
+        return tuple(counted(fn) for fn in grid_fft(shape))
+
+    monkeypatch.setattr(quantum, "_grid_fft", counted_grid_fft)
 
     def count(case, kinds):
         calls.clear()
@@ -312,8 +320,28 @@ def test_expectation_row_transform_count(monkeypatch):
 
     assert count("1d", QUARTET) == 1
     assert count("2d", QUARTET) == 1
-    assert count("1d", TRIPLET) <= 2
+    assert count("1d", TRIPLET) == 2
     assert count("1d", ("q", "q2")) == 0
+
+
+GRID_SHAPES = [(2048,), (4096,), (128, 128), (256, 64), (64, 128), (64, 32, 16)]
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
+@pytest.mark.parametrize("shape", GRID_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_grid_fft_bit_identical_to_public_transforms(shape, batch):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(batch + shape) + 1j * rng.standard_normal(batch + shape)
+    kept = a.copy()
+    axes = tuple(range(-len(shape), 0))
+    fft, ifft = quantum._grid_fft(shape)
+    for mine, public in ((fft, np.fft.fftn), (ifft, np.fft.ifftn)):
+        want = public(a, axes=axes)
+        assert np.array_equal(mine(a, np.empty_like(a)), want)
+        assert np.array_equal(a, kept)
+        in_place = a.copy()
+        assert mine(in_place, in_place) is in_place
+        assert np.array_equal(in_place, want)
 
 
 def test_expectation_row_rejects_unknown_kind():

@@ -1,4 +1,5 @@
-"""Property tests of the expectation row over random packets (hypothesis)."""
+"""Property tests of the expectation row over random packets and of the grid
+transforms over grid shapes (hypothesis)."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from helpers import quantum_row_reference  # noqa: E402
 
-from nambu_dyn.quantum import Grid, WaveFunction, expectation_row, init_gaussian  # noqa: E402
+from nambu_dyn.quantum import (  # noqa: E402
+    Grid,
+    WaveFunction,
+    _grid_fft,
+    expectation_row,
+    init_gaussian,
+)
 
 GRID = Grid.make_1d(-15.0, 15.0, 512)
 KINDS = ("q", "p", "q2", "p2", "qp_sym")
@@ -36,3 +43,19 @@ def test_row_of_two_packet_superposition(first, second, weight, phase):
     assert p2 - p * p >= -1e-12
     want = quantum_row_reference(wf, KINDS)
     assert np.max(np.abs(np.subtract((q, p, q2, p2, qp), want))) <= 1e-12
+
+
+# Power-of-two axes from 64 to 4096 points, at most 2^18 points in all.
+grid_shape = st.lists(st.integers(6, 12), min_size=1, max_size=3).filter(
+    lambda exps: sum(exps) <= 18
+).map(lambda exps: tuple(2**e for e in exps))
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=grid_shape, seed=st.integers(0, 2**32 - 1))
+def test_grid_fft_matches_public_transforms(shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    fft, ifft = _grid_fft(shape)
+    assert np.array_equal(fft(a, np.empty_like(a)), np.fft.fftn(a))
+    assert np.array_equal(ifft(a, np.empty_like(a)), np.fft.ifftn(a))

@@ -125,6 +125,13 @@ def test_model_spec_rejects_non_finite_parameters():
         harmonic_model(omega=float("inf"))
 
 
+@pytest.mark.parametrize("method", ["nambu", "quantum"])
+def test_run_scenario_rejects_more_steps_than_the_kernel_counts(method):
+    # The default stride here is 1e298 steps, which a C long would wrap.
+    with pytest.raises(ValueError, match=r"is 1e\+300 steps, more than the limit"):
+        run_scenario(harmonic_model(), PacketSpec.make(1.0, 0.0), method, dt=1e-300, t_end=1.0)
+
+
 def test_run_scenario_rejects_unknown_method():
     with pytest.raises(ValueError):
         run_scenario(cubic_model(), PacketSpec.make(0.0, 1.8), "exact")
@@ -311,12 +318,16 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         ["--method", "classical", "--t-end", "inf"],
         ["--method", "nambu", "--qc", "nan"],
         ["--method", "quantum", "--sigma", "nan"],
+        ["--method", "quantum", "--dt", "1e-300", "--t-end", "1"],
+        ["--method", "nambu", "--t-end", "1e13", "--stride", "1"],
     ):
         assert main(["run", "--model", "harmonic", *flags, "--out", out]) == 2
     assert not (tmp_path / "never.csv").exists()
     err = capsys.readouterr().err
     assert "record_stride must be an integer >= 1, got 0" in err
     assert "packet parameter sigmas[0] = nan is not finite" in err
+    assert "is 1e+300 steps, more than the limit of" in err
+    assert "make 10000000000000001 rows, too many to allocate" in err
 
 
 def test_cli_numerical_abort_exits_3(tmp_path):
