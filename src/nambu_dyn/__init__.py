@@ -37,7 +37,6 @@ from .multiplets import (
     QUARTET_QP_Q2P2,
     TRIPLET_QQPP_QP,
     builtin_multiplets,
-    classical_image,
     lift_to_multiplet,
     verify_consistency,
 )
@@ -53,12 +52,10 @@ from .dynamics import (
     HamiltonianSet,
     NonFiniteStateError,
     Trajectory,
-    classical_vector_field,
     compile_classical_field,
     compile_nambu_field,
     conserved_drift,
     integrate,
-    nambu_vector_field,
     rk4_integrate,
     symbolic_flow,
 )

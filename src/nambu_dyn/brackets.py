@@ -1,10 +1,11 @@
 """Poisson and Nambu brackets as Jacobian determinants.
 
-Two evaluation paths are provided.  The numeric path evaluates the
-Jacobian matrix at a point and takes an LU determinant; it is what time
-stepping uses.  The symbolic path expands the determinant into a Poly by
-cofactors (N <= 5) and is what the identity checkers use, since they need
-brackets of brackets.
+Two evaluation paths are provided.  The symbolic path expands the
+determinant into a Poly by cofactors (N <= 5); time stepping compiles the
+flows built from it, and the identity checkers use it for brackets of
+brackets.  The numeric path evaluates the Jacobian matrix at a point and
+takes an LU determinant; the identity checkers take their outer brackets
+with it, and tests use it as an independent reference.
 """
 
 from __future__ import annotations
@@ -71,13 +72,11 @@ def _partial(f: Poly, v: VarId) -> Poly:
     return f.partial(v)
 
 
-def _as_point(state, layout: Layout | None = None) -> Mapping[VarId, float]:
+def _as_point(state, layout: Layout) -> Mapping[VarId, float]:
     if isinstance(state, NambuState):
         return state.as_dict()
     if isinstance(state, Mapping):
         return state
-    if layout is None:
-        raise TypeError("flat state vectors need an explicit layout")
     values = np.asarray(state, dtype=np.float64)
     if values.shape != (layout.size,):
         raise DimensionMismatchError(

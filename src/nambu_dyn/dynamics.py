@@ -1,34 +1,31 @@
 """Time evolution: Nambu and classical flows, the stepping driver, RK4,
 drift monitoring.
 
-The Nambu flow reference path evaluates one bracket per component; time
-stepping uses flows expanded symbolically once and compiled to plain
-arithmetic, which is the same polynomial evaluated faster.
+Each flow is expanded symbolically once, one Poly per state variable, and
+compiled to plain arithmetic; that generated code is the only path that
+evaluates a flow or an observer during a run.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .brackets import _check_layout_vars, nambu_bracket, nambu_bracket_poly, _partial
+from .brackets import _check_layout_vars, nambu_bracket_poly
 from .native import LONG_MAX
-from .poly import Poly, VarId, compile_evaluator, compile_vector_field, p, q, xvar
-from .state import Layout, NambuState, classical_vars, x_vars
+from .poly import Poly, VarId, compile_evaluator, compile_vector_field, p, q
+from .state import Layout, classical_vars, x_vars
 
 __all__ = [
     "HamiltonianSet",
     "Trajectory",
     "NonFiniteStateError",
     "DriftStat",
-    "nambu_vector_field",
     "symbolic_flow",
     "compile_nambu_field",
-    "classical_vector_field",
     "compile_classical_field",
     "integrate",
     "rk4_integrate",
@@ -69,21 +66,6 @@ class HamiltonianSet:
         return list(zip(names, self.hamiltonians))
 
 
-def nambu_vector_field(h: HamiltonianSet, s) -> np.ndarray:
-    """d(x_i^(a))/dt = {x_i^(a), F, G_1, ..., G_{N-2}}, one bracket per slot."""
-    layout = h.layout
-    if isinstance(s, NambuState) and s.layout != layout:
-        raise ValueError(f"state layout {s.layout} != Hamiltonian layout {layout}")
-    out = np.empty(layout.size, dtype=np.float64)
-    k = 0
-    for dof in range(layout.n_dof):
-        for i in range(1, layout.N + 1):
-            fns = [Poly.var(xvar(i, dof)), *h.hamiltonians]
-            out[k] = nambu_bracket(fns, s, layout)
-            k += 1
-    return out
-
-
 def symbolic_flow(h: HamiltonianSet) -> tuple[Poly, ...]:
     """All flow components expanded into Polys, in state-vector order."""
     layout = h.layout
@@ -97,28 +79,8 @@ def compile_nambu_field(h: HamiltonianSet) -> Callable[[np.ndarray], np.ndarray]
     return compile_vector_field(symbolic_flow(h), x_vars(h.layout))
 
 
-def _infer_n_dof(H: Poly) -> int:
-    dofs = {v.dof for v in H.variables()}
-    return (max(dofs) + 1) if dofs else 1
-
-
-def classical_vector_field(H: Poly, point, n_dof: int | None = None) -> np.ndarray:
+def compile_classical_field(H: Poly, n_dof: int):
     """(dq, dp) per dof = (dH/dp, -dH/dq), in (q0, p0, q1, p1, ...) order."""
-    if n_dof is None:
-        n_dof = len(point) // 2 if not isinstance(point, Mapping) else _infer_n_dof(H)
-    if not isinstance(point, Mapping):
-        values = np.asarray(point, dtype=np.float64)
-        point = dict(zip(classical_vars(n_dof), values.tolist()))
-    out = np.empty(2 * n_dof, dtype=np.float64)
-    for dof in range(n_dof):
-        out[2 * dof] = _partial(H, p(dof)).eval(point)
-        out[2 * dof + 1] = -_partial(H, q(dof)).eval(point)
-    return out
-
-
-def compile_classical_field(H: Poly, n_dof: int | None = None):
-    if n_dof is None:
-        n_dof = _infer_n_dof(H)
     polys = []
     for dof in range(n_dof):
         polys.append(H.partial(p(dof)))
@@ -164,39 +126,34 @@ class Trajectory:
             return self.observables[:, self.observable_names.index(name)]
         raise KeyError(f"no column {name!r}")
 
-    @property
-    def all_columns(self) -> list[str]:
-        return ["t", *self.columns, *self.observable_names]
-
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
-
-    def to_csv_text(self) -> str:
-        out = io.StringIO()
-        for key, value in self.meta.items():
-            out.write(f"# {key} = {value}\n")
+        lines = [f"# {key} = {value}\n" for key, value in self.meta.items()]
         has_flags = any(self.flags)
         header = ["t", *self.columns, *self.observable_names]
         if has_flags:
             header.append("flags")
-        out.write(",".join(header) + "\n")
+        lines.append(",".join(header) + "\n")
         for row in range(len(self.t)):
             cells = [repr(float(self.t[row]))]
             cells += [repr(float(v)) for v in self.states[row]]
             cells += [repr(float(v)) for v in self.observables[row]]
             if has_flags:
                 cells.append(self.flags[row])
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
+            lines.append(",".join(cells) + "\n")
+        with open(path, "w") as fh:
+            fh.write("".join(lines))
 
     @classmethod
-    def from_csv(cls, path, n_observables: int | None = None) -> "Trajectory":
+    def from_csv(cls, path) -> "Trajectory":
+        """Read what ``to_csv`` wrote.  A file cut short, with a row missing
+        cells or a last line without its newline, raises ValueError."""
         meta: dict = {}
         rows: list[list[str]] = []
         header: list[str] | None = None
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.endswith("\n"):
+                    raise ValueError(f"{path}: line {lineno} ends without a newline")
                 line = line.strip()
                 if not line:
                     continue
@@ -205,35 +162,26 @@ class Trajectory:
                         key, _, value = line[1:].partition("=")
                         meta[key.strip()] = value.strip()
                     continue
+                cells = line.split(",")
                 if header is None:
-                    header = [h.strip() for h in line.split(",")]
+                    header = [h.strip() for h in cells]
+                elif len(cells) != len(header):
+                    raise ValueError(
+                        f"{path}: line {lineno} has {len(cells)} cells, expected {len(header)}"
+                    )
                 else:
-                    rows.append(line.split(","))
+                    rows.append(cells)
         if header is None:
             raise ValueError(f"{path}: no CSV header found")
         has_flags = header[-1] == "flags"
-        value_names = header[1 : len(header) - 1 if has_flags else len(header)]
-        if n_observables is None:
-            n_observables = sum(
-                1 for name in value_names if name == "F" or name.startswith("G")
-            )
-        n_state = len(value_names) - n_observables
-        t = np.array([float(r[0]) for r in rows])
-        states = np.array(
-            [[float(v) for v in r[1 : 1 + n_state]] for r in rows]
-        ).reshape(len(rows), n_state)
-        observables = np.array(
-            [[float(v) for v in r[1 + n_state : 1 + len(value_names)]] for r in rows]
-        ).reshape(len(rows), n_observables)
+        names = header[1 : len(header) - 1 if has_flags else len(header)]
+        n_state = sum(1 for name in names if name != "F" and not name.startswith("G"))
+        table = np.array([[float(v) for v in r[: 1 + len(names)]] for r in rows])
+        table = table.reshape(len(rows), 1 + len(names))
         flags = [r[-1] if has_flags else "" for r in rows]
         return cls(
-            t,
-            states,
-            value_names[:n_state],
-            observables,
-            value_names[n_state:],
-            meta,
-            flags,
+            table[:, 0], table[:, 1 : 1 + n_state], names[:n_state],
+            table[:, 1 + n_state :], names[n_state:], meta, flags,
         )
 
 
@@ -346,11 +294,7 @@ def integrate(
 
 def _normalize_observers(observers, var_order):
     named: list[tuple[str, Callable]] = []
-    for entry in observers or []:
-        if isinstance(entry, tuple):
-            name, obs = entry
-        else:
-            name, obs = str(entry), entry
+    for name, obs in observers or []:
         if isinstance(obs, Poly):
             if var_order is None:
                 raise ValueError("Poly observers need var_order")
@@ -370,7 +314,6 @@ def rk4_integrate(
     t0: float = 0.0,
     record_stride: int = 1,
     stop: Callable[[np.ndarray], bool] | None = None,
-    stop_flag: str = "escaped",
     meta: Mapping | None = None,
 ) -> Trajectory:
     """Classical fixed-step RK4, run by ``integrate``.
@@ -379,9 +322,10 @@ def rk4_integrate(
     ``compile_classical_field``); it is called once at ``y0`` to check its
     output shape, and its generated ``rk4`` kernel then advances one
     recording stride per call, or one step per call when ``stop`` is set.
-    Poly observers are compiled over ``var_order``.  ``integrate`` owns the
-    argument checks, the rows and the ``stop`` rule; a non-finite state
-    raises NonFiniteStateError naming the first bad step.
+    Observers are ``(name, fn or Poly)`` pairs; Poly observers are compiled
+    over ``var_order``.  ``integrate`` owns the argument checks, the rows
+    and the ``stop`` rule; a non-finite state raises NonFiniteStateError
+    naming the first bad step.
     """
     named_obs = _normalize_observers(observers, var_order)
     y = np.array(y0, dtype=np.float64)
@@ -395,10 +339,7 @@ def rk4_integrate(
             "one polynomial per variable"
         )
     if columns is None:
-        if var_order is not None:
-            columns = [v.name for v in var_order]
-        else:
-            columns = [f"y{i}" for i in range(y.size)]
+        columns = [f"y{i}" for i in range(y.size)]
     h = float(dt)
     state = tuple(y.tolist())
     done = 0
@@ -428,5 +369,5 @@ def rk4_integrate(
 
     return integrate(
         advance, lambda: np.array(state), dt, t_end, columns, named_obs,
-        t0, record_stride, stop, stop_flag, meta,
+        t0, record_stride, stop, meta=meta,
     )

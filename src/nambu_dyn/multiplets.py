@@ -14,9 +14,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import factorial
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .brackets import _det_poly, _partial, poisson_bracket_poly, sample_assignments
 from .poly import Poly, VarId, parse_poly, p, q, xvar
@@ -34,7 +32,6 @@ __all__ = [
     "multiplet_from_strings",
     "verify_consistency",
     "lift_to_multiplet",
-    "classical_image",
     "consistency_to_csv",
 ]
 
@@ -178,22 +175,6 @@ def multiplet_from_strings(
         (tuple(parse_poly(s) for s in constraints),),
     )
     return template.with_n_dof(n_dof)
-
-
-# --------------------------------------------------------------------------
-# Classical image
-# --------------------------------------------------------------------------
-
-
-def classical_image(m: MultipletDef, point: Mapping[VarId, float]) -> np.ndarray:
-    """Evaluate x_i(q, p) for all dofs; dof-major flat vector."""
-    out = np.empty(m.N * m.n_dof, dtype=np.float64)
-    k = 0
-    for dof in range(m.n_dof):
-        for d in m.defs[dof]:
-            out[k] = d.eval(point)
-            k += 1
-    return out
 
 
 # --------------------------------------------------------------------------

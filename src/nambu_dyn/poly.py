@@ -119,12 +119,8 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(powers.items(), key=lambda vk: vk[0].sort_key))
 
 
-def _mono_degree(mono: Monomial) -> int:
-    return sum(k for _, k in mono)
-
-
 def _mono_sort_key(mono: Monomial) -> tuple:
-    return (_mono_degree(mono), tuple((v.sort_key, k) for v, k in mono))
+    return (sum(k for _, k in mono), tuple((v.sort_key, k) for v, k in mono))
 
 
 class Poly:
@@ -170,19 +166,6 @@ class Poly:
 
     def variables(self) -> set[VarId]:
         return {v for mono in self._terms for v, _ in mono}
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(_mono_degree(m) for m in self._terms)
-
-    def degree_in(self, v: VarId) -> int:
-        best = 0
-        for mono in self._terms:
-            for var, k in mono:
-                if var == v and k > best:
-                    best = k
-        return best
 
     def coefficient(self, powers: Mapping[VarId, int]) -> float:
         return self._terms.get(_canonical_monomial(powers), 0.0)

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 BOUNDARY_AMPLITUDE_TOL = 1e-8
+ABSORBER_FRACTION = 0.15
 
 
 class NonFiniteAmplitudeError(NonFiniteStateError):
@@ -185,13 +186,13 @@ def init_gaussian(
     return wf
 
 
-def absorbing_mask(grid: Grid, fraction: float = 0.15) -> np.ndarray:
-    """cos^2 amplitude ramp from 1 down to 0 over the outer ``fraction`` of
-    each axis."""
+def absorbing_mask(grid: Grid) -> np.ndarray:
+    """cos^2 amplitude ramp from 1 down to 0 over the outer
+    ``ABSORBER_FRACTION`` of each axis."""
     mask = np.ones(grid.shape)
     for axis in range(grid.ndim):
         lo, hi, _ = grid.axes[axis]
-        width = fraction * (hi - lo)
+        width = ABSORBER_FRACTION * (hi - lo)
         x = grid.coords(axis)
         d = np.minimum(x - lo, hi - x)
         line = np.where(d >= width, 1.0, np.sin(0.5 * np.pi * np.clip(d, 0, width) / width) ** 2)
@@ -200,12 +201,8 @@ def absorbing_mask(grid: Grid, fraction: float = 0.15) -> np.ndarray:
 
 
 def potential_mesh(grid: Grid, V) -> np.ndarray:
-    """Evaluate a potential (ndarray, callable, Poly over q0.., or
-    PotentialSpec) on the grid."""
-    if isinstance(V, np.ndarray):
-        if V.shape != grid.shape:
-            raise ValueError("potential mesh shape mismatch")
-        return V
+    """Evaluate a potential (callable, Poly over q0.., or PotentialSpec) on
+    the grid."""
     if isinstance(V, PotentialSpec):
         V = V.to_poly(0)
     views = [grid.axis_view(grid.coords(axis), axis) for axis in range(grid.ndim)]

@@ -125,7 +125,7 @@ def henon_heiles_model(
     return ModelSpec("henon_heiles", (m1, m2), (omega1, omega2), lam=lam, hbar=hbar)
 
 
-def model_by_name(name: str, **kwargs) -> ModelSpec:
+def model_by_name(name: str) -> ModelSpec:
     key = name.strip().lower().replace("-", "_")
     factories = {
         "harmonic": harmonic_model,
@@ -134,7 +134,7 @@ def model_by_name(name: str, **kwargs) -> ModelSpec:
     }
     if key not in factories:
         raise ValueError(f"unknown model {name!r}")
-    return factories[key](**kwargs)
+    return factories[key]()
 
 
 def potential_poly(spec: ModelSpec) -> Poly:
@@ -283,6 +283,8 @@ def run_scenario(
     """
     if method not in ("nambu", "classical", "quantum"):
         raise ValueError(f"unknown method {method!r}")
+    if len(packet.qc) != spec.n_dof:
+        raise ValueError(f"packet has {len(packet.qc)} dofs, model needs {spec.n_dof}")
     if t_end is None:
         t_end = default_t_end(spec)
     if record_stride is None:

@@ -48,7 +48,6 @@ class NambuState:
 
     values: np.ndarray
     layout: Layout
-    t: float = 0.0
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -57,12 +56,6 @@ class NambuState:
                 f"state vector has length {self.values.size}, "
                 f"layout {self.layout} needs {self.layout.size}"
             )
-
-    def get(self, i: int, dof: int = 0) -> float:
-        """Value of x_i^(dof), with i in 1..N."""
-        if not (1 <= i <= self.layout.N) or not (0 <= dof < self.layout.n_dof):
-            raise IndexError(f"(i={i}, dof={dof}) outside layout {self.layout}")
-        return float(self.values[dof * self.layout.N + (i - 1)])
 
     def as_dict(self) -> dict[VarId, float]:
         return dict(zip(x_vars(self.layout), self.values.tolist()))

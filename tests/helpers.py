@@ -2,20 +2,23 @@
 
 These deliberately avoid the library's own code paths: Gaussian moments
 come from the mean/variance recursion on numbers, determinants from the
-permutation sum, derivatives from central differences, RK4 trajectories
-from a numpy loop that calls the field four times per step, Strang steps
-from the split-operator factors applied one at a time or fused through the
-public ``np.fft`` transforms, and the
-Henon-Heiles mode energies from hand-written packet-center equations
-integrated with scipy's DOP853.
+permutation sum, derivatives from central differences, vector fields and
+classical images from ``Poly.eval`` point by point (the Nambu field through
+one LU-determinant bracket per component) instead of generated code, RK4
+trajectories from a numpy loop that calls the field four times per step,
+Strang steps from the split-operator factors applied one at a time or fused
+through the public ``np.fft`` transforms, and the Henon-Heiles mode energies
+from hand-written packet-center equations integrated with scipy's DOP853.
 """
 
 from itertools import permutations
 
 import numpy as np
 
+from nambu_dyn.brackets import nambu_bracket
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory
-from nambu_dyn.poly import Poly
+from nambu_dyn.poly import Poly, p, q
+from nambu_dyn.state import NambuState, classical_vars, x_vars
 
 
 def gaussian_moment(n: int, mean: float, var: float) -> float:
@@ -66,6 +69,32 @@ def random_poly(rng, variables, max_degree=2, n_terms=4, scale=1.0) -> Poly:
             powers[v] = powers.get(v, 0) + 1
         out = out + Poly.monomial(powers, float(rng.uniform(-scale, scale)))
     return out
+
+
+def nambu_vector_field(h, s) -> np.ndarray:
+    """d(x_i^(a))/dt = {x_i^(a), F, G_1, ..., G_{N-2}} of the HamiltonianSet
+    ``h`` at the state ``s``, one LU-determinant bracket per component."""
+    layout = h.layout
+    if isinstance(s, NambuState) and s.layout != layout:
+        raise ValueError(f"state layout {s.layout} != Hamiltonian layout {layout}")
+    fields = [[Poly.var(v), *h.hamiltonians] for v in x_vars(layout)]
+    return np.array([nambu_bracket(fns, s, layout) for fns in fields])
+
+
+def classical_vector_field(H: Poly, point) -> np.ndarray:
+    """(dq, dp) per dof = (dH/dp, -dH/dq) at a (q0, p0, q1, p1, ...) point."""
+    n_dof = len(point) // 2
+    at = dict(zip(classical_vars(n_dof), np.asarray(point, dtype=np.float64).tolist()))
+    out = []
+    for dof in range(n_dof):
+        out += [H.partial(p(dof)).eval(at), -H.partial(q(dof)).eval(at)]
+    return np.array(out)
+
+
+def classical_image(m, point) -> np.ndarray:
+    """x_i(q, p) of the multiplet ``m`` for all dofs at a (q, p) mapping,
+    as a dof-major flat vector."""
+    return np.array([d.eval(point) for dof in range(m.n_dof) for d in m.defs[dof]])
 
 
 def rk4_reference(field, y0, dt, t_end, observers=(), t0=0.0, record_stride=1, stop=None):

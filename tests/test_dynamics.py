@@ -1,9 +1,10 @@
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from helpers import rk4_reference
+from helpers import classical_vector_field, nambu_vector_field, rk4_reference
 
 from nambu_dyn import native
 from nambu_dyn.brackets import nambu_bracket
@@ -11,11 +12,9 @@ from nambu_dyn.dynamics import (
     HamiltonianSet,
     NonFiniteStateError,
     Trajectory,
-    classical_vector_field,
     compile_classical_field,
     compile_nambu_field,
     conserved_drift,
-    nambu_vector_field,
     rk4_integrate,
     symbolic_flow,
 )
@@ -24,8 +23,6 @@ from nambu_dyn.poly import (
     compile_evaluator,
     compile_vector_field,
     parse_poly,
-    p,
-    q,
     xvar,
 )
 from nambu_dyn.scenarios import (
@@ -252,6 +249,26 @@ def test_trajectory_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(loaded.states, traj.states, atol=0)
     np.testing.assert_allclose(loaded.observables, traj.observables, atol=0)
     assert loaded.meta["model"] == "harmonic"
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda text: text[: text.rindex(",")] + "\n", "line 8 has 5 cells, expected 6"),
+        (lambda text: text[:-4], "line 8 ends without a newline"),
+        (lambda text: text[:-1], "line 8 ends without a newline"),
+    ],
+    ids=["missing_cell", "cut_inside_number", "missing_newline"],
+)
+def test_truncated_csv_is_rejected(tmp_path, cut, message):
+    traj = run_scenario(
+        harmonic_model(), PacketSpec.make(1.0, 0.0), "nambu", dt=1e-2, t_end=0.2, record_stride=10
+    )
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    path.write_text(cut(path.read_text()))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        Trajectory.from_csv(path)
 
 
 def test_rk4_rejects_bad_steps():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import classical_image
+
 from nambu_dyn.multiplets import (
     AmbiguousLiftWarning,
     MalformedMultipletError,
@@ -9,7 +11,6 @@ from nambu_dyn.multiplets import (
     TRIPLET_QQPP_QP,
     UnliftableMonomialError,
     builtin_multiplets,
-    classical_image,
     consistency_to_csv,
     lift_to_multiplet,
     multiplet_from_strings,

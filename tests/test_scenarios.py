@@ -132,6 +132,25 @@ def test_run_scenario_rejects_more_steps_than_the_kernel_counts(method):
         run_scenario(harmonic_model(), PacketSpec.make(1.0, 0.0), method, dt=1e-300, t_end=1.0)
 
 
+@pytest.mark.parametrize("method", ["nambu", "classical", "quantum"])
+@pytest.mark.parametrize(
+    "model, qc, n_dof",
+    [("henon-heiles", "0", 1), ("harmonic", "0,0", 2)],
+    ids=["1dof_on_henon_heiles", "2dof_on_harmonic"],
+)
+def test_packet_with_wrong_dof_count_is_rejected(method, model, qc, n_dof, tmp_path, capsys):
+    spec = model_by_name(model)
+    message = f"packet has {n_dof} dofs, model needs {spec.n_dof}"
+    packet = PacketSpec.make([0.0] * n_dof, [0.0] * n_dof)
+    with pytest.raises(ValueError, match=message):
+        run_scenario(spec, packet, method, dt=1e-2, t_end=0.1)
+    out = tmp_path / "never.csv"
+    argv = ["run", "--model", model, "--method", method, "--qc", qc, "--pc", qc]
+    assert main([*argv, "--dt", "1e-2", "--t-end", "0.1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_run_scenario_rejects_unknown_method():
     with pytest.raises(ValueError):
         run_scenario(cubic_model(), PacketSpec.make(0.0, 1.8), "exact")
