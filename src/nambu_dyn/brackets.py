@@ -52,11 +52,10 @@ class BracketReport:
     lhs: float
     rhs: float
     residual: float
-    sample_point: dict[VarId, float]
 
     @classmethod
-    def make(cls, index: int, lhs: float, rhs: float, point: Mapping[VarId, float]):
-        return cls(index, lhs, rhs, abs(lhs - rhs), dict(point))
+    def make(cls, index: int, lhs: float, rhs: float):
+        return cls(index, lhs, rhs, abs(lhs - rhs))
 
 
 def reports_to_csv(reports: Sequence[BracketReport]) -> str:
@@ -202,7 +201,7 @@ def check_jacobi(
         rhs = poisson_bracket(inner_1b, A2, s, n_dof) + poisson_bracket(
             A1, inner_2b, s, n_dof
         )
-        reports.append(BracketReport.make(k, lhs, rhs, s))
+        reports.append(BracketReport.make(k, lhs, rhs))
     return reports
 
 
@@ -234,7 +233,7 @@ def check_fundamental_identity(
     for k, s in enumerate(samples):
         lhs = nambu_bracket(lhs_fns, s, layout)
         rhs = sum(nambu_bracket(fns, s, layout) for fns in rhs_fns)
-        reports.append(BracketReport.make(k, lhs, float(rhs), s))
+        reports.append(BracketReport.make(k, lhs, float(rhs)))
     return reports
 
 

@@ -3,7 +3,7 @@ drift monitoring.
 
 Each flow is expanded symbolically once, one Poly per state variable, and
 compiled to plain arithmetic; that generated code is the only path that
-evaluates a flow or an observer during a run.
+evaluates a flow during a run, and F, G_c once per run on all its rows.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .brackets import _check_layout_vars, nambu_bracket_poly
 from .native import LONG_MAX
-from .poly import Poly, VarId, compile_evaluator, compile_vector_field, p, q
+from .poly import Poly, compile_evaluator, compile_vector_field, p, q
 from .state import Layout, classical_vars, x_vars
 
 __all__ = [
@@ -61,9 +61,18 @@ class HamiltonianSet:
     def hamiltonians(self) -> tuple[Poly, ...]:
         return (self.F, *self.gs)
 
-    def observable_polys(self) -> list[tuple[str, Poly]]:
-        names = ["F"] + [f"G{c + 1}" for c in range(len(self.gs))]
-        return list(zip(names, self.hamiltonians))
+    @property
+    def observable_names(self) -> list[str]:
+        return ["F"] + [f"G{c + 1}" for c in range(len(self.gs))]
+
+    def observables(self, rows: np.ndarray) -> np.ndarray:
+        """F, G_1, ... on every row of x values, shape (rows, N - 1), by
+        generated code on column views: each value as that row alone gives."""
+        columns = np.asarray(rows, dtype=np.float64).T
+        out = np.empty((columns.shape[1], len(self.hamiltonians)))
+        for k, f in enumerate(self.hamiltonians):
+            out[:, k] = compile_evaluator(f, x_vars(self.layout))(columns)
+        return out
 
 
 def symbolic_flow(h: HamiltonianSet) -> tuple[Poly, ...]:
@@ -146,9 +155,10 @@ class Trajectory:
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
         """Read what ``to_csv`` wrote.  A file cut short, with a row missing
-        cells or a last line without its newline, raises ValueError."""
+        cells or a last line without its newline, and a cell that is not a
+        number raise ValueError naming the path and line."""
         meta: dict = {}
-        rows: list[list[str]] = []
+        rows: list[tuple[int, list[str]]] = []
         header: list[str] | None = None
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -170,15 +180,25 @@ class Trajectory:
                         f"{path}: line {lineno} has {len(cells)} cells, expected {len(header)}"
                     )
                 else:
-                    rows.append(cells)
+                    rows.append((lineno, cells))
         if header is None:
             raise ValueError(f"{path}: no CSV header found")
         has_flags = header[-1] == "flags"
         names = header[1 : len(header) - 1 if has_flags else len(header)]
         n_state = sum(1 for name in names if name != "F" and not name.startswith("G"))
-        table = np.array([[float(v) for v in r[: 1 + len(names)]] for r in rows])
-        table = table.reshape(len(rows), 1 + len(names))
-        flags = [r[-1] if has_flags else "" for r in rows]
+        table = np.empty((len(rows), 1 + len(names)))
+        for k, (lineno, cells) in enumerate(rows):
+            try:
+                table[k] = [float(v) for v in cells[: 1 + len(names)]]
+            except ValueError:
+                for name, v in zip(["t", *names], cells):
+                    try:
+                        float(v)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: line {lineno}, column {name!r}: {v!r} is not a number"
+                        ) from None
+        flags = [cells[-1] if has_flags else "" for _, cells in rows]
         return cls(
             table[:, 0], table[:, 1 : 1 + n_state], names[:n_state],
             table[:, 1 + n_state :], names[n_state:], meta, flags,
@@ -187,22 +207,13 @@ class Trajectory:
 
 class DriftStat(NamedTuple):
     max_abs: float
-    relative: float
 
 
 def conserved_drift(traj: Trajectory) -> dict[str, DriftStat]:
-    """Per observer: max |value(t) - value(0)| and the same relative to value(0)."""
-    out: dict[str, DriftStat] = {}
-    for k, name in enumerate(traj.observable_names):
-        series = traj.observables[:, k]
-        ref = float(series[0])
-        max_abs = float(np.max(np.abs(series - ref))) if len(series) else 0.0
-        if ref != 0.0:
-            rel = max_abs / abs(ref)
-        else:
-            rel = 0.0 if max_abs == 0.0 else float("inf")
-        out[name] = DriftStat(max_abs, rel)
-    return out
+    """Per observable: max |value(t) - value(0)|."""
+    values = traj.observables
+    drift = np.abs(values - values[:1]).max(axis=0, initial=0.0)
+    return {name: DriftStat(float(d)) for name, d in zip(traj.observable_names, drift)}
 
 
 # --------------------------------------------------------------------------
@@ -226,7 +237,6 @@ def integrate(
     dt: float,
     t_end: float,
     columns: Sequence[str],
-    observers: Sequence[tuple[str, Callable]] = (),
     t0: float = 0.0,
     record_stride: int = 1,
     stop: Callable[[np.ndarray], bool] | None = None,
@@ -237,13 +247,14 @@ def integrate(
 
     ``advance(n)`` takes up to ``n`` steps and returns how many it took, and
     ``row()`` returns the current values, one per column.  Rows are recorded
-    at step 0, every ``record_stride`` steps and at the last step, with the
-    ``(name, fn)`` observers evaluated on each.  After every advance,
-    ``stop`` is asked about the new ``row()``; when it holds, that row is
-    recorded with ``stop_flag`` and the run ends, so row 0 is never flagged.  A NonFiniteStateError from
-    ``advance`` leaves with the rows so far as its ``trajectory``.  Before
-    any step, ValueError rejects a bad dt, t0, t_end or stride, more than
-    ``native.LONG_MAX`` steps, and more rows than can be allocated.
+    at step 0, every ``record_stride`` steps and at the last step; the
+    trajectory has no observables.  After every advance, ``stop`` is asked
+    about the new ``row()``; when it holds, that row is recorded with
+    ``stop_flag`` and the run ends, so row 0 is never flagged.  A
+    NonFiniteStateError from ``advance`` leaves with the rows so far as its
+    ``trajectory``.  Before any step, ValueError rejects a bad dt, t0, t_end
+    or stride, more than ``native.LONG_MAX`` steps, and more rows than can
+    be allocated.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt = {dt!r} is not a positive finite step")
@@ -254,8 +265,7 @@ def integrate(
     n_steps = _step_count(dt, t0, t_end)
     n_rows = 1 + -(-n_steps // record_stride)
     try:
-        ts, states = np.empty(n_rows), np.empty((n_rows, len(columns)))
-        values, flags = np.empty((n_rows, len(observers))), []
+        ts, states, flags = np.empty(n_rows), np.empty((n_rows, len(columns))), []
     except (MemoryError, ValueError):  # numpy's ValueError: larger than any array
         raise ValueError(
             f"{n_steps} steps at record_stride {record_stride} make {n_rows} rows, "
@@ -265,14 +275,12 @@ def integrate(
     def record(step: int, y, flag: str = "") -> None:
         k = len(flags)
         ts[k], states[k] = t0 + step * dt, y
-        values[k] = [fn(y) for _, fn in observers]
         flags.append(flag)
 
     def build() -> Trajectory:
         k = len(flags)
         return Trajectory(
-            ts[:k], states[:k], list(columns), values[:k],
-            [name for name, _ in observers], dict(meta or {}), flags,
+            ts[:k], states[:k], list(columns), np.empty((k, 0)), [], dict(meta or {}), flags
         )
 
     record(0, row())
@@ -292,24 +300,11 @@ def integrate(
     return build()
 
 
-def _normalize_observers(observers, var_order):
-    named: list[tuple[str, Callable]] = []
-    for name, obs in observers or []:
-        if isinstance(obs, Poly):
-            if var_order is None:
-                raise ValueError("Poly observers need var_order")
-            obs = compile_evaluator(obs, var_order)
-        named.append((name, obs))
-    return named
-
-
 def rk4_integrate(
     field: Callable[[np.ndarray], np.ndarray],
     y0,
     dt: float,
     t_end: float,
-    observers=None,
-    var_order: Sequence[VarId] | None = None,
     columns: Sequence[str] | None = None,
     t0: float = 0.0,
     record_stride: int = 1,
@@ -322,12 +317,9 @@ def rk4_integrate(
     ``compile_classical_field``); it is called once at ``y0`` to check its
     output shape, and its generated ``rk4`` kernel then advances one
     recording stride per call, or one step per call when ``stop`` is set.
-    Observers are ``(name, fn or Poly)`` pairs; Poly observers are compiled
-    over ``var_order``.  ``integrate`` owns the argument checks, the rows
-    and the ``stop`` rule; a non-finite state raises NonFiniteStateError
-    naming the first bad step.
+    ``integrate`` owns the argument checks, the rows and the ``stop`` rule;
+    a non-finite state raises NonFiniteStateError naming the first bad step.
     """
-    named_obs = _normalize_observers(observers, var_order)
     y = np.array(y0, dtype=np.float64)
     out_shape = np.shape(field(y))
     if out_shape != y.shape:
@@ -368,6 +360,6 @@ def rk4_integrate(
         return n
 
     return integrate(
-        advance, lambda: np.array(state), dt, t_end, columns, named_obs,
+        advance, lambda: np.array(state), dt, t_end, columns,
         t0, record_stride, stop, meta=meta,
     )

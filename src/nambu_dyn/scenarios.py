@@ -17,6 +17,7 @@ import numpy as np
 from .closure import ClosureMode, build_F
 from .dynamics import (
     HamiltonianSet,
+    NonFiniteStateError,
     Trajectory,
     compile_classical_field,
     compile_nambu_field,
@@ -276,10 +277,13 @@ def run_scenario(
     below, so nambu/classical runs stop once the position variable falls
     below ``q_stop``, flagging the last row 'escaped'; the quantum run stops
     once the absorber has drained more than 1% of the norm ('absorbed').
-    Classical images x_i(q, p) and their F, G_c are evaluated by generated
-    code on the (q, p) rows.  A quantum run records in its meta the largest
-    boundary amplitude |psi| over the rows (``boundary_amp_max``) and the
-    largest change of the norm from the first row (``norm_loss``).
+    Classical images x_i(q, p) are evaluated by generated code on the (q, p)
+    rows.  F and G_c are evaluated once, after stepping, on all x rows, also
+    on the rows so far of a Nambu or quantum NonFiniteStateError (a
+    classical one carries its (q, p) rows).  A quantum run records in its
+    meta the largest boundary amplitude |psi| over the rows
+    (``boundary_amp_max``) and the largest change of the norm from the first
+    row (``norm_loss``).
     """
     if method not in ("nambu", "classical", "quantum"):
         raise ValueError(f"unknown method {method!r}")
@@ -291,8 +295,7 @@ def run_scenario(
         record_stride = default_record_stride(spec, dt)
     multiplet = model_multiplet(spec)
     hset = hamiltonian_set(spec)
-    xs = x_vars(multiplet.layout)
-    x_names = [v.name for v in xs]
+    x_names = [v.name for v in x_vars(multiplet.layout)]
     meta = {
         "model": spec.model_id,
         "method": method,
@@ -302,60 +305,63 @@ def run_scenario(
     stop = (lambda y: y[0] < q_stop) if spec.model_id == "cubic" else None
     run = dict(record_stride=record_stride, stop=stop, meta=meta)
 
-    if method == "nambu":
-        state0 = init_nambu_from_packet(spec, packet)
-        traj = rk4_integrate(
-            compile_nambu_field(hset), state0.values, dt, t_end,
-            observers=hset.observable_polys(), var_order=xs,
-            columns=x_names, **run,
-        )
-    elif method == "classical":
-        y0 = np.empty(2 * spec.n_dof)
-        y0[0::2] = packet.qc
-        y0[1::2] = packet.pc
-        qp_vars = classical_vars(spec.n_dof)
-        qp_traj = rk4_integrate(
-            compile_classical_field(classical_hamiltonian(spec), spec.n_dof), y0, dt,
-            t_end, columns=[v.name for v in qp_vars], **run,
-        )
-        # Generated code on column views evaluates a Poly on every row at once.
-        qp_columns = qp_traj.states.T
-        images = np.column_stack([
-            compile_evaluator(d, qp_vars)(qp_columns)
-            for dof in range(spec.n_dof) for d in multiplet.defs[dof]
-        ])
-        names, polys = zip(*hset.observable_polys())
-        observables = np.column_stack([compile_evaluator(f, xs)(images.T) for f in polys])
-        traj = Trajectory(
-            qp_traj.t, images, x_names, observables, list(names), meta, qp_traj.flags
-        )
-    else:
-        grid = grid if grid is not None else default_grid(spec)
-        sigmas = packet.resolved_sigmas(spec)
-        wf = init_gaussian(grid, packet.qc, packet.pc, sigmas, spec.hbar)
-        absorber = absorbing_mask(grid) if spec.model_id == "cubic" else None
-        prop = SplitOperatorPropagator(
-            grid, potential_poly(spec), dt, spec.hbar, spec.masses, absorber
-        )
-        observers = [(name, compile_evaluator(f, xs)) for name, f in hset.observable_polys()]
-        kinds = ("q", "p", "q2", "p2") if multiplet.N == 4 else ("q2", "p2", "qp_sym")
-        checks: list[tuple[float, float]] = []  # (norm, boundary |psi|) per row
+    def observe(traj: Trajectory) -> None:
+        traj.observables = hset.observables(traj.states)
+        traj.observable_names = hset.observable_names
 
-        def advance(n: int) -> int:
-            prop.step(wf, n)
-            return n
+    try:
+        if method == "nambu":
+            state0 = init_nambu_from_packet(spec, packet)
+            traj = rk4_integrate(
+                compile_nambu_field(hset), state0.values, dt, t_end, columns=x_names, **run
+            )
+        elif method == "classical":
+            y0 = np.empty(2 * spec.n_dof)
+            y0[0::2] = packet.qc
+            y0[1::2] = packet.pc
+            qp_vars = classical_vars(spec.n_dof)
+            qp_traj = rk4_integrate(
+                compile_classical_field(classical_hamiltonian(spec), spec.n_dof), y0, dt,
+                t_end, columns=[v.name for v in qp_vars], **run,
+            )
+            # Generated code on column views evaluates a Poly on every row at once.
+            qp_columns = qp_traj.states.T
+            images = np.column_stack([
+                compile_evaluator(d, qp_vars)(qp_columns)
+                for dof in range(spec.n_dof) for d in multiplet.defs[dof]
+            ])
+            traj = Trajectory(qp_traj.t, images, x_names, [], [], meta, qp_traj.flags)
+        else:
+            grid = grid if grid is not None else default_grid(spec)
+            sigmas = packet.resolved_sigmas(spec)
+            wf = init_gaussian(grid, packet.qc, packet.pc, sigmas, spec.hbar)
+            absorber = absorbing_mask(grid) if spec.model_id == "cubic" else None
+            prop = SplitOperatorPropagator(
+                grid, potential_poly(spec), dt, spec.hbar, spec.masses, absorber
+            )
+            kinds = ("q", "p", "q2", "p2") if multiplet.N == 4 else ("q2", "p2", "qp_sym")
+            checks: list[tuple[float, float]] = []  # (norm, boundary |psi|) per row
 
-        def row() -> list[float]:
-            r = expectation_row(wf, kinds)
-            checks.append((r.norm, r.boundary_amp))
-            return r.values
+            def advance(n: int) -> int:
+                prop.step(wf, n)
+                return n
 
-        if absorber is not None:  # the norm check replaces the cubic position stop
-            run["stop"] = lambda _: checks[-1][0] < ABSORBED_NORM_FLOOR
-        traj = integrate(advance, row, dt, t_end, x_names, observers, stop_flag="absorbed", **run)
-        norms, edges = np.array(checks).T
-        traj.meta["boundary_amp_max"] = repr(float(edges.max()))
-        traj.meta["norm_loss"] = repr(float(np.abs(norms - norms[0]).max()))
+            def row() -> list[float]:
+                r = expectation_row(wf, kinds)
+                checks.append((r.norm, r.boundary_amp))
+                return r.values
+
+            if absorber is not None:  # the norm check replaces the cubic position stop
+                run["stop"] = lambda _: checks[-1][0] < ABSORBED_NORM_FLOOR
+            traj = integrate(advance, row, dt, t_end, x_names, stop_flag="absorbed", **run)
+            norms, edges = np.array(checks).T
+            traj.meta["boundary_amp_max"] = repr(float(edges.max()))
+            traj.meta["norm_loss"] = repr(float(np.abs(norms - norms[0]).max()))
+    except NonFiniteStateError as exc:
+        if method != "classical":
+            observe(exc.trajectory)
+        raise
+    observe(traj)
 
     if out_path is not None:
         traj.to_csv(out_path)

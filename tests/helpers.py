@@ -97,21 +97,19 @@ def classical_image(m, point) -> np.ndarray:
     return np.array([d.eval(point) for dof in range(m.n_dof) for d in m.defs[dof]])
 
 
-def rk4_reference(field, y0, dt, t_end, observers=(), t0=0.0, record_stride=1, stop=None):
+def rk4_reference(field, y0, dt, t_end, t0=0.0, record_stride=1, stop=None):
     """Fixed-step RK4 on numpy arrays with four field calls per step.
 
-    Same recording, stop ("escaped") and non-finite rules as ``rk4_integrate``;
-    ``observers`` are ``(name, fn)`` pairs of callables.
+    Same recording, stop ("escaped") and non-finite rules as ``rk4_integrate``.
     """
     y = np.array(y0, dtype=np.float64)
     dim = y.size
     n_steps = int(np.floor((t_end - t0) / dt + 1e-9))
-    ts, rows, obs_rows, flags = [], [], [], []
+    ts, rows, flags = [], [], []
 
     def record(step, flag=""):
         ts.append(t0 + step * dt)
         rows.append(y.copy())
-        obs_rows.append([fn(y) for _, fn in observers])
         flags.append(flag)
 
     def build():
@@ -119,8 +117,8 @@ def rk4_reference(field, y0, dt, t_end, observers=(), t0=0.0, record_stride=1, s
             np.array(ts),
             np.array(rows).reshape(len(rows), dim),
             [f"y{i}" for i in range(dim)],
-            np.array(obs_rows).reshape(len(obs_rows), len(observers)),
-            [name for name, _ in observers],
+            np.empty((len(rows), 0)),
+            [],
             {},
             flags,
         )

@@ -28,12 +28,7 @@ from nambu_dyn.closure import (
     effective_potential,
     reduce_moment,
 )
-from nambu_dyn.dynamics import (
-    compile_classical_field,
-    compile_nambu_field,
-    conserved_drift,
-    rk4_integrate,
-)
+from nambu_dyn.dynamics import compile_nambu_field, conserved_drift, rk4_integrate
 from nambu_dyn.multiplets import (
     MultipletDef,
     QUARTET_QP_Q2P2,
@@ -50,7 +45,6 @@ from nambu_dyn.quantum import (
 )
 from nambu_dyn.scenarios import (
     PacketSpec,
-    classical_hamiltonian,
     compare,
     cubic_model,
     hamiltonian_set,

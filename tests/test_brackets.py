@@ -16,7 +16,7 @@ from nambu_dyn.brackets import (
     reports_to_csv,
     sample_assignments,
 )
-from nambu_dyn.poly import Poly, p, parse_poly, q, xvar
+from nambu_dyn.poly import Poly, p, q, xvar
 from nambu_dyn.scenarios import hamiltonian_set, henon_heiles_model
 from nambu_dyn.state import Layout, NambuState, x_vars
 
@@ -222,7 +222,7 @@ def test_flow_divergence_builtins():
 
 
 def test_reports_csv_format():
-    reports = [BracketReport.make(0, 1.0, 2.0, {q(): 0.0})]
+    reports = [BracketReport.make(0, 1.0, 2.0)]
     text = reports_to_csv(reports)
     lines = text.strip().split("\n")
     assert lines[0] == "sample_index,lhs,rhs,residual"

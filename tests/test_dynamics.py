@@ -20,7 +20,6 @@ from nambu_dyn.dynamics import (
 )
 from nambu_dyn.poly import (
     Poly,
-    compile_evaluator,
     compile_vector_field,
     parse_poly,
     xvar,
@@ -35,7 +34,7 @@ from nambu_dyn.scenarios import (
     init_nambu_from_packet,
     run_scenario,
 )
-from nambu_dyn.state import Layout, NambuState, x_vars
+from nambu_dyn.state import Layout, NambuState
 
 HARM3 = hamiltonian_set(harmonic_model())
 CUBIC = hamiltonian_set(cubic_model())
@@ -190,15 +189,14 @@ def test_rk4_observer_recording_and_drift():
 
 
 def test_constant_observer_has_zero_drift():
-    field = compile_nambu_field(HARM3)
-    traj = rk4_integrate(
-        field,
-        np.array([1.5, 0.5, 0.0]),
-        1e-2,
-        1.0,
-        observers=[("one", lambda y: 1.0)],
+    t = np.linspace(0.0, 1.0, 11)
+    traj = Trajectory(
+        t, np.column_stack([t, -t]), ["y0", "y1"],
+        np.column_stack([np.ones_like(t), 2.0 + t * t]), ["one", "grows"],
     )
-    assert conserved_drift(traj)["one"] == (0.0, 0.0)
+    drifts = conserved_drift(traj)
+    assert drifts["one"].max_abs == 0.0
+    assert drifts["grows"].max_abs == 1.0
 
 
 def test_escape_truncation_flags_last_row():
@@ -271,6 +269,23 @@ def test_truncated_csv_is_rejected(tmp_path, cut, message):
         Trajectory.from_csv(path)
 
 
+def test_corrupted_csv_cell_is_rejected(tmp_path):
+    traj = run_scenario(
+        harmonic_model(), PacketSpec.make(1.0, 0.0), "nambu", dt=1e-2, t_end=0.2, record_stride=10
+    )
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[6].split(",")
+    cells[2] += "x"
+    lines[6] = ",".join(cells)
+    path.write_text("".join(lines))
+    with pytest.raises(
+        ValueError, match=re.escape(f"{path}: line 7, column 'x2_0': '{cells[2]}' is not a number")
+    ):
+        Trajectory.from_csv(path)
+
+
 def test_rk4_rejects_bad_steps():
     field = compile_nambu_field(HARM3)
     with pytest.raises(ValueError):
@@ -311,11 +326,6 @@ def _compile_field(hset, kernel):
     return field
 
 
-def _compiled_observers(hset):
-    order = x_vars(hset.layout)
-    return [(name, compile_evaluator(poly, order)) for name, poly in hset.observable_polys()]
-
-
 HH_Y0 = init_nambu_from_packet(
     henon_heiles_model(), PacketSpec.make([0.3, -0.2], [0.1, 0.4])
 ).values
@@ -338,9 +348,8 @@ def test_rk4_kernel_bit_identical_to_numpy_loop(case, kernel):
     case = dict(case)
     hset = case.pop("hset")
     field = _compile_field(hset, kernel)
-    observers = _compiled_observers(hset)
-    got = rk4_integrate(field, observers=observers, **case)
-    want = rk4_reference(field, observers=observers, **case)
+    got = rk4_integrate(field, **case)
+    want = rk4_reference(field, **case)
     _assert_same_trajectory(got, want)
     if "stop" in case:
         assert got.flags[-1] == "escaped"
@@ -349,12 +358,11 @@ def test_rk4_kernel_bit_identical_to_numpy_loop(case, kernel):
 def test_rk4_kernel_non_finite_matches_numpy_loop(kernel):
     field = _compile_field(CUBIC, kernel)
     y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8)).values
-    observers = _compiled_observers(CUBIC)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteStateError) as got:
-            rk4_integrate(field, y0, 1e-3, 40.0, observers=observers, record_stride=100)
+            rk4_integrate(field, y0, 1e-3, 40.0, record_stride=100)
         with pytest.raises(NonFiniteStateError) as want:
-            rk4_reference(field, y0, 1e-3, 40.0, observers=observers, record_stride=100)
+            rk4_reference(field, y0, 1e-3, 40.0, record_stride=100)
     assert str(got.value) == str(want.value)
     _assert_same_trajectory(got.value.trajectory, want.value.trajectory)
 

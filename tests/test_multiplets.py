@@ -16,7 +16,7 @@ from nambu_dyn.multiplets import (
     multiplet_from_strings,
     verify_consistency,
 )
-from nambu_dyn.poly import Poly, format_poly, p, parse_poly, q, xvar
+from nambu_dyn.poly import Poly, p, parse_poly, q, xvar
 
 
 def test_catalog_has_two_entries():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from nambu_dyn.cli import main
-from nambu_dyn.dynamics import Trajectory, conserved_drift
-from nambu_dyn.poly import parse_poly, xvar
+from nambu_dyn.dynamics import NonFiniteStateError, Trajectory, conserved_drift
+from nambu_dyn.poly import compile_evaluator
 from nambu_dyn.quantum import Grid
 from nambu_dyn.scenarios import (
     PacketSpec,
     compare,
     cubic_model,
-    default_t_end,
     harmonic_model,
     hamiltonian_set,
     henon_heiles_model,
@@ -21,6 +20,7 @@ from nambu_dyn.scenarios import (
     potential_poly,
     run_scenario,
 )
+from nambu_dyn.state import x_vars
 
 
 def test_model_factories_and_names():
@@ -266,6 +266,37 @@ def test_quantum_default_stride_and_columns():
     assert traj.columns == ["x1_0", "x2_0", "x3_0"]
     assert traj.observable_names == ["F", "G1"]
     assert len(traj) == 11
+
+
+SMALL_GRIDS = {"henon_heiles": Grid.make_2d((-8.0, 8.0, 64), (-8.0, 8.0, 64))}
+
+
+@pytest.mark.parametrize("method", ["nambu", "classical", "quantum"])
+@pytest.mark.parametrize("name", ["harmonic", "cubic", "henon_heiles"])
+def test_observables_equal_row_by_row_evaluation(name, method):
+    # F and G_c are evaluated once on all rows; each value must be the one
+    # the compiled evaluator gives for that row alone.
+    spec = model_by_name(name)
+    packet = PacketSpec.make([0.5] * spec.n_dof, [0.3] * spec.n_dof)
+    traj = run_scenario(spec, packet, method, dt=1e-2, t_end=1.0, record_stride=5,
+                        grid=SMALL_GRIDS.get(name))
+    hset = hamiltonian_set(spec)
+    assert traj.observable_names == ["F"] + [f"G{c + 1}" for c in range(len(hset.gs))]
+    for k, f in enumerate(hset.hamiltonians):
+        fn = compile_evaluator(f, x_vars(hset.layout))
+        want = np.array([fn(row) for row in traj.states])
+        assert np.array_equal(traj.observables[:, k], want)
+
+
+def test_nambu_abort_keeps_observables_of_the_rows_so_far():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError, match=r"t = 9\.363 ") as err:
+            run_scenario(cubic_model(), PacketSpec.make(0.0, 1.8), "nambu", q_stop=-1e300)
+    partial = err.value.trajectory
+    assert len(partial) == 937
+    assert partial.observable_names == ["F", "G1", "G2"]
+    assert np.array_equal(partial.observables, hamiltonian_set(cubic_model()).observables(partial.states))
+    assert np.all(np.isfinite(partial.observables))
 
 
 # ----------------------------------------------------------------------
