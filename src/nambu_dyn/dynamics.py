@@ -119,7 +119,7 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=np.float64)
         self.observables = np.asarray(self.observables, dtype=np.float64)
         if self.observables.size == 0:
-            self.observables = self.observables.reshape(len(self.t), 0)
+            self.observables = self.observables.reshape(len(self.t), len(self.observable_names))
         if not self.flags:
             self.flags = [""] * len(self.t)
 
@@ -308,7 +308,7 @@ def rk4_integrate(
     columns: Sequence[str] | None = None,
     t0: float = 0.0,
     record_stride: int = 1,
-    stop: Callable[[np.ndarray], bool] | None = None,
+    stop_below: float | None = None,
     meta: Mapping | None = None,
 ) -> Trajectory:
     """Classical fixed-step RK4, run by ``integrate``.
@@ -316,9 +316,9 @@ def rk4_integrate(
     ``field`` comes from ``compile_vector_field`` (or ``compile_nambu_field``,
     ``compile_classical_field``); it is called once at ``y0`` to check its
     output shape, and its generated ``rk4`` kernel then advances one
-    recording stride per call, or one step per call when ``stop`` is set.
-    ``integrate`` owns the argument checks, the rows and the ``stop`` rule;
-    a non-finite state raises NonFiniteStateError naming the first bad step.
+    recording stride per call.  A step that leaves ``y[0] < stop_below`` ends
+    the run on a row flagged ``escaped``; one that leaves the state
+    non-finite raises NonFiniteStateError naming it (see ``poly._rk4_c``).
     """
     y = np.array(y0, dtype=np.float64)
     out_shape = np.shape(field(y))
@@ -333,33 +333,22 @@ def rk4_integrate(
     if columns is None:
         columns = [f"y{i}" for i in range(y.size)]
     h = float(dt)
+    below = -math.inf if stop_below is None else float(stop_below)
     state = tuple(y.tolist())
     done = 0
 
     def advance(n: int) -> int:
         nonlocal state, done
-        if stop is not None:
-            n = 1
-        after = kernel(state, h, n)
-        # A sum with a non-finite term is non-finite, and this costs far less
-        # per call than np.isfinite, which counts when ``stop`` makes every
-        # call one step; a finite state whose sum overflows only costs the
-        # exact replay below.
-        if not math.isfinite(sum(after)):
-            # Polynomial arithmetic never turns inf or NaN finite again, so
-            # replaying the stride one step at a time finds the first bad step.
-            for k in range(done + 1, done + n + 1):
-                state = kernel(state, h, 1)
-                if not np.all(np.isfinite(state)):
-                    raise NonFiniteStateError(
-                        f"state became non-finite at t = {t0 + k * dt:.6g} "
-                        f"(step {k} of {_step_count(dt, t0, t_end)})"
-                    )
-        state = after
-        done += n
-        return n
+        state, taken = kernel(state, h, n, below)
+        done += abs(taken)
+        if taken < 0:
+            raise NonFiniteStateError(
+                f"state became non-finite at t = {t0 + done * dt:.6g} "
+                f"(step {done} of {_step_count(dt, t0, t_end)})"
+            )
+        return taken
 
     return integrate(
         advance, lambda: np.array(state), dt, t_end, columns,
-        t0, record_stride, stop, meta=meta,
+        t0, record_stride, lambda y: y[0] < below, meta=meta,
     )

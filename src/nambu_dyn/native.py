@@ -140,11 +140,10 @@ def check_step_count(n) -> None:
 
 
 def load_rk4(source: str, dim: int) -> Callable | None:
-    """Native ``rk4(y, dt, n) -> tuple`` for the C kernel ``source``.
-
-    ``source`` defines ``void rk4(double *y, double dt, long n)``, advancing
-    the ``dim`` doubles at ``y`` in place.  Returns None when no trusted
-    cache, compiler or loadable library is available.
+    """Native ``rk4(y, dt, n, below) -> (tuple, taken)`` for the C kernel
+    ``source``, which defines ``long rk4(double *y, double dt, long n, double
+    below)`` over ``dim`` doubles (``poly._rk4_c``).  Returns None when no
+    trusted cache, compiler or loadable library is available.
     """
     source = f"/* cc {' '.join(CFLAGS)} */\n{source}"
     lib = _loaded.get(source) or _load(source)
@@ -152,17 +151,18 @@ def load_rk4(source: str, dim: int) -> Callable | None:
         return None
     _loaded[source] = lib
     kernel = lib.rk4
-    kernel.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_double, ctypes.c_long)
-    kernel.restype = None
-    State = ctypes.c_double * dim
+    double = ctypes.c_double
+    kernel.argtypes = (ctypes.POINTER(double), double, ctypes.c_long, double)
+    kernel.restype = ctypes.c_long
+    State = double * dim
 
-    def rk4(y, dt, n):
+    def rk4(y, dt, n, below):
         if len(y) != dim:
             raise ValueError(f"rk4 kernel needs a state of length {dim}, got {len(y)}")
         check_step_count(n)
         buf = State(*y)
-        kernel(buf, dt, n)
-        return tuple(buf[:])
+        taken = kernel(buf, dt, n, below)
+        return tuple(buf[:]), taken
 
     rk4.native = True
     return rk4

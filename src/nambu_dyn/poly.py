@@ -495,8 +495,9 @@ def _rk4_steps(polys: Sequence[Poly], var_order: Sequence[VarId]) -> list[str]:
     the numpy expression ``y + half * k1`` ... ``y + sixth * (k1 + 2.0 * k2
     + 2.0 * k3 + k4)`` written out per component, so the operations and
     their order, hence the rounded results, match four field calls.  Stage
-    inputs that no component of the field reads are left out.  Each line is
-    a Python statement and, with a trailing ``;``, a C statement.
+    inputs that no component of the field reads are left out.  The last line
+    sets ``bad``, a sum of y - y: 0.0 exactly when the new state is finite.
+    Each line is a Python statement and, with a trailing ``;``, a C statement.
     """
     read = set().union(*(poly.variables() for poly in polys))
     used = [i for i, v in enumerate(var_order) if v in read]
@@ -514,44 +515,54 @@ def _rk4_steps(polys: Sequence[Poly], var_order: Sequence[VarId]) -> list[str]:
         f"y{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
         for i in range(len(polys))
     )
+    lines.append("bad = " + " + ".join(f"(y{i} - y{i})" for i in range(len(polys))))
     return lines
 
 
 def _rk4_python(steps: Sequence[str], dim: int) -> str:
-    """Source of ``_rk4_fn(y, dt, n)``: ``n`` steps from the sequence ``y``,
-    returning the new state as a tuple.  ``n`` is checked by
-    ``_check_step_count`` (``native.check_step_count``)."""
+    """Source of ``_rk4_fn(y, dt, n, below)``: the exit rule of ``_rk4_c`` on
+    the sequence ``y``, returning ``(state tuple, steps taken)``.  ``n`` is
+    checked by ``_check_step_count`` (``native.check_step_count``)."""
     ys = ", ".join(f"y{i}" for i in range(dim))
     return "\n".join([
-        "def _rk4_fn(y, dt, n):",
+        "def _rk4_fn(y, dt, n, below):",
         "    _check_step_count(n)",
         f"    {ys}, = y",
         "    half = 0.5 * dt",
         "    sixth = dt / 6.0",
-        "    for _ in range(n):",
+        "    for step in range(1, n + 1):",
         *(f"        {line}" for line in steps),
-        f"    return ({ys},)",
+        "        if bad != 0.0 or y0 < below:",
+        f"            return ({ys},), step if bad == 0.0 else -step",
+        f"    return ({ys},), n",
     ]) + "\n"
 
 
 def _rk4_c(steps: Sequence[str], dim: int) -> str:
-    """Source of ``void rk4(double *y, double dt, long n)``: ``n`` steps
-    from the ``dim`` doubles at ``y``, written back in place."""
+    """Source of ``long rk4(double *y, double dt, long n, double below)``: up
+    to ``n`` steps on the ``dim`` doubles at ``y``, in place, ending after the
+    first step that leaves the state non-finite (``bad != 0.0``) or ``y0 <
+    below``; returns the steps taken, negated on a non-finite exit."""
     ys = ", ".join(f"y{i} = y[{i}]" for i in range(dim))
     temps = ", ".join(dict.fromkeys(
         line.split(" = ", 1)[0] for line in steps if not line.startswith("y")
     ))
     return "\n".join([
-        "void rk4(double *y, double dt, long n)",
+        "long rk4(double *y, double dt, long n, double below)",
         "{",
         f"    double {ys};",
         f"    double {temps};",
         "    const double half = 0.5 * dt;",
         "    const double sixth = dt / 6.0;",
-        "    for (long step = 0; step < n; step++) {",
+        "    long step = 0;",
+        "    while (step < n) {",
+        "        step++;",
         *(f"        {line};" for line in steps),
+        "        if (bad != 0.0) { step = -step; break; }",
+        "        if (y0 < below) break;",
         "    }",
         *(f"    y[{i}] = y{i};" for i in range(dim)),
+        "    return step;",
         "}",
     ]) + "\n"
 
@@ -559,10 +570,10 @@ def _rk4_c(steps: Sequence[str], dim: int) -> str:
 def compile_vector_field(polys: Iterable[Poly], var_order: Sequence[VarId]) -> Callable:
     """Compile a list of Polys into ``f(y) -> ndarray`` evaluated jointly.
 
-    With one Poly per variable, ``f.rk4(y, dt, n)`` advances ``n`` RK4 steps
-    (``0 <= n <= native.LONG_MAX``, else ValueError) and returns the state
-    as a tuple, bit-identical to the numpy loop over four calls of ``f`` per
-    step; otherwise ``f.rk4`` is None.  The kernel is
+    With one Poly per variable, ``f.rk4(y, dt, n, below)`` runs ``_rk4_c``'s
+    exit rule (``0 <= n <= native.LONG_MAX``, else ValueError) and returns
+    ``(state tuple, steps taken)``, each step bit-identical to the numpy
+    loop over four calls of ``f``; otherwise ``f.rk4`` is None.  The kernel is
     native code from ``native.load_rk4`` when a C compiler and a trusted
     cache are available, and generated Python otherwise; both run the same
     statements with the same rounding.

@@ -275,18 +275,19 @@ def run_scenario(
     Each method is set up here and stepped by ``dynamics.integrate``, which
     checks dt, t_end and the stride.  The cubic potential is unbounded
     below, so nambu/classical runs stop once the position variable falls
-    below ``q_stop``, flagging the last row 'escaped'; the quantum run stops
-    once the absorber has drained more than 1% of the norm ('absorbed').
-    Classical images x_i(q, p) are evaluated by generated code on the (q, p)
-    rows.  F and G_c are evaluated once, after stepping, on all x rows, also
-    on the rows so far of a Nambu or quantum NonFiniteStateError (a
-    classical one carries its (q, p) rows).  A quantum run records in its
-    meta the largest boundary amplitude |psi| over the rows
-    (``boundary_amp_max``) and the largest change of the norm from the first
-    row (``norm_loss``).
+    below ``q_stop`` (-inf: never; NaN raises ValueError), flagging the last
+    row 'escaped'; the quantum run stops once the absorber has drained more
+    than 1% of the norm ('absorbed').  Classical images x_i(q, p) are
+    evaluated by generated code on the (q, p) rows.  F and G_c are evaluated
+    once, after stepping, on all x rows, also on the rows so far of a
+    NonFiniteStateError.  A quantum run records in its meta the largest
+    boundary amplitude |psi| over the rows (``boundary_amp_max``) and the
+    largest change of the norm from the first row (``norm_loss``).
     """
     if method not in ("nambu", "classical", "quantum"):
         raise ValueError(f"unknown method {method!r}")
+    if math.isnan(q_stop):
+        raise ValueError(f"q_stop = {q_stop!r} is not a number; -inf means no escape stop")
     if len(packet.qc) != spec.n_dof:
         raise ValueError(f"packet has {len(packet.qc)} dofs, model needs {spec.n_dof}")
     if t_end is None:
@@ -302,35 +303,36 @@ def run_scenario(
         "dt": repr(dt),
         "multiplet": spec.multiplet_name,
     }
-    stop = (lambda y: y[0] < q_stop) if spec.model_id == "cubic" else None
-    run = dict(record_stride=record_stride, stop=stop, meta=meta)
+    run = dict(record_stride=record_stride, meta=meta)
+    rk4_run = dict(run, stop_below=q_stop if spec.model_id == "cubic" else None)
 
-    def observe(traj: Trajectory) -> None:
+    def finish(traj: Trajectory) -> Trajectory:
+        """x rows with F and G_c; classical (q, p) columns map to their images."""
+        if method == "classical":
+            images = np.column_stack([
+                compile_evaluator(d, qp_vars)(traj.states.T)
+                for dof in range(spec.n_dof) for d in multiplet.defs[dof]
+            ])
+            traj = Trajectory(traj.t, images, x_names, [], [], traj.meta, traj.flags)
         traj.observables = hset.observables(traj.states)
         traj.observable_names = hset.observable_names
+        return traj
 
     try:
         if method == "nambu":
             state0 = init_nambu_from_packet(spec, packet)
             traj = rk4_integrate(
-                compile_nambu_field(hset), state0.values, dt, t_end, columns=x_names, **run
+                compile_nambu_field(hset), state0.values, dt, t_end, columns=x_names, **rk4_run
             )
         elif method == "classical":
             y0 = np.empty(2 * spec.n_dof)
             y0[0::2] = packet.qc
             y0[1::2] = packet.pc
             qp_vars = classical_vars(spec.n_dof)
-            qp_traj = rk4_integrate(
+            traj = rk4_integrate(
                 compile_classical_field(classical_hamiltonian(spec), spec.n_dof), y0, dt,
-                t_end, columns=[v.name for v in qp_vars], **run,
+                t_end, columns=[v.name for v in qp_vars], **rk4_run,
             )
-            # Generated code on column views evaluates a Poly on every row at once.
-            qp_columns = qp_traj.states.T
-            images = np.column_stack([
-                compile_evaluator(d, qp_vars)(qp_columns)
-                for dof in range(spec.n_dof) for d in multiplet.defs[dof]
-            ])
-            traj = Trajectory(qp_traj.t, images, x_names, [], [], meta, qp_traj.flags)
         else:
             grid = grid if grid is not None else default_grid(spec)
             sigmas = packet.resolved_sigmas(spec)
@@ -358,10 +360,9 @@ def run_scenario(
             traj.meta["boundary_amp_max"] = repr(float(edges.max()))
             traj.meta["norm_loss"] = repr(float(np.abs(norms - norms[0]).max()))
     except NonFiniteStateError as exc:
-        if method != "classical":
-            observe(exc.trajectory)
+        exc.trajectory = finish(exc.trajectory)
         raise
-    observe(traj)
+    traj = finish(traj)
 
     if out_path is not None:
         traj.to_csv(out_path)

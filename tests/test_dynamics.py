@@ -1,5 +1,5 @@
+import math
 import re
-import shutil
 
 import numpy as np
 import pytest
@@ -269,6 +269,15 @@ def test_truncated_csv_is_rejected(tmp_path, cut, message):
         Trajectory.from_csv(path)
 
 
+def test_header_only_csv_keeps_its_observable_columns(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# model = cubic\nt,x1_0,F,G1\n")
+    loaded = Trajectory.from_csv(path)
+    assert loaded.observable_names == ["F", "G1"]
+    assert loaded.observables.shape == (0, 2)
+    assert loaded.states.shape == (0, 1) and len(loaded) == 0
+
+
 def test_corrupted_csv_cell_is_rejected(tmp_path):
     traj = run_scenario(
         harmonic_model(), PacketSpec.make(1.0, 0.0), "nambu", dt=1e-2, t_end=0.2, record_stride=10
@@ -301,23 +310,18 @@ def _assert_same_trajectory(a, b):
     assert a.flags == b.flags
 
 
-@pytest.fixture(params=["native", "python"])
-def kernel(request, monkeypatch):
-    """Which RK4 kernel ``compile_vector_field`` installs: the native build
-    or, with the loader patched out, the generated Python."""
-    if request.param == "python":
-        monkeypatch.setattr(native, "load_rk4", lambda source, dim: None)
-    elif shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH")
-    return request.param
-
-
 def test_rk4_kernel_rejects_step_count_outside_c_long(kernel):
     rk4 = _compile_field(HARM3, kernel).rk4
     for n in (-1, native.LONG_MAX + 1, 10**19):
         with pytest.raises(ValueError, match=rf"rk4 step count {n} is outside 0\.\.{native.LONG_MAX}"):
-            rk4((1.5, 0.5, 0.0), 0.1, n)
-    assert rk4((1.5, 0.5, 0.0), 0.1, 0) == (1.5, 0.5, 0.0)
+            rk4((1.5, 0.5, 0.0), 0.1, n, -math.inf)
+    assert rk4((1.5, 0.5, 0.0), 0.1, 0, -math.inf) == ((1.5, 0.5, 0.0), 0)
+
+
+def _reference(field, stop_below=None, **case):
+    """``rk4_reference`` with the escape stop ``y[0] < stop_below``."""
+    stop = None if stop_below is None else (lambda y: y[0] < stop_below)
+    return rk4_reference(field, stop=stop, **case)
 
 
 def _compile_field(hset, kernel):
@@ -336,9 +340,9 @@ HH_Y0 = init_nambu_from_packet(
     [
         # harmonic triplet, recording every 10th step
         dict(hset=HARM3, y0=[1.5, 0.5, 0.0], dt=1e-3, t_end=3.0, record_stride=10),
-        # cubic escape: the stop predicate forces one kernel call per step
+        # cubic escape: the kernel ends its call at the escape step
         dict(hset=CUBIC, y0=[0.0, 1.8, 0.5, 3.74], dt=1e-3, t_end=40.0,
-             record_stride=100, stop=lambda y: y[0] < -15.0),
+             record_stride=100, stop_below=-15.0),
         # Henon-Heiles from t0 != 0 with a stride that does not divide n_steps
         dict(hset=HH, y0=HH_Y0, dt=1e-3, t0=0.5, t_end=3.0, record_stride=7),
     ],
@@ -349,9 +353,9 @@ def test_rk4_kernel_bit_identical_to_numpy_loop(case, kernel):
     hset = case.pop("hset")
     field = _compile_field(hset, kernel)
     got = rk4_integrate(field, **case)
-    want = rk4_reference(field, **case)
+    want = _reference(field, **case)
     _assert_same_trajectory(got, want)
-    if "stop" in case:
+    if "stop_below" in case:
         assert got.flags[-1] == "escaped"
 
 
@@ -367,16 +371,46 @@ def test_rk4_kernel_non_finite_matches_numpy_loop(kernel):
     _assert_same_trajectory(got.value.trajectory, want.value.trajectory)
 
 
-@pytest.mark.parametrize("stop", [None, lambda y: False], ids=["strided", "stop"])
-def test_rk4_finite_state_with_overflowing_sum_is_not_an_error(kernel, stop):
-    # The driver screens each call by the sum of the state, which overflows
-    # here although every component stays finite.
+def test_rk4_non_finite_last_step_of_a_stride_matches_numpy_loop(kernel):
+    # The state first turns non-finite at step 9363 = 3 * 3121, the last step
+    # of the third kernel call.
+    field = _compile_field(CUBIC, kernel)
+    y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8)).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError, match=r"step 9363 of 40000") as got:
+            rk4_integrate(field, y0, 1e-3, 40.0, record_stride=3121)
+        with pytest.raises(NonFiniteStateError) as want:
+            rk4_reference(field, y0, 1e-3, 40.0, record_stride=3121)
+    assert str(got.value) == str(want.value)
+    _assert_same_trajectory(got.value.trajectory, want.value.trajectory)
+    assert len(got.value.trajectory) == 3
+
+
+def test_rk4_escape_takes_one_kernel_call_per_stride(kernel):
+    field = _compile_field(CUBIC, kernel)
+    calls, rk4 = [], field.rk4
+
+    def counting(y, dt, n, below):
+        calls.append(n)
+        return rk4(y, dt, n, below)
+
+    field.rk4 = counting
+    y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8)).values
+    traj = rk4_integrate(field, y0, 1e-3, 40.0, record_stride=10, stop_below=-15.0)
+    assert traj.flags[-1] == "escaped" and len(traj) == 814 and traj.t[-1] == 8.13
+    assert len(calls) == 813 and set(calls) == {10}
+
+
+@pytest.mark.parametrize("stop_below", [None, -math.inf], ids=["strided", "stop"])
+def test_rk4_finite_state_with_overflowing_sum_is_not_an_error(kernel, stop_below):
+    # The sum of this state overflows although every component stays finite,
+    # so a kernel that tested the sum would take a false non-finite exit.
     x1, x2 = xvar(1), xvar(2)
     field = compile_vector_field([1e-300 * Poly.var(x2), -1e-300 * Poly.var(x1)], [x1, x2])
     assert getattr(field.rk4, "native", False) is (kernel == "native")
-    case = dict(y0=[1e308, 1e308], dt=1e-3, t_end=0.05, record_stride=10, stop=stop)
+    case = dict(y0=[1e308, 1e308], dt=1e-3, t_end=0.05, record_stride=10, stop_below=stop_below)
     got = rk4_integrate(field, **case)
-    _assert_same_trajectory(got, rk4_reference(field, **case))
+    _assert_same_trajectory(got, _reference(field, **case))
     assert len(got) == 6 and np.all(np.isfinite(got.states))
 
 

@@ -1,5 +1,6 @@
 """The native RK4 kernel's per-user cache and its fallbacks to Python."""
 
+import math
 import os
 import shutil
 
@@ -21,6 +22,9 @@ HH_Y0 = tuple(
     init_nambu_from_packet(henon_heiles_model(), PacketSpec.make([0.3, -0.2], [0.1, 0.4]))
     .values.tolist()
 )
+
+# 1000 steps from HH_Y0 with no escape stop: rk4(y, dt, n, below).
+HH_RUN = (HH_Y0, 1e-3, 1000, -math.inf)
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
@@ -64,9 +68,9 @@ def test_second_build_loads_from_cache_without_compiler(cache):
 
     second = compile_nambu_field(HH)
     assert _is_native(second) and len(builds) == 1
-    assert second.rk4(HH_Y0, 1e-3, 1000) == first.rk4(HH_Y0, 1e-3, 1000)
+    assert second.rk4(*HH_RUN) == first.rk4(*HH_RUN)
     with pytest.raises(ValueError, match="length 8"):
-        second.rk4(HH_Y0[:7], 1e-3, 1)
+        second.rk4(HH_Y0[:7], 1e-3, 1, -math.inf)
 
 
 @needs_cc
@@ -85,13 +89,13 @@ def test_cached_library_with_other_source_is_rebuilt(cache, monkeypatch):
 
     field = compile_nambu_field(HH)
     assert _is_native(field) and len(builds) == 3
-    want = _python_field(HH, monkeypatch).rk4(HH_Y0, 1e-3, 1000)
-    assert field.rk4(HH_Y0, 1e-3, 1000) == want
+    want = _python_field(HH, monkeypatch).rk4(*HH_RUN)
+    assert field.rk4(*HH_RUN) == want
     # The stale library stays mapped under the published name, so opening
     # that name again would return it; the rebuild is reused instead.
     again = compile_nambu_field(HH)
     assert _is_native(again) and len(builds) == 3
-    assert again.rk4(HH_Y0, 1e-3, 1000) == want
+    assert again.rk4(*HH_RUN) == want
 
 
 @pytest.mark.parametrize("layout", ["group_writable", "symlink"])
@@ -119,4 +123,4 @@ def test_missing_compiler_gives_python_kernel_with_identical_results(
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     field = compile_nambu_field(HH)
     assert not _is_native(field)
-    assert field.rk4(HH_Y0, 1e-3, 1000) == native_field.rk4(HH_Y0, 1e-3, 1000)
+    assert field.rk4(*HH_RUN) == native_field.rk4(*HH_RUN)

@@ -299,9 +299,48 @@ def test_nambu_abort_keeps_observables_of_the_rows_so_far():
     assert np.all(np.isfinite(partial.observables))
 
 
+def test_classical_abort_gives_images_with_observables():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError, match=r"t = 6\.862 ") as err:
+            run_scenario(cubic_model(), PacketSpec.make(0.0, 3.0), "classical", q_stop=-1e300)
+        partial = err.value.trajectory
+        assert len(partial) == 687
+        assert partial.columns == ["x1_0", "x2_0", "x3_0", "x4_0"]
+        assert partial.observable_names == ["F", "G1", "G2"]
+        q, p = partial.states[:, 0], partial.states[:, 1]
+        assert np.array_equal(partial.states[:, 2:], np.column_stack([q * q, p * p]))
+        want = hamiltonian_set(cubic_model()).observables(partial.states)
+    assert np.array_equal(partial.observables, want)
+
+
+@pytest.mark.parametrize("method", ["nambu", "classical", "quantum"])
+def test_nan_q_stop_is_rejected_before_stepping(method):
+    with pytest.raises(ValueError, match="q_stop = nan is not a number"):
+        run_scenario(cubic_model(), PacketSpec.make(0.0, 1.8), method, q_stop=math.nan)
+
+
+def test_minus_inf_q_stop_never_stops():
+    # The packet passes any finite q_stop (see the -1e300 abort above) and
+    # runs on until its state overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError, match=r"t = 9\.363 "):
+            run_scenario(cubic_model(), PacketSpec.make(0.0, 1.8), "nambu", q_stop=-math.inf)
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+
+
+def test_cli_nan_q_stop_exits_2_without_csv(tmp_path, capsys):
+    out_csv = tmp_path / "never.csv"
+    code = main([
+        "run", "--model", "cubic", "--method", "nambu", "--pc", "1.8",
+        "--q-stop", "nan", "--out", str(out_csv),
+    ])
+    assert code == 2
+    assert not out_csv.exists()
+    assert "q_stop = nan is not a number" in capsys.readouterr().err
 
 
 def test_cli_reduce_prints_closure(capsys):
