@@ -65,9 +65,6 @@ from .quantum import (
     absorbing_mask,
     expect,
     init_gaussian,
-    mode_energies,
-    position_moment,
-    propagate_split_operator,
     SplitOperatorPropagator,
 )
 from .scenarios import (

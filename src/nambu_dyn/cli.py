@@ -13,6 +13,7 @@ Every flag can also be given in a config file of ``key = value`` lines
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .brackets import check_fundamental_identity, reports_to_csv, sample_assignments
@@ -21,7 +22,6 @@ from .dynamics import NonFiniteStateError, conserved_drift
 from .multiplets import builtin_multiplets, consistency_to_csv, verify_consistency
 from .poly import Poly, format_poly, xvar
 from .scenarios import (
-    DEFAULT_Q_STOP,
     PacketSpec,
     default_t_end,
     hamiltonian_set,
@@ -97,10 +97,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--qc", help="comma-separated packet centers")
     run.add_argument("--pc", help="comma-separated packet momenta")
     run.add_argument("--sigma", help="comma-separated packet widths (default sqrt(hbar/2mw))")
-    run.add_argument("--dt", type=float)
+    run.add_argument(
+        "--dt", type=float,
+        help="time step (default 1e-3); a quantum run without an absorber takes the "
+        "largest fourth-order step that is as accurate as Strang steps of dt",
+    )
     run.add_argument("--t-end", dest="t_end", type=float)
     run.add_argument("--stride", type=int, help="record every N-th step")
-    run.add_argument("--q-stop", dest="q_stop", type=float)
+    run.add_argument(
+        "--q-stop", dest="q_stop", type=float,
+        help="cubic nambu/classical runs stop below this position (default -15)",
+    )
     run.add_argument("--out")
 
     verify = sub.add_parser("verify", help="verification reports")
@@ -140,7 +147,7 @@ def cmd_run(args) -> int:
     dt = _merged(args, "dt", default=1e-3, cast=float)
     t_end = _merged(args, "t_end", default=default_t_end(spec), cast=float)
     stride = _merged(args, "stride", cast=int)
-    q_stop = _merged(args, "q_stop", default=DEFAULT_Q_STOP, cast=float)
+    q_stop = _merged(args, "q_stop", cast=float)
     out = _merged(args, "out", default="traj.csv")
     traj = run_scenario(
         spec,
@@ -157,8 +164,18 @@ def cmd_run(args) -> int:
     for name, stat in drifts.items():
         print(f"  max |{name}(t) - {name}(0)| = {stat.max_abs:.3e}")
     if "norm_loss" in traj.meta:
-        print(f"  norm loss = {float(traj.meta['norm_loss']):.3e}")
-        print(f"  max boundary |psi| = {float(traj.meta['boundary_amp_max']):.3e}")
+        meta = traj.meta
+        print(f"  norm loss = {float(meta['norm_loss']):.3e}")
+        print(f"  max boundary |psi| = {float(meta['boundary_amp_max']):.3e}")
+        print(f"  split order = {meta['split_order']}, quantum dt = {meta['quantum_dt']}")
+        split_err, strang_err = float(meta["split_err_est"]), float(meta["strang_err_est"])
+        if math.isnan(strang_err):
+            print(
+                "  split error estimate: none made "
+                "(absorber, or it would cost more than the run)"
+            )
+        else:
+            print(f"  split error estimate = {split_err:.3e} (Strang at dt: {strang_err:.3e})")
     if traj.flags[-1]:
         print(f"  run truncated: {traj.flags[-1]} at t = {traj.t[-1]:g}")
     return EXIT_OK

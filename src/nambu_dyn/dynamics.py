@@ -27,6 +27,7 @@ __all__ = [
     "symbolic_flow",
     "compile_nambu_field",
     "compile_classical_field",
+    "check_run",
     "integrate",
     "rk4_integrate",
     "conserved_drift",
@@ -231,6 +232,19 @@ def _step_count(dt: float, t0: float, t_end: float) -> int:
     return int(steps)
 
 
+def check_run(dt: float, t_end: float, t0: float = 0.0, record_stride: int = 1) -> int:
+    """The number of steps of dt from t0 to t_end, after the checks that
+    ``integrate`` makes before any step; ValueError rejects a bad dt, t0,
+    t_end or stride and more than ``native.LONG_MAX`` steps."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt = {dt!r} is not a positive finite step")
+    if not -math.inf < t0 < t_end < math.inf:
+        raise ValueError(f"need finite t0 < t_end, got t0 = {t0!r}, t_end = {t_end!r}")
+    if not isinstance(record_stride, (int, np.integer)) or record_stride < 1:
+        raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
+    return _step_count(dt, t0, t_end)
+
+
 def integrate(
     advance: Callable[[int], int],
     row: Callable[[], Sequence[float]],
@@ -252,17 +266,11 @@ def integrate(
     about the new ``row()``; when it holds, that row is recorded with
     ``stop_flag`` and the run ends, so row 0 is never flagged.  A
     NonFiniteStateError from ``advance`` leaves with the rows so far as its
-    ``trajectory``.  Before any step, ValueError rejects a bad dt, t0, t_end
-    or stride, more than ``native.LONG_MAX`` steps, and more rows than can
-    be allocated.
+    ``trajectory``.  Before any step, ``check_run`` rejects a bad dt, t0,
+    t_end or stride and more than ``native.LONG_MAX`` steps, and ValueError
+    more rows than can be allocated.
     """
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt = {dt!r} is not a positive finite step")
-    if not -math.inf < t0 < t_end < math.inf:
-        raise ValueError(f"need finite t0 < t_end, got t0 = {t0!r}, t_end = {t_end!r}")
-    if not isinstance(record_stride, (int, np.integer)) or record_stride < 1:
-        raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
-    n_steps = _step_count(dt, t0, t_end)
+    n_steps = check_run(dt, t_end, t0, record_stride)
     n_rows = 1 + -(-n_steps // record_stride)
     try:
         ts, states, flags = np.empty(n_rows), np.empty((n_rows, len(columns))), []

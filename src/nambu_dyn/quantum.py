@@ -29,14 +29,13 @@ __all__ = [
     "BoundarySupportWarning",
     "init_gaussian",
     "SplitOperatorPropagator",
-    "propagate_split_operator",
+    "SplitStep",
+    "choose_split_step",
     "absorbing_mask",
     "potential_mesh",
     "ExpectationRow",
     "expectation_row",
     "expect",
-    "position_moment",
-    "mode_energies",
     "save_wavefunction",
     "load_wavefunction",
 ]
@@ -252,8 +251,20 @@ def _grid_fft(shape: tuple[int, ...]) -> tuple[Callable, Callable]:
     return transform(pocketfft.fft, lambda n: 1.0), transform(pocketfft.ifft, lambda n: 1.0 / n)
 
 
+# Yoshida's triple jump (Phys. Lett. A 150, 262, 1990): Strang sub-steps of
+# (W1, W0, W1) times the composed step make a fourth-order step.
+YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+YOSHIDA_W0 = -(2.0 ** (1.0 / 3.0)) / (2.0 - 2.0 ** (1.0 / 3.0))
+
+
 class SplitOperatorPropagator:
-    """Strang split-operator stepper with precomputed phase factors."""
+    """Split-operator stepper with precomputed phase factors.
+
+    ``order=2`` takes Strang steps of ``dt``; ``order=4`` takes composed
+    steps of ``dt``, each three Strang sub-steps of (w1, w0, w1)·dt with
+    w0 < 0, at three FFT pairs per step.  A backward sub-step would undo
+    absorption, so ``order=4`` takes no absorber.
+    """
 
     def __init__(
         self,
@@ -263,31 +274,47 @@ class SplitOperatorPropagator:
         hbar: float = 1.0,
         masses: Sequence[float] | None = None,
         absorber: np.ndarray | None = None,
+        order: int = 2,
     ):
         if not 0 < dt < math.inf:
             raise ValueError(f"dt = {dt!r} is not a positive finite step")
+        if order not in (2, 4):
+            raise ValueError(f"split order must be 2 or 4, got {order!r}")
+        if order == 4 and absorber is not None:
+            raise ValueError("a fourth-order step has a backward sub-step and takes no absorber")
         self.grid = grid
         self.dt = float(dt)
         self.hbar = float(hbar)
         self.masses = _per_axis(masses if masses is not None else 1.0, grid.ndim, "masses")
         vmesh = potential_mesh(grid, V)
-        self.exp_v_half = np.exp(-0.5j * vmesh * dt / hbar)
         kin = np.zeros(grid.shape)
         for axis in range(grid.ndim):
             k = grid.wavenumbers(axis)
             kin = kin + grid.axis_view(k**2, axis) / (2.0 * self.masses[axis])
-        self.exp_t = np.exp(-1j * hbar * kin * dt)
-        self.absorber = absorber
+
+        def phases(tau: float) -> tuple[np.ndarray, np.ndarray]:
+            """V half-phase and kinetic phase of a Strang step of length tau."""
+            return np.exp(-0.5j * vmesh * tau / hbar), np.exp(-1j * hbar * kin * tau)
+
+        # The first sub-step's phases; its V half opens and closes every run.
+        self.exp_v_half, self.exp_t = phases(self.dt if order == 2 else YOSHIDA_W1 * self.dt)
         # One step's closing V half and the next step's opening V half,
         # fused, then the absorber that sits between them.
         self.exp_v_join = self.exp_v_half**2
         if absorber is not None:
             self.exp_v_join *= absorber
+        self.absorber = absorber
+        # The sub-steps after the first: (joining V phase, kinetic phase).
+        self._inner: list[tuple[np.ndarray, np.ndarray]] = []
+        if order == 4:
+            half0, exp_t0 = phases(YOSHIDA_W0 * self.dt)
+            join = self.exp_v_half * half0
+            self._inner = [(join, exp_t0), (join, self.exp_t)]
         self._fft, self._ifft = _grid_fft(grid.shape)
 
     def step(self, wf: WaveFunction, n: int = 1) -> WaveFunction:
-        """Advance ``n`` Strang steps in one work array; ``wf.amps`` is
-        replaced, never written."""
+        """Advance ``n`` steps in one work array; ``wf.amps`` is replaced,
+        never written."""
         amps = wf.amps
         if n > 0:
             fft, ifft = self._fft, self._ifft
@@ -298,6 +325,11 @@ class SplitOperatorPropagator:
                 fft(amps, amps)
                 amps *= self.exp_t
                 ifft(amps, amps)
+                for join, exp_t in self._inner:
+                    amps *= join
+                    fft(amps, amps)
+                    amps *= exp_t
+                    ifft(amps, amps)
             amps *= self.exp_v_half
             if self.absorber is not None:
                 amps *= self.absorber
@@ -307,17 +339,62 @@ class SplitOperatorPropagator:
         return wf
 
 
-def propagate_split_operator(
+class SplitStep(NamedTuple):
+    """A quantum run's step: ``order`` steps of ``multiple``·dt, with the
+    step-halving estimates of its row error and of Strang's at dt."""
+
+    multiple: int
+    order: int
+    err_est: float
+    strang_err_est: float
+
+
+def choose_split_step(
     wf: WaveFunction,
     V,
     dt: float,
-    steps: int,
+    n_steps: int,
+    record_stride: int,
+    kinds: Sequence[str],
     masses: Sequence[float] | None = None,
     absorber: np.ndarray | None = None,
-) -> WaveFunction:
-    """Advance a wavefunction by ``steps`` Strang steps under potential V."""
-    prop = SplitOperatorPropagator(wf.grid, V, dt, wf.hbar, masses, absorber)
-    return prop.step(wf, steps)
+) -> SplitStep:
+    """The largest fourth-order step h = j·dt that step halving finds at
+    least as accurate as Strang at dt, for a run of ``n_steps`` steps of dt
+    recorded every ``record_stride``.
+
+    j divides g = gcd(record_stride, n_steps), so whole steps of h reach
+    every row.  Over the window g·dt from ``wf``, a step of order p has the
+    row error e = max|E(h) - E(h/2)|·2^p/(2^p - 1), E being the expectation
+    row ``kinds``.  Strang at dt sets the target e2; the divisors j > 1 of g
+    are tried largest first, and the first with e4(j) <= e2 is taken.  With
+    none, the run keeps Strang at dt, ``SplitStep(1, 2, e2, e2)``.  It also
+    does so without an estimate (NaN errors) when an absorber is given, and
+    when 3g > n_steps, where the Strang estimate alone would cost more than
+    the whole run.  The estimates start from a copy of ``wf``'s amplitudes,
+    and their propagators are dropped on return.
+    """
+    window = math.gcd(record_stride, n_steps)
+    if absorber is not None or 3 * window > n_steps:
+        return SplitStep(1, 2, math.nan, math.nan)
+
+    def error(order: int, h: float, steps: int) -> float:
+        rows = []
+        for halves in (1, 2):
+            prop = SplitOperatorPropagator(wf.grid, V, h / halves, wf.hbar, masses, order=order)
+            trial = WaveFunction(wf.grid, wf.amps.copy(), wf.hbar)
+            rows.append(expectation_row(prop.step(trial, halves * steps), kinds).values)
+        return float(np.max(np.abs(np.subtract(*rows)))) * 2**order / (2**order - 1)
+
+    target = error(2, dt, window)
+    divisors = {
+        k for d in range(1, math.isqrt(window) + 1) if window % d == 0 for k in (d, window // d)
+    }
+    for j in sorted(divisors - {1}, reverse=True):
+        err = error(4, j * dt, window // j)
+        if err <= target:
+            return SplitStep(j, 4, err, target)
+    return SplitStep(1, 2, target, target)
 
 
 # --------------------------------------------------------------------------
@@ -395,18 +472,6 @@ def expectation_row(wf: WaveFunction, kinds: Sequence[str]) -> ExpectationRow:
     return ExpectationRow(values, norm, _edge_amplitude(density))
 
 
-def position_moment(wf: WaveFunction, exponents: Sequence[int]) -> float:
-    """<q0^e0 q1^e1 ...> over the position density, normalized so that a
-    partially absorbed state still reports a proper expectation value."""
-    if len(exponents) != wf.grid.ndim:
-        raise ValueError("one exponent per axis required")
-    weight = density = wf.density()
-    for x, e in zip(_grid_weights(wf.grid, wf.hbar)[0], exponents):
-        if e:
-            weight = weight * x**e
-    return float(np.sum(weight) / np.sum(density))
-
-
 def expect(
     wf: WaveFunction,
     kind: str,
@@ -482,17 +547,3 @@ def load_wavefunction(path, hbar: float = 1.0) -> WaveFunction:
     data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
     amps = (data[0::2] + 1j * data[1::2]).reshape(grid.shape)
     return WaveFunction(grid, amps, hbar)
-
-
-def mode_energies(
-    wf: WaveFunction, params: Sequence[float]
-) -> tuple[float, float]:
-    """Marginal harmonic energies <p_a^2>/2m_a + m_a w_a^2 <q_a^2>/2 of a
-    2D wavefunction; params = (m1, w1, m2, w2)."""
-    if wf.grid.ndim != 2:
-        raise ValueError("mode energies are defined for 2D wavefunctions")
-    m1, w1, m2, w2 = (float(v) for v in params)
-    q2_1, p2_1, q2_2, p2_2 = expectation_row(wf, ("q2", "p2")).values
-    e1 = p2_1 / (2 * m1) + 0.5 * m1 * w1**2 * q2_1
-    e2 = p2_2 / (2 * m2) + 0.5 * m2 * w2**2 * q2_2
-    return (e1, e2)

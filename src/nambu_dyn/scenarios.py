@@ -19,6 +19,7 @@ from .dynamics import (
     HamiltonianSet,
     NonFiniteStateError,
     Trajectory,
+    check_run,
     compile_classical_field,
     compile_nambu_field,
     integrate,
@@ -30,6 +31,7 @@ from .quantum import (
     Grid,
     SplitOperatorPropagator,
     absorbing_mask,
+    choose_split_step,
     expect,  # noqa: F401  (bench/hooks.py traces scenarios.expect)
     expectation_row,
     init_gaussian,
@@ -267,7 +269,7 @@ def run_scenario(
     t_end: float | None = None,
     out_path=None,
     record_stride: int | None = None,
-    q_stop: float = DEFAULT_Q_STOP,
+    q_stop: float | None = None,
     grid: Grid | None = None,
 ) -> Trajectory:
     """Produce one trajectory (nambu, classical, or quantum) for a model.
@@ -275,9 +277,14 @@ def run_scenario(
     Each method is set up here and stepped by ``dynamics.integrate``, which
     checks dt, t_end and the stride.  The cubic potential is unbounded
     below, so nambu/classical runs stop once the position variable falls
-    below ``q_stop`` (-inf: never; NaN raises ValueError), flagging the last
-    row 'escaped'; the quantum run stops once the absorber has drained more
-    than 1% of the norm ('absorbed').  Classical images x_i(q, p) are
+    below ``q_stop`` (None: ``DEFAULT_Q_STOP``; -inf: never), flagging the
+    last row 'escaped'; the quantum run stops once the absorber has drained
+    more than 1% of the norm ('absorbed').  A NaN ``q_stop``, and any
+    ``q_stop`` for a run without a position stop (every other model, every
+    quantum run), raise ValueError.  A quantum run takes the steps that
+    ``quantum.choose_split_step`` picks after the driver's checks, and
+    records them in its meta: ``quantum_dt``, ``split_order``,
+    ``split_err_est`` and ``strang_err_est``.  Classical images x_i(q, p) are
     evaluated by generated code on the (q, p) rows.  F and G_c are evaluated
     once, after stepping, on all x rows, also on the rows so far of a
     NonFiniteStateError.  A quantum run records in its meta the largest
@@ -286,8 +293,14 @@ def run_scenario(
     """
     if method not in ("nambu", "classical", "quantum"):
         raise ValueError(f"unknown method {method!r}")
-    if math.isnan(q_stop):
-        raise ValueError(f"q_stop = {q_stop!r} is not a number; -inf means no escape stop")
+    if q_stop is not None:
+        if math.isnan(q_stop):
+            raise ValueError(f"q_stop = {q_stop!r} is not a number; -inf means no escape stop")
+        if spec.model_id != "cubic" or method == "quantum":
+            raise ValueError(
+                f"q_stop = {q_stop!r} does not apply to a {spec.model_id} {method} run: "
+                "only cubic nambu and classical runs have a position stop"
+            )
     if len(packet.qc) != spec.n_dof:
         raise ValueError(f"packet has {len(packet.qc)} dofs, model needs {spec.n_dof}")
     if t_end is None:
@@ -304,7 +317,9 @@ def run_scenario(
         "multiplet": spec.multiplet_name,
     }
     run = dict(record_stride=record_stride, meta=meta)
-    rk4_run = dict(run, stop_below=q_stop if spec.model_id == "cubic" else None)
+    if spec.model_id == "cubic" and q_stop is None:
+        q_stop = DEFAULT_Q_STOP
+    rk4_run = dict(run, stop_below=q_stop)
 
     def finish(traj: Trajectory) -> Trajectory:
         """x rows with F and G_c; classical (q, p) columns map to their images."""
@@ -338,14 +353,26 @@ def run_scenario(
             sigmas = packet.resolved_sigmas(spec)
             wf = init_gaussian(grid, packet.qc, packet.pc, sigmas, spec.hbar)
             absorber = absorbing_mask(grid) if spec.model_id == "cubic" else None
-            prop = SplitOperatorPropagator(
-                grid, potential_poly(spec), dt, spec.hbar, spec.masses, absorber
-            )
+            V = potential_poly(spec)
             kinds = ("q", "p", "q2", "p2") if multiplet.N == 4 else ("q2", "p2", "qp_sym")
+            n_steps = check_run(dt, t_end, record_stride=record_stride)
+            split = choose_split_step(
+                wf, V, dt, n_steps, record_stride, kinds, spec.masses, absorber
+            )
+            h = split.multiple * dt
+            prop = SplitOperatorPropagator(
+                grid, V, h, spec.hbar, spec.masses, absorber, split.order
+            )
+            meta.update(
+                quantum_dt=repr(h),
+                split_order=str(split.order),
+                split_err_est=repr(split.err_est),
+                strang_err_est=repr(split.strang_err_est),
+            )
             checks: list[tuple[float, float]] = []  # (norm, boundary |psi|) per row
 
-            def advance(n: int) -> int:
-                prop.step(wf, n)
+            def advance(n: int) -> int:  # split.multiple divides every n
+                prop.step(wf, n // split.multiple)
                 return n
 
             def row() -> list[float]:

@@ -7,8 +7,12 @@ classical images from ``Poly.eval`` point by point (the Nambu field through
 one LU-determinant bracket per component) instead of generated code, RK4
 trajectories from a numpy loop that calls the field four times per step,
 Strang steps from the split-operator factors applied one at a time or fused
-through the public ``np.fft`` transforms, and the Henon-Heiles mode energies
-from hand-written packet-center equations integrated with scipy's DOP853.
+through the public ``np.fft`` transforms, quantum runs as plain Strang steps
+of the caller's dt, the harmonic packet's moments in closed form, and the
+Henon-Heiles mode energies from hand-written packet-center equations
+integrated with scipy's DOP853.  ``propagate_split_operator``,
+``position_moment`` and ``mode_energies`` are the test-only grid helpers
+that used to live in ``nambu_dyn.quantum``.
 """
 
 from itertools import permutations
@@ -18,6 +22,13 @@ import numpy as np
 from nambu_dyn.brackets import nambu_bracket
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory
 from nambu_dyn.poly import Poly, p, q
+from nambu_dyn.quantum import (
+    SplitOperatorPropagator,
+    absorbing_mask,
+    expectation_row,
+    init_gaussian,
+)
+from nambu_dyn.scenarios import ABSORBED_NORM_FLOOR, model_multiplet, potential_poly
 from nambu_dyn.state import NambuState, classical_vars, x_vars
 
 
@@ -173,6 +184,83 @@ def fused_strang_reference(prop, amps, n):
     if prop.absorber is not None:
         amps *= prop.absorber
     return amps
+
+
+def propagate_split_operator(wf, V, dt, steps, masses=None, absorber=None):
+    """Advance a wavefunction by ``steps`` Strang steps under potential V."""
+    prop = SplitOperatorPropagator(wf.grid, V, dt, wf.hbar, masses, absorber)
+    return prop.step(wf, steps)
+
+
+def position_moment(wf, exponents) -> float:
+    """<q0^e0 q1^e1 ...> over the position density, normalized so that a
+    partially absorbed state still reports a proper expectation value."""
+    if len(exponents) != wf.grid.ndim:
+        raise ValueError("one exponent per axis required")
+    weight = density = wf.density()
+    for axis, e in enumerate(exponents):
+        if e:
+            weight = weight * wf.grid.axis_view(wf.grid.coords(axis), axis) ** e
+    return float(np.sum(weight) / np.sum(density))
+
+
+def mode_energies(wf, params) -> tuple[float, float]:
+    """Marginal harmonic energies <p_a^2>/2m_a + m_a w_a^2 <q_a^2>/2 of a
+    2D wavefunction; params = (m1, w1, m2, w2)."""
+    if wf.grid.ndim != 2:
+        raise ValueError("mode energies are defined for 2D wavefunctions")
+    m1, w1, m2, w2 = (float(v) for v in params)
+    q2_1, p2_1, q2_2, p2_2 = expectation_row(wf, ("q2", "p2")).values
+    e1 = p2_1 / (2 * m1) + 0.5 * m1 * w1**2 * q2_1
+    e2 = p2_2 / (2 * m2) + 0.5 * m2 * w2**2 * q2_2
+    return (e1, e2)
+
+
+def strang_run(spec, packet, dt, t_end, record_stride, grid):
+    """(t, rows, flags) of ``run_scenario``'s quantum run taken as Strang
+    steps of ``dt`` whatever the step rule picks, in a loop of its own: one
+    propagator call per recording stride, the absorber's 1 % norm stop."""
+    wf = init_gaussian(grid, packet.qc, packet.pc, packet.resolved_sigmas(spec), spec.hbar)
+    absorber = absorbing_mask(grid) if spec.model_id == "cubic" else None
+    prop = SplitOperatorPropagator(
+        grid, potential_poly(spec), dt, spec.hbar, spec.masses, absorber
+    )
+    kinds = ("q", "p", "q2", "p2") if model_multiplet(spec).N == 4 else ("q2", "p2", "qp_sym")
+    n_steps = int(np.floor(t_end / dt + 1e-9))
+    ts, rows, flags = [0.0], [expectation_row(wf, kinds).values], [""]
+    step = 0
+    while step < n_steps:
+        n = min(record_stride, n_steps - step)
+        prop.step(wf, n)
+        step += n
+        row = expectation_row(wf, kinds)
+        ts.append(step * dt)
+        rows.append(row.values)
+        absorbed = absorber is not None and row.norm < ABSORBED_NORM_FLOOR
+        flags.append("absorbed" if absorbed else "")
+        if absorbed:
+            break
+    return np.array(ts), np.array(rows), flags
+
+
+def harmonic_packet_moments(t, qc, pc, sigma, m=1.0, omega=1.0, hbar=1.0):
+    """Exact (<q>, <p>, <q^2>, <p^2>, <qp>_sym) at the times ``t`` of a
+    Gaussian packet started at (qc, pc) with width sigma and no chirp, in
+    the potential m w^2 q^2 / 2.  The packet stays Gaussian: its center
+    follows the classical orbit and its covariance rotates with the same
+    phase-space rotation, from Var q = sigma^2, Var p = hbar^2/(4 sigma^2),
+    Cov = 0.  Shape (len(t), 5)."""
+    c, s = np.cos(omega * np.asarray(t)), np.sin(omega * np.asarray(t))
+    mw = m * omega
+    var_q0, var_p0 = sigma**2, hbar**2 / (4.0 * sigma**2)
+    mean_q = qc * c + pc / mw * s
+    mean_p = pc * c - mw * qc * s
+    var_q = var_q0 * c * c + var_p0 / mw**2 * s * s
+    var_p = var_p0 * c * c + mw**2 * var_q0 * s * s
+    cov = (var_p0 / mw - mw * var_q0) * s * c
+    return np.column_stack([
+        mean_q, mean_p, mean_q**2 + var_q, mean_p**2 + var_p, mean_q * mean_p + cov,
+    ])
 
 
 def quantum_row_reference(wf, kinds):

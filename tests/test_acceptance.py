@@ -15,7 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import gaussian_moment, henon_heiles_mode_energies, random_poly
+from helpers import (
+    gaussian_moment,
+    henon_heiles_mode_energies,
+    mode_energies,
+    propagate_split_operator,
+    random_poly,
+)
 
 from nambu_dyn.brackets import (
     check_fundamental_identity,
@@ -36,13 +42,7 @@ from nambu_dyn.multiplets import (
     verify_consistency,
 )
 from nambu_dyn.poly import Poly, parse_poly, q, xvar
-from nambu_dyn.quantum import (
-    Grid,
-    expect,
-    init_gaussian,
-    mode_energies,
-    propagate_split_operator,
-)
+from nambu_dyn.quantum import Grid, expect, init_gaussian
 from nambu_dyn.scenarios import (
     PacketSpec,
     compare,

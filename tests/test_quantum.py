@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fused_strang_reference, quantum_row_reference, strang_reference
+from helpers import (
+    fused_strang_reference,
+    mode_energies,
+    position_moment,
+    propagate_split_operator,
+    quantum_row_reference,
+    strang_reference,
+)
 
 from nambu_dyn import quantum
 from nambu_dyn.closure import PotentialSpec
@@ -19,9 +26,6 @@ from nambu_dyn.quantum import (
     expect,
     expectation_row,
     init_gaussian,
-    mode_energies,
-    position_moment,
-    propagate_split_operator,
 )
 
 SIG = math.sqrt(0.5)
@@ -150,6 +154,25 @@ def test_strang_splitting_order():
 
     ratio = endpoint_error(64) / endpoint_error(128)
     assert 3.0 < ratio < 5.0
+
+
+def test_fourth_order_splitting_order():
+    def endpoint_error(steps):
+        wf = init_gaussian(Grid.make_1d(-10.0, 10.0, 2048), 1.0, 1.0, SIG)
+        SplitOperatorPropagator(wf.grid, HARMONIC, np.pi / steps, order=4).step(wf, steps)
+        return abs(expect(wf, "q") - (-1.0))
+
+    ratio = endpoint_error(32) / endpoint_error(64)
+    assert 12.0 < ratio < 20.0
+
+
+def test_fourth_order_rejects_an_absorber():
+    # Its middle sub-step runs backward and would undo the absorption.
+    g = Grid.make_1d(-15.0, 15.0, 128)
+    with pytest.raises(ValueError, match="takes no absorber"):
+        SplitOperatorPropagator(g, HARMONIC, 1e-2, absorber=absorbing_mask(g), order=4)
+    with pytest.raises(ValueError, match="split order must be 2 or 4, got 3"):
+        SplitOperatorPropagator(g, HARMONIC, 1e-2, order=3)
 
 
 def test_2d_mode_energies_at_t0():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import harmonic_packet_moments, strang_run
+
 from nambu_dyn.cli import main
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory, conserved_drift
 from nambu_dyn.poly import compile_evaluator
@@ -268,6 +270,53 @@ def test_quantum_default_stride_and_columns():
     assert len(traj) == 11
 
 
+@pytest.mark.parametrize("multiplet", ["triplet", "quartet"])
+def test_harmonic_rows_match_the_exact_gaussian_packet(multiplet):
+    # A Gaussian packet stays Gaussian under a harmonic potential, so its
+    # moments are known in closed form; the composed steps must be at least
+    # as close to them as Strang steps of the caller's dt.
+    spec = harmonic_model(multiplet=multiplet)
+    packet = PacketSpec.make(1.0, 0.5)
+    grid = Grid.make_1d(-10.0, 10.0, 2048)
+    traj = run_scenario(spec, packet, "quantum", dt=1e-3, t_end=5.0, grid=grid)
+    assert (traj.meta["split_order"], traj.meta["quantum_dt"]) == ("4", "0.01")
+    exact = harmonic_packet_moments(traj.t, 1.0, 0.5, math.sqrt(0.5))
+    exact = exact[:, [2, 3, 4]] if multiplet == "triplet" else exact[:, :4]
+    t, strang, _ = strang_run(spec, packet, 1e-3, 5.0, 10, grid)
+    assert np.array_equal(t, traj.t)
+    composed_err = np.abs(traj.states - exact).max()
+    assert composed_err <= np.abs(strang - exact).max()
+    assert composed_err < 1e-7
+
+
+@pytest.mark.parametrize(
+    "name, qc, pc, dt, t_end, stride, grid",
+    [
+        ("cubic", 0.0, 1.8, 1e-2, 40.0, 10, Grid.make_1d(-30.0, 15.0, 1024)),
+        ("harmonic", 1.0, 0.0, 1e-2, 1.57, 10, Grid.make_1d(-10.0, 10.0, 512)),
+        ("harmonic", 1.0, 0.0, 1e-2, 1.0, 100, Grid.make_1d(-10.0, 10.0, 512)),
+    ],
+    ids=["absorbed", "gcd_1", "one_stride"],
+)
+def test_runs_kept_on_strang_steps_are_unchanged(name, qc, pc, dt, t_end, stride, grid):
+    # absorbed: no composed step may run backward through the absorber;
+    # gcd_1: gcd(10, 157 steps) = 1 leaves no larger step that reaches every
+    # row; one_stride: the estimate would cost more than the run.
+    spec = model_by_name(name)
+    packet = PacketSpec.make(qc, pc)
+    traj = run_scenario(spec, packet, "quantum", dt=dt, t_end=t_end, record_stride=stride,
+                        grid=grid)
+    t, rows, flags = strang_run(spec, packet, dt, t_end, stride, grid)
+    assert (traj.meta["split_order"], traj.meta["quantum_dt"]) == ("2", repr(dt))
+    assert np.array_equal(traj.t, t)
+    assert np.array_equal(traj.states, rows)
+    assert traj.flags == flags
+    estimated = name == "harmonic" and stride == 10
+    assert math.isnan(float(traj.meta["strang_err_est"])) != estimated
+    if name == "cubic":
+        assert flags[-1] == "absorbed"
+
+
 SMALL_GRIDS = {"henon_heiles": Grid.make_2d((-8.0, 8.0, 64), (-8.0, 8.0, 64))}
 
 
@@ -393,6 +442,30 @@ def test_cli_quantum_run_prints_norm_loss_and_boundary_amplitude(tmp_path, capsy
     assert f"max boundary |psi| = {float(loaded.meta['boundary_amp_max']):.3e}" in printed
 
 
+@pytest.mark.parametrize(
+    "model, dt, order, quantum_dt",
+    [("harmonic", "0.01", "2", "0.01"), ("harmonic", "0.001", "4", "0.01"),
+     ("cubic", "0.001", "2", "0.001")],
+    ids=["strang", "composed", "absorbed"],
+)
+def test_cli_quantum_run_reports_its_split_step(model, dt, order, quantum_dt, tmp_path, capsys):
+    out_csv = tmp_path / "q.csv"
+    assert main(["run", "--model", model, "--method", "quantum", "--qc", "1",
+                 "--dt", dt, "--t-end", "0.1", "--out", str(out_csv)]) == 0
+    printed = capsys.readouterr().out
+    meta = Trajectory.from_csv(out_csv).meta
+    assert (meta["split_order"], meta["quantum_dt"], meta["dt"]) == (order, quantum_dt, dt)
+    assert f"split order = {order}, quantum dt = {quantum_dt}" in printed
+    split_err, strang_err = float(meta["split_err_est"]), float(meta["strang_err_est"])
+    if model == "cubic":  # the absorber keeps Strang steps, unestimated
+        assert math.isnan(split_err) and math.isnan(strang_err)
+        assert "split error estimate: none made" in printed
+    else:
+        assert split_err <= strang_err < 1e-6
+        assert (f"split error estimate = {split_err:.3e} "
+                f"(Strang at dt: {strang_err:.3e})") in printed
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("no equals sign here\n")
@@ -417,6 +490,32 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert "packet parameter sigmas[0] = nan is not finite" in err
     assert "is 1e+300 steps, more than the limit of" in err
     assert "make 10000000000000001 rows, too many to allocate" in err
+
+
+@pytest.mark.parametrize(
+    "model, method, given, code",
+    [
+        ("harmonic", "nambu", "flag", 2),
+        ("henon-heiles", "classical", "config", 2),
+        ("cubic", "quantum", "flag", 2),
+        ("cubic", "quantum", None, 0),
+    ],
+    ids=["harmonic_nambu_flag", "henon_heiles_classical_config", "cubic_quantum_flag",
+         "cubic_quantum_default"],
+)
+def test_cli_rejects_a_q_stop_that_no_run_applies(model, method, given, code, tmp_path, capsys):
+    out_csv = tmp_path / "run.csv"
+    argv = ["run", "--model", model, "--method", method, "--t-end", "0.1", "--out", str(out_csv)]
+    if given == "flag":
+        argv.append("--q-stop=5")
+    elif given == "config":
+        conf = tmp_path / "run.conf"
+        conf.write_text("q_stop = 5\n")
+        argv += ["--config", str(conf)]
+    assert main(argv) == code
+    assert out_csv.exists() == (code == 0)
+    if code:
+        assert "q_stop = 5.0 does not apply" in capsys.readouterr().err
 
 
 def test_cli_numerical_abort_exits_3(tmp_path):
