@@ -282,7 +282,8 @@ def run_scenario(
     more than 1% of the norm ('absorbed').  A NaN ``q_stop``, and any
     ``q_stop`` for a run without a position stop (every other model, every
     quantum run), raise ValueError.  A quantum run takes the steps that
-    ``quantum.choose_split_step`` picks after the driver's checks, and
+    ``quantum.choose_split_step`` picks after ``dynamics.check_run``
+    has checked dt, t_end and the stride, and
     records them in its meta: ``quantum_dt``, ``split_order``,
     ``split_err_est`` and ``strang_err_est``.  Classical images x_i(q, p) are
     evaluated by generated code on the (q, p) rows.  F and G_c are evaluated
