@@ -1,11 +1,11 @@
 """Grid-based quantum reference: Gaussian packets, split-operator
 propagation, and expectation values.
 
-Propagation uses symmetric Strang splitting,
-``exp(-iV dt/2h) exp(-iT dt/h) exp(-iV dt/2h)`` per step, with the kinetic
-factor applied in momentum space through the FFT.  An optional absorbing
-mask damps amplitude near the grid edges for open (tunneling) problems.
-Every grid transform goes through ``_grid_fft``.
+Propagation splits exp(-iH dt/h) into potential and kinetic phases, the
+kinetic ones applied in momentum space through the FFT: second-order Strang
+steps or Chin's fourth-order 4A steps (see ``SplitOperatorPropagator``).
+An optional absorbing mask damps amplitude near the grid edges for open
+(tunneling) problems.  Every grid transform goes through ``_grid_fft``.
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ class WaveFunction:
             raise ValueError(
                 f"amplitude shape {self.amps.shape} != grid shape {self.grid.shape}"
             )
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        _positive(self.hbar, "hbar")
 
     def norm(self) -> float:
         """Total probability, sum |psi|^2 dV."""
@@ -139,6 +138,12 @@ class WaveFunction:
     def density(self) -> np.ndarray:
         """|psi|^2 as re^2 + im^2."""
         return self.amps.real**2 + self.amps.imag**2
+
+
+def _positive(value: float, name: str) -> float:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} = {value!r} is not a positive finite number")
+    return float(value)
 
 
 def _per_axis(value, ndim: int, name: str) -> list[float]:
@@ -251,19 +256,15 @@ def _grid_fft(shape: tuple[int, ...]) -> tuple[Callable, Callable]:
     return transform(pocketfft.fft, lambda n: 1.0), transform(pocketfft.ifft, lambda n: 1.0 / n)
 
 
-# Yoshida's triple jump (Phys. Lett. A 150, 262, 1990): Strang sub-steps of
-# (W1, W0, W1) times the composed step make a fourth-order step.
-YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-YOSHIDA_W0 = -(2.0 ** (1.0 / 3.0)) / (2.0 - 2.0 ** (1.0 / 3.0))
-
-
 class SplitOperatorPropagator:
     """Split-operator stepper with precomputed phase factors.
 
-    ``order=2`` takes Strang steps of ``dt``; ``order=4`` takes composed
-    steps of ``dt``, each three Strang sub-steps of (w1, w0, w1)·dt with
-    w0 < 0, at three FFT pairs per step.  A backward sub-step would undo
-    absorption, so ``order=4`` takes no absorber.
+    ``order=2`` takes Strang steps, V/2 T V/2, at one FFT pair per step;
+    ``order=4`` takes Chin's 4A steps (Chin & Chen, J. Chem. Phys. 114, 7338,
+    2001), V/6 T/2 (2/3)W T/2 V/6 with W = V - (dt^2/48) sum_a (dV/dq_a)^2/m_a,
+    at two pairs.  W needs V as a Poly (or PotentialSpec).  The absorber
+    damps once per step, so its strength follows the step: ``order=4`` takes
+    none, and absorbed runs keep Strang steps of the caller's dt.
     """
 
     def __init__(
@@ -281,35 +282,38 @@ class SplitOperatorPropagator:
         if order not in (2, 4):
             raise ValueError(f"split order must be 2 or 4, got {order!r}")
         if order == 4 and absorber is not None:
-            raise ValueError("a fourth-order step has a backward sub-step and takes no absorber")
+            raise ValueError("an absorber damps once per step; order 4 takes no absorber")
+        if isinstance(V, PotentialSpec):
+            V = V.to_poly(0)
+        if order == 4 and not isinstance(V, Poly):
+            raise TypeError("order 4 needs the gradient of V: give V as a Poly or PotentialSpec")
         self.grid = grid
         self.dt = float(dt)
-        self.hbar = float(hbar)
-        self.masses = _per_axis(masses if masses is not None else 1.0, grid.ndim, "masses")
+        self.hbar = _positive(hbar, "hbar")
+        masses = _per_axis(masses if masses is not None else 1.0, grid.ndim, "masses")
+        self.masses = [_positive(m, "mass") for m in masses]
         vmesh = potential_mesh(grid, V)
         kin = np.zeros(grid.shape)
         for axis in range(grid.ndim):
             k = grid.wavenumbers(axis)
             kin = kin + grid.axis_view(k**2, axis) / (2.0 * self.masses[axis])
-
-        def phases(tau: float) -> tuple[np.ndarray, np.ndarray]:
-            """V half-phase and kinetic phase of a Strang step of length tau."""
-            return np.exp(-0.5j * vmesh * tau / hbar), np.exp(-1j * hbar * kin * tau)
-
-        # The first sub-step's phases; its V half opens and closes every run.
-        self.exp_v_half, self.exp_t = phases(self.dt if order == 2 else YOSHIDA_W1 * self.dt)
-        # One step's closing V half and the next step's opening V half,
+        # The outer V phase, which opens and closes every run, and the
+        # kinetic phase: V/2 and T for Strang, V/6 and T/2 for Chin's step.
+        v_tau, t_tau = (self.dt, self.dt) if order == 2 else (self.dt / 3.0, self.dt / 2.0)
+        self.exp_v_half = np.exp(-0.5j * vmesh * v_tau / hbar)
+        self.exp_t = np.exp(-1j * hbar * kin * t_tau)
+        # One step's closing V phase and the next step's opening V phase,
         # fused, then the absorber that sits between them.
         self.exp_v_join = self.exp_v_half**2
         if absorber is not None:
             self.exp_v_join *= absorber
         self.absorber = absorber
-        # The sub-steps after the first: (joining V phase, kinetic phase).
-        self._inner: list[tuple[np.ndarray, np.ndarray]] = []
+        # Chin's middle (2/3)W phase, followed by the second kinetic phase.
+        self.exp_v_mid = None
         if order == 4:
-            half0, exp_t0 = phases(YOSHIDA_W0 * self.dt)
-            join = self.exp_v_half * half0
-            self._inner = [(join, exp_t0), (join, self.exp_t)]
+            grad2 = sum(V.partial(q(a)) ** 2 * (1.0 / m) for a, m in enumerate(self.masses))
+            wmesh = potential_mesh(grid, V - (self.dt**2 / 48.0) * grad2)
+            self.exp_v_mid = np.exp(-2j / 3.0 * wmesh * self.dt / hbar)
         self._fft, self._ifft = _grid_fft(grid.shape)
 
     def step(self, wf: WaveFunction, n: int = 1) -> WaveFunction:
@@ -317,7 +321,7 @@ class SplitOperatorPropagator:
         never written."""
         amps = wf.amps
         if n > 0:
-            fft, ifft = self._fft, self._ifft
+            fft, ifft, mid = self._fft, self._ifft, self.exp_v_mid
             amps = self.exp_v_half * amps
             for i in range(n):
                 if i:
@@ -325,10 +329,10 @@ class SplitOperatorPropagator:
                 fft(amps, amps)
                 amps *= self.exp_t
                 ifft(amps, amps)
-                for join, exp_t in self._inner:
-                    amps *= join
+                if mid is not None:
+                    amps *= mid
                     fft(amps, amps)
-                    amps *= exp_t
+                    amps *= self.exp_t
                     ifft(amps, amps)
             amps *= self.exp_v_half
             if self.absorber is not None:

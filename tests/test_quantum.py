@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,13 +167,114 @@ def test_fourth_order_splitting_order():
     assert 12.0 < ratio < 20.0
 
 
+def _quartic_1d():
+    x = Poly.var(q(0))
+    V = 0.5 * x**2 + 0.1 * x**4
+    return Grid.make_1d(-8.0, 8.0, 256), V, (1.0, 0.5, 0.5), 0.5, [2.0], (20, 40, 80)
+
+
+def _henon_heiles_2d():
+    x, y = Poly.var(q(0)), Poly.var(q(1))
+    masses = (1.0, 2.5)
+    V = 0.5 * masses[0] * x**2 + 0.5 * masses[1] * 1.21 * y**2 - 0.3 * x * y**2
+    g = Grid.make_2d((-8.0, 8.0, 64), (-8.0, 8.0, 64))
+    return g, V, ((0.5, -0.5), (1.0, -0.7), (0.7, 0.6)), 1.0, masses, (10, 20, 40)
+
+
+@pytest.mark.parametrize("case", [_quartic_1d, _henon_heiles_2d], ids=["quartic-1d", "hh-2d"])
+def test_fourth_order_gradient_term_order(case):
+    # A sign or mass slip in the gradient term of the middle phase leaves a
+    # second-order step: x4 per halving instead of x16.  Errors are the
+    # largest quartet-row error at t = 2 against 40 times the finest count.
+    g, V, packet, hbar, masses, steps = case()
+
+    def row(n):
+        wf = init_gaussian(g, *packet, hbar=hbar)
+        SplitOperatorPropagator(g, V, 2.0 / n, hbar, masses, order=4).step(wf, n)
+        return np.array(expectation_row(wf, QUARTET).values)
+
+    ref = row(40 * steps[-1])
+    errors = [np.max(np.abs(row(n) - ref)) for n in steps]
+    assert errors[-1] > 1e-11  # above rounding, so the ratios measure the order
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 < coarse / fine < 18.0
+
+
+def test_fourth_order_needs_a_polynomial_potential():
+    g = Grid.make_1d(-10.0, 10.0, 128)
+    with pytest.raises(TypeError, match="needs the gradient of V"):
+        SplitOperatorPropagator(g, lambda x: 0.5 * x**2, 1e-2, order=4)
+    # Strang takes a callable; a PotentialSpec is a Poly for both orders.
+    SplitOperatorPropagator(g, lambda x: 0.5 * x**2, 1e-2)
+    SplitOperatorPropagator(g, HARMONIC, 1e-2, order=4)
+
+
 def test_fourth_order_rejects_an_absorber():
-    # Its middle sub-step runs backward and would undo the absorption.
+    # The absorber damps once per step, so its strength would follow the
+    # step size that the step rule picks; absorbed runs keep Strang at dt.
     g = Grid.make_1d(-15.0, 15.0, 128)
     with pytest.raises(ValueError, match="takes no absorber"):
         SplitOperatorPropagator(g, HARMONIC, 1e-2, absorber=absorbing_mask(g), order=4)
     with pytest.raises(ValueError, match="split order must be 2 or 4, got 3"):
         SplitOperatorPropagator(g, HARMONIC, 1e-2, order=3)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(masses=[math.nan]), "mass = nan is not a positive finite number"),
+        (dict(masses=[0.0]), "mass = 0.0 is not a positive finite number"),
+        (dict(masses=[math.inf]), "mass = inf is not a positive finite number"),
+        (dict(hbar=-1.0), "hbar = -1.0 is not a positive finite number"),
+        (dict(hbar=math.nan), "hbar = nan is not a positive finite number"),
+    ],
+    ids=["mass-nan", "mass-zero", "mass-inf", "hbar-negative", "hbar-nan"],
+)
+@pytest.mark.parametrize("order", [2, 4])
+def test_propagator_rejects_bad_hbar_and_masses(kwargs, message, order):
+    g = Grid.make_1d(-10.0, 10.0, 128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero warning before the check
+        with pytest.raises(ValueError, match=message):
+            SplitOperatorPropagator(g, HARMONIC, 1e-2, order=order, **kwargs)
+
+
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, 0.0, -1.0])
+def test_wavefunction_rejects_bad_hbar(hbar):
+    g = Grid.make_1d(-10.0, 10.0, 128)
+    with pytest.raises(ValueError, match="is not a positive finite number"):
+        WaveFunction(g, np.zeros(128, dtype=complex), hbar)
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """A list that grows by one per transform ``quantum._grid_fft`` hands out."""
+    calls = []
+    grid_fft = quantum._grid_fft
+
+    def counted_grid_fft(shape):
+        def counted(fn):
+            def run(*args):
+                calls.append(1)
+                return fn(*args)
+
+            return run
+
+        return tuple(counted(fn) for fn in grid_fft(shape))
+
+    monkeypatch.setattr(quantum, "_grid_fft", counted_grid_fft)
+    return calls
+
+
+def test_split_step_transform_count(transform_calls):
+    calls = transform_calls
+    for g in (Grid.make_1d(-10.0, 10.0, 128), Grid.make_2d((-8.0, 8.0, 64), (-8.0, 8.0, 64))):
+        wf = init_gaussian(g, [0.5] * g.ndim, [1.0] * g.ndim, [0.7] * g.ndim)
+        for order, per_step in ((2, 2), (4, 4)):
+            prop = SplitOperatorPropagator(g, HARMONIC, 1e-2, order=order)
+            calls.clear()
+            prop.step(wf, 7)
+            assert len(calls) == 7 * per_step
 
 
 def test_2d_mode_energies_at_t0():
@@ -319,22 +421,9 @@ def test_expectation_row_matches_per_kind_reference(case, kinds):
             assert expect(wf, kind, axis) == row.values[axis * len(kinds) + i]
 
 
-def test_expectation_row_transform_count(monkeypatch):
+def test_expectation_row_transform_count(transform_calls):
     packets = {case: _row_packet(case) for case in ("1d", "2d")}
-    calls = []
-    grid_fft = quantum._grid_fft
-
-    def counted_grid_fft(shape):
-        def counted(fn):
-            def run(*args):
-                calls.append(1)
-                return fn(*args)
-
-            return run
-
-        return tuple(counted(fn) for fn in grid_fft(shape))
-
-    monkeypatch.setattr(quantum, "_grid_fft", counted_grid_fft)
+    calls = transform_calls
 
     def count(case, kinds):
         calls.clear()
