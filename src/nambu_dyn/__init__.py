@@ -42,10 +42,8 @@ from .multiplets import (
 )
 from .closure import (
     ClosureMode,
-    PotentialSpec,
     build_F,
     effective_potential,
-    parse_potential,
     reduce_moment,
 )
 from .dynamics import (

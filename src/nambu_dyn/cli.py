@@ -5,9 +5,9 @@
     nambu check fi --model henon-heiles
     nambu reduce --moment 4 --mode zero-cumulant
 
-Every flag can also be given in a config file of ``key = value`` lines
-(with '#' comments); command-line flags override file values.  Exit codes:
-0 success, 1 verification failure, 2 configuration error, 3 numerical abort.
+Each flag of a subcommand, and no other key, may be set in a config file of
+``key = value`` lines ('#' comments); flags override it.  Exit codes: 0 success,
+1 verification failure, 2 bad input (before any work), 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from .brackets import check_fundamental_identity, reports_to_csv, sample_assignments
 from .closure import ClosureMode, reduce_moment
@@ -41,8 +42,9 @@ class ConfigError(ValueError):
     pass
 
 
-def load_config(path: str) -> dict[str, str]:
-    """Flat ``key = value`` file; keys mirror the CLI flags."""
+def load_config(path: str, keys) -> dict[str, str]:
+    """Flat ``key = value`` file; each key, '-' read as '_', is one of
+    ``keys``, the subcommand's options."""
     values: dict[str, str] = {}
     try:
         with open(path) as fh:
@@ -53,7 +55,10 @@ def load_config(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key not in keys:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                values[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -74,9 +79,14 @@ def _merged(args: argparse.Namespace, key: str, default=None, cast=None):
     return value
 
 
+def _samples(args: argparse.Namespace, default: int) -> int:
+    samples = _merged(args, "samples", default=default, cast=int)
+    if samples < 1:
+        raise ConfigError(f"samples = {samples} must be at least 1")
+    return samples
+
+
 def _float_list(text) -> tuple[float, ...]:
-    if isinstance(text, tuple):
-        return text
     try:
         return tuple(float(v) for v in str(text).split(","))
     except ValueError as exc:
@@ -149,6 +159,8 @@ def cmd_run(args) -> int:
     stride = _merged(args, "stride", cast=int)
     q_stop = _merged(args, "q_stop", cast=float)
     out = _merged(args, "out", default="traj.csv")
+    if not Path(out).parent.is_dir():
+        raise ConfigError(f"cannot write {out}: directory {Path(out).parent} does not exist")
     traj = run_scenario(
         spec,
         packet,
@@ -186,8 +198,12 @@ def cmd_verify_consistency(args) -> int:
     if name is None:
         raise ConfigError("verify consistency needs --multiplet")
     n_dof = _merged(args, "n_dof", default=1, cast=int)
-    samples = _merged(args, "samples", default=50, cast=int)
+    samples = _samples(args, default=50)
     tol = _merged(args, "tol", default=1e-9, cast=float)
+    if not 0 <= tol < math.inf:
+        raise ConfigError(f"tol = {tol!r} is not a non-negative finite number")
+    if name not in builtin_multiplets():
+        raise ConfigError(f"unknown multiplet {name!r}; choose triplet or quartet")
     multiplet = builtin_multiplets()[name].with_n_dof(n_dof)
     reports = verify_consistency(multiplet, samples=samples, tolerance=tol)
     print(consistency_to_csv(reports), end="")
@@ -200,16 +216,11 @@ def cmd_verify_consistency(args) -> int:
 
 
 def cmd_check_fi(args) -> int:
-    samples = _merged(args, "samples", default=20, cast=int)
+    samples = _samples(args, default=20)
     spec = henon_heiles_model()
     hset = hamiltonian_set(spec)
     layout = hset.layout
-    As = [
-        Poly.var(xvar(1, 1)),
-        Poly.var(xvar(2, 1)),
-        Poly.var(xvar(2, 0)),
-        Poly.var(xvar(4, 1)),
-    ]
+    As = [Poly.var(xvar(i, dof)) for i, dof in ((1, 1), (2, 1), (2, 0), (4, 1))]
     points = sample_assignments(x_vars(layout), samples)
     reports = check_fundamental_identity(As, list(hset.hamiltonians), points, layout)
     print(reports_to_csv(reports), end="")
@@ -232,24 +243,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = getattr(args, "config", None)
-        args.config_values = load_config(config) if config else {}
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "verify":
-            return cmd_verify_consistency(args)
-        if args.command == "check":
-            return cmd_check_fi(args)
-        if args.command == "reduce":
-            return cmd_reduce(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError) as exc:
+        keys = vars(args).keys() - {"command", "what", "config"}
+        args.config_values = load_config(args.config, keys) if args.config else {}
+        command = {"run": cmd_run, "verify": cmd_verify_consistency,
+                   "check": cmd_check_fi, "reduce": cmd_reduce}[args.command]
+        return command(args)
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteStateError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_OK
 
 
 if __name__ == "__main__":

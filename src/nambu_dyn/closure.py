@@ -10,23 +10,20 @@ Gaussian closure) or by dropping central moments of order three and up
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import comb, isfinite
-from typing import Sequence, Union
+from typing import Sequence
 
 from .multiplets import MultipletDef, QUARTET_QP_Q2P2
-from .poly import Poly, parse_poly, p, q, xvar
+from .poly import Poly, p, q, xvar
 
 __all__ = [
     "ClosureMode",
-    "PotentialSpec",
     "UnsupportedMultipletError",
     "UnsupportedMomentError",
     "UnsupportedPotentialError",
     "reduce_moment",
     "build_F",
     "effective_potential",
-    "parse_potential",
 ]
 
 
@@ -53,53 +50,6 @@ class ClosureMode(enum.Enum):
             if mode.value == key:
                 return mode
         raise ValueError(f"unknown closure mode {text!r}")
-
-
-@dataclass
-class PotentialSpec:
-    """Polynomial potential V(q) = sum_k c_k q^k for one degree of freedom."""
-
-    coefficients: dict[int, float]
-    mass: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not isfinite(self.mass):
-            raise ValueError(f"potential mass = {self.mass!r} is not finite")
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        cleaned = {}
-        for k, c in self.coefficients.items():
-            if int(k) != k or k < 0:
-                raise ValueError(f"invalid potential degree {k!r}")
-            if not isfinite(c):
-                raise ValueError(f"potential coefficient of q^{k} = {c!r} is not finite")
-            if c != 0.0:
-                cleaned[int(k)] = float(c)
-        self.coefficients = cleaned
-
-    @property
-    def degree(self) -> int:
-        return max(self.coefficients, default=0)
-
-    def to_poly(self, dof: int = 0) -> Poly:
-        out = Poly.zero()
-        qv = Poly.var(q(dof))
-        for k, c in sorted(self.coefficients.items()):
-            out = out + c * qv**k
-        return out
-
-
-def parse_potential(text: str, mass: float = 1.0) -> PotentialSpec:
-    """Parse e.g. ``0.5*q^2 + 0.1*q^3`` into a PotentialSpec."""
-    poly = parse_poly(text)
-    coeffs: dict[int, float] = {}
-    for mono, c in poly.terms.items():
-        powers = dict(mono)
-        extra = set(powers) - {q(0)}
-        if extra:
-            raise ValueError("potential text may only use the variable q")
-        coeffs[powers.get(q(0), 0)] = coeffs.get(powers.get(q(0), 0), 0.0) + c
-    return PotentialSpec(coeffs, mass)
 
 
 # --------------------------------------------------------------------------
@@ -160,36 +110,29 @@ def _multiplet_kind(m: MultipletDef) -> str:
     return "quartet" if m.N == 4 else "triplet"
 
 
-def _potential_poly(V: Union[PotentialSpec, Poly], n_dof: int) -> Poly:
-    if isinstance(V, PotentialSpec):
-        if n_dof != 1:
-            raise UnsupportedMultipletError(
-                "a single-dof PotentialSpec cannot drive a multi-dof multiplet; "
-                "pass a Poly over q0, q1, ..."
-            )
-        return V.to_poly(0)
-    return V
-
-
 def build_F(
-    V: Union[PotentialSpec, Poly],
+    V: Poly,
     m: MultipletDef,
     mode: ClosureMode,
     masses: Sequence[float] | None = None,
 ) -> Poly:
-    """Kinetic term plus the closed potential, as a Poly over x variables.
+    """Kinetic term plus the closed potential V(q0, q1, ...), as a Poly over
+    x variables; ``masses`` default to 1.
 
     Cross-dof monomials factorize across dofs before the per-dof closure is
     applied (product trial states).
     """
     kind = _multiplet_kind(m)
-    if masses is None:
-        masses = [V.mass] * m.n_dof if isinstance(V, PotentialSpec) else [1.0] * m.n_dof
+    masses = [1.0] * m.n_dof if masses is None else list(masses)
     if len(masses) != m.n_dof:
         raise ValueError(f"need {m.n_dof} masses, got {len(masses)}")
-    vpoly = _potential_poly(V, m.n_dof)
-    allowed = {q(dof) for dof in range(m.n_dof)}
-    extra = vpoly.variables() - allowed
+    for dof, mass in enumerate(masses):
+        if not (isfinite(mass) and mass > 0):
+            raise ValueError(f"mass of dof {dof} = {mass!r} is not a positive finite number")
+    for mono, coeff in V.terms.items():
+        if not isfinite(coeff):
+            raise ValueError(f"potential coefficient of {Poly.monomial(dict(mono))} is {coeff!r}")
+    extra = V.variables() - {q(dof) for dof in range(m.n_dof)}
     if extra:
         names = ", ".join(sorted(v.name for v in extra))
         raise UnsupportedMomentError(
@@ -201,7 +144,7 @@ def build_F(
     for dof in range(m.n_dof):
         F = F + (1.0 / (2.0 * masses[dof])) * Poly.var(xvar(kinetic_slot, dof))
 
-    for mono, coeff in vpoly.terms.items():
+    for mono, coeff in V.terms.items():
         powers = dict(mono)
         term = Poly.const(coeff)
         for dof in range(m.n_dof):
@@ -220,17 +163,19 @@ def build_F(
     return F
 
 
-def effective_potential(V: PotentialSpec, sigma: float, hbar: float = 1.0) -> Poly:
+def effective_potential(V: Poly, sigma: float, hbar: float = 1.0, mass: float = 1.0) -> Poly:
     """Potential governing the packet center after solving the constraints
-    x3 = qc^2 + sigma^2 and x4 = pc^2 + hbar^2/(4 sigma^2); the pc^2 kinetic
-    part is excluded, the hbar-dependent corrections are kept."""
+    x3 = qc^2 + sigma^2 and x4 = pc^2 + hbar^2/(4 sigma^2), for V(q0) of
+    degree <= 3; the pc^2 kinetic part is excluded, the hbar-dependent
+    corrections are kept."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if V.degree > 3:
+    degree = max((sum(k for _, k in mono) for mono in V.terms), default=0)
+    if degree > 3:
         raise UnsupportedPotentialError(
-            f"effective potential supports degree <= 3, got {V.degree}"
+            f"effective potential supports degree <= 3, got {degree}"
         )
-    F = build_F(V, QUARTET_QP_Q2P2, ClosureMode.ZERO_CUMULANT)
+    F = build_F(V, QUARTET_QP_Q2P2, ClosureMode.ZERO_CUMULANT, masses=[mass])
     qc = Poly.var(q(0))
     s2 = sigma * sigma
     substitution = {

@@ -91,10 +91,7 @@ def compile_nambu_field(h: HamiltonianSet) -> Callable[[np.ndarray], np.ndarray]
 
 def compile_classical_field(H: Poly, n_dof: int):
     """(dq, dp) per dof = (dH/dp, -dH/dq), in (q0, p0, q1, p1, ...) order."""
-    polys = []
-    for dof in range(n_dof):
-        polys.append(H.partial(p(dof)))
-        polys.append(-H.partial(q(dof)))
+    polys = [d for dof in range(n_dof) for d in (H.partial(p(dof)), -H.partial(q(dof)))]
     return compile_vector_field(polys, classical_vars(n_dof))
 
 

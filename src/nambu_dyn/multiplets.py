@@ -122,13 +122,7 @@ class MultipletDef:
 
     def summed_constraints(self) -> tuple[Poly, ...]:
         """G_c summed over dofs, the Nambu Hamiltonians for many dofs."""
-        out = []
-        for c in range(self.N - 2):
-            total = Poly.zero()
-            for dof in range(self.n_dof):
-                total = total + self.constraints[dof][c]
-            out.append(total)
-        return tuple(out)
+        return tuple(sum(per_dof, Poly.zero()) for per_dof in zip(*self.constraints))
 
 
 def _quadratic_triplet() -> MultipletDef:

@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .closure import PotentialSpec
 from .dynamics import NonFiniteStateError
 from .poly import Poly, compile_evaluator, q
 
@@ -90,10 +89,7 @@ class Grid:
 
     @property
     def dvol(self) -> float:
-        out = 1.0
-        for axis in range(self.ndim):
-            out *= self.dx(axis)
-        return out
+        return math.prod(self.dx(axis) for axis in range(self.ndim))
 
     def coords(self, axis: int = 0) -> np.ndarray:
         lo, _, n = self.axes[axis]
@@ -204,22 +200,17 @@ def absorbing_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
-def potential_mesh(grid: Grid, V) -> np.ndarray:
-    """Evaluate a potential (callable, Poly over q0.., or PotentialSpec) on
-    the grid."""
-    if isinstance(V, PotentialSpec):
-        V = V.to_poly(0)
+def potential_mesh(grid: Grid, V: Poly) -> np.ndarray:
+    """Evaluate a potential, a Poly over q0, q1, ..., on the grid."""
+    if not isinstance(V, Poly):
+        raise TypeError(f"potential must be a Poly over q0, q1, ..., got {type(V).__name__}")
+    order = [q(axis) for axis in range(grid.ndim)]
+    extra = V.variables() - set(order)
+    if extra:
+        names = ", ".join(sorted(v.name for v in extra))
+        raise ValueError(f"potential Poly uses non-position variables: {names}")
     views = [grid.axis_view(grid.coords(axis), axis) for axis in range(grid.ndim)]
-    if isinstance(V, Poly):
-        order = [q(axis) for axis in range(grid.ndim)]
-        extra = V.variables() - set(order)
-        if extra:
-            names = ", ".join(sorted(v.name for v in extra))
-            raise ValueError(f"potential Poly uses non-position variables: {names}")
-        return np.full(grid.shape, compile_evaluator(V, order)(views), dtype=np.float64)
-    if callable(V):
-        return np.full(grid.shape, V(*views), dtype=np.float64)
-    raise TypeError(f"unsupported potential type {type(V)!r}")
+    return np.full(grid.shape, compile_evaluator(V, order)(views), dtype=np.float64)
 
 
 @functools.lru_cache(maxsize=8)
@@ -262,15 +253,15 @@ class SplitOperatorPropagator:
     ``order=2`` takes Strang steps, V/2 T V/2, at one FFT pair per step;
     ``order=4`` takes Chin's 4A steps (Chin & Chen, J. Chem. Phys. 114, 7338,
     2001), V/6 T/2 (2/3)W T/2 V/6 with W = V - (dt^2/48) sum_a (dV/dq_a)^2/m_a,
-    at two pairs.  W needs V as a Poly (or PotentialSpec).  The absorber
-    damps once per step, so its strength follows the step: ``order=4`` takes
-    none, and absorbed runs keep Strang steps of the caller's dt.
+    at two pairs; W is a Poly like V.  The absorber damps once per step, so
+    its strength follows the step: ``order=4`` takes none, and absorbed runs
+    keep Strang steps of the caller's dt.
     """
 
     def __init__(
         self,
         grid: Grid,
-        V,
+        V: Poly,
         dt: float,
         hbar: float = 1.0,
         masses: Sequence[float] | None = None,
@@ -283,10 +274,6 @@ class SplitOperatorPropagator:
             raise ValueError(f"split order must be 2 or 4, got {order!r}")
         if order == 4 and absorber is not None:
             raise ValueError("an absorber damps once per step; order 4 takes no absorber")
-        if isinstance(V, PotentialSpec):
-            V = V.to_poly(0)
-        if order == 4 and not isinstance(V, Poly):
-            raise TypeError("order 4 needs the gradient of V: give V as a Poly or PotentialSpec")
         self.grid = grid
         self.dt = float(dt)
         self.hbar = _positive(hbar, "hbar")
@@ -355,7 +342,7 @@ class SplitStep(NamedTuple):
 
 def choose_split_step(
     wf: WaveFunction,
-    V,
+    V: Poly,
     dt: float,
     n_steps: int,
     record_stride: int,
@@ -476,25 +463,10 @@ def expectation_row(wf: WaveFunction, kinds: Sequence[str]) -> ExpectationRow:
     return ExpectationRow(values, norm, _edge_amplitude(density))
 
 
-def expect(
-    wf: WaveFunction,
-    kind: str,
-    axis: int = 0,
-    potential=None,
-    masses: Sequence[float] | None = None,
-) -> float:
-    """Expectation value of q, p, q2, p2, qp_sym (see ``expectation_row``),
-    or H along one axis.  Kind 'H' needs the potential (any form
-    potential_mesh accepts)."""
-    if kind != "H":
-        return expectation_row(wf, (kind,)).values[axis]
-    if potential is None:
-        raise ValueError("expect(kind='H') needs the potential")
-    m = _per_axis(masses if masses is not None else 1.0, wf.grid.ndim, "masses")
-    kinetic = sum(p2 / (2.0 * ma) for p2, ma in zip(expectation_row(wf, ("p2",)).values, m))
-    vmesh = potential_mesh(wf.grid, potential)
-    density = wf.density()
-    return float(kinetic + np.sum(vmesh * density) / np.sum(density))
+def expect(wf: WaveFunction, kind: str, axis: int = 0) -> float:
+    """Expectation value of q, p, q2, p2 or qp_sym along one axis (see
+    ``expectation_row``)."""
+    return expectation_row(wf, (kind,)).values[axis]
 
 
 # --------------------------------------------------------------------------

@@ -83,19 +83,25 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.model_id not in ("harmonic", "cubic", "henon_heiles"):
             raise ValueError(f"unknown model {self.model_id!r}")
-        if len(self.masses) != len(self.omegas):
-            raise ValueError("masses and omegas must have equal length")
+        if not 0 < len(self.masses) == len(self.omegas):
+            raise ValueError("a model needs one or more dofs, each with a mass and an omega")
         params = {"g": self.g, "lam": self.lam, "hbar": self.hbar}
         params.update((f"masses[{i}]", m) for i, m in enumerate(self.masses))
         params.update((f"omegas[{i}]", w) for i, w in enumerate(self.omegas))
         for name, value in params.items():
             if not math.isfinite(value):
                 raise ValueError(f"model parameter {name} = {value!r} is not finite")
-        for m, w in zip(self.masses, self.omegas):
-            if m <= 0 or w <= 0:
-                raise ValueError("masses and frequencies must be positive")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if min(*self.masses, *self.omegas, self.hbar) <= 0:
+            raise ValueError("masses, frequencies and hbar must be positive")
+        if self.model_id == "henon_heiles" and self.n_dof != 2:
+            raise ValueError(f"henon_heiles needs 2 dofs, got {self.n_dof}")
+        for name, owner in (("g", "cubic"), ("lam", "henon_heiles")):
+            if getattr(self, name) != 0 and self.model_id != owner:
+                raise ValueError(f"{name} applies only to the {owner} model, not {self.model_id}")
+        if self.multiplet_name not in builtin_multiplets():
+            raise ValueError(f"unknown multiplet {self.multiplet_name!r}")
+        if not isinstance(self.closure, ClosureMode):
+            raise ValueError(f"closure = {self.closure!r} is not a ClosureMode")
 
     @property
     def n_dof(self) -> int:
@@ -130,11 +136,8 @@ def henon_heiles_model(
 
 def model_by_name(name: str) -> ModelSpec:
     key = name.strip().lower().replace("-", "_")
-    factories = {
-        "harmonic": harmonic_model,
-        "cubic": cubic_model,
-        "henon_heiles": henon_heiles_model,
-    }
+    factories = {"harmonic": harmonic_model, "cubic": cubic_model,
+                 "henon_heiles": henon_heiles_model}
     if key not in factories:
         raise ValueError(f"unknown model {name!r}")
     return factories[key]()

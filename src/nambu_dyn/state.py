@@ -36,10 +36,7 @@ def x_vars(layout: Layout) -> tuple[VarId, ...]:
 
 def classical_vars(n_dof: int) -> tuple[VarId, ...]:
     """Canonical (q0, p0, q1, p1, ...) order for classical state vectors."""
-    out: list[VarId] = []
-    for dof in range(n_dof):
-        out.extend((q(dof), p(dof)))
-    return tuple(out)
+    return tuple(v for dof in range(n_dof) for v in (q(dof), p(dof)))
 
 
 @dataclass

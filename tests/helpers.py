@@ -10,9 +10,8 @@ Strang steps from the split-operator factors applied one at a time or fused
 through the public ``np.fft`` transforms, quantum runs as plain Strang steps
 of the caller's dt, the harmonic packet's moments in closed form, and the
 Henon-Heiles mode energies from hand-written packet-center equations
-integrated with scipy's DOP853.  ``propagate_split_operator``,
-``position_moment`` and ``mode_energies`` are the test-only grid helpers
-that used to live in ``nambu_dyn.quantum``.
+integrated with scipy's DOP853.  ``position_moment``, ``mode_energies`` and
+``grid_energy`` are test-only grid helpers that used to live in ``nambu_dyn.quantum``.
 """
 
 from itertools import permutations
@@ -27,6 +26,7 @@ from nambu_dyn.quantum import (
     absorbing_mask,
     expectation_row,
     init_gaussian,
+    potential_mesh,
 )
 from nambu_dyn.scenarios import ABSORBED_NORM_FLOOR, model_multiplet, potential_poly
 from nambu_dyn.state import NambuState, classical_vars, x_vars
@@ -186,12 +186,6 @@ def fused_strang_reference(prop, amps, n):
     return amps
 
 
-def propagate_split_operator(wf, V, dt, steps, masses=None, absorber=None):
-    """Advance a wavefunction by ``steps`` Strang steps under potential V."""
-    prop = SplitOperatorPropagator(wf.grid, V, dt, wf.hbar, masses, absorber)
-    return prop.step(wf, steps)
-
-
 def position_moment(wf, exponents) -> float:
     """<q0^e0 q1^e1 ...> over the position density, normalized so that a
     partially absorbed state still reports a proper expectation value."""
@@ -202,6 +196,14 @@ def position_moment(wf, exponents) -> float:
         if e:
             weight = weight * wf.grid.axis_view(wf.grid.coords(axis), axis) ** e
     return float(np.sum(weight) / np.sum(density))
+
+
+def grid_energy(wf, V, masses=None) -> float:
+    """<H> = sum_a <p_a^2>/2m_a + <V>, with V a Poly weighted by |psi|^2."""
+    m = np.broadcast_to(1.0 if masses is None else masses, (wf.grid.ndim,))
+    kinetic = sum(p2 / (2.0 * ma) for p2, ma in zip(expectation_row(wf, ("p2",)).values, m))
+    density = wf.density()
+    return float(kinetic + np.sum(potential_mesh(wf.grid, V) * density) / np.sum(density))
 
 
 def mode_energies(wf, params) -> tuple[float, float]:

@@ -19,7 +19,6 @@ from helpers import (
     gaussian_moment,
     henon_heiles_mode_energies,
     mode_energies,
-    propagate_split_operator,
     random_poly,
 )
 
@@ -30,7 +29,6 @@ from nambu_dyn.brackets import (
 )
 from nambu_dyn.closure import (
     ClosureMode,
-    PotentialSpec,
     effective_potential,
     reduce_moment,
 )
@@ -42,7 +40,7 @@ from nambu_dyn.multiplets import (
     verify_consistency,
 )
 from nambu_dyn.poly import Poly, parse_poly, q, xvar
-from nambu_dyn.quantum import Grid, expect, init_gaussian
+from nambu_dyn.quantum import Grid, SplitOperatorPropagator, expect, init_gaussian
 from nambu_dyn.scenarios import (
     PacketSpec,
     compare,
@@ -163,8 +161,7 @@ def test_criterion_3_tunneling_dichotomy(cubic_nambu):
     assert q_min > -3.3
 
     # supporting energetics from 1D root finding
-    V = PotentialSpec({2: 0.5, 3: 0.1})
-    vpoly = V.to_poly()
+    vpoly = parse_poly("0.5*q^2 + 0.1*q^3")
     dv = vpoly.partial(q(0))
     roots = np.roots([dv.coefficient({q(0): 2}), dv.coefficient({q(0): 1}),
                       dv.constant_term()])
@@ -176,7 +173,7 @@ def test_criterion_3_tunneling_dichotomy(cubic_nambu):
     assert energy == pytest.approx(1.62, abs=1e-12)
     assert energy < barrier
 
-    vc = effective_potential(V, math.sqrt(0.5))
+    vc = effective_potential(vpoly, math.sqrt(0.5))
     dvc = vc.partial(q(0))
     roots_c = np.roots([dvc.coefficient({q(0): 2}), dvc.coefficient({q(0): 1}),
                         dvc.constant_term()])
@@ -437,7 +434,7 @@ def test_criterion_8_structural_properties():
     # Strang order on the harmonic packet
     def strang_err(n):
         wf = init_gaussian(Grid.make_1d(-10, 10, 2048), 1.0, 1.0, math.sqrt(0.5))
-        propagate_split_operator(wf, PotentialSpec({2: 0.5}), np.pi / n, n)
+        SplitOperatorPropagator(wf.grid, parse_poly("0.5*q^2"), np.pi / n).step(wf, n)
         return abs(expect(wf, "q") - (-1.0))
 
     strang_ratio = strang_err(64) / strang_err(128)

@@ -5,13 +5,11 @@ from helpers import gaussian_moment
 
 from nambu_dyn.closure import (
     ClosureMode,
-    PotentialSpec,
     UnsupportedMomentError,
     UnsupportedMultipletError,
     UnsupportedPotentialError,
     build_F,
     effective_potential,
-    parse_potential,
     reduce_moment,
 )
 from nambu_dyn.multiplets import QUARTET_QP_Q2P2, TRIPLET_QQPP_QP, multiplet_from_strings
@@ -58,7 +56,7 @@ def test_reduce_moment_rejects_bad_order():
 
 
 def test_build_F_cubic():
-    V = PotentialSpec({2: 0.5, 3: 0.1})
+    V = parse_poly("0.5*q^2 + 0.1*q^3")
     F = build_F(V, QUARTET_QP_Q2P2, ZC)
     x1, x3, x4 = (xvar(i) for i in (1, 3, 4))
     assert F.coefficient({x4: 1}) == pytest.approx(0.5)
@@ -69,7 +67,7 @@ def test_build_F_cubic():
 
 
 def test_build_F_harmonic_triplet():
-    F = build_F(PotentialSpec({2: 0.5}), TRIPLET_QQPP_QP, ZC)
+    F = build_F(parse_poly("0.5*q^2"), TRIPLET_QQPP_QP, ZC)
     assert F == parse_poly("0.5*x2 + 0.5*x1")
 
 
@@ -89,7 +87,7 @@ def test_build_F_henon_heiles_coupling():
 
 def test_build_F_reduces_to_classical_hamiltonian():
     # collapsing the fluctuations (x3 = x1^2, x4 = x2^2) recovers H(x1, x2)
-    V = PotentialSpec({2: 0.5, 3: 0.1})
+    V = parse_poly("0.5*q^2 + 0.1*q^3")
     F = build_F(V, QUARTET_QP_Q2P2, ZC)
     x1, x2 = Poly.var(xvar(1)), Poly.var(xvar(2))
     collapsed = F.subs({xvar(3): x1 * x1, xvar(4): x2 * x2})
@@ -110,16 +108,16 @@ def test_build_F_rejects_unknown_multiplets():
         "weird", ["q", "p", "q^2", "q^3"], ["x3 - x1^2", "x4 - x1^3"]
     )
     with pytest.raises(UnsupportedMultipletError):
-        build_F(PotentialSpec({2: 0.5}), weird, ZC)
+        build_F(parse_poly("0.5*q^2"), weird, ZC)
 
 
 def test_build_F_triplet_rejects_anharmonic():
     with pytest.raises(UnsupportedMultipletError):
-        build_F(PotentialSpec({2: 0.5, 3: 0.1}), TRIPLET_QQPP_QP, ZC)
+        build_F(parse_poly("0.5*q^2 + 0.1*q^3"), TRIPLET_QQPP_QP, ZC)
 
 
 def test_effective_potential_cubic():
-    V = PotentialSpec({2: 0.5, 3: 0.1})
+    V = parse_poly("0.5*q^2 + 0.1*q^3")
     vc = effective_potential(V, np.sqrt(0.5))
     qv = q(0)
     assert vc.coefficient({qv: 2}) == pytest.approx(0.5, rel=1e-13)
@@ -129,14 +127,17 @@ def test_effective_potential_cubic():
 
 
 def test_effective_potential_harmonic_limit():
-    vc = effective_potential(PotentialSpec({2: 0.5}), np.sqrt(0.5))
+    vc = effective_potential(parse_poly("0.5*q^2"), np.sqrt(0.5))
     assert vc.coefficient({q(0): 2}) == pytest.approx(0.5)
     assert vc.constant_term() == pytest.approx(0.5)
     assert vc.coefficient({q(0): 1}) == 0.0
+    # the zero-point kinetic term hbar^2/(8 m sigma^2) follows the mass
+    heavy = effective_potential(parse_poly("0.5*q^2"), np.sqrt(0.5), mass=2.0)
+    assert heavy.constant_term() == pytest.approx(0.375, rel=1e-13)
 
 
 def test_effective_potential_stationary_points():
-    vc = effective_potential(PotentialSpec({2: 0.5, 3: 0.1}), np.sqrt(0.5))
+    vc = effective_potential(parse_poly("0.5*q^2 + 0.1*q^3"), np.sqrt(0.5))
     qv = q(0)
     # root-find V_c'(qc) = 0 via the derivative's coefficients
     dv = vc.partial(qv)
@@ -148,24 +149,20 @@ def test_effective_potential_stationary_points():
 
 def test_effective_potential_rejects_high_degree_and_bad_sigma():
     with pytest.raises(UnsupportedPotentialError):
-        effective_potential(PotentialSpec({4: 1.0}), 0.5)
+        effective_potential(parse_poly("q^4"), 0.5)
     with pytest.raises(ValueError):
-        effective_potential(PotentialSpec({2: 0.5}), 0.0)
+        effective_potential(parse_poly("0.5*q^2"), 0.0)
 
 
-def test_potential_spec_validation_and_parse():
-    with pytest.raises(ValueError):
-        PotentialSpec({2: 1.0}, mass=0.0)
-    with pytest.raises(ValueError, match="mass = nan is not finite"):
-        PotentialSpec({2: 1.0}, mass=float("nan"))
-    with pytest.raises(ValueError, match=r"coefficient of q\^3 = nan is not finite"):
-        PotentialSpec({2: 0.5, 3: float("nan")})
-    spec = parse_potential("0.5*q^2 + 0.1*q^3")
-    assert spec.coefficients == {2: 0.5, 3: 0.1}
-    assert spec.degree == 3
-    assert spec.to_poly() == parse_poly("0.5*q^2 + 0.1*q^3")
-    with pytest.raises(ValueError):
-        parse_potential("0.5*p^2")
+def test_build_F_checks_masses_and_coefficients():
+    V = parse_poly("0.5*q^2")
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"mass of dof 0 = {bad!r} is not a positive"):
+            build_F(V, QUARTET_QP_Q2P2, ZC, masses=[bad])
+        with pytest.raises(ValueError, match=f"mass of dof 0 = {bad!r} is not a positive"):
+            effective_potential(V, 0.5, mass=bad)
+    with pytest.raises(ValueError, match=r"coefficient of q\^3 is nan"):
+        build_F(V + float("nan") * Poly.var(q(0)) ** 3, QUARTET_QP_Q2P2, ZC)
 
 
 def test_closure_mode_from_string():

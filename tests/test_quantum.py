@@ -6,15 +6,14 @@ import pytest
 
 from helpers import (
     fused_strang_reference,
+    grid_energy,
     mode_energies,
     position_moment,
-    propagate_split_operator,
     quantum_row_reference,
     strang_reference,
 )
 
 from nambu_dyn import quantum
-from nambu_dyn.closure import PotentialSpec
 from nambu_dyn.dynamics import NonFiniteStateError, integrate
 from nambu_dyn.poly import Poly, q
 from nambu_dyn.quantum import (
@@ -30,7 +29,7 @@ from nambu_dyn.quantum import (
 )
 
 SIG = math.sqrt(0.5)
-HARMONIC = PotentialSpec({2: 0.5})
+HARMONIC = 0.5 * Poly.var(q(0)) ** 2
 
 
 def test_grid_validation():
@@ -92,8 +91,8 @@ def test_variance_nonnegative_random_packets():
 def test_zero_point_energy():
     g = Grid.make_1d(-10.0, 10.0, 1024)
     wf = init_gaussian(g, 0.0, 0.0, SIG)
-    assert expect(wf, "H", potential=HARMONIC) == pytest.approx(0.5, abs=1e-8)
-    with pytest.raises(ValueError):
+    assert grid_energy(wf, HARMONIC) == pytest.approx(0.5, abs=1e-8)
+    with pytest.raises(ValueError, match="unknown expectation kind 'H'"):
         expect(wf, "H")
 
 
@@ -101,7 +100,7 @@ def test_harmonic_ehrenfest_half_period():
     g = Grid.make_1d(-10.0, 10.0, 2048)
     wf = init_gaussian(g, 1.0, 0.0, SIG)
     steps = int(round(np.pi / 1e-3))
-    propagate_split_operator(wf, HARMONIC, np.pi / steps, steps)
+    SplitOperatorPropagator(wf.grid, HARMONIC, np.pi / steps).step(wf, steps)
     assert expect(wf, "q") == pytest.approx(-1.0, abs=1e-4)
 
 
@@ -109,7 +108,7 @@ def test_free_particle_momentum_conserved():
     g = Grid.make_1d(-30.0, 30.0, 1024)
     wf = init_gaussian(g, 0.0, 1.3, 1.0)
     p0 = expect(wf, "p")
-    propagate_split_operator(wf, Poly.zero(), 1e-2, 500)
+    SplitOperatorPropagator(wf.grid, Poly.zero(), 1e-2).step(wf, 500)
     assert expect(wf, "p") == pytest.approx(p0, abs=1e-10)
 
 
@@ -117,18 +116,18 @@ def test_harmonic_energy_drift():
     g = Grid.make_1d(-10.0, 10.0, 2048)
     wf = init_gaussian(g, 1.0, 0.0, SIG)
     prop = SplitOperatorPropagator(g, HARMONIC, 1e-3)
-    e0 = expect(wf, "H", potential=HARMONIC)
+    e0 = grid_energy(wf, HARMONIC)
     worst = 0.0
     for _ in range(20):
         prop.step(wf, 1000)
-        worst = max(worst, abs(expect(wf, "H", potential=HARMONIC) - e0))
+        worst = max(worst, abs(grid_energy(wf, HARMONIC) - e0))
     assert worst < 1e-6
 
 
 def test_norm_conservation_long_run():
     g = Grid.make_1d(-10.0, 10.0, 256)
     wf = init_gaussian(g, 0.5, 0.5, SIG)
-    propagate_split_operator(wf, HARMONIC, 1e-3, 10_000)
+    SplitOperatorPropagator(wf.grid, HARMONIC, 1e-3).step(wf, 10_000)
     assert abs(wf.norm() - 1.0) < 1e-9
 
 
@@ -150,7 +149,7 @@ def test_absorber_norm_non_increasing():
 def test_strang_splitting_order():
     def endpoint_error(steps):
         wf = init_gaussian(Grid.make_1d(-10.0, 10.0, 2048), 1.0, 1.0, SIG)
-        propagate_split_operator(wf, HARMONIC, np.pi / steps, steps)
+        SplitOperatorPropagator(wf.grid, HARMONIC, np.pi / steps).step(wf, steps)
         return abs(expect(wf, "q") - (-1.0))
 
     ratio = endpoint_error(64) / endpoint_error(128)
@@ -202,11 +201,10 @@ def test_fourth_order_gradient_term_order(case):
 
 def test_fourth_order_needs_a_polynomial_potential():
     g = Grid.make_1d(-10.0, 10.0, 128)
-    with pytest.raises(TypeError, match="needs the gradient of V"):
-        SplitOperatorPropagator(g, lambda x: 0.5 * x**2, 1e-2, order=4)
-    # Strang takes a callable; a PotentialSpec is a Poly for both orders.
-    SplitOperatorPropagator(g, lambda x: 0.5 * x**2, 1e-2)
-    SplitOperatorPropagator(g, HARMONIC, 1e-2, order=4)
+    for order in (2, 4):
+        with pytest.raises(TypeError, match="potential must be a Poly"):
+            SplitOperatorPropagator(g, lambda x: 0.5 * x**2, 1e-2, order=order)
+        SplitOperatorPropagator(g, HARMONIC, 1e-2, order=order)
 
 
 def test_fourth_order_rejects_an_absorber():
@@ -305,11 +303,8 @@ def test_2d_coupled_total_energy_conserved_while_modes_exchange():
     g = Grid.make_2d((-8.0, 8.0, 128), (-8.0, 8.0, 128))
     s1, s2 = math.sqrt(0.5), math.sqrt(1.0 / 2.2)
     wf = init_gaussian(g, (0.0, 1.0), (0.0, 1.0), (s1, s2))
-    V = (
-        0.5 * Poly.var(q(0)) ** 2
-        + 0.5 * w2**2 * Poly.var(q(1)) ** 2
-        + lam * Poly.var(q(0)) * Poly.var(q(1)) ** 2
-    )
+    x, y = Poly.var(q(0)), Poly.var(q(1))
+    V = 0.5 * x**2 + 0.5 * w2**2 * y**2 + lam * x * y**2
     prop = SplitOperatorPropagator(g, V, 1e-2)
 
     def total(wf):
@@ -334,16 +329,11 @@ def test_non_finite_amplitudes_detected():
 
 
 def test_quantum_abort_through_driver_carries_rows_so_far():
-    # No built-in model reaches a non-finite wavefunction; a potential that
-    # is NaN at one grid point spoils the first step.
+    # No built-in model reaches a non-finite wavefunction; a potential phase
+    # that is NaN at one grid point spoils the first step.
     g = Grid.make_1d(-10.0, 10.0, 128)
-
-    def V(x):
-        v = 0.5 * x**2
-        v[40] = np.nan
-        return v
-
-    prop = SplitOperatorPropagator(g, V, 1e-2)
+    prop = SplitOperatorPropagator(g, HARMONIC, 1e-2)
+    prop.exp_v_half[40] = np.nan
     wf = init_gaussian(g, 0.0, 0.0, SIG)
     kinds = ("q", "p", "q2", "p2")
     first = expectation_row(wf, kinds).values
@@ -368,7 +358,8 @@ def test_fused_strang_step_matches_unfused_loop(shape, absorbed):
     axes = [(-8.0, 8.0, n) for n in shape]
     g = Grid(tuple(axes))
     wf = init_gaussian(g, [0.5] * g.ndim, [1.0] * g.ndim, [0.7] * g.ndim)
-    V = (lambda x: 0.5 * x**2 + 0.1 * x**3) if g.ndim == 1 else (lambda x, y: x * y**2)
+    x, y = Poly.var(q(0)), Poly.var(q(1))
+    V = 0.5 * x**2 + 0.1 * x**3 if g.ndim == 1 else x * y**2
     prop = SplitOperatorPropagator(g, V, 1e-2, absorber=absorbing_mask(g) if absorbed else None)
     before = wf.amps
     kept = before.copy()

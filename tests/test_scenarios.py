@@ -5,11 +5,13 @@ import pytest
 
 from helpers import harmonic_packet_moments, strang_run
 
+from nambu_dyn import cli
 from nambu_dyn.cli import main
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory, conserved_drift
 from nambu_dyn.poly import compile_evaluator
 from nambu_dyn.quantum import Grid
 from nambu_dyn.scenarios import (
+    ModelSpec,
     PacketSpec,
     compare,
     cubic_model,
@@ -32,6 +34,23 @@ def test_model_factories_and_names():
         model_by_name("other")
     with pytest.raises(ValueError):
         harmonic_model(m=-1.0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(multiplet_name="sextet"), "unknown multiplet 'sextet'"),
+        (dict(closure="zero_cumulant"), "closure = 'zero_cumulant' is not a ClosureMode"),
+        (dict(masses=(), omegas=()), "a model needs one or more dofs"),
+        (dict(model_id="henon_heiles"), "henon_heiles needs 2 dofs, got 1"),
+        (dict(g=0.3, multiplet_name="triplet"), "g applies only to the cubic model, not harmonic"),
+        (dict(model_id="cubic", lam=-0.11), "lam applies only to the henon_heiles model"),
+    ],
+    ids=["multiplet", "closure", "no-dof", "hh-dofs", "g", "lam"],
+)
+def test_model_spec_rejects_what_it_would_ignore_or_fail_on(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ModelSpec(**{"model_id": "harmonic", "masses": (1.0,), "omegas": (1.0,), **fields})
 
 
 def test_potential_polys():
@@ -412,6 +431,32 @@ def test_cli_check_fi(capsys):
     out = capsys.readouterr().out
     assert "sample_index,lhs,rhs,residual" in out
     assert "0.11" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "consistency", "--config", "{sextet}"], "unknown multiplet 'sextet'"),
+        (["verify", "consistency", "--multiplet", "quartet", "--samples", "0"], "samples = 0 "),
+        (["verify", "consistency", "--multiplet", "quartet", "--samples", "-3"], "samples = -3 "),
+        (["check", "fi", "--samples", "0"], "samples = 0 "),
+        (["verify", "consistency", "--multiplet", "quartet", "--tol", "nan"], "tol = nan "),
+        (["run", "--config", "{typo}"], "{typo}:3: unknown key 'tend'"),
+        (["run", "--model", "cubic", "--method", "nambu", "--out", "{tmp}/missing/x.csv"],
+         "directory {tmp}/missing does not exist"),
+    ],
+    ids=["multiplet", "samples-0", "samples-negative", "fi-samples-0", "tol-nan", "config-typo",
+         "out-dir"],
+)
+def test_cli_rejects_bad_input_before_any_work(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("run started"))
+    paths = dict(sextet=tmp_path / "sextet.conf", typo=tmp_path / "typo.conf", tmp=tmp_path)
+    paths["sextet"].write_text("multiplet = sextet\n")
+    paths["typo"].write_text("model = cubic\nmethod = nambu\ntend = 1\n")
+    assert main([a.format(**paths) for a in argv]) == 2
+    printed = capsys.readouterr()
+    assert message.format(**paths) in printed.err
+    assert printed.out == ""
 
 
 def test_cli_run_with_config_and_override(tmp_path, capsys):
