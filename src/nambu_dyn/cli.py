@@ -216,6 +216,9 @@ def cmd_verify_consistency(args) -> int:
 
 
 def cmd_check_fi(args) -> int:
+    model = _merged(args, "model", default="henon-heiles")
+    if model != "henon-heiles":
+        raise ConfigError(f"check fi has only the henon-heiles example, not model = {model!r}")
     samples = _samples(args, default=20)
     spec = henon_heiles_model()
     hset = hamiltonian_set(spec)

@@ -10,7 +10,7 @@ Gaussian closure) or by dropping central moments of order three and up
 from __future__ import annotations
 
 import enum
-from math import comb, isfinite
+from math import comb, inf, isfinite
 from typing import Sequence
 
 from .multiplets import MultipletDef, QUARTET_QP_Q2P2
@@ -168,8 +168,9 @@ def effective_potential(V: Poly, sigma: float, hbar: float = 1.0, mass: float = 
     x3 = qc^2 + sigma^2 and x4 = pc^2 + hbar^2/(4 sigma^2), for V(q0) of
     degree <= 3; the pc^2 kinetic part is excluded, the hbar-dependent
     corrections are kept."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    for name, value in (("sigma", sigma), ("hbar", hbar)):
+        if not 0 < value < inf:
+            raise ValueError(f"{name} = {value!r} is not a positive finite number")
     degree = max((sum(k for _, k in mono) for mono in V.terms), default=0)
     if degree > 3:
         raise UnsupportedPotentialError(

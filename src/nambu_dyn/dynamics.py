@@ -37,9 +37,10 @@ __all__ = [
 class NonFiniteStateError(RuntimeError):
     """Integration produced NaN/Inf; carries the partial trajectory."""
 
-    def __init__(self, message: str, trajectory: "Trajectory | None" = None):
+    def __init__(self, message: str, trajectory: "Trajectory | None" = None, filled: int = 0):
         super().__init__(message)
         self.trajectory = trajectory
+        self.filled = filled  # rows a block filled before the failing stride
 
 
 @dataclass(frozen=True)
@@ -140,13 +141,10 @@ class Trajectory:
         if has_flags:
             header.append("flags")
         lines.append(",".join(header) + "\n")
-        for row in range(len(self.t)):
-            cells = [repr(float(self.t[row]))]
-            cells += [repr(float(v)) for v in self.states[row]]
-            cells += [repr(float(v)) for v in self.observables[row]]
-            if has_flags:
-                cells.append(self.flags[row])
-            lines.append(",".join(cells) + "\n")
+        ends = [f",{flag}\n" for flag in self.flags] if has_flags else ["\n"] * len(self.t)
+        table = np.column_stack([self.t, self.states, self.observables])
+        lines += [",".join(map(repr, row.tolist())) + end for row, end in zip(table, ends)]
+        del table  # not kept alive through the join below
         with open(path, "w") as fh:
             fh.write("".join(lines))
 
@@ -219,16 +217,6 @@ def conserved_drift(traj: Trajectory) -> dict[str, DriftStat]:
 # --------------------------------------------------------------------------
 
 
-def _step_count(dt: float, t0: float, t_end: float) -> int:
-    steps = np.floor((t_end - t0) / dt + 1e-9)
-    if not steps <= LONG_MAX:
-        raise ValueError(
-            f"t_end - t0 = {t_end - t0!r} at dt = {dt!r} is {steps:.6g} steps, "
-            f"more than the limit of {LONG_MAX} (the RK4 kernel's C long)"
-        )
-    return int(steps)
-
-
 def check_run(dt: float, t_end: float, t0: float = 0.0, record_stride: int = 1) -> int:
     """The number of steps of dt from t0 to t_end, after the checks that
     ``integrate`` makes before any step; ValueError rejects a bad dt, t0,
@@ -239,67 +227,67 @@ def check_run(dt: float, t_end: float, t0: float = 0.0, record_stride: int = 1) 
         raise ValueError(f"need finite t0 < t_end, got t0 = {t0!r}, t_end = {t_end!r}")
     if not isinstance(record_stride, (int, np.integer)) or record_stride < 1:
         raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
-    return _step_count(dt, t0, t_end)
+    steps = np.floor((t_end - t0) / dt + 1e-9)
+    if not steps <= LONG_MAX:
+        raise ValueError(
+            f"t_end - t0 = {t_end - t0!r} at dt = {dt!r} is {steps:.6g} steps, "
+            f"more than the limit of {LONG_MAX} (the RK4 kernel's C long)"
+        )
+    return int(steps)
 
 
 def integrate(
-    advance: Callable[[int], int],
-    row: Callable[[], Sequence[float]],
+    fill: Callable[[np.ndarray, np.ndarray], tuple[int, int | None]],
+    y0: Sequence[float],
     dt: float,
     t_end: float,
     columns: Sequence[str],
     t0: float = 0.0,
     record_stride: int = 1,
-    stop: Callable[[np.ndarray], bool] | None = None,
     stop_flag: str = "escaped",
     meta: Mapping | None = None,
 ) -> Trajectory:
     """Drive a run to the largest multiple of dt <= t_end - t0, recording rows.
 
-    ``advance(n)`` takes up to ``n`` steps and returns how many it took, and
-    ``row()`` returns the current values, one per column.  Rows are recorded
-    at step 0, every ``record_stride`` steps and at the last step; the
-    trajectory has no observables.  After every advance, ``stop`` is asked
-    about the new ``row()``; when it holds, that row is recorded with
-    ``stop_flag`` and the run ends, so row 0 is never flagged.  A
-    NonFiniteStateError from ``advance`` leaves with the rows so far as its
-    ``trajectory``.  Before any step, ``check_run`` rejects a bad dt, t0,
-    t_end or stride and more than ``native.LONG_MAX`` steps, and ValueError
-    more rows than can be allocated.
+    Rows are recorded at step 0 (``y0``), every ``record_stride`` steps and
+    at the last step; the trajectory has no observables.  ``fill(steps,
+    rows)`` gets the steps of the rows still to record and a view of as many
+    preallocated rows, advances the run, fills a prefix of ``rows`` (one row
+    or more) and returns ``(filled, end)``: ``end`` is None, or the step of a
+    last row that ends the run, flagged ``stop_flag``.  A NonFiniteStateError
+    from ``fill`` leaves with the rows so far, and the ``filled`` rows it
+    counts, as its ``trajectory``.  ``check_run`` rejects a bad run before
+    any step, and ValueError more rows than can be allocated.
     """
     n_steps = check_run(dt, t_end, t0, record_stride)
     n_rows = 1 + -(-n_steps // record_stride)
     try:
-        ts, states, flags = np.empty(n_rows), np.empty((n_rows, len(columns))), []
+        states, steps = np.empty((n_rows, len(columns))), np.arange(n_rows)
     except (MemoryError, ValueError):  # numpy's ValueError: larger than any array
         raise ValueError(
             f"{n_steps} steps at record_stride {record_stride} make {n_rows} rows, "
             "too many to allocate; raise record_stride or shorten the run"
         ) from None
-
-    def record(step: int, y, flag: str = "") -> None:
-        k = len(flags)
-        ts[k], states[k] = t0 + step * dt, y
-        flags.append(flag)
+    steps *= min(record_stride, n_steps)
+    steps[-1] = n_steps
+    states[0] = y0
+    k, flag = 1, ""
 
     def build() -> Trajectory:
-        k = len(flags)
         return Trajectory(
-            ts[:k], states[:k], list(columns), np.empty((k, 0)), [], dict(meta or {}), flags
+            t0 + steps[:k] * dt, states[:k], list(columns), np.empty((k, 0)), [],
+            dict(meta or {}), [""] * (k - 1) + [flag],
         )
 
-    record(0, row())
-    step = 0
     try:
-        while step < n_steps:
-            step += advance(min(record_stride, n_steps - step))
-            y = row()
-            if stop is not None and stop(y):
-                record(step, y, stop_flag)
+        while k < n_rows:
+            filled, end = fill(steps[k:], states[k:])
+            k += filled
+            if end is not None:
+                steps[k - 1], flag = end, stop_flag
                 break
-            if step % record_stride == 0 or step == n_steps:
-                record(step, y)
     except NonFiniteStateError as exc:
+        k += exc.filled
         exc.trajectory = build()
         raise
     return build()
@@ -342,18 +330,20 @@ def rk4_integrate(
     state = tuple(y.tolist())
     done = 0
 
-    def advance(n: int) -> int:
+    def fill(steps: np.ndarray, rows: np.ndarray) -> tuple[int, int | None]:
         nonlocal state, done
-        state, taken = kernel(state, h, n, below)
-        done += abs(taken)
-        if taken < 0:
-            raise NonFiniteStateError(
-                f"state became non-finite at t = {t0 + done * dt:.6g} "
-                f"(step {done} of {_step_count(dt, t0, t_end)})"
-            )
-        return taken
+        steps = steps.tolist()
+        for k, step in enumerate(steps):
+            state, taken = kernel(state, h, step - done, below)
+            done += abs(taken)
+            if taken < 0:
+                raise NonFiniteStateError(
+                    f"state became non-finite at t = {t0 + done * dt:.6g} "
+                    f"(step {done} of {steps[-1]})", filled=k,
+                )
+            rows[k] = state
+            if state[0] < below:
+                return k + 1, done
+        return len(steps), None
 
-    return integrate(
-        advance, lambda: np.array(state), dt, t_end, columns,
-        t0, record_stride, lambda y: y[0] < below, meta=meta,
-    )
+    return integrate(fill, y, dt, t_end, columns, t0, record_stride, meta=meta)

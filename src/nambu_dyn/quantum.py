@@ -34,6 +34,7 @@ __all__ = [
     "potential_mesh",
     "ExpectationRow",
     "expectation_row",
+    "RowPass",
     "expect",
     "save_wavefunction",
     "load_wavefunction",
@@ -424,8 +425,8 @@ class ExpectationRow(NamedTuple):
     boundary_amp: float  # largest |psi| on the grid boundary
 
 
-# kind -> (space, power): space 0 is position, 1 is momentum.
-_MOMENTS = {"q": (0, 1), "q2": (0, 2), "p": (1, 1), "p2": (1, 2)}
+# kind -> (space, power), space 0 position and 1 momentum; qp_sym is normalized like p.
+_MOMENTS = {"q": (0, 1), "q2": (0, 2), "p": (1, 1), "p2": (1, 2), "qp_sym": (1, 0)}
 
 
 def expectation_row(wf: WaveFunction, kinds: Sequence[str]) -> ExpectationRow:
@@ -436,31 +437,63 @@ def expectation_row(wf: WaveFunction, kinds: Sequence[str]) -> ExpectationRow:
     qp_sym = Re <x psi|p psi> / <psi|psi>, the symmetrized product, takes one
     transform per axis by Parseval: Re sum conj(F[x psi]) hbar k F[psi] / sum |F[psi]|^2.
     """
-    for kind in kinds:
-        if kind not in _MOMENTS and kind != "qp_sym":
-            raise ValueError(f"unknown expectation kind {kind!r}")
-    x, hk, position, momentum = _grid_weights(wf.grid, wf.hbar)
-    density = wf.density()
-    sums = [[rows @ m for rows, m in zip(position, _marginals(density))]]
-    fft = _grid_fft(wf.grid.shape)[0]
-    if any(kind[0] == "p" or kind == "qp_sym" for kind in kinds):
-        spectrum = fft(wf.amps, np.empty_like(wf.amps))
-        power = spectrum.real**2 + spectrum.imag**2
-        sums.append([rows @ m for rows, m in zip(momentum, _marginals(power))])
-    values = []
-    for axis in range(wf.grid.ndim):
+    block = RowPass(wf.grid, wf.hbar, kinds, 1)
+    block.states[0] = wf.amps
+    return block.rows(1)[0]
+
+
+class RowPass:
+    """``expectation_row`` of up to ``size`` amplitude arrays written into ``states``:
+    ``rows(n)`` gives those of the first n, their transforms (psi, and x psi for
+    qp_sym) one ``_grid_fft`` call in place over one stack and each row's sums
+    its own, so bit-identical to a block of one.  The buffers are reused, as
+    malloc maps arrays of 128 KiB and up afresh, page faults and all."""
+
+    def __init__(self, grid: Grid, hbar: float, kinds: Sequence[str], size: int):
         for kind in kinds:
-            if kind == "qp_sym":
-                xpsi = wf.amps * x[axis]
-                fft(xpsi, xpsi)
-                xpsi *= hk[axis]
-                values.append(float(np.vdot(xpsi, spectrum).real / sums[1][axis][0]))
-            else:
-                space, order = _MOMENTS[kind]
-                s = sums[space][axis]
-                values.append(float(s[order] / s[0]))
-    norm = float(sums[0][0][0]) * wf.grid.dvol
-    return ExpectationRow(values, norm, _edge_amplitude(density))
+            if kind not in _MOMENTS:
+                raise ValueError(f"unknown expectation kind {kind!r}")
+        self.grid, self.kinds, self.weights = grid, tuple(kinds), _grid_weights(grid, hbar)
+        self.axes = grid.ndim * ("qp_sym" in kinds)
+        self.states = np.empty((size, *grid.shape), dtype=np.complex128)
+        self.work = np.empty(((1 + self.axes) * size, *grid.shape), dtype=np.complex128)
+        self.scratch = np.empty((2, *grid.shape))
+
+    def rows(self, n: int) -> list[ExpectationRow]:
+        grid, kinds, axes, dvol = self.grid, self.kinds, self.axes, self.grid.dvol
+        x, hk, position, momentum = self.weights
+        d, sq = self.scratch  # |a|^2 as re^2 + im^2, no allocation per row
+
+        def density(a: np.ndarray) -> np.ndarray:
+            return np.add(np.square(a.real, out=d), np.square(a.imag, out=sq), out=d)
+
+        # The stack: psi of each state, then x psi for each axis, each state.
+        work = self.work[: (1 + axes) * n]
+        psi, xpsi = work[:n], work[n:].reshape(axes, n, *grid.shape)
+        psi[...] = self.states[:n]
+        sums, edges = [], []
+        for a in psi:
+            sums.append([[r @ m for r, m in zip(position, _marginals(density(a)))]])
+            edges.append(_edge_amplitude(d))
+        for axis, out in enumerate(xpsi):
+            np.multiply(psi, x[axis], out=out)
+        if any(_MOMENTS[kind][0] for kind in kinds):  # a momentum-space kind
+            _grid_fft(grid.shape)[0](work, work)
+            for axis, out in enumerate(xpsi):
+                out *= hk[axis]
+            for own, a in zip(sums, psi):
+                own.append([r @ m for r, m in zip(momentum, _marginals(density(a)))])
+        rows = []
+        for b, own in enumerate(sums):  # own[space][axis]: this row's (1, v, v^2) sums
+            values = []
+            for axis in range(grid.ndim):
+                for kind in kinds:
+                    space, order = _MOMENTS[kind]
+                    s = own[space][axis]
+                    v = np.vdot(xpsi[axis, b], psi[b]).real if kind == "qp_sym" else s[order]
+                    values.append(float(v / s[0]))
+            rows.append(ExpectationRow(values, float(own[0][0][0]) * dvol, edges[b]))
+        return rows
 
 
 def expect(wf: WaveFunction, kind: str, axis: int = 0) -> float:

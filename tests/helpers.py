@@ -7,10 +7,11 @@ classical images from ``Poly.eval`` point by point (the Nambu field through
 one LU-determinant bracket per component) instead of generated code, RK4
 trajectories from a numpy loop that calls the field four times per step,
 Strang steps from the split-operator factors applied one at a time or fused
-through the public ``np.fft`` transforms, quantum runs as plain Strang steps
-of the caller's dt, the harmonic packet's moments in closed form, and the
-Henon-Heiles mode energies from hand-written packet-center equations
-integrated with scipy's DOP853.  ``position_moment``, ``mode_energies`` and
+through the public ``np.fft`` transforms, quantum runs stride by stride with
+one expectation row per call (as plain Strang steps of the caller's dt, or
+with a given propagator), CSV text cell by cell, the harmonic packet's
+moments in closed form, and the Henon-Heiles mode energies from
+hand-written packet-center equations integrated with scipy's DOP853.  ``position_moment``, ``mode_energies`` and
 ``grid_energy`` are test-only grid helpers that used to live in ``nambu_dyn.quantum``.
 """
 
@@ -218,10 +219,28 @@ def mode_energies(wf, params) -> tuple[float, float]:
     return (e1, e2)
 
 
+def stride_run(prop, wf, kinds, n_steps, record_stride, multiple=1, absorbed=False):
+    """(steps, rows, flags) of a quantum run in a loop of its own: one
+    ``prop.step`` call per recording stride, of ``multiple`` steps of the
+    run's dt each, one ``expectation_row`` per row and, when ``absorbed``,
+    the absorber's 1 % norm stop; ``wf`` is left at the last row's state."""
+    steps, rows, flags = [0], [expectation_row(wf, kinds).values], [""]
+    while steps[-1] < n_steps:
+        n = min(record_stride, n_steps - steps[-1])
+        prop.step(wf, n // multiple)
+        row = expectation_row(wf, kinds)
+        steps.append(steps[-1] + n)
+        rows.append(row.values)
+        stop = absorbed and row.norm < ABSORBED_NORM_FLOOR
+        flags.append("absorbed" if stop else "")
+        if stop:
+            break
+    return np.array(steps), np.array(rows), flags
+
+
 def strang_run(spec, packet, dt, t_end, record_stride, grid):
     """(t, rows, flags) of ``run_scenario``'s quantum run taken as Strang
-    steps of ``dt`` whatever the step rule picks, in a loop of its own: one
-    propagator call per recording stride, the absorber's 1 % norm stop."""
+    steps of ``dt`` whatever the step rule picks, by ``stride_run``."""
     wf = init_gaussian(grid, packet.qc, packet.pc, packet.resolved_sigmas(spec), spec.hbar)
     absorber = absorbing_mask(grid) if spec.model_id == "cubic" else None
     prop = SplitOperatorPropagator(
@@ -229,20 +248,28 @@ def strang_run(spec, packet, dt, t_end, record_stride, grid):
     )
     kinds = ("q", "p", "q2", "p2") if model_multiplet(spec).N == 4 else ("q2", "p2", "qp_sym")
     n_steps = int(np.floor(t_end / dt + 1e-9))
-    ts, rows, flags = [0.0], [expectation_row(wf, kinds).values], [""]
-    step = 0
-    while step < n_steps:
-        n = min(record_stride, n_steps - step)
-        prop.step(wf, n)
-        step += n
-        row = expectation_row(wf, kinds)
-        ts.append(step * dt)
-        rows.append(row.values)
-        absorbed = absorber is not None and row.norm < ABSORBED_NORM_FLOOR
-        flags.append("absorbed" if absorbed else "")
-        if absorbed:
-            break
-    return np.array(ts), np.array(rows), flags
+    steps, rows, flags = stride_run(
+        prop, wf, kinds, n_steps, record_stride, absorbed=absorber is not None
+    )
+    return steps * dt, rows, flags
+
+
+def to_csv_reference(traj) -> str:
+    """The text ``Trajectory.to_csv`` writes, built cell by cell as it once was."""
+    lines = [f"# {key} = {value}\n" for key, value in traj.meta.items()]
+    has_flags = any(traj.flags)
+    header = ["t", *traj.columns, *traj.observable_names]
+    if has_flags:
+        header.append("flags")
+    lines.append(",".join(header) + "\n")
+    for row in range(len(traj.t)):
+        cells = [repr(float(traj.t[row]))]
+        cells += [repr(float(v)) for v in traj.states[row]]
+        cells += [repr(float(v)) for v in traj.observables[row]]
+        if has_flags:
+            cells.append(traj.flags[row])
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
 
 
 def harmonic_packet_moments(t, qc, pc, sigma, m=1.0, omega=1.0, hbar=1.0):

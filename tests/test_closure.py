@@ -136,6 +136,23 @@ def test_effective_potential_harmonic_limit():
     assert heavy.constant_term() == pytest.approx(0.375, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(sigma=float("nan")), "sigma = nan is not a positive finite number"),
+        (dict(sigma=float("inf")), "sigma = inf is not a positive finite number"),
+        (dict(sigma=0.0), "sigma = 0.0 is not a positive finite number"),
+        (dict(sigma=0.7, hbar=float("nan")), "hbar = nan is not a positive finite number"),
+        (dict(sigma=0.7, hbar=-1.0), "hbar = -1.0 is not a positive finite number"),
+        (dict(sigma=0.7, hbar=0.0), "hbar = 0.0 is not a positive finite number"),
+    ],
+    ids=["sigma-nan", "sigma-inf", "sigma-zero", "hbar-nan", "hbar-negative", "hbar-zero"],
+)
+def test_effective_potential_rejects_bad_sigma_and_hbar(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        effective_potential(parse_poly("0.5*q^2 + 0.1*q^3"), **kwargs)
+
+
 def test_effective_potential_stationary_points():
     vc = effective_potential(parse_poly("0.5*q^2 + 0.1*q^3"), np.sqrt(0.5))
     qv = q(0)

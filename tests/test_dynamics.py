@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import classical_vector_field, nambu_vector_field, rk4_reference
+from helpers import classical_vector_field, nambu_vector_field, rk4_reference, to_csv_reference
 
 from nambu_dyn import native
 from nambu_dyn.brackets import nambu_bracket
@@ -15,6 +15,7 @@ from nambu_dyn.dynamics import (
     compile_classical_field,
     compile_nambu_field,
     conserved_drift,
+    integrate,
     rk4_integrate,
     symbolic_flow,
 )
@@ -247,6 +248,77 @@ def test_trajectory_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(loaded.states, traj.states, atol=0)
     np.testing.assert_allclose(loaded.observables, traj.observables, atol=0)
     assert loaded.meta["model"] == "harmonic"
+
+
+def _edge_values_trajectory():
+    return Trajectory(
+        [0.0, 0.1, 2.5e-17], [[-0.0, 1e-300], [math.inf, -math.inf], [math.nan, 1.0 / 3.0]],
+        ["x1_0", "x2_0"], [[1.0], [2.0], [3.0]], ["F"], {"model": "test"},
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: run_scenario(cubic_model(), PacketSpec.make(0.0, 1.8), "nambu"),
+        lambda: run_scenario(
+            harmonic_model(), PacketSpec.make(1.0, 0.5), "nambu", dt=1e-2, t_end=2.0
+        ),
+        _edge_values_trajectory,
+    ],
+    ids=["escape-flags", "no-flags", "edge-values"],
+)
+def test_csv_bytes_match_the_cell_by_cell_writer(make, tmp_path):
+    traj = make()
+    assert any(traj.flags) == (traj.flags[-1] == "escaped")
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    assert path.read_bytes() == to_csv_reference(traj).encode()
+
+
+def _counting_fill(block=2, stop_at=None, fail_at=None):
+    """A fill that records each row's step count as its value, ``block``
+    rows per call; it ends the run at ``stop_at`` and fails at ``fail_at``."""
+    def fill(steps, rows):
+        n = min(block, len(steps))
+        for k, step in enumerate(steps[:n].tolist()):
+            if step == fail_at:
+                raise NonFiniteStateError(f"failed at step {step}", filled=k)
+            rows[k] = (step,)
+            if stop_at is not None and step >= stop_at:
+                return k + 1, stop_at
+        return n, None
+
+    return fill
+
+
+def test_integrate_hands_out_blocks_of_the_row_schedule():
+    # 10 steps of 0.5 recorded every 3: rows at steps 0, 3, 6, 9 and 10.
+    handed = []
+
+    def fill(steps, rows):
+        handed.append(steps.tolist())
+        return _counting_fill()(steps, rows)
+
+    traj = integrate(fill, (0.0,), 0.5, 6.25, ["s"], t0=1.0, record_stride=3)
+    assert handed == [[3, 6, 9, 10], [9, 10]]
+    assert traj.t.tolist() == [1.0, 2.5, 4.0, 5.5, 6.0]
+    assert traj.states[:, 0].tolist() == [0, 3, 6, 9, 10]
+    assert traj.flags == [""] * 5
+    # A row that ends the run carries the step the fill reports, off the schedule.
+    stopped = integrate(_counting_fill(stop_at=5), (0.0,), 0.5, 5.25, ["s"], record_stride=3)
+    assert stopped.t.tolist() == [0.0, 1.5, 2.5]
+    assert stopped.flags == ["", "", "escaped"]
+
+
+@pytest.mark.parametrize("fail_at, kept", [(6, [0, 3]), (9, [0, 3, 6]), (10, [0, 3, 6, 9])])
+def test_integrate_abort_keeps_the_rows_before_the_failing_stride(fail_at, kept):
+    with pytest.raises(NonFiniteStateError) as err:
+        integrate(_counting_fill(fail_at=fail_at), (0.0,), 0.5, 5.25, ["s"], record_stride=3)
+    partial = err.value.trajectory
+    assert partial.states[:, 0].tolist() == kept
+    assert partial.t.tolist() == [0.5 * s for s in kept]
+    assert partial.flags == [""] * len(kept)
 
 
 @pytest.mark.parametrize(

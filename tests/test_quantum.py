@@ -24,6 +24,7 @@ from nambu_dyn.quantum import (
     WaveFunction,
     absorbing_mask,
     expect,
+    RowPass,
     expectation_row,
     init_gaussian,
 )
@@ -246,15 +247,18 @@ def test_wavefunction_rejects_bad_hbar(hbar):
 
 @pytest.fixture
 def transform_calls(monkeypatch):
-    """A list that grows by one per transform ``quantum._grid_fft`` hands out."""
+    """A list that grows by one entry per call of a transform that
+    ``quantum._grid_fft`` hands out, the number of transforms in the call:
+    the leading batch size of a stack, 1 for a single grid array.  Its sum
+    counts transforms, its length calls."""
     calls = []
     grid_fft = quantum._grid_fft
 
     def counted_grid_fft(shape):
         def counted(fn):
-            def run(*args):
-                calls.append(1)
-                return fn(*args)
+            def run(a, out):
+                calls.append(a.size // math.prod(shape))
+                return fn(a, out)
 
             return run
 
@@ -272,7 +276,7 @@ def test_split_step_transform_count(transform_calls):
             prop = SplitOperatorPropagator(g, HARMONIC, 1e-2, order=order)
             calls.clear()
             prop.step(wf, 7)
-            assert len(calls) == 7 * per_step
+            assert sum(calls) == len(calls) == 7 * per_step
 
 
 def test_2d_mode_energies_at_t0():
@@ -337,14 +341,17 @@ def test_quantum_abort_through_driver_carries_rows_so_far():
     wf = init_gaussian(g, 0.0, 0.0, SIG)
     kinds = ("q", "p", "q2", "p2")
     first = expectation_row(wf, kinds).values
+    done = 0
 
-    def advance(n):
-        prop.step(wf, n)
-        return n
+    def fill(steps, rows):  # one row per call
+        nonlocal done
+        prop.step(wf, int(steps[0]) - done)
+        done = int(steps[0])
+        rows[0] = expectation_row(wf, kinds).values
+        return 1, None
 
     with pytest.raises(NonFiniteAmplitudeError) as err:
-        integrate(advance, lambda: expectation_row(wf, kinds).values, 1e-2, 1.0,
-                  list(kinds), record_stride=10)
+        integrate(fill, first, 1e-2, 1.0, list(kinds), record_stride=10)
     assert isinstance(err.value, NonFiniteStateError)
     partial = err.value.trajectory
     assert partial.t.tolist() == [0.0]
@@ -419,12 +426,20 @@ def test_expectation_row_transform_count(transform_calls):
     def count(case, kinds):
         calls.clear()
         expectation_row(packets[case], kinds)
-        return len(calls)
+        return sum(calls)
 
     assert count("1d", QUARTET) == 1
     assert count("2d", QUARTET) == 1
     assert count("1d", TRIPLET) == 2
     assert count("1d", ("q", "q2")) == 0
+    # A block of B rows makes every transform in one call: psi and x psi of
+    # each state for the triplet.
+    wf = packets["1d"]
+    block = RowPass(wf.grid, wf.hbar, TRIPLET, 5)
+    block.states[:] = wf.amps
+    calls.clear()
+    block.rows(5)
+    assert calls == [2 * 5]
 
 
 GRID_SHAPES = [(2048,), (4096,), (128, 128), (256, 64), (64, 128), (64, 32, 16)]
@@ -447,10 +462,35 @@ def test_grid_fft_bit_identical_to_public_transforms(shape, batch):
         assert np.array_equal(in_place, want)
 
 
+@pytest.mark.parametrize("kinds", [TRIPLET, QUARTET], ids=["triplet", "quartet"])
+@pytest.mark.parametrize("case", ["1d", "2d"])
+def test_block_rows_equal_rows_of_one(case, kinds):
+    # One batched pass over a block, and each row's reductions kept per row:
+    # every value bit-identical to the row of that state alone.
+    wf = _row_packet(case)
+    g = wf.grid
+    prop = SplitOperatorPropagator(g, 0.5 * sum(Poly.var(q(a)) ** 2 for a in range(g.ndim)), 0.05)
+    states = [prop.step(wf, 3).amps for _ in range(5)]
+    block = RowPass(g, wf.hbar, kinds, 6)
+    block.states[:5] = states
+    kept = block.states.copy()
+    for passes in range(2):  # the buffers serve every pass
+        rows = block.rows(5)
+        assert np.array_equal(block.states, kept)  # the states are read, never written
+        assert len(rows) == 5
+        for state, row in zip(states, rows):
+            alone = expectation_row(WaveFunction(g, state, wf.hbar), kinds)
+            assert row.values == alone.values
+            assert (row.norm, row.boundary_amp) == (alone.norm, alone.boundary_amp)
+    assert block.rows(0) == []
+
+
 def test_expectation_row_rejects_unknown_kind():
     wf = _row_packet("1d")
     with pytest.raises(ValueError, match="unknown expectation kind 'x3'"):
         expectation_row(wf, ("q", "x3"))
+    with pytest.raises(ValueError, match="unknown expectation kind 'x3'"):
+        RowPass(wf.grid, wf.hbar, ("q", "x3"), 4)
     with pytest.raises(ValueError, match="unknown expectation kind"):
         expect(wf, "r")
 

@@ -3,13 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import harmonic_packet_moments, strang_run
+from helpers import harmonic_packet_moments, strang_run, stride_run
 
-from nambu_dyn import cli
+from nambu_dyn import cli, scenarios
 from nambu_dyn.cli import main
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory, conserved_drift
 from nambu_dyn.poly import compile_evaluator
-from nambu_dyn.quantum import Grid
+from nambu_dyn.quantum import (
+    Grid,
+    NonFiniteAmplitudeError,
+    SplitOperatorPropagator,
+    absorbing_mask,
+    init_gaussian,
+)
 from nambu_dyn.scenarios import (
     ModelSpec,
     PacketSpec,
@@ -45,8 +51,13 @@ def test_model_factories_and_names():
         (dict(model_id="henon_heiles"), "henon_heiles needs 2 dofs, got 1"),
         (dict(g=0.3, multiplet_name="triplet"), "g applies only to the cubic model, not harmonic"),
         (dict(model_id="cubic", lam=-0.11), "lam applies only to the henon_heiles model"),
+        (dict(model_id="cubic", g=0.3, multiplet_name="triplet"),
+         "the triplet hosts only the harmonic model, not cubic"),
+        (dict(model_id="henon_heiles", masses=(1.0, 1.0), omegas=(1.0, 1.1), lam=-0.11,
+              multiplet_name="triplet"),
+         "the triplet hosts only the harmonic model, not henon_heiles"),
     ],
-    ids=["multiplet", "closure", "no-dof", "hh-dofs", "g", "lam"],
+    ids=["multiplet", "closure", "no-dof", "hh-dofs", "g", "lam", "cubic-triplet", "hh-triplet"],
 )
 def test_model_spec_rejects_what_it_would_ignore_or_fail_on(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -336,6 +347,103 @@ def test_runs_kept_on_strang_steps_are_unchanged(name, qc, pc, dt, t_end, stride
         assert flags[-1] == "absorbed"
 
 
+class _FailsAtCall(SplitOperatorPropagator):
+    """A propagator whose potential phase turns NaN at its ``FAIL_AT``-th step call."""
+
+    FAIL_AT = 0
+
+    def step(self, wf, n=1):
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.calls == self.FAIL_AT:
+            self.exp_v_half = np.full_like(self.exp_v_half, np.nan)
+        return super().step(wf, n)
+
+
+def _captured_run(monkeypatch, spec, packet, **kwargs):
+    """``run_scenario``'s quantum trajectory and its final wavefunction."""
+    wfs = []
+
+    def capture(*args, **kw):
+        wfs.append(init_gaussian(*args, **kw))
+        return wfs[-1]
+
+    monkeypatch.setattr(scenarios, "init_gaussian", capture)
+    return run_scenario(spec, packet, "quantum", **kwargs), wfs[0]
+
+
+CUBIC_1024 = Grid.make_1d(-30.0, 15.0, 1024)
+
+
+@pytest.mark.parametrize(
+    "name, pc, dt, t_end, grid",
+    [("harmonic", 0.5, 1e-2, 1.05, None), ("cubic", 1.8, 1e-2, 40.0, CUBIC_1024)],
+    ids=["short-last-stride", "absorbed-mid-block"],
+)
+def test_block_rows_match_a_stride_by_stride_loop(name, pc, dt, t_end, grid, monkeypatch):
+    # The run records its rows in blocks of ROW_BLOCK_BYTES of states (4 rows
+    # at 2048 points, 8 at 1024); the loop steps one stride and takes one
+    # row at a time.  Rows, flags and the final state must agree to the bit.
+    spec = model_by_name(name)
+    packet = PacketSpec.make(1.0 if name == "harmonic" else 0.0, pc)
+    traj, wf = _captured_run(
+        monkeypatch, spec, packet, dt=dt, t_end=t_end, record_stride=10, grid=grid
+    )
+    grid = wf.grid
+    h, order = float(traj.meta["quantum_dt"]), int(traj.meta["split_order"])
+    absorber = absorbing_mask(grid) if name == "cubic" else None
+    prop = SplitOperatorPropagator(
+        grid, potential_poly(spec), h, spec.hbar, spec.masses, absorber, order
+    )
+    ref = init_gaussian(grid, packet.qc, packet.pc, packet.resolved_sigmas(spec), spec.hbar)
+    kinds = ("q2", "p2", "qp_sym") if name == "harmonic" else ("q", "p", "q2", "p2")
+    n_steps = int(np.floor(t_end / dt + 1e-9))
+    steps, rows, flags = stride_run(
+        prop, ref, kinds, n_steps, 10, round(h / dt), absorber is not None
+    )
+    block = scenarios.ROW_BLOCK_BYTES // wf.amps.nbytes
+    if name == "harmonic":  # 10 full strides and one of 5 steps: blocks of 4, 4 and 3
+        assert (block, steps[-1] - steps[-2], flags[-1]) == (4, 5, "")
+    else:  # row 54 ends the run, the sixth of the block of rows 49-56
+        assert (block, len(steps) - 1, flags[-1]) == (8, 54, "absorbed")
+    assert np.array_equal(traj.t, steps * dt)
+    assert np.array_equal(traj.states, rows)
+    assert traj.flags == flags
+    assert np.array_equal(wf.amps, ref.amps)
+
+
+@pytest.mark.parametrize("fail_at", [1, 3, 5, 11])
+def test_quantum_abort_in_a_block_keeps_the_rows_before_it(fail_at, monkeypatch):
+    # 11 strides in blocks of 4, 4 and 3: the failing stride opens the first
+    # block, sits inside it, opens the second, or closes the run.
+    spec, packet = harmonic_model(), PacketSpec.make(1.0, 0.5)
+    run = dict(dt=1e-2, t_end=1.05, record_stride=10)
+    whole = run_scenario(spec, packet, "quantum", **run)
+    monkeypatch.setattr(_FailsAtCall, "FAIL_AT", fail_at)
+    monkeypatch.setattr(scenarios, "SplitOperatorPropagator", _FailsAtCall)
+    with pytest.raises(NonFiniteAmplitudeError) as err:
+        run_scenario(spec, packet, "quantum", **run)
+    partial = err.value.trajectory
+    assert len(partial) == fail_at
+    assert np.array_equal(partial.t, whole.t[:fail_at])
+    assert np.array_equal(partial.states, whole.states[:fail_at])
+    assert np.array_equal(partial.observables, whole.observables[:fail_at])
+    assert partial.flags == [""] * fail_at
+
+
+def test_quantum_abort_after_an_absorbed_row_in_its_block_is_not_raised(monkeypatch):
+    # Rows 49-56 form one block at 1024 points; row 54 is absorbed, so a
+    # failure in the stride to row 55 comes after the end of the run and
+    # changes nothing.
+    spec, packet = cubic_model(), PacketSpec.make(0.0, 1.8)
+    run = dict(dt=1e-2, record_stride=10, grid=CUBIC_1024)
+    whole = run_scenario(spec, packet, "quantum", **run)
+    assert len(whole) == 55 and whole.flags[-1] == "absorbed"
+    monkeypatch.setattr(_FailsAtCall, "FAIL_AT", 55)
+    monkeypatch.setattr(scenarios, "SplitOperatorPropagator", _FailsAtCall)
+    traj = run_scenario(spec, packet, "quantum", **run)
+    assert np.array_equal(traj.states, whole.states) and traj.flags == whole.flags
+
+
 SMALL_GRIDS = {"henon_heiles": Grid.make_2d((-8.0, 8.0, 64), (-8.0, 8.0, 64))}
 
 
@@ -431,6 +539,17 @@ def test_cli_check_fi(capsys):
     out = capsys.readouterr().out
     assert "sample_index,lhs,rhs,residual" in out
     assert "0.11" in out
+
+
+def test_cli_check_fi_rejects_another_model_in_its_config(tmp_path, capsys):
+    config = tmp_path / "fi.conf"
+    config.write_text("model = cubic\nsamples = 2\n")
+    assert main(["check", "fi", "--config", str(config)]) == 2
+    printed = capsys.readouterr()
+    assert "check fi has only the henon-heiles example, not model = 'cubic'" in printed.err
+    assert printed.out == ""
+    config.write_text("model = henon-heiles\nsamples = 2\n")
+    assert main(["check", "fi", "--config", str(config)]) == 0
 
 
 @pytest.mark.parametrize(
