@@ -23,9 +23,7 @@ from .brackets import (
     check_fundamental_identity,
     check_jacobi,
     flow_divergence,
-    nambu_bracket,
     nambu_bracket_poly,
-    poisson_bracket,
     poisson_bracket_poly,
     sample_assignments,
 )

@@ -1,11 +1,9 @@
 """Poisson and Nambu brackets as Jacobian determinants.
 
-Two evaluation paths are provided.  The symbolic path expands the
-determinant into a Poly by cofactors (N <= 5); time stepping compiles the
-flows built from it, and the identity checkers use it for brackets of
-brackets.  The numeric path evaluates the Jacobian matrix at a point and
-takes an LU determinant; the identity checkers take their outer brackets
-with it, and tests use it as an independent reference.
+Brackets are expanded into Polys: the Nambu bracket by cofactors
+(N <= 5).  Time stepping compiles the flows built from them, and the
+identity checkers expand both sides of each identity and evaluate them once
+over all sample points with generated code.
 """
 
 from __future__ import annotations
@@ -17,15 +15,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import Poly, VarId, p, q, xvar
+from .poly import Poly, UnboundVariableError, VarId, compile_evaluator, p, q, xvar
 from .state import Layout, NambuState, x_vars
 
 __all__ = [
     "BracketReport",
     "DimensionMismatchError",
-    "poisson_bracket",
     "poisson_bracket_poly",
-    "nambu_bracket",
     "nambu_bracket_poly",
     "check_jacobi",
     "check_fundamental_identity",
@@ -100,18 +96,6 @@ def _check_layout_vars(fns: Sequence[Poly], layout: Layout) -> None:
 # --------------------------------------------------------------------------
 
 
-def poisson_bracket(
-    A: Poly, B: Poly, point: Mapping[VarId, float], n_dof: int = 1
-) -> float:
-    """Sum over dofs of the 2x2 Jacobian of (A, B) wrt (q, p), at a point."""
-    total = 0.0
-    for dof in range(n_dof):
-        qv, pv = q(dof), p(dof)
-        total += _partial(A, qv).eval(point) * _partial(B, pv).eval(point)
-        total -= _partial(A, pv).eval(point) * _partial(B, qv).eval(point)
-    return total
-
-
 def poisson_bracket_poly(A: Poly, B: Poly, n_dof: int = 1) -> Poly:
     """The Poisson bracket of two Polys, expanded symbolically."""
     out = Poly.zero()
@@ -124,27 +108,6 @@ def poisson_bracket_poly(A: Poly, B: Poly, n_dof: int = 1) -> Poly:
 # --------------------------------------------------------------------------
 # Nambu bracket
 # --------------------------------------------------------------------------
-
-
-def nambu_bracket(fns: Sequence[Poly], state, layout: Layout) -> float:
-    """Sum over dofs of the NxN Jacobian determinant of fns wrt one N-plet.
-
-    The determinant is computed by LU factorization with partial pivoting.
-    """
-    N, n_dof = layout
-    if len(fns) != N:
-        raise DimensionMismatchError(f"need {N} functions, got {len(fns)}")
-    _check_layout_vars(fns, layout)
-    point = _as_point(state, layout)
-    total = 0.0
-    jac = np.empty((N, N), dtype=np.float64)
-    for dof in range(n_dof):
-        vs = [xvar(i, dof) for i in range(1, N + 1)]
-        for a, f in enumerate(fns):
-            for i, v in enumerate(vs):
-                jac[a, i] = _partial(f, v).eval(point)
-        total += float(np.linalg.det(jac))
-    return total
 
 
 def _det_poly(rows: list[list[Poly]]) -> Poly:
@@ -184,6 +147,24 @@ def nambu_bracket_poly(fns: Sequence[Poly], layout: Layout) -> Poly:
 # --------------------------------------------------------------------------
 
 
+def _at_samples(polys: Sequence[Poly], samples) -> list[np.ndarray]:
+    """Each Poly at every sample, by generated code on the sample columns;
+    a constant Poly is broadcast to every sample."""
+    order = sorted(set().union(*(f.variables() for f in polys)))
+    try:
+        columns = np.array([[s[v] for s in samples] for v in order], dtype=np.float64)
+    except KeyError as exc:
+        raise UnboundVariableError(
+            f"variable {exc.args[0].name} is not bound in the assignment"
+        ) from None
+    return [np.broadcast_to(compile_evaluator(f, order)(columns), len(samples)) for f in polys]
+
+
+def _reports(lhs: Poly, rhs: Poly, samples) -> list[BracketReport]:
+    pairs = zip(*(v.tolist() for v in _at_samples([lhs, rhs], samples)))
+    return [BracketReport.make(k, a, b) for k, (a, b) in enumerate(pairs)]
+
+
 def check_jacobi(
     A1: Poly,
     A2: Poly,
@@ -192,17 +173,10 @@ def check_jacobi(
     n_dof: int = 1,
 ) -> list[BracketReport]:
     """Evaluate both sides of the Jacobi identity at each sample point."""
-    inner_12 = poisson_bracket_poly(A1, A2, n_dof)
-    inner_1b = poisson_bracket_poly(A1, B, n_dof)
-    inner_2b = poisson_bracket_poly(A2, B, n_dof)
-    reports = []
-    for k, s in enumerate(samples):
-        lhs = poisson_bracket(inner_12, B, s, n_dof)
-        rhs = poisson_bracket(inner_1b, A2, s, n_dof) + poisson_bracket(
-            A1, inner_2b, s, n_dof
-        )
-        reports.append(BracketReport.make(k, lhs, rhs))
-    return reports
+    def pb(f, g):
+        return poisson_bracket_poly(f, g, n_dof)
+
+    return _reports(pb(pb(A1, A2), B), pb(pb(A1, B), A2) + pb(A1, pb(A2, B)), samples)
 
 
 def check_fundamental_identity(
@@ -213,9 +187,8 @@ def check_fundamental_identity(
 ) -> list[BracketReport]:
     """Evaluate both sides of the N-ary fundamental identity at each sample.
 
-    Inner brackets are formed symbolically, the outer ones numerically.
-    The identity holds for a single multiplet and generically fails once
-    multiplets interact.
+    Inner and outer brackets are expanded symbolically.  The identity holds
+    for a single multiplet and generically fails once multiplets interact.
     """
     N = layout.N
     if len(As) != N or len(Bs) != N - 1:
@@ -223,18 +196,12 @@ def check_fundamental_identity(
             f"fundamental identity needs {N} As and {N - 1} Bs, "
             f"got {len(As)} and {len(Bs)}"
         )
-    inner_all = nambu_bracket_poly(As, layout)
-    lhs_fns = [inner_all, *Bs]
-    rhs_fns = []
+    lhs = nambu_bracket_poly([nambu_bracket_poly(As, layout), *Bs], layout)
+    rhs = Poly.zero()
     for a in range(N):
         inner_a = nambu_bracket_poly([As[a], *Bs], layout)
-        rhs_fns.append([*As[:a], inner_a, *As[a + 1 :]])
-    reports = []
-    for k, s in enumerate(samples):
-        lhs = nambu_bracket(lhs_fns, s, layout)
-        rhs = sum(nambu_bracket(fns, s, layout) for fns in rhs_fns)
-        reports.append(BracketReport.make(k, lhs, float(rhs)))
-    return reports
+        rhs = rhs + nambu_bracket_poly([*As[:a], inner_a, *As[a + 1 :]], layout)
+    return _reports(lhs, rhs, samples)
 
 
 def flow_divergence(hamiltonians: Sequence[Poly], state, layout: Layout) -> float:
@@ -243,19 +210,14 @@ def flow_divergence(hamiltonians: Sequence[Poly], state, layout: Layout) -> floa
     The flow components d(x_i)/dt = {x_i, H_1, ..., H_{N-1}} are formed
     symbolically and differentiated exactly before evaluation.
     """
-    N, n_dof = layout
-    if len(hamiltonians) != N - 1:
+    if len(hamiltonians) != layout.N - 1:
         raise DimensionMismatchError(
-            f"flow needs {N - 1} Hamiltonians, got {len(hamiltonians)}"
+            f"flow needs {layout.N - 1} Hamiltonians, got {len(hamiltonians)}"
         )
-    point = _as_point(state, layout)
-    total = 0.0
-    for dof in range(n_dof):
-        for i in range(1, N + 1):
-            v = xvar(i, dof)
-            component = nambu_bracket_poly([Poly.var(v), *hamiltonians], layout)
-            total += component.partial(v).eval(point)
-    return total
+    div = Poly.zero()
+    for v in x_vars(layout):
+        div = div + nambu_bracket_poly([Poly.var(v), *hamiltonians], layout).partial(v)
+    return float(_at_samples([div], [_as_point(state, layout)])[0][0])
 
 
 def sample_assignments(

@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Sequence
 
-from .brackets import _det_poly, _partial, poisson_bracket_poly, sample_assignments
+from .brackets import _at_samples, _det_poly, _partial, poisson_bracket_poly, sample_assignments
 from .poly import Poly, VarId, parse_poly, p, q, xvar
 from .state import Layout
 
@@ -232,26 +232,24 @@ def verify_consistency(
     tolerance: float = DEFAULT_CONSISTENCY_TOL,
     seed: int | None = None,
 ) -> list[ConsistencyReport]:
-    """Check, per dof and variable pair, that the constraint Jacobians
-    reproduce the Poisson brackets of the defining variables at random
-    (q, p) points."""
+    """Per dof and variable pair, the worst residual at random (q, p) points
+    of the constraint contraction, each x_i replaced by its definition, minus
+    the Poisson bracket of the two defining variables."""
+    if samples < 1:
+        raise ValueError(f"samples = {samples} must be at least 1")
     kw = {} if seed is None else {"seed": seed}
+    pairs = list(combinations(range(m.N), 2))
     reports = []
-    for dof in range(m.n_dof):
+    for dof, defs in enumerate(m.defs):
         vs = [xvar(i, dof) for i in range(1, m.N + 1)]
+        residuals = [
+            _constraint_contraction(m.constraints[dof], vs, i, j).subs(dict(zip(vs, defs)))
+            - poisson_bracket_poly(defs[i], defs[j], dof + 1)
+            for i, j in pairs
+        ]
         points = sample_assignments([q(dof), p(dof)], samples, **kw)
-        images = []
-        for pt in points:
-            image = {v: d.eval(pt) for v, d in zip(vs, m.defs[dof])}
-            images.append(image)
-        for i, j in combinations(range(m.N), 2):
-            lhs_poly = _constraint_contraction(m.constraints[dof], vs, i, j)
-            rhs_poly = poisson_bracket_poly(m.defs[dof][i], m.defs[dof][j], dof + 1)
-            worst = 0.0
-            for pt, image in zip(points, images):
-                r = abs(lhs_poly.eval(image) - rhs_poly.eval(pt))
-                if r > worst:
-                    worst = r
+        for (i, j), r in zip(pairs, _at_samples(residuals, points)):
+            worst = max(abs(v) for v in r.tolist())
             reports.append(ConsistencyReport(dof, i + 1, j + 1, worst, tolerance))
     return reports
 

@@ -325,7 +325,8 @@ class SplitOperatorPropagator:
             amps *= self.exp_v_half
             if self.absorber is not None:
                 amps *= self.absorber
-        if not np.all(np.isfinite(amps)):
+        # A non-finite amplitude makes the norm non-finite; an overflow is checked exactly.
+        if not math.isfinite(np.vdot(amps, amps).real) and not np.all(np.isfinite(amps)):
             raise NonFiniteAmplitudeError("wavefunction amplitudes became non-finite")
         wf.amps = amps
         return wf

@@ -4,7 +4,9 @@ These deliberately avoid the library's own code paths: Gaussian moments
 come from the mean/variance recursion on numbers, determinants from the
 permutation sum, derivatives from central differences, vector fields and
 classical images from ``Poly.eval`` point by point (the Nambu field through
-one LU-determinant bracket per component) instead of generated code, RK4
+one LU-determinant bracket per component) instead of generated code, the
+identity checks with their outer brackets taken point by point by the LU
+``nambu_bracket`` and the per-point ``poisson_bracket``, RK4
 trajectories from a numpy loop that calls the field four times per step,
 Strang steps from the split-operator factors applied one at a time or fused
 through the public ``np.fft`` transforms, quantum runs stride by stride with
@@ -12,16 +14,28 @@ one expectation row per call (as plain Strang steps of the caller's dt, or
 with a given propagator), CSV text cell by cell, the harmonic packet's
 moments in closed form, and the Henon-Heiles mode energies from
 hand-written packet-center equations integrated with scipy's DOP853.  ``position_moment``, ``mode_energies`` and
-``grid_energy`` are test-only grid helpers that used to live in ``nambu_dyn.quantum``.
+``grid_energy`` are test-only grid helpers that used to live in ``nambu_dyn.quantum``,
+and ``poisson_bracket`` and ``nambu_bracket`` the numeric brackets of
+``nambu_dyn.brackets``.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from nambu_dyn.brackets import nambu_bracket
+from nambu_dyn.brackets import (
+    DimensionMismatchError,
+    _as_point,
+    _check_layout_vars,
+    _partial,
+    nambu_bracket_poly,
+    poisson_bracket_poly,
+    sample_assignments,
+)
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory
-from nambu_dyn.poly import Poly, p, q
+from nambu_dyn.multiplets import _constraint_contraction
+from nambu_dyn.poly import Poly, VarId, p, q, xvar
 from nambu_dyn.quantum import (
     SplitOperatorPropagator,
     absorbing_mask,
@@ -30,7 +44,7 @@ from nambu_dyn.quantum import (
     potential_mesh,
 )
 from nambu_dyn.scenarios import ABSORBED_NORM_FLOOR, model_multiplet, potential_poly
-from nambu_dyn.state import NambuState, classical_vars, x_vars
+from nambu_dyn.state import Layout, NambuState, classical_vars, x_vars
 
 
 def gaussian_moment(n: int, mean: float, var: float) -> float:
@@ -81,6 +95,96 @@ def random_poly(rng, variables, max_degree=2, n_terms=4, scale=1.0) -> Poly:
             powers[v] = powers.get(v, 0) + 1
         out = out + Poly.monomial(powers, float(rng.uniform(-scale, scale)))
     return out
+
+
+def poisson_bracket(
+    A: Poly, B: Poly, point: Mapping[VarId, float], n_dof: int = 1
+) -> float:
+    """Sum over dofs of the 2x2 Jacobian of (A, B) wrt (q, p), at a point."""
+    total = 0.0
+    for dof in range(n_dof):
+        qv, pv = q(dof), p(dof)
+        total += _partial(A, qv).eval(point) * _partial(B, pv).eval(point)
+        total -= _partial(A, pv).eval(point) * _partial(B, qv).eval(point)
+    return total
+
+
+def nambu_bracket(fns: Sequence[Poly], state, layout: Layout) -> float:
+    """Sum over dofs of the NxN Jacobian determinant of fns wrt one N-plet.
+
+    The determinant is computed by LU factorization with partial pivoting.
+    """
+    N, n_dof = layout
+    if len(fns) != N:
+        raise DimensionMismatchError(f"need {N} functions, got {len(fns)}")
+    _check_layout_vars(fns, layout)
+    point = _as_point(state, layout)
+    total = 0.0
+    jac = np.empty((N, N), dtype=np.float64)
+    for dof in range(n_dof):
+        vs = [xvar(i, dof) for i in range(1, N + 1)]
+        for a, f in enumerate(fns):
+            for i, v in enumerate(vs):
+                jac[a, i] = _partial(f, v).eval(point)
+        total += float(np.linalg.det(jac))
+    return total
+
+
+def jacobi_reference(A1, A2, B, samples, n_dof=1):
+    """(lhs, rhs) of the Jacobi identity at each sample: inner brackets
+    expanded, outer ones by ``poisson_bracket`` point by point."""
+    inner_12 = poisson_bracket_poly(A1, A2, n_dof)
+    inner_1b = poisson_bracket_poly(A1, B, n_dof)
+    inner_2b = poisson_bracket_poly(A2, B, n_dof)
+    return [
+        (
+            poisson_bracket(inner_12, B, s, n_dof),
+            poisson_bracket(inner_1b, A2, s, n_dof) + poisson_bracket(A1, inner_2b, s, n_dof),
+        )
+        for s in samples
+    ]
+
+
+def fundamental_identity_reference(As, Bs, samples, layout):
+    """(lhs, rhs) of the fundamental identity at each sample: inner brackets
+    expanded, outer ones by the LU ``nambu_bracket`` point by point."""
+    lhs_fns = [nambu_bracket_poly(As, layout), *Bs]
+    rhs_fns = [
+        [*As[:a], nambu_bracket_poly([As[a], *Bs], layout), *As[a + 1 :]]
+        for a in range(layout.N)
+    ]
+    return [
+        (nambu_bracket(lhs_fns, s, layout), sum(nambu_bracket(f, s, layout) for f in rhs_fns))
+        for s in samples
+    ]
+
+
+def flow_divergence_reference(hamiltonians, state, layout) -> float:
+    """sum_v d/dv {v, H_1, ...} at the state, one ``Poly.eval`` per term."""
+    point = _as_point(state, layout)
+    return sum(
+        nambu_bracket_poly([Poly.var(v), *hamiltonians], layout).partial(v).eval(point)
+        for v in x_vars(layout)
+    )
+
+
+def consistency_reference(m, samples, seed=None) -> dict:
+    """{(dof, i, j): worst residual} of the consistency conditions, the
+    contraction evaluated at the image x_i(q, p) of each (q, p) sample and
+    the Poisson bracket at the sample, both by ``Poly.eval``."""
+    kw = {} if seed is None else {"seed": seed}
+    worst = {}
+    for dof in range(m.n_dof):
+        vs = [xvar(i, dof) for i in range(1, m.N + 1)]
+        points = sample_assignments([q(dof), p(dof)], samples, **kw)
+        for i, j in combinations(range(m.N), 2):
+            lhs = _constraint_contraction(m.constraints[dof], vs, i, j)
+            rhs = poisson_bracket_poly(m.defs[dof][i], m.defs[dof][j], dof + 1)
+            worst[(dof, i + 1, j + 1)] = max(
+                abs(lhs.eval({v: d.eval(pt) for v, d in zip(vs, m.defs[dof])}) - rhs.eval(pt))
+                for pt in points
+            )
+    return worst
 
 
 def nambu_vector_field(h, s) -> np.ndarray:

@@ -19,14 +19,11 @@ from helpers import (
     gaussian_moment,
     henon_heiles_mode_energies,
     mode_energies,
+    nambu_bracket,
     random_poly,
 )
 
-from nambu_dyn.brackets import (
-    check_fundamental_identity,
-    nambu_bracket,
-    sample_assignments,
-)
+from nambu_dyn.brackets import check_fundamental_identity, sample_assignments
 from nambu_dyn.closure import (
     ClosureMode,
     effective_potential,

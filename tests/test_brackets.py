@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import det_by_permutations, random_poly
+from helpers import (
+    det_by_permutations,
+    flow_divergence_reference,
+    fundamental_identity_reference,
+    jacobi_reference,
+    nambu_bracket,
+    poisson_bracket,
+    random_poly,
+)
 
 from nambu_dyn.brackets import (
     BracketReport,
@@ -9,14 +17,12 @@ from nambu_dyn.brackets import (
     check_fundamental_identity,
     check_jacobi,
     flow_divergence,
-    nambu_bracket,
     nambu_bracket_poly,
-    poisson_bracket,
     poisson_bracket_poly,
     reports_to_csv,
     sample_assignments,
 )
-from nambu_dyn.poly import Poly, p, q, xvar
+from nambu_dyn.poly import Poly, UnboundVariableError, p, q, xvar
 from nambu_dyn.scenarios import hamiltonian_set, henon_heiles_model
 from nambu_dyn.state import Layout, NambuState, x_vars
 
@@ -181,8 +187,10 @@ def test_fundamental_identity_henon_heiles_violation():
     ]
     points = sample_assignments(x_vars(layout), 10)
     reports = check_fundamental_identity(As, list(hset.hamiltonians), points, layout)
+    # both sides expand to constants, 0 and -lambda, broadcast to every sample
+    assert len(reports) == 10
     for r in reports:
-        assert abs(r.lhs) < 1e-12
+        assert r.lhs == 0.0
         assert r.rhs == pytest.approx(0.11, abs=1e-12)
         assert r.residual == pytest.approx(0.11, abs=1e-12)
 
@@ -219,6 +227,87 @@ def test_flow_divergence_builtins():
         for _ in range(20):
             state = rng.uniform(-2, 2, layout.size)
             assert abs(flow_divergence(hams, state, layout)) < 1e-12
+
+
+def _assert_sides_match(reports, reference):
+    assert [r.index for r in reports] == list(range(len(reference)))
+    for r, (lhs, rhs) in zip(reports, reference):
+        assert abs(r.lhs - lhs) < 1e-10
+        assert abs(r.rhs - rhs) < 1e-10
+
+
+def test_jacobi_matches_point_by_point_reference():
+    rng = np.random.default_rng(6)
+    vars_ = [q(0), p(0), q(1), p(1)]
+    for trial in range(8):
+        A1, A2, B = (random_poly(rng, vars_, max_degree=3) for _ in range(3))
+        points = sample_assignments(vars_, 5, seed=300 + trial)
+        _assert_sides_match(
+            check_jacobi(A1, A2, B, points, n_dof=2),
+            jacobi_reference(A1, A2, B, points, n_dof=2),
+        )
+
+
+def test_fundamental_identity_matches_lu_reference():
+    rng = np.random.default_rng(7)
+    layout = Layout(3, 1)
+    vars_ = list(x_vars(layout))
+    for trial in range(8):
+        As = [random_poly(rng, vars_, max_degree=2) for _ in range(3)]
+        Bs = [random_poly(rng, vars_, max_degree=2) for _ in range(2)]
+        points = sample_assignments(vars_, 5, seed=400 + trial)
+        _assert_sides_match(
+            check_fundamental_identity(As, Bs, points, layout),
+            fundamental_identity_reference(As, Bs, points, layout),
+        )
+    hset = hamiltonian_set(henon_heiles_model())
+    As = [Poly.var(xvar(i, dof)) for i, dof in ((1, 1), (2, 1), (2, 0), (4, 1))]
+    Bs = list(hset.hamiltonians)
+    points = sample_assignments(x_vars(hset.layout), 10)
+    _assert_sides_match(
+        check_fundamental_identity(As, Bs, points, hset.layout),
+        fundamental_identity_reference(As, Bs, points, hset.layout),
+    )
+
+
+def test_flow_divergence_matches_reference():
+    rng = np.random.default_rng(9)
+    hh = hamiltonian_set(henon_heiles_model())
+    cases = [
+        ([F_HARM3, G_HARM3], Layout(3, 1)),
+        ([F_CUBIC, G1_Q, G2_Q], Layout(4, 1)),
+        (list(hh.hamiltonians), hh.layout),
+    ]
+    for hams, layout in cases:
+        for _ in range(20):
+            values = rng.uniform(-2, 2, layout.size)
+            want = flow_divergence_reference(hams, values, layout)
+            state = NambuState(values, layout)
+            for form in (values, state, state.as_dict()):
+                assert abs(flow_divergence(hams, form, layout) - want) < 1e-10
+
+
+def test_constant_side_is_broadcast_to_every_sample():
+    # {{q, p^2/2}, q} = {p, q} = -1, and so is the right-hand side
+    Q, P = Poly.var(q()), Poly.var(p())
+    reports = check_jacobi(Q, 0.5 * P * P, Q, sample_assignments([q(), p()], 4))
+    assert [(r.index, r.lhs, r.rhs) for r in reports] == [(k, -1.0, -1.0) for k in range(4)]
+    assert all(type(r.lhs) is float and type(r.rhs) is float for r in reports)
+    assert reports_to_csv(reports).splitlines()[1] == "0,-1.0,-1.0,0.0"
+
+
+def test_sample_missing_a_variable_is_unbound():
+    # {{q0 q1, p0^2}, q0} = -2 q1 needs q1, which the sample lacks
+    Q0, Q1, P0 = Poly.var(q(0)), Poly.var(q(1)), Poly.var(p(0))
+    points = [{q(0): 1.0, p(0): 2.0, p(1): 0.5}]
+    with pytest.raises(UnboundVariableError, match="variable q1 is not bound"):
+        check_jacobi(Q0 * Q1, P0 * P0, Q0, points, n_dof=2)
+    # here the left-hand side is -8 x2 x3
+    point = {xvar(1): 1.0, xvar(3): 2.0}
+    with pytest.raises(UnboundVariableError, match="variable x2_0 is not bound"):
+        check_fundamental_identity(
+            [X1 * X2, X2 * X2, X3], [F_HARM3, G_HARM3], [point], TRIPLET_LAYOUT
+        )
 
 
 def test_reports_csv_format():

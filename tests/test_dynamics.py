@@ -4,10 +4,15 @@ import re
 import numpy as np
 import pytest
 
-from helpers import classical_vector_field, nambu_vector_field, rk4_reference, to_csv_reference
+from helpers import (
+    classical_vector_field,
+    nambu_bracket,
+    nambu_vector_field,
+    rk4_reference,
+    to_csv_reference,
+)
 
 from nambu_dyn import native
-from nambu_dyn.brackets import nambu_bracket
 from nambu_dyn.dynamics import (
     HamiltonianSet,
     NonFiniteStateError,

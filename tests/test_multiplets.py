@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import classical_image
+from helpers import classical_image, consistency_reference
 
 from nambu_dyn.multiplets import (
     AmbiguousLiftWarning,
@@ -96,6 +96,45 @@ def test_consistency_fails_loudly_for_corrupted_constraint():
     failing = [r for r in reports if not r.passed]
     assert failing
     assert max(r.max_residual for r in failing) > 0.1
+
+
+def _quartet_with_g2(text):
+    g1 = QUARTET_QP_Q2P2.constraints[0][0]
+    return MultipletDef("bad-quartet", 4, 1, QUARTET_QP_Q2P2.defs, ((g1, parse_poly(text)),))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        TRIPLET_QQPP_QP,
+        QUARTET_QP_Q2P2,
+        TRIPLET_QQPP_QP.with_n_dof(2),
+        QUARTET_QP_Q2P2.with_n_dof(2),
+        MultipletDef(
+            "bad-quartet", 4, 1, QUARTET_QP_Q2P2.defs,
+            ((parse_poly("x1^2"), QUARTET_QP_Q2P2.constraints[0][1]),),
+        ),
+        _quartet_with_g2("x4 - 2*x2^2"),
+    ],
+    ids=["triplet", "quartet", "triplet-2dof", "quartet-2dof", "no-x3", "g2-doubled"],
+)
+def test_consistency_matches_point_by_point_reference(m):
+    # one residual Poly per pair on the sample columns, against the
+    # contraction at each image and the bracket at each point by Poly.eval
+    reports = verify_consistency(m, samples=20, seed=11)
+    want = consistency_reference(m, 20, seed=11)
+    assert [(r.dof, r.i, r.j) for r in reports] == list(want)
+    for r in reports:
+        assert abs(r.max_residual - want[(r.dof, r.i, r.j)]) < 1e-10
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_consistency_needs_a_sample(samples):
+    # with no sample every condition would pass unchecked
+    bad = _quartet_with_g2("x4 - 2*x2^2")
+    with pytest.raises(ValueError, match=f"samples = {samples} must be at least 1"):
+        verify_consistency(bad, samples=samples)
+    assert not all(r.passed for r in verify_consistency(bad, samples=5))
 
 
 def test_malformed_multiplet_shapes():

@@ -332,6 +332,24 @@ def test_non_finite_amplitudes_detected():
         prop.step(wf)
 
 
+def test_huge_finite_amplitudes_step():
+    # |psi|^2 overflows at |psi| ~ 1e200, so the step's norm test fails and
+    # its exact test finds every amplitude finite; scaling by a power of two
+    # is exact, so the step is the unscaled one scaled.
+    g = Grid.make_1d(-10.0, 10.0, 128)
+    prop = SplitOperatorPropagator(g, HARMONIC, 1e-3)
+    wf = init_gaussian(g, 0.0, 0.0, 1.0)
+    huge = init_gaussian(g, 0.0, 0.0, 1.0)
+    huge.amps = huge.amps * 2.0**700
+    assert np.abs(huge.amps).max() > 1e200
+    prop.step(huge, 3)
+    prop.step(wf, 3)
+    assert np.array_equal(huge.amps, wf.amps * 2.0**700)
+    flat = init_gaussian(g, 0.0, 0.0, 1.0)
+    flat.amps = np.full(g.shape, 1e200, dtype=np.complex128)
+    assert np.all(np.isfinite(prop.step(flat).amps))
+
+
 def test_quantum_abort_through_driver_carries_rows_so_far():
     # No built-in model reaches a non-finite wavefunction; a potential phase
     # that is NaN at one grid point spoils the first step.

@@ -1,13 +1,27 @@
 """Generated polynomials checked against sympy, an independent computer
-algebra system: the model potentials are written out here by hand."""
+algebra system: the model potentials are written out here by hand, brackets
+are sympy Jacobian determinants, and closed moments are Gaussian integrals."""
 
 import numpy as np
 import pytest
 
+from helpers import random_poly
+
 sp = pytest.importorskip("sympy")
 
+from nambu_dyn.brackets import nambu_bracket_poly, poisson_bracket_poly  # noqa: E402
+from nambu_dyn.closure import ClosureMode, reduce_moment  # noqa: E402
+from nambu_dyn.dynamics import symbolic_flow  # noqa: E402
+from nambu_dyn.poly import Poly, p, q, xvar  # noqa: E402
 from nambu_dyn.quantum import Grid, SplitOperatorPropagator  # noqa: E402
-from nambu_dyn.scenarios import cubic_model, henon_heiles_model, potential_poly  # noqa: E402
+from nambu_dyn.scenarios import (  # noqa: E402
+    cubic_model,
+    hamiltonian_set,
+    harmonic_model,
+    henon_heiles_model,
+    potential_poly,
+)
+from nambu_dyn.state import x_vars  # noqa: E402
 
 
 def _hand_potential(spec, qs):
@@ -50,3 +64,86 @@ def test_fourth_order_phases_match_sympy_gradient(spec, grid):
     want_outer = np.exp(-1j / 6 * on_grid(V) * dt / spec.hbar)
     assert np.max(np.abs(prop.exp_v_mid - want_mid)) < 1e-12
     assert np.max(np.abs(prop.exp_v_half - want_outer)) < 1e-12
+
+
+def _symbols(variables):
+    return {v: sp.Symbol(v.name) for v in variables}
+
+
+def _to_sympy(poly, syms):
+    """A Poly in sympy, each float coefficient as the exact rational it is."""
+    return sp.Add(*(
+        sp.Rational(c) * sp.Mul(*(syms[v] ** k for v, k in mono))
+        for mono, c in poly.terms.items()
+    ))
+
+
+def _worst_coefficient(expr, syms):
+    expr = sp.expand(expr)
+    if expr == 0:
+        return 0.0
+    return max(abs(float(c)) for c in sp.Poly(expr, *syms.values()).coeffs())
+
+
+def _sympy_nambu(fns, syms, layout):
+    """Sum over dofs of det(d f_a / d x_i) over that dof's N-plet."""
+    N, n_dof = layout
+    total = 0
+    for dof in range(n_dof):
+        xs = [syms[xvar(i, dof)] for i in range(1, N + 1)]
+        total += sp.Matrix([[sp.diff(f, x) for x in xs] for f in fns]).det(method="berkowitz")
+    return total
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [harmonic_model(), cubic_model(), henon_heiles_model()],
+    ids=["triplet", "quartet", "henon-heiles-2dof"],
+)
+def test_nambu_bracket_matches_sympy_determinant(spec):
+    # Nambu, Phys. Rev. D 7, 2405 (1973): {f_1, ..., f_N} = det(d f_a / d x_i)
+    hset = hamiltonian_set(spec)
+    layout = hset.layout
+    syms = _symbols(x_vars(layout))
+    hams = [_to_sympy(h, syms) for h in hset.hamiltonians]
+    for v, component in zip(x_vars(layout), symbolic_flow(hset)):
+        want = _sympy_nambu([syms[v], *hams], syms, layout)
+        got = nambu_bracket_poly([Poly.var(v), *hset.hamiltonians], layout)
+        assert _worst_coefficient(want - _to_sympy(got, syms), syms) < 1e-12
+        assert _worst_coefficient(want - _to_sympy(component, syms), syms) < 1e-12
+    # a bracket with no unit row: every cofactor of the first row enters
+    first, last = x_vars(layout)[0], x_vars(layout)[-1]
+    fns = [Poly.var(first) * Poly.var(last) + hset.F, *hset.hamiltonians[1:], hset.F * hset.F]
+    want = _sympy_nambu([_to_sympy(f, syms) for f in fns], syms, layout)
+    got = nambu_bracket_poly(fns, layout)
+    assert _worst_coefficient(want - _to_sympy(got, syms), syms) < 1e-12
+
+
+def test_poisson_bracket_matches_sympy():
+    rng = np.random.default_rng(12)
+    variables = [q(0), p(0), q(1), p(1)]
+    syms = _symbols(variables)
+    for _ in range(6):
+        A, B = (random_poly(rng, variables, max_degree=3, n_terms=5) for _ in range(2))
+        a, b = _to_sympy(A, syms), _to_sympy(B, syms)
+        want = sum(
+            sp.diff(a, syms[q(d)]) * sp.diff(b, syms[p(d)])
+            - sp.diff(a, syms[p(d)]) * sp.diff(b, syms[q(d)])
+            for d in range(2)
+        )
+        got = poisson_bracket_poly(A, B, n_dof=2)
+        assert _worst_coefficient(want - _to_sympy(got, syms), syms) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_zero_cumulant_moment_is_gaussian_integral(n):
+    # <q^n> of N(mu, sigma^2) with x1 = mu and x3 = mu^2 + sigma^2
+    x, mu = sp.symbols("x mu", real=True)
+    sigma = sp.Symbol("sigma", positive=True)
+    density = sp.exp(-((x - mu) ** 2) / (2 * sigma**2)) / sp.sqrt(2 * sp.pi * sigma**2)
+    want = sp.integrate(x**n * density, (x, -sp.oo, sp.oo))
+    syms = _symbols([xvar(1), xvar(3)])
+    got = _to_sympy(reduce_moment(n, ClosureMode.ZERO_CUMULANT), syms).subs(
+        {syms[xvar(1)]: mu, syms[xvar(3)]: mu**2 + sigma**2}
+    )
+    assert sp.expand(sp.simplify(want) - got) == 0
