@@ -161,6 +161,8 @@ def _at_samples(polys: Sequence[Poly], samples) -> list[np.ndarray]:
 
 
 def _reports(lhs: Poly, rhs: Poly, samples) -> list[BracketReport]:
+    if len(samples) < 1:
+        raise ValueError("an identity check needs at least 1 sample")
     pairs = zip(*(v.tolist() for v in _at_samples([lhs, rhs], samples)))
     return [BracketReport.make(k, a, b) for k, (a, b) in enumerate(pairs)]
 

@@ -24,7 +24,6 @@ from .multiplets import builtin_multiplets, consistency_to_csv, verify_consisten
 from .poly import Poly, format_poly, xvar
 from .scenarios import (
     PacketSpec,
-    default_t_end,
     hamiltonian_set,
     henon_heiles_model,
     model_by_name,
@@ -155,7 +154,7 @@ def cmd_run(args) -> int:
     sigma = _merged(args, "sigma")
     packet = PacketSpec.make(qc, pc, _float_list(sigma) if sigma is not None else None)
     dt = _merged(args, "dt", default=1e-3, cast=float)
-    t_end = _merged(args, "t_end", default=default_t_end(spec), cast=float)
+    t_end = _merged(args, "t_end", cast=float)
     stride = _merged(args, "stride", cast=int)
     q_stop = _merged(args, "q_stop", cast=float)
     out = _merged(args, "out", default="traj.csv")

@@ -10,6 +10,7 @@ An optional absorbing mask damps amplitude near the grid edges for open
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -325,8 +326,8 @@ class SplitOperatorPropagator:
             amps *= self.exp_v_half
             if self.absorber is not None:
                 amps *= self.absorber
-        # A non-finite amplitude makes the norm non-finite; an overflow is checked exactly.
-        if not math.isfinite(np.vdot(amps, amps).real) and not np.all(np.isfinite(amps)):
+        # A non-finite amplitude makes this numpy sum (no BLAS) non-finite; overflows: exact check.
+        if not cmath.isfinite(amps.sum()) and not np.all(np.isfinite(amps)):
             raise NonFiniteAmplitudeError("wavefunction amplitudes became non-finite")
         wf.amps = amps
         return wf

@@ -8,6 +8,7 @@ quantum run emits grid expectation values in the same slots.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -34,7 +35,6 @@ from .quantum import (
     absorbing_mask,
     choose_split_step,
     expect,  # noqa: F401  (bench/hooks.py traces scenarios.expect)
-    expectation_row,
     init_gaussian,
 )
 from .state import NambuState, classical_vars, x_vars
@@ -72,7 +72,8 @@ DEFAULT_T_END = {"harmonic": 20.0, "cubic": 40.0, "henon_heiles": 100.0}
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One of the built-in models with its physical parameters."""
+    """One of the built-in models with its physical parameters; masses and
+    omegas are kept as tuples of floats, so equal specs share one build."""
 
     model_id: str
     masses: tuple[float, ...]
@@ -84,6 +85,8 @@ class ModelSpec:
     closure: ClosureMode = ClosureMode.ZERO_CUMULANT
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
+        object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
         if self.model_id not in ("harmonic", "cubic", "henon_heiles"):
             raise ValueError(f"unknown model {self.model_id!r}")
         if not 0 < len(self.masses) == len(self.omegas):
@@ -155,8 +158,7 @@ def potential_poly(spec: ModelSpec) -> Poly:
         qv = Poly.var(q(dof))
         out = out + 0.5 * spec.masses[dof] * spec.omegas[dof] ** 2 * qv * qv
     if spec.model_id == "cubic":
-        qv = Poly.var(q(0))
-        out = out + (spec.g / 3.0) * qv**3
+        out = out + (spec.g / 3.0) * Poly.var(q(0)) ** 3
     elif spec.model_id == "henon_heiles":
         out = out + spec.lam * Poly.var(q(0)) * Poly.var(q(1)) ** 2
     return out
@@ -170,10 +172,12 @@ def classical_hamiltonian(spec: ModelSpec) -> Poly:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def model_multiplet(spec: ModelSpec) -> MultipletDef:
     return builtin_multiplets()[spec.multiplet_name].with_n_dof(spec.n_dof)
 
 
+@functools.lru_cache(maxsize=64)
 def hamiltonian_set(spec: ModelSpec) -> HamiltonianSet:
     m = model_multiplet(spec)
     F = build_F(potential_poly(spec), m, spec.closure, masses=spec.masses)
@@ -216,9 +220,8 @@ class PacketSpec:
         if self.sigmas is not None:
             if len(self.sigmas) != len(self.qc):
                 raise ValueError("sigmas must match the number of dofs")
-            for s in self.sigmas:
-                if s < 0:
-                    raise ValueError("sigma must be non-negative")
+            if min(self.sigmas) < 0:
+                raise ValueError("sigma must be non-negative")
 
     @classmethod
     def make(cls, qc, pc, sigma=None) -> "PacketSpec":
@@ -250,11 +253,9 @@ def init_nambu_from_packet(spec: ModelSpec, packet: PacketSpec) -> NambuState:
     """
     if len(packet.qc) != spec.n_dof:
         raise ValueError(f"packet has {len(packet.qc)} dofs, model needs {spec.n_dof}")
-    sigmas = packet.resolved_sigmas(spec)
     multiplet = model_multiplet(spec)
     values = []
-    for dof in range(spec.n_dof):
-        qc, pc, s = packet.qc[dof], packet.pc[dof], sigmas[dof]
+    for qc, pc, s in zip(packet.qc, packet.pc, packet.resolved_sigmas(spec)):
         s2 = s * s
         p2_fluct = spec.hbar**2 / (4.0 * s2) if s2 > 0 else 0.0
         if multiplet.N == 4:
@@ -282,23 +283,15 @@ def run_scenario(
 ) -> Trajectory:
     """Produce one trajectory (nambu, classical, or quantum) for a model.
 
-    Each method is set up here and stepped by ``dynamics.integrate``, which
+    Each method's runner steps it through ``dynamics.integrate``, which
     checks dt, t_end and the stride.  The cubic potential is unbounded
     below, so nambu/classical runs stop once the position variable falls
     below ``q_stop`` (None: ``DEFAULT_Q_STOP``; -inf: never), flagging the
     last row 'escaped'; the quantum run stops once the absorber has drained
     more than 1% of the norm ('absorbed').  A NaN ``q_stop``, and any
     ``q_stop`` for a run without a position stop (every other model, every
-    quantum run), raise ValueError.  A quantum run takes the steps that
-    ``quantum.choose_split_step`` picks after ``dynamics.check_run``
-    has checked dt, t_end and the stride, and
-    records them in its meta: ``quantum_dt``, ``split_order``,
-    ``split_err_est`` and ``strang_err_est``.  Classical images x_i(q, p) are
-    evaluated by generated code on the (q, p) rows.  F and G_c are evaluated
-    once, after stepping, on all x rows, also on the rows so far of a
-    NonFiniteStateError.  A quantum run records in its meta the largest
-    boundary amplitude |psi| over the rows (``boundary_amp_max``) and the
-    largest change of the norm from the first row (``norm_loss``).
+    quantum run), raise ValueError.  ``_observed`` adds F and G_c after
+    stepping, also to the rows so far of a NonFiniteStateError.
     """
     if method not in ("nambu", "classical", "quantum"):
         raise ValueError(f"unknown method {method!r}")
@@ -316,105 +309,110 @@ def run_scenario(
         t_end = default_t_end(spec)
     if record_stride is None:
         record_stride = default_record_stride(spec, dt)
-    multiplet = model_multiplet(spec)
-    hset = hamiltonian_set(spec)
-    x_names = [v.name for v in x_vars(multiplet.layout)]
-    meta = {
-        "model": spec.model_id,
-        "method": method,
-        "dt": repr(dt),
-        "multiplet": spec.multiplet_name,
-    }
-    run = dict(record_stride=record_stride, meta=meta)
     if spec.model_id == "cubic" and q_stop is None:
         q_stop = DEFAULT_Q_STOP
-    rk4_run = dict(run, stop_below=q_stop)
-
-    def finish(traj: Trajectory) -> Trajectory:
-        """x rows with F and G_c; classical (q, p) columns map to their images."""
-        if method == "classical":
-            images = np.column_stack([
-                compile_evaluator(d, qp_vars)(traj.states.T)
-                for dof in range(spec.n_dof) for d in multiplet.defs[dof]
-            ])
-            traj = Trajectory(traj.t, images, x_names, [], [], traj.meta, traj.flags)
-        traj.observables = hset.observables(traj.states)
-        traj.observable_names = hset.observable_names
-        return traj
-
+    meta = {"model": spec.model_id, "method": method, "dt": repr(dt),
+            "multiplet": spec.multiplet_name}
     try:
-        if method == "nambu":
-            state0 = init_nambu_from_packet(spec, packet)
-            traj = rk4_integrate(
-                compile_nambu_field(hset), state0.values, dt, t_end, columns=x_names, **rk4_run
-            )
-        elif method == "classical":
-            y0 = np.empty(2 * spec.n_dof)
-            y0[0::2] = packet.qc
-            y0[1::2] = packet.pc
-            qp_vars = classical_vars(spec.n_dof)
-            traj = rk4_integrate(
-                compile_classical_field(classical_hamiltonian(spec), spec.n_dof), y0, dt,
-                t_end, columns=[v.name for v in qp_vars], **rk4_run,
-            )
-        else:
+        if method == "quantum":
             grid = grid if grid is not None else default_grid(spec)
-            sigmas = packet.resolved_sigmas(spec)
-            wf = init_gaussian(grid, packet.qc, packet.pc, sigmas, spec.hbar)
-            absorber = absorbing_mask(grid) if spec.model_id == "cubic" else None
-            V = potential_poly(spec)
-            kinds = ("q", "p", "q2", "p2") if multiplet.N == 4 else ("q2", "p2", "qp_sym")
-            n_steps = check_run(dt, t_end, record_stride=record_stride)
-            split = choose_split_step(
-                wf, V, dt, n_steps, record_stride, kinds, spec.masses, absorber
-            )
-            h = split.multiple * dt
-            prop = SplitOperatorPropagator(
-                grid, V, h, spec.hbar, spec.masses, absorber, split.order
-            )
-            meta.update(
-                quantum_dt=repr(h),
-                split_order=str(split.order),
-                split_err_est=repr(split.err_est),
-                strang_err_est=repr(split.strang_err_est),
-            )
-            first = expectation_row(wf, kinds)
-            checks = [(first.norm, first.boundary_amp)]  # (norm, boundary |psi|) per row
-            block = RowPass(grid, spec.hbar, kinds, max(1, ROW_BLOCK_BYTES // wf.amps.nbytes))
-            snaps, done = block.states, 0
-
-            def fill(steps: np.ndarray, rows: np.ndarray) -> tuple[int, int | None]:
-                nonlocal done
-                steps, n, failure = steps[: len(snaps)].tolist(), 0, None
-                try:
-                    for step in steps:  # split.multiple divides every stride
-                        snaps[n] = prop.step(wf, (step - done) // split.multiple).amps
-                        n, done = n + 1, step
-                except NonFiniteStateError as exc:
-                    failure = exc
-                for k, r in enumerate(block.rows(n)):  # the strides taken, in one pass
-                    rows[k] = r.values
-                    checks.append((r.norm, r.boundary_amp))
-                    if absorber is not None and r.norm < ABSORBED_NORM_FLOOR:
-                        wf.amps = snaps[k].copy()  # the norm check replaces the position stop
-                        return k + 1, steps[k]
-                if failure is not None:  # after the rows before it, unless one ended the run
-                    failure.filled = n
-                    raise failure
-                return n, None
-
-            traj = integrate(fill, first.values, dt, t_end, x_names, stop_flag="absorbed", **run)
-            norms, edges = np.array(checks).T
-            traj.meta["boundary_amp_max"] = repr(float(edges.max()))
-            traj.meta["norm_loss"] = repr(float(np.abs(norms - norms[0]).max()))
+            traj = _run_quantum(spec, packet, grid, dt, t_end, record_stride, meta)
+        else:
+            traj = _run_rk4(spec, packet, method, dt, t_end, record_stride, q_stop, meta)
     except NonFiniteStateError as exc:
-        exc.trajectory = finish(exc.trajectory)
+        exc.trajectory = _observed(spec, method, exc.trajectory)
         raise
-    traj = finish(traj)
-
+    traj = _observed(spec, method, traj)
     if out_path is not None:
         traj.to_csv(out_path)
     return traj
+
+
+def _run_rk4(spec, packet, method, dt, t_end, record_stride, q_stop, meta) -> Trajectory:
+    """The nambu run steps the multiplet by its compiled Nambu flow, the
+    classical run (q0, p0, q1, p1, ...) by Hamilton's equations."""
+    if method == "nambu":
+        field = compile_nambu_field(hamiltonian_set(spec))
+        y0 = init_nambu_from_packet(spec, packet).values
+    else:
+        field = compile_classical_field(classical_hamiltonian(spec), spec.n_dof)
+        y0 = [v for qp in zip(packet.qc, packet.pc) for v in qp]
+    return rk4_integrate(
+        field, y0, dt, t_end, record_stride=record_stride, stop_below=q_stop, meta=meta
+    )
+
+
+def _run_quantum(spec, packet, grid, dt, t_end, record_stride, meta) -> Trajectory:
+    """The grid run: split steps of the size and order ``choose_split_step``
+    picks (meta: ``quantum_dt``, ``split_order``, ``split_err_est``,
+    ``strang_err_est``) and expectation rows in ``RowPass`` blocks; the meta
+    also gets the largest boundary |psi| over the rows (``boundary_amp_max``)
+    and the largest change of the norm from the first row (``norm_loss``)."""
+    wf = init_gaussian(grid, packet.qc, packet.pc, packet.resolved_sigmas(spec), spec.hbar)
+    absorber = absorbing_mask(grid) if spec.model_id == "cubic" else None
+    V = potential_poly(spec)
+    layout = model_multiplet(spec).layout
+    kinds = ("q", "p", "q2", "p2") if layout.N == 4 else ("q2", "p2", "qp_sym")
+    n_steps = check_run(dt, t_end, record_stride=record_stride)
+    split = choose_split_step(wf, V, dt, n_steps, record_stride, kinds, spec.masses, absorber)
+    h = split.multiple * dt
+    prop = SplitOperatorPropagator(grid, V, h, spec.hbar, spec.masses, absorber, split.order)
+    meta.update(
+        quantum_dt=repr(h),
+        split_order=str(split.order),
+        split_err_est=repr(split.err_est),
+        strang_err_est=repr(split.strang_err_est),
+    )
+    block = RowPass(grid, spec.hbar, kinds, max(1, ROW_BLOCK_BYTES // wf.amps.nbytes))
+    snaps, done = block.states, 0
+    snaps[0] = wf.amps
+    (first,) = block.rows(1)  # row 0, as a block of one
+    checks = [(first.norm, first.boundary_amp)]  # (norm, boundary |psi|) per row
+
+    def fill(steps: np.ndarray, rows: np.ndarray) -> tuple[int, int | None]:
+        nonlocal done
+        steps, n, failure = steps[: len(snaps)].tolist(), 0, None
+        try:
+            for step in steps:  # split.multiple divides every stride
+                snaps[n] = prop.step(wf, (step - done) // split.multiple).amps
+                n, done = n + 1, step
+        except NonFiniteStateError as exc:
+            failure = exc
+        for k, r in enumerate(block.rows(n)):  # the strides taken, in one pass
+            rows[k] = r.values
+            checks.append((r.norm, r.boundary_amp))
+            if absorber is not None and r.norm < ABSORBED_NORM_FLOOR:
+                wf.amps = snaps[k].copy()  # the norm check replaces the position stop
+                return k + 1, steps[k]
+        if failure is not None:  # after the rows before it, unless one ended the run
+            failure.filled = n
+            raise failure
+        return n, None
+
+    columns = [v.name for v in x_vars(layout)]
+    traj = integrate(
+        fill, first.values, dt, t_end, columns, record_stride=record_stride,
+        stop_flag="absorbed", meta=meta,
+    )
+    norms, edges = np.array(checks).T
+    traj.meta["boundary_amp_max"] = repr(float(edges.max()))
+    traj.meta["norm_loss"] = repr(float(np.abs(norms - norms[0]).max()))
+    return traj
+
+
+def _observed(spec: ModelSpec, method: str, traj: Trajectory) -> Trajectory:
+    """A run's rows as named x columns with F and G_c; the (q, p) rows of a
+    classical run become their classical images x_i(q, p), by generated code."""
+    multiplet, hset = model_multiplet(spec), hamiltonian_set(spec)
+    states = traj.states
+    if method == "classical":
+        qp_vars = classical_vars(spec.n_dof)
+        images = [compile_evaluator(d, qp_vars)(states.T) for defs in multiplet.defs for d in defs]
+        states = np.column_stack(images)
+    return Trajectory(
+        traj.t, states, [v.name for v in x_vars(multiplet.layout)],
+        hset.observables(states), hset.observable_names, traj.meta, traj.flags,
+    )
 
 
 # --------------------------------------------------------------------------

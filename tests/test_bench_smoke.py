@@ -1,4 +1,4 @@
-"""One short traced benchmark operation per gated workload, in a fresh
+"""One short traced benchmark operation per workload, in a fresh
 process as ``bench/run.py`` runs it: ``--trace`` installs every hook in
 ``bench/hooks.py``, so a library attribute they patch that is gone fails here."""
 
@@ -16,6 +16,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # The acceptance packets that the benchmark's seeded packets sit around.
 PACKETS = {
     "nambu_hh": {"qc": [0.0, 1.0], "pc": [0.0, 1.0]},
+    "nambu_dense": {"qc": [0.0, 1.0], "pc": [0.0, 1.0]},
+    "quantum_2d": {"qc": [0.0, 1.0], "pc": [0.0, 1.0]},
     "harmonic_exact": {"qc": [1.0], "pc": [0.0]},
 }
 
@@ -34,4 +36,6 @@ def test_bench_operation_runs_ok(workload, tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["fails"] == []
     assert result["ok"] is True
-    assert result["layers"]["dynamics.steps"] > 0
+    # The grid workload makes split steps only, the others RK4 steps.
+    steps = "quantum.strang_steps" if workload == "quantum_2d" else "dynamics.steps"
+    assert result["layers"][steps] > 0

@@ -215,6 +215,14 @@ def test_fundamental_identity_shape_errors():
         check_fundamental_identity([X1, X2], [X1, X2], [], layout)
 
 
+def test_identity_checks_reject_an_empty_sample_list():
+    # all(r.residual < tol for r in reports) would pass having checked nothing.
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        check_jacobi(Poly.var(q()), Poly.var(p()), Poly.var(q()) * Poly.var(p()), [])
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        check_fundamental_identity([X1, X2, X3], [F_HARM3, G_HARM3], [], TRIPLET_LAYOUT)
+
+
 def test_flow_divergence_builtins():
     rng = np.random.default_rng(9)
     cases = [

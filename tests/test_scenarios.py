@@ -8,6 +8,7 @@ from helpers import harmonic_packet_moments, strang_run, stride_run
 from nambu_dyn import cli, scenarios
 from nambu_dyn.cli import main
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory, conserved_drift
+from nambu_dyn.multiplets import MultipletDef
 from nambu_dyn.poly import compile_evaluator
 from nambu_dyn.quantum import (
     Grid,
@@ -155,6 +156,48 @@ def test_model_spec_rejects_non_finite_parameters():
         cubic_model(g=float("nan"))
     with pytest.raises(ValueError, match=r"omegas\[0\] = inf is not finite"):
         harmonic_model(omega=float("inf"))
+
+
+def test_equal_specs_share_one_model_build():
+    assert hamiltonian_set(cubic_model()) is hamiltonian_set(cubic_model())
+    assert scenarios.model_multiplet(henon_heiles_model()) is scenarios.model_multiplet(
+        henon_heiles_model()
+    )
+
+
+@pytest.mark.parametrize(
+    "masses, omegas",
+    [((1, 2), (1, 1)), ([1.0, 2.0], [1.0, 1.0])],
+    ids=["int", "list"],
+)
+def test_model_spec_keeps_float_tuples(masses, omegas):
+    spec = ModelSpec("henon_heiles", masses, omegas, lam=-0.11)
+    assert spec.masses == (1.0, 2.0) and spec.omegas == (1.0, 1.0)
+    assert all(type(v) is float for v in spec.masses + spec.omegas)
+    floats = ModelSpec("henon_heiles", (1.0, 2.0), (1.0, 1.0), lam=-0.11)
+    assert hash(spec) == hash(floats)
+    assert hamiltonian_set(spec) == hamiltonian_set.__wrapped__(floats)
+
+
+def test_runs_build_each_model_once(monkeypatch):
+    calls = {"build_F": 0, "with_n_dof": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scenarios, "build_F", counted("build_F", scenarios.build_F))
+    monkeypatch.setattr(
+        MultipletDef, "with_n_dof", counted("with_n_dof", MultipletDef.with_n_dof)
+    )
+    scenarios.model_multiplet.cache_clear()
+    hamiltonian_set.cache_clear()
+    spec, packet = harmonic_model(), PacketSpec.make(1.0, 0.0)
+    run_scenario(spec, packet, "nambu", dt=1e-2, t_end=1.0)
+    run_scenario(spec, packet, "quantum", dt=1e-2, t_end=1.0, grid=Grid.make_1d(-10, 10, 256))
+    assert calls == {"build_F": 1, "with_n_dof": 1}
 
 
 @pytest.mark.parametrize("method", ["nambu", "quantum"])
