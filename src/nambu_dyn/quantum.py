@@ -10,7 +10,6 @@ An optional absorbing mask damps amplitude near the grid edges for open
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import warnings
@@ -326,8 +325,8 @@ class SplitOperatorPropagator:
             amps *= self.exp_v_half
             if self.absorber is not None:
                 amps *= self.absorber
-        # A non-finite amplitude makes this numpy sum (no BLAS) non-finite; overflows: exact check.
-        if not cmath.isfinite(amps.sum()) and not np.all(np.isfinite(amps)):
+        # Exact and out of BLAS: np.vdot's norm here woke a spinning OpenBLAS thread.
+        if not np.all(np.isfinite(amps)):
             raise NonFiniteAmplitudeError("wavefunction amplitudes became non-finite")
         wf.amps = amps
         return wf

@@ -85,8 +85,6 @@ class ModelSpec:
     closure: ClosureMode = ClosureMode.ZERO_CUMULANT
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
-        object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
         if self.model_id not in ("harmonic", "cubic", "henon_heiles"):
             raise ValueError(f"unknown model {self.model_id!r}")
         if not 0 < len(self.masses) == len(self.omegas):
@@ -95,8 +93,12 @@ class ModelSpec:
         params.update((f"masses[{i}]", m) for i, m in enumerate(self.masses))
         params.update((f"omegas[{i}]", w) for i, w in enumerate(self.omegas))
         for name, value in params.items():
-            if not math.isfinite(value):
+            if isinstance(value, bool):
+                raise TypeError(f"model parameter {name} = {value!r} is a bool, not a number")
+            if not math.isfinite(value):  # a non-number raises TypeError here
                 raise ValueError(f"model parameter {name} = {value!r} is not finite")
+        object.__setattr__(self, "masses", tuple(map(float, self.masses)))
+        object.__setattr__(self, "omegas", tuple(map(float, self.omegas)))
         if min(*self.masses, *self.omegas, self.hbar) <= 0:
             raise ValueError("masses, frequencies and hbar must be positive")
         if self.model_id == "henon_heiles" and self.n_dof != 2:
@@ -172,12 +174,13 @@ def classical_hamiltonian(spec: ModelSpec) -> Poly:
     return out
 
 
-@functools.lru_cache(maxsize=64)
+# A process builds one or two specs; lru_cache's default 128 entries bound both caches.
+@functools.lru_cache
 def model_multiplet(spec: ModelSpec) -> MultipletDef:
     return builtin_multiplets()[spec.multiplet_name].with_n_dof(spec.n_dof)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache
 def hamiltonian_set(spec: ModelSpec) -> HamiltonianSet:
     m = model_multiplet(spec)
     F = build_F(potential_poly(spec), m, spec.closure, masses=spec.masses)
@@ -358,10 +361,8 @@ def _run_quantum(spec, packet, grid, dt, t_end, record_stride, meta) -> Trajecto
     h = split.multiple * dt
     prop = SplitOperatorPropagator(grid, V, h, spec.hbar, spec.masses, absorber, split.order)
     meta.update(
-        quantum_dt=repr(h),
-        split_order=str(split.order),
-        split_err_est=repr(split.err_est),
-        strang_err_est=repr(split.strang_err_est),
+        quantum_dt=repr(h), split_order=str(split.order),
+        split_err_est=repr(split.err_est), strang_err_est=repr(split.strang_err_est),
     )
     block = RowPass(grid, spec.hbar, kinds, max(1, ROW_BLOCK_BYTES // wf.amps.nbytes))
     snaps, done = block.states, 0

@@ -350,12 +350,11 @@ def test_huge_finite_amplitudes_step():
     assert np.all(np.isfinite(prop.step(flat).amps))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "pair", [(np.inf, -np.inf), (complex(0, np.inf), complex(0, -np.inf))], ids=["real", "imag"]
 )
 def test_opposite_infinities_are_detected(pair):
-    # +inf and -inf sum to NaN, so the step's sum test still fails.
+    # A norm or sum of +inf and -inf need not stay infinite; the check is per amplitude.
     g = Grid.make_1d(-10.0, 10.0, 128)
     wf = init_gaussian(g, 0.0, 0.0, 1.0)
     wf.amps[3], wf.amps[70] = pair
@@ -364,14 +363,11 @@ def test_opposite_infinities_are_detected(pair):
         prop.step(wf, 0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_sum_of_finite_amplitudes_is_not_an_error():
-    # 256 amplitudes of 1e306 sum past the largest double; the exact test
-    # then finds every amplitude finite.
+    # 256 amplitudes of 1e306 sum past the largest double, yet each is finite.
     g = Grid.make_1d(-10.0, 10.0, 256)
     wf = init_gaussian(g, 0.0, 0.0, 1.0)
     wf.amps = np.full(g.shape, 1e306, dtype=np.complex128)
-    assert not np.isfinite(wf.amps.sum())
     prop = SplitOperatorPropagator(g, HARMONIC, 1e-3)
     assert prop.step(wf, 0).amps[0] == 1e306
 

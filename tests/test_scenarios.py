@@ -179,6 +179,15 @@ def test_model_spec_keeps_float_tuples(masses, omegas):
     assert hamiltonian_set(spec) == hamiltonian_set.__wrapped__(floats)
 
 
+@pytest.mark.parametrize(
+    "masses, error", [(("2",), "must be real number"), ((True,), "is a bool, not a number")],
+    ids=["str", "bool"],
+)
+def test_model_spec_converts_only_real_numbers(masses, error):
+    with pytest.raises(TypeError, match=error):
+        ModelSpec("harmonic", masses, (1.0,), multiplet_name="triplet")
+
+
 def test_runs_build_each_model_once(monkeypatch):
     calls = {"build_F": 0, "with_n_dof": 0}
 
