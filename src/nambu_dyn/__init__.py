@@ -16,7 +16,7 @@ from .poly import (
     p,
     xvar,
 )
-from .state import Layout, NambuState, classical_vars, x_vars
+from .state import Layout, classical_vars, x_vars
 from .brackets import (
     BracketReport,
     DimensionMismatchError,

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .poly import Poly, UnboundVariableError, VarId, compile_evaluator, p, q, xvar
-from .state import Layout, NambuState, x_vars
+from .state import Layout, x_vars
 
 __all__ = [
     "BracketReport",
@@ -65,19 +65,6 @@ def reports_to_csv(reports: Sequence[BracketReport]) -> str:
 @lru_cache(maxsize=16384)
 def _partial(f: Poly, v: VarId) -> Poly:
     return f.partial(v)
-
-
-def _as_point(state, layout: Layout) -> Mapping[VarId, float]:
-    if isinstance(state, NambuState):
-        return state.as_dict()
-    if isinstance(state, Mapping):
-        return state
-    values = np.asarray(state, dtype=np.float64)
-    if values.shape != (layout.size,):
-        raise DimensionMismatchError(
-            f"state vector length {values.size} does not match layout {layout}"
-        )
-    return dict(zip(x_vars(layout), values.tolist()))
 
 
 def _check_layout_vars(fns: Sequence[Poly], layout: Layout) -> None:
@@ -206,12 +193,14 @@ def check_fundamental_identity(
     return _reports(lhs, rhs, samples)
 
 
-def flow_divergence(hamiltonians: Sequence[Poly], state, layout: Layout) -> float:
-    """Divergence of the bracket-generated flow; zero up to rounding.
+def flow_divergence(hamiltonians: Sequence[Poly], state: Mapping, layout: Layout) -> float:
+    """Divergence of the bracket-generated flow at a sample {x variable: value}.
 
     The flow components d(x_i)/dt = {x_i, H_1, ..., H_{N-1}} are formed
-    symbolically and differentiated exactly before evaluation.
-    """
+    symbolically and differentiated exactly: the sum is zero up to rounding
+    and reads no variable, so a state that is not a mapping raises TypeError."""
+    if not isinstance(state, Mapping):
+        raise TypeError(f"state must be a mapping of x variables, not {type(state).__name__}")
     if len(hamiltonians) != layout.N - 1:
         raise DimensionMismatchError(
             f"flow needs {layout.N - 1} Hamiltonians, got {len(hamiltonians)}"
@@ -219,7 +208,7 @@ def flow_divergence(hamiltonians: Sequence[Poly], state, layout: Layout) -> floa
     div = Poly.zero()
     for v in x_vars(layout):
         div = div + nambu_bracket_poly([Poly.var(v), *hamiltonians], layout).partial(v)
-    return float(_at_samples([div], [_as_point(state, layout)])[0][0])
+    return float(_at_samples([div], [state])[0][0])
 
 
 def sample_assignments(

@@ -20,7 +20,10 @@ from pathlib import Path
 from .brackets import check_fundamental_identity, reports_to_csv, sample_assignments
 from .closure import ClosureMode, reduce_moment
 from .dynamics import NonFiniteStateError, conserved_drift
-from .multiplets import builtin_multiplets, consistency_to_csv, verify_consistency
+from .multiplets import (
+    DEFAULT_CONSISTENCY_SAMPLES, DEFAULT_CONSISTENCY_TOL, builtin_multiplets, consistency_to_csv,
+    verify_consistency,
+)
 from .poly import Poly, format_poly, xvar
 from .scenarios import (
     PacketSpec,
@@ -197,8 +200,8 @@ def cmd_verify_consistency(args) -> int:
     if name is None:
         raise ConfigError("verify consistency needs --multiplet")
     n_dof = _merged(args, "n_dof", default=1, cast=int)
-    samples = _samples(args, default=50)
-    tol = _merged(args, "tol", default=1e-9, cast=float)
+    samples = _samples(args, default=DEFAULT_CONSISTENCY_SAMPLES)
+    tol = _merged(args, "tol", default=DEFAULT_CONSISTENCY_TOL, cast=float)
     if not 0 <= tol < math.inf:
         raise ConfigError(f"tol = {tol!r} is not a non-negative finite number")
     if name not in builtin_multiplets():

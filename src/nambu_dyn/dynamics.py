@@ -217,20 +217,20 @@ def conserved_drift(traj: Trajectory) -> dict[str, DriftStat]:
 # --------------------------------------------------------------------------
 
 
-def check_run(dt: float, t_end: float, t0: float = 0.0, record_stride: int = 1) -> int:
-    """The number of steps of dt from t0 to t_end, after the checks that
-    ``integrate`` makes before any step; ValueError rejects a bad dt, t0,
-    t_end or stride and more than ``native.LONG_MAX`` steps."""
+def check_run(dt: float, t_end: float, record_stride: int = 1) -> int:
+    """The number of steps of dt from 0 to t_end, after the checks that
+    ``integrate`` makes before any step; ValueError rejects a bad dt, t_end
+    or stride and more than ``native.LONG_MAX`` steps."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt = {dt!r} is not a positive finite step")
-    if not -math.inf < t0 < t_end < math.inf:
-        raise ValueError(f"need finite t0 < t_end, got t0 = {t0!r}, t_end = {t_end!r}")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"need a finite t_end > 0, got t_end = {t_end!r}")
     if not isinstance(record_stride, (int, np.integer)) or record_stride < 1:
         raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
-    steps = np.floor((t_end - t0) / dt + 1e-9)
+    steps = np.floor(t_end / dt + 1e-9)
     if not steps <= LONG_MAX:
         raise ValueError(
-            f"t_end - t0 = {t_end - t0!r} at dt = {dt!r} is {steps:.6g} steps, "
+            f"t_end = {t_end!r} at dt = {dt!r} is {steps:.6g} steps, "
             f"more than the limit of {LONG_MAX} (the RK4 kernel's C long)"
         )
     return int(steps)
@@ -242,12 +242,11 @@ def integrate(
     dt: float,
     t_end: float,
     columns: Sequence[str],
-    t0: float = 0.0,
     record_stride: int = 1,
     stop_flag: str = "escaped",
     meta: Mapping | None = None,
 ) -> Trajectory:
-    """Drive a run to the largest multiple of dt <= t_end - t0, recording rows.
+    """Drive a run from t = 0 to the largest multiple of dt <= t_end, recording rows.
 
     Rows are recorded at step 0 (``y0``), every ``record_stride`` steps and
     at the last step; the trajectory has no observables.  ``fill(steps,
@@ -259,7 +258,7 @@ def integrate(
     counts, as its ``trajectory``.  ``check_run`` rejects a bad run before
     any step, and ValueError more rows than can be allocated.
     """
-    n_steps = check_run(dt, t_end, t0, record_stride)
+    n_steps = check_run(dt, t_end, record_stride)
     n_rows = 1 + -(-n_steps // record_stride)
     try:
         states, steps = np.empty((n_rows, len(columns))), np.arange(n_rows)
@@ -275,7 +274,7 @@ def integrate(
 
     def build() -> Trajectory:
         return Trajectory(
-            t0 + steps[:k] * dt, states[:k], list(columns), np.empty((k, 0)), [],
+            steps[:k] * dt, states[:k], list(columns), np.empty((k, 0)), [],
             dict(meta or {}), [""] * (k - 1) + [flag],
         )
 
@@ -298,8 +297,6 @@ def rk4_integrate(
     y0,
     dt: float,
     t_end: float,
-    columns: Sequence[str] | None = None,
-    t0: float = 0.0,
     record_stride: int = 1,
     stop_below: float | None = None,
     meta: Mapping | None = None,
@@ -323,8 +320,6 @@ def rk4_integrate(
             "field has no rk4 kernel; compile it with compile_vector_field, "
             "one polynomial per variable"
         )
-    if columns is None:
-        columns = [f"y{i}" for i in range(y.size)]
     h = float(dt)
     below = -math.inf if stop_below is None else float(stop_below)
     state = tuple(y.tolist())
@@ -338,7 +333,7 @@ def rk4_integrate(
             done += abs(taken)
             if taken < 0:
                 raise NonFiniteStateError(
-                    f"state became non-finite at t = {t0 + done * dt:.6g} "
+                    f"state became non-finite at t = {done * dt:.6g} "
                     f"(step {done} of {steps[-1]})", filled=k,
                 )
             rows[k] = state
@@ -346,4 +341,5 @@ def rk4_integrate(
                 return k + 1, done
         return len(steps), None
 
-    return integrate(fill, y, dt, t_end, columns, t0, record_stride, meta=meta)
+    columns = [f"y{i}" for i in range(y.size)]
+    return integrate(fill, y, dt, t_end, columns, record_stride, meta=meta)

@@ -64,9 +64,6 @@ class VarId(NamedTuple):
     def sort_key(self) -> tuple:
         return (self.dof,) + _slot_rank(self.slot)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VarId({self.name})"
-
 
 def _slot_rank(slot: str) -> tuple:
     if slot == "q":
@@ -169,9 +166,6 @@ class Poly:
 
     def coefficient(self, powers: Mapping[VarId, int]) -> float:
         return self._terms.get(_canonical_monomial(powers), 0.0)
-
-    def constant_term(self) -> float:
-        return self._terms.get(_EMPTY, 0.0)
 
     # ----- ring operations ----------------------------------------------
     def __add__(self, other: Union["Poly", float, int]) -> "Poly":

@@ -37,7 +37,7 @@ from .quantum import (
     expect,  # noqa: F401  (bench/hooks.py traces scenarios.expect)
     init_gaussian,
 )
-from .state import NambuState, classical_vars, x_vars
+from .state import classical_vars, x_vars
 
 __all__ = [
     "ModelSpec",
@@ -247,8 +247,8 @@ class PacketSpec:
         )
 
 
-def init_nambu_from_packet(spec: ModelSpec, packet: PacketSpec) -> NambuState:
-    """Multiplet values of the initial Gaussian packet.
+def init_nambu_from_packet(spec: ModelSpec, packet: PacketSpec) -> np.ndarray:
+    """Multiplet values of the initial Gaussian packet, as the flat state vector.
 
     Quartet per dof: (qc, pc, qc^2 + s^2, pc^2 + hbar^2/(4 s^2));
     triplet: (qc^2 + s^2, pc^2 + hbar^2/(4 s^2), qc pc).  A width of zero
@@ -265,7 +265,7 @@ def init_nambu_from_packet(spec: ModelSpec, packet: PacketSpec) -> NambuState:
             values.extend((qc, pc, qc * qc + s2, pc * pc + p2_fluct))
         else:
             values.extend((qc * qc + s2, pc * pc + p2_fluct, qc * pc))
-    return NambuState(np.array(values), multiplet.layout)
+    return np.array(values, dtype=np.float64)
 
 
 # --------------------------------------------------------------------------
@@ -336,7 +336,7 @@ def _run_rk4(spec, packet, method, dt, t_end, record_stride, q_stop, meta) -> Tr
     classical run (q0, p0, q1, p1, ...) by Hamilton's equations."""
     if method == "nambu":
         field = compile_nambu_field(hamiltonian_set(spec))
-        y0 = init_nambu_from_packet(spec, packet).values
+        y0 = init_nambu_from_packet(spec, packet)
     else:
         field = compile_classical_field(classical_hamiltonian(spec), spec.n_dof)
         y0 = [v for qp in zip(packet.qc, packet.pc) for v in qp]
@@ -435,7 +435,6 @@ def compare(
 ) -> dict[str, CompareStat]:
     """Per-column max-abs and RMS difference over the common time range.
 
-    Column pairs may be given as a single shared name or "name_a/name_b".
     Unequal time grids are aligned by linear interpolation of the second
     trajectory onto the first.
     """
@@ -448,12 +447,8 @@ def compare(
         mask = (ta >= lo) & (ta <= hi)
     out: dict[str, CompareStat] = {}
     for column in columns:
-        if "/" in column:
-            name_a, name_b = column.split("/", 1)
-        else:
-            name_a = name_b = column
-        va = traj_a.column(name_a)
-        vb = traj_b.column(name_b)
+        va = traj_a.column(column)
+        vb = traj_b.column(column)
         if same_grid:
             diff = va - vb
         else:

@@ -6,14 +6,11 @@ value vector is dof-major: (x1^(0), ..., xN^(0), x1^(1), ..., xN^(n-1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .poly import VarId, p, q, xvar
 
-__all__ = ["Layout", "NambuState", "x_vars", "classical_vars"]
+__all__ = ["Layout", "x_vars", "classical_vars"]
 
 
 class Layout(NamedTuple):
@@ -38,21 +35,3 @@ def classical_vars(n_dof: int) -> tuple[VarId, ...]:
     """Canonical (q0, p0, q1, p1, ...) order for classical state vectors."""
     return tuple(v for dof in range(n_dof) for v in (q(dof), p(dof)))
 
-
-@dataclass
-class NambuState:
-    """Values of all multiplet variables at one instant."""
-
-    values: np.ndarray
-    layout: Layout
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.layout.size,):
-            raise ValueError(
-                f"state vector has length {self.values.size}, "
-                f"layout {self.layout} needs {self.layout.size}"
-            )
-
-    def as_dict(self) -> dict[VarId, float]:
-        return dict(zip(x_vars(self.layout), self.values.tolist()))

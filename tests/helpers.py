@@ -2,12 +2,13 @@
 
 These deliberately avoid the library's own code paths: Gaussian moments
 come from the mean/variance recursion on numbers, determinants from the
-permutation sum, derivatives from central differences, vector fields and
-classical images from ``Poly.eval`` point by point (the Nambu field through
-one LU-determinant bracket per component) instead of generated code, the
-identity checks with their outer brackets taken point by point by the LU
-``nambu_bracket`` and the per-point ``poisson_bracket``, RK4
-trajectories from a numpy loop that calls the field four times per step,
+permutation sum (the consistency contraction also from the sum over every
+ordering of its columns, each with its Levi-Civita sign), derivatives from
+central differences, vector fields and classical images from ``Poly.eval``
+point by point (the Nambu field through one LU-determinant bracket per
+component) instead of generated code, the identity checks with their outer
+brackets taken point by point by the LU ``nambu_bracket`` and the per-point
+``poisson_bracket``, RK4 trajectories from a numpy loop that calls the field four times per step,
 Strang steps from the split-operator factors applied one at a time or fused
 through the public ``np.fft`` transforms, quantum runs stride by stride with
 one expectation row per call (as plain Strang steps of the caller's dt, or
@@ -20,13 +21,14 @@ and ``poisson_bracket`` and ``nambu_bracket`` the numeric brackets of
 """
 
 from itertools import combinations, permutations
+from math import factorial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from nambu_dyn.brackets import (
+    DEFAULT_SAMPLE_SEED,
     DimensionMismatchError,
-    _as_point,
     _check_layout_vars,
     _partial,
     nambu_bracket_poly,
@@ -34,7 +36,6 @@ from nambu_dyn.brackets import (
     sample_assignments,
 )
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory
-from nambu_dyn.multiplets import _constraint_contraction
 from nambu_dyn.poly import Poly, VarId, p, q, xvar
 from nambu_dyn.quantum import (
     SplitOperatorPropagator,
@@ -44,7 +45,7 @@ from nambu_dyn.quantum import (
     potential_mesh,
 )
 from nambu_dyn.scenarios import ABSORBED_NORM_FLOOR, model_multiplet, potential_poly
-from nambu_dyn.state import Layout, NambuState, classical_vars, x_vars
+from nambu_dyn.state import Layout, classical_vars, x_vars
 
 
 def gaussian_moment(n: int, mean: float, var: float) -> float:
@@ -109,6 +110,18 @@ def poisson_bracket(
     return total
 
 
+def as_point(state, layout: Layout) -> Mapping[VarId, float]:
+    """A sample mapping as it is; a flat state vector as {x variable: value}."""
+    if isinstance(state, Mapping):
+        return state
+    values = np.asarray(state, dtype=np.float64)
+    if values.shape != (layout.size,):
+        raise DimensionMismatchError(
+            f"state vector length {values.size} does not match layout {layout}"
+        )
+    return dict(zip(x_vars(layout), values.tolist()))
+
+
 def nambu_bracket(fns: Sequence[Poly], state, layout: Layout) -> float:
     """Sum over dofs of the NxN Jacobian determinant of fns wrt one N-plet.
 
@@ -118,7 +131,7 @@ def nambu_bracket(fns: Sequence[Poly], state, layout: Layout) -> float:
     if len(fns) != N:
         raise DimensionMismatchError(f"need {N} functions, got {len(fns)}")
     _check_layout_vars(fns, layout)
-    point = _as_point(state, layout)
+    point = as_point(state, layout)
     total = 0.0
     jac = np.empty((N, N), dtype=np.float64)
     for dof in range(n_dof):
@@ -159,31 +172,39 @@ def fundamental_identity_reference(As, Bs, samples, layout):
     ]
 
 
-def flow_divergence_reference(hamiltonians, state, layout) -> float:
-    """sum_v d/dv {v, H_1, ...} at the state, one ``Poly.eval`` per term."""
-    point = _as_point(state, layout)
+def flow_divergence_reference(hamiltonians, point, layout) -> float:
+    """sum_v d/dv {v, H_1, ...} at a sample point, one ``Poly.eval`` per term."""
     return sum(
         nambu_bracket_poly([Poly.var(v), *hamiltonians], layout).partial(v).eval(point)
         for v in x_vars(layout)
     )
 
 
-def consistency_reference(m, samples, seed=None) -> dict:
-    """{(dof, i, j): worst residual} of the consistency conditions, the
-    contraction evaluated at the image x_i(q, p) of each (q, p) sample and
-    the Poisson bracket at the sample, both by ``Poly.eval``."""
-    kw = {} if seed is None else {"seed": seed}
+def consistency_reference(m, samples, seed=DEFAULT_SAMPLE_SEED) -> dict:
+    """{(dof, i, j): worst residual} of the consistency conditions, written
+    out as the permutation sum: (1/(N-2)!) times the sum over every ordering
+    k... of the other variables of eps_{i j k...} (``perm_sign``) times the
+    brute-force determinant of dG_c/dx_k, the derivatives taken by
+    ``Poly.eval`` at the image x_i(q, p) of each (q, p) sample, minus the
+    Poisson bracket at the sample."""
     worst = {}
     for dof in range(m.n_dof):
         vs = [xvar(i, dof) for i in range(1, m.N + 1)]
-        points = sample_assignments([q(dof), p(dof)], samples, **kw)
+        grads = [[g.partial(v) for v in vs] for g in m.constraints[dof]]
+        points = sample_assignments([q(dof), p(dof)], samples, seed)
         for i, j in combinations(range(m.N), 2):
-            lhs = _constraint_contraction(m.constraints[dof], vs, i, j)
             rhs = poisson_bracket_poly(m.defs[dof][i], m.defs[dof][j], dof + 1)
-            worst[(dof, i + 1, j + 1)] = max(
-                abs(lhs.eval({v: d.eval(pt) for v, d in zip(vs, m.defs[dof])}) - rhs.eval(pt))
-                for pt in points
-            )
+            rest = [k for k in range(m.N) if k not in (i, j)]
+            residuals = []
+            for pt in points:
+                image = {v: d.eval(pt) for v, d in zip(vs, m.defs[dof])}
+                jac = np.array([[dg.eval(image) for dg in row] for row in grads])
+                lhs = sum(
+                    perm_sign((i, j, *perm)) * det_by_permutations(jac[:, list(perm)])
+                    for perm in permutations(rest)
+                ) / factorial(m.N - 2)
+                residuals.append(abs(lhs - rhs.eval(pt)))
+            worst[(dof, i + 1, j + 1)] = max(residuals)
     return worst
 
 
@@ -191,8 +212,6 @@ def nambu_vector_field(h, s) -> np.ndarray:
     """d(x_i^(a))/dt = {x_i^(a), F, G_1, ..., G_{N-2}} of the HamiltonianSet
     ``h`` at the state ``s``, one LU-determinant bracket per component."""
     layout = h.layout
-    if isinstance(s, NambuState) and s.layout != layout:
-        raise ValueError(f"state layout {s.layout} != Hamiltonian layout {layout}")
     fields = [[Poly.var(v), *h.hamiltonians] for v in x_vars(layout)]
     return np.array([nambu_bracket(fns, s, layout) for fns in fields])
 
@@ -213,18 +232,18 @@ def classical_image(m, point) -> np.ndarray:
     return np.array([d.eval(point) for dof in range(m.n_dof) for d in m.defs[dof]])
 
 
-def rk4_reference(field, y0, dt, t_end, t0=0.0, record_stride=1, stop=None):
+def rk4_reference(field, y0, dt, t_end, record_stride=1, stop=None):
     """Fixed-step RK4 on numpy arrays with four field calls per step.
 
     Same recording, stop ("escaped") and non-finite rules as ``rk4_integrate``.
     """
     y = np.array(y0, dtype=np.float64)
     dim = y.size
-    n_steps = int(np.floor((t_end - t0) / dt + 1e-9))
+    n_steps = int(np.floor(t_end / dt + 1e-9))
     ts, rows, flags = [], [], []
 
     def record(step, flag=""):
-        ts.append(t0 + step * dt)
+        ts.append(step * dt)
         rows.append(y.copy())
         flags.append(flag)
 
@@ -250,7 +269,7 @@ def rk4_reference(field, y0, dt, t_end, t0=0.0, record_stride=1, stop=None):
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise NonFiniteStateError(
-                f"state became non-finite at t = {t0 + step * dt:.6g} "
+                f"state became non-finite at t = {step * dt:.6g} "
                 f"(step {step} of {n_steps})",
                 trajectory=build(),
             )

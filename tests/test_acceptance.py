@@ -161,7 +161,7 @@ def test_criterion_3_tunneling_dichotomy(cubic_nambu):
     vpoly = parse_poly("0.5*q^2 + 0.1*q^3")
     dv = vpoly.partial(q(0))
     roots = np.roots([dv.coefficient({q(0): 2}), dv.coefficient({q(0): 1}),
-                      dv.constant_term()])
+                      dv.coefficient({})])
     q_top = min(roots)
     barrier = vpoly.eval({q(0): float(q_top)})
     energy = 1.8**2 / 2.0
@@ -173,12 +173,12 @@ def test_criterion_3_tunneling_dichotomy(cubic_nambu):
     vc = effective_potential(vpoly, math.sqrt(0.5))
     dvc = vc.partial(q(0))
     roots_c = np.roots([dvc.coefficient({q(0): 2}), dvc.coefficient({q(0): 1}),
-                        dvc.constant_term()])
+                        dvc.coefficient({})])
     qc_top = min(roots_c)
     barrier_c = vc.eval({q(0): float(qc_top)})
     hset = hamiltonian_set(cubic_model())
-    f0 = hset.F.eval(init_nambu_from_packet(
-        cubic_model(), PacketSpec.make(0.0, 1.8)).as_dict())
+    y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8))
+    f0 = hset.F.eval(dict(zip(x_vars(hset.layout), y0.tolist())))
     assert qc_top == pytest.approx(-3.176, abs=1e-3)
     assert barrier_c == pytest.approx(1.864, abs=1e-3)
     assert f0 == pytest.approx(2.12, abs=1e-12)

@@ -24,7 +24,7 @@ from nambu_dyn.brackets import (
 )
 from nambu_dyn.poly import Poly, UnboundVariableError, p, q, xvar
 from nambu_dyn.scenarios import hamiltonian_set, henon_heiles_model
-from nambu_dyn.state import Layout, NambuState, x_vars
+from nambu_dyn.state import Layout, x_vars
 
 TRIPLET_LAYOUT = Layout(3, 1)
 X1, X2, X3, X4 = (Poly.var(xvar(i)) for i in (1, 2, 3, 4))
@@ -56,7 +56,7 @@ def test_poisson_canonical_pair_and_antisymmetry():
 
 
 def test_nambu_triplet_value():
-    state = NambuState(np.array([1.0, 2.0, 0.5]), TRIPLET_LAYOUT)
+    state = np.array([1.0, 2.0, 0.5])
     value = nambu_bracket([X1, F_HARM3, G_HARM3], state, TRIPLET_LAYOUT)
     assert value == pytest.approx(1.0, abs=1e-14)
 
@@ -64,13 +64,13 @@ def test_nambu_triplet_value():
 def test_nambu_repeated_entry_vanishes():
     rng = np.random.default_rng(1)
     for _ in range(5):
-        state = NambuState(rng.uniform(-2, 2, 3), TRIPLET_LAYOUT)
+        state = rng.uniform(-2, 2, 3)
         assert nambu_bracket([F_HARM3, F_HARM3, G_HARM3], state, TRIPLET_LAYOUT) == 0.0
 
 
 def test_nambu_cubic_momentum_component():
     layout = Layout(4, 1)
-    state = NambuState(np.array([0.0, 1.8, 0.5, 3.74]), layout)
+    state = np.array([0.0, 1.8, 0.5, 3.74])
     value = nambu_bracket([X2, F_CUBIC, G1_Q, G2_Q], state, layout)
     assert value == pytest.approx(-0.15, abs=1e-12)
 
@@ -233,8 +233,19 @@ def test_flow_divergence_builtins():
     cases.append((list(hh.hamiltonians), hh.layout))
     for hams, layout in cases:
         for _ in range(20):
-            state = rng.uniform(-2, 2, layout.size)
+            state = dict(zip(x_vars(layout), rng.uniform(-2, 2, layout.size)))
             assert abs(flow_divergence(hams, state, layout)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "state", [np.array([1.0, 2.0, 0.5]), [1.0, 2.0, 0.5], np.zeros(7)],
+    ids=["ndarray", "list", "wrong_length"],
+)
+def test_flow_divergence_rejects_a_state_that_is_not_a_mapping(state):
+    # The divergence Poly is zero and reads no variable, so without the
+    # check a state vector, even of the wrong length, would give 0.0.
+    with pytest.raises(TypeError, match="state must be a mapping of x variables"):
+        flow_divergence([F_HARM3, G_HARM3], state, TRIPLET_LAYOUT)
 
 
 def _assert_sides_match(reports, reference):
@@ -288,11 +299,9 @@ def test_flow_divergence_matches_reference():
     ]
     for hams, layout in cases:
         for _ in range(20):
-            values = rng.uniform(-2, 2, layout.size)
-            want = flow_divergence_reference(hams, values, layout)
-            state = NambuState(values, layout)
-            for form in (values, state, state.as_dict()):
-                assert abs(flow_divergence(hams, form, layout) - want) < 1e-10
+            state = dict(zip(x_vars(layout), rng.uniform(-2, 2, layout.size).tolist()))
+            want = flow_divergence_reference(hams, state, layout)
+            assert abs(flow_divergence(hams, state, layout) - want) < 1e-10
 
 
 def test_constant_side_is_broadcast_to_every_sample():

@@ -40,7 +40,7 @@ from nambu_dyn.scenarios import (
     init_nambu_from_packet,
     run_scenario,
 )
-from nambu_dyn.state import Layout, NambuState
+from nambu_dyn.state import Layout
 
 HARM3 = hamiltonian_set(harmonic_model())
 CUBIC = hamiltonian_set(cubic_model())
@@ -48,13 +48,13 @@ HH = hamiltonian_set(henon_heiles_model())
 
 
 def test_nambu_field_harmonic_triplet():
-    s = NambuState(np.array([1.5, 0.5, 0.0]), Layout(3, 1))
+    s = np.array([1.5, 0.5, 0.0])
     field = nambu_vector_field(HARM3, s)
     np.testing.assert_allclose(field, [0.0, 0.0, -1.0], atol=1e-14)
 
 
 def test_nambu_field_cubic_initial_point():
-    s = NambuState(np.array([0.0, 1.8, 0.5, 3.74]), Layout(4, 1))
+    s = np.array([0.0, 1.8, 0.5, 3.74])
     field = nambu_vector_field(CUBIC, s)
     np.testing.assert_allclose(field, [1.8, -0.15, 0.0, -0.54], atol=1e-12)
 
@@ -110,7 +110,7 @@ def test_flow_matches_hand_coded_equations(hset, hand):
     for _ in range(100):
         y = rng.uniform(-2, 2, hset.layout.size)
         expected = hand(y)
-        via_brackets = nambu_vector_field(hset, NambuState(y, hset.layout))
+        via_brackets = nambu_vector_field(hset, y)
         via_compiled = compiled(y)
         np.testing.assert_allclose(via_brackets, expected, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(via_compiled, expected, rtol=1e-12, atol=1e-12)
@@ -218,7 +218,7 @@ def test_escape_truncation_flags_last_row():
 
 def test_non_finite_state_raises_with_partial_trajectory():
     field = compile_nambu_field(CUBIC)
-    y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8)).values
+    y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteStateError) as err:
             rk4_integrate(field, y0, 1e-3, 40.0, record_stride=100)
@@ -305,9 +305,9 @@ def test_integrate_hands_out_blocks_of_the_row_schedule():
         handed.append(steps.tolist())
         return _counting_fill()(steps, rows)
 
-    traj = integrate(fill, (0.0,), 0.5, 6.25, ["s"], t0=1.0, record_stride=3)
+    traj = integrate(fill, (0.0,), 0.5, 5.25, ["s"], record_stride=3)
     assert handed == [[3, 6, 9, 10], [9, 10]]
-    assert traj.t.tolist() == [1.0, 2.5, 4.0, 5.5, 6.0]
+    assert traj.t.tolist() == [0.0, 1.5, 3.0, 4.5, 5.0]
     assert traj.states[:, 0].tolist() == [0, 3, 6, 9, 10]
     assert traj.flags == [""] * 5
     # A row that ends the run carries the step the fill reports, off the schedule.
@@ -407,9 +407,7 @@ def _compile_field(hset, kernel):
     return field
 
 
-HH_Y0 = init_nambu_from_packet(
-    henon_heiles_model(), PacketSpec.make([0.3, -0.2], [0.1, 0.4])
-).values
+HH_Y0 = init_nambu_from_packet(henon_heiles_model(), PacketSpec.make([0.3, -0.2], [0.1, 0.4]))
 
 
 @pytest.mark.parametrize(
@@ -420,10 +418,10 @@ HH_Y0 = init_nambu_from_packet(
         # cubic escape: the kernel ends its call at the escape step
         dict(hset=CUBIC, y0=[0.0, 1.8, 0.5, 3.74], dt=1e-3, t_end=40.0,
              record_stride=100, stop_below=-15.0),
-        # Henon-Heiles from t0 != 0 with a stride that does not divide n_steps
-        dict(hset=HH, y0=HH_Y0, dt=1e-3, t0=0.5, t_end=3.0, record_stride=7),
+        # Henon-Heiles with a stride that does not divide n_steps
+        dict(hset=HH, y0=HH_Y0, dt=1e-3, t_end=2.5, record_stride=7),
     ],
-    ids=["harmonic", "cubic_stop", "henon_heiles_t0"],
+    ids=["harmonic", "cubic_stop", "henon_heiles_stride7"],
 )
 def test_rk4_kernel_bit_identical_to_numpy_loop(case, kernel):
     case = dict(case)
@@ -438,7 +436,7 @@ def test_rk4_kernel_bit_identical_to_numpy_loop(case, kernel):
 
 def test_rk4_kernel_non_finite_matches_numpy_loop(kernel):
     field = _compile_field(CUBIC, kernel)
-    y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8)).values
+    y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteStateError) as got:
             rk4_integrate(field, y0, 1e-3, 40.0, record_stride=100)
@@ -452,7 +450,7 @@ def test_rk4_non_finite_last_step_of_a_stride_matches_numpy_loop(kernel):
     # The state first turns non-finite at step 9363 = 3 * 3121, the last step
     # of the third kernel call.
     field = _compile_field(CUBIC, kernel)
-    y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8)).values
+    y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteStateError, match=r"step 9363 of 40000") as got:
             rk4_integrate(field, y0, 1e-3, 40.0, record_stride=3121)
@@ -472,7 +470,7 @@ def test_rk4_escape_takes_one_kernel_call_per_stride(kernel):
         return rk4(y, dt, n, below)
 
     field.rk4 = counting
-    y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8)).values
+    y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8))
     traj = rk4_integrate(field, y0, 1e-3, 40.0, record_stride=10, stop_below=-15.0)
     assert traj.flags[-1] == "escaped" and len(traj) == 814 and traj.t[-1] == 8.13
     assert len(calls) == 813 and set(calls) == {10}

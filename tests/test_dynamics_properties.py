@@ -33,7 +33,7 @@ def test_escape_exit_matches_numpy_loop(kernel):
         stride=st.integers(1, 50),
     )
     def check(pc, q_stop, stride):
-        y0 = init_nambu_from_packet(CUBIC, PacketSpec.make(0.0, pc)).values
+        y0 = init_nambu_from_packet(CUBIC, PacketSpec.make(0.0, pc))
         case = dict(y0=y0, dt=5e-3, t_end=20.0, record_stride=stride)
         got = rk4_integrate(field, stop_below=q_stop, **case)
         want = rk4_reference(field, stop=lambda y: y[0] < q_stop, **case)

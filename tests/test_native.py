@@ -19,8 +19,7 @@ from nambu_dyn.scenarios import (
 HARM3 = hamiltonian_set(harmonic_model())
 HH = hamiltonian_set(henon_heiles_model())
 HH_Y0 = tuple(
-    init_nambu_from_packet(henon_heiles_model(), PacketSpec.make([0.3, -0.2], [0.1, 0.4]))
-    .values.tolist()
+    init_nambu_from_packet(henon_heiles_model(), PacketSpec.make([0.3, -0.2], [0.1, 0.4])).tolist()
 )
 
 # 1000 steps from HH_Y0 with no escape stop: rk4(y, dt, n, below).

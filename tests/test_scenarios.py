@@ -79,16 +79,16 @@ def test_potential_polys():
 
 def test_init_nambu_cubic_packet():
     state = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8))
-    np.testing.assert_allclose(state.values, [0.0, 1.8, 0.5, 3.74], atol=1e-12)
+    np.testing.assert_allclose(state, [0.0, 1.8, 0.5, 3.74], atol=1e-12)
 
 
 def test_init_nambu_henon_heiles_zero_point():
     state = init_nambu_from_packet(
         henon_heiles_model(), PacketSpec.make((0.0, 1.0), (0.0, 1.0))
     )
-    np.testing.assert_allclose(state.values[:4], [0.0, 0.0, 0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(state[:4], [0.0, 0.0, 0.5, 0.5], atol=1e-12)
     np.testing.assert_allclose(
-        state.values[4:], [1.0, 1.0, 1.0 + 1.0 / 2.2, 1.55], atol=1e-12
+        state[4:], [1.0, 1.0, 1.0 + 1.0 / 2.2, 1.55], atol=1e-12
     )
 
 
@@ -96,12 +96,12 @@ def test_init_nambu_zero_width_is_classical_image():
     state = init_nambu_from_packet(
         cubic_model(), PacketSpec.make(1.2, -0.7, sigma=0.0)
     )
-    np.testing.assert_allclose(state.values, [1.2, -0.7, 1.44, 0.49], atol=1e-12)
+    np.testing.assert_allclose(state, [1.2, -0.7, 1.44, 0.49], atol=1e-12)
 
 
 def test_init_nambu_triplet():
     state = init_nambu_from_packet(harmonic_model(), PacketSpec.make(1.0, 0.5))
-    np.testing.assert_allclose(state.values, [1.5, 0.75, 0.5], atol=1e-12)
+    np.testing.assert_allclose(state, [1.5, 0.75, 0.5], atol=1e-12)
 
 
 def test_packet_constraints_match_widths():
@@ -112,7 +112,7 @@ def test_packet_constraints_match_widths():
         sigma = float(rng.uniform(0.3, 1.5))
         packet = PacketSpec.make(rng.uniform(-1, 1), rng.uniform(-1, 1), sigma=sigma)
         state = init_nambu_from_packet(spec, packet)
-        point = state.as_dict()
+        point = dict(zip(x_vars(hset.layout), state.tolist()))
         assert hset.gs[0].eval(point) == pytest.approx(sigma**2, rel=1e-12)
         assert hset.gs[1].eval(point) == pytest.approx(
             1.0 / (4.0 * sigma**2), rel=1e-12
@@ -138,9 +138,9 @@ def test_packet_spec_validation():
     [
         (dict(record_stride=0), "record_stride must be an integer >= 1, got 0"),
         (dict(dt=math.inf), "dt = inf is not a positive finite step"),
-        (dict(t_end=math.inf), "need finite t0 < t_end, got t0 = 0.0, t_end = inf"),
-        (dict(t_end=0.0), "need finite t0 < t_end, got t0 = 0.0, t_end = 0.0"),
-        (dict(t_end=-1.0), "need finite t0 < t_end, got t0 = 0.0, t_end = -1.0"),
+        (dict(t_end=math.inf), "need a finite t_end > 0, got t_end = inf"),
+        (dict(t_end=0.0), "need a finite t_end > 0, got t_end = 0.0"),
+        (dict(t_end=-1.0), "need a finite t_end > 0, got t_end = -1.0"),
     ],
     ids=["stride_0", "dt_inf", "t_end_inf", "t_end_0", "t_end_negative"],
 )

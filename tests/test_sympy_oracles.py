@@ -1,6 +1,10 @@
 """Generated polynomials checked against sympy, an independent computer
 algebra system: the model potentials are written out here by hand, brackets
-are sympy Jacobian determinants, and closed moments are Gaussian integrals."""
+are sympy Jacobian determinants, the consistency contraction a sympy.LeviCivita
+sum of them, and closed moments are Gaussian integrals."""
+
+from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ sp = pytest.importorskip("sympy")
 from nambu_dyn.brackets import nambu_bracket_poly, poisson_bracket_poly  # noqa: E402
 from nambu_dyn.closure import ClosureMode, reduce_moment  # noqa: E402
 from nambu_dyn.dynamics import symbolic_flow  # noqa: E402
+from nambu_dyn.multiplets import _constraint_contraction  # noqa: E402
 from nambu_dyn.poly import Poly, p, q, xvar  # noqa: E402
 from nambu_dyn.quantum import Grid, SplitOperatorPropagator  # noqa: E402
 from nambu_dyn.scenarios import (  # noqa: E402
@@ -117,6 +122,34 @@ def test_nambu_bracket_matches_sympy_determinant(spec):
     want = _sympy_nambu([_to_sympy(f, syms) for f in fns], syms, layout)
     got = nambu_bracket_poly(fns, layout)
     assert _worst_coefficient(want - _to_sympy(got, syms), syms) < 1e-12
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_constraint_contraction_matches_sympy_levi_civita(N):
+    # (1/(N-2)!) eps_{i j k...} d(G_1, ..., G_{N-2}) / d(x_k, ...), the sum
+    # over every ordering of the other columns written out with
+    # sympy.LeviCivita and sympy.Matrix.det
+    rng = np.random.default_rng(30 + N)
+    vs = [xvar(i) for i in range(1, N + 1)]
+    syms = _symbols(vs)
+    # a power of every variable, a different one per constraint, keeps each
+    # minor of the Jacobian nonzero
+    gs = [
+        random_poly(rng, vs, max_degree=2, n_terms=4)
+        + sum((float(rng.uniform(0.5, 1.5)) * Poly.var(v) ** (c + 2) for v in vs), Poly.zero())
+        for c in range(N - 2)
+    ]
+    gs_sym = [_to_sympy(g, syms) for g in gs]
+    for i, j in combinations(range(N), 2):
+        rest = [k for k in range(N) if k not in (i, j)]
+        want = sp.Rational(1, factorial(N - 2)) * sum(
+            sp.LeviCivita(i, j, *order)
+            * sp.Matrix([[sp.diff(g, syms[vs[k]]) for k in order] for g in gs_sym]).det()
+            for order in permutations(rest)
+        )
+        got = _constraint_contraction(gs, vs, i, j)
+        assert not got.is_zero
+        assert _worst_coefficient(want - _to_sympy(got, syms), syms) < 1e-12
 
 
 def test_poisson_bracket_matches_sympy():
