@@ -8,7 +8,6 @@ over all sample points with generated code.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -55,11 +54,8 @@ class BracketReport:
 
 
 def reports_to_csv(reports: Sequence[BracketReport]) -> str:
-    out = io.StringIO()
-    out.write("sample_index,lhs,rhs,residual\n")
-    for r in reports:
-        out.write(f"{r.index},{r.lhs!r},{r.rhs!r},{r.residual!r}\n")
-    return out.getvalue()
+    rows = [f"{r.index},{r.lhs!r},{r.rhs!r},{r.residual!r}\n" for r in reports]
+    return "sample_index,lhs,rhs,residual\n" + "".join(rows)
 
 
 @lru_cache(maxsize=16384)

@@ -9,7 +9,6 @@ integrate the defining conditions to discover new ones.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -193,11 +192,8 @@ class ConsistencyReport:
 
 
 def consistency_to_csv(reports: Sequence[ConsistencyReport]) -> str:
-    out = io.StringIO()
-    out.write("dof,i,j,max_residual,pass\n")
-    for r in reports:
-        out.write(f"{r.dof},{r.i},{r.j},{r.max_residual!r},{int(r.passed)}\n")
-    return out.getvalue()
+    rows = [f"{r.dof},{r.i},{r.j},{r.max_residual!r},{int(r.passed)}\n" for r in reports]
+    return "dof,i,j,max_residual,pass\n" + "".join(rows)
 
 
 def _constraint_contraction(

@@ -313,12 +313,14 @@ def sorted_terms(poly: Poly) -> list[tuple[Monomial, float]]:
 # --------------------------------------------------------------------------
 
 _NAME_RE = re.compile(r"^(?:([qp])(\d*)|x(\d+)(?:_(\d+))?)$")
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<op>\*\*|\^|\*|\+|-)"
-    r")"
+# A term is a run of signs and whitespace, then factors joined by '*'.  A
+# factor is a number, or a name with an optional ^/** power, followed by the
+# operator after it: '*' (another factor), a sign (the next term) or the end.
+_SIGNS_RE = re.compile(r"[\s+-]*")
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_FACTOR_RE = re.compile(
+    rf"\s*(?:(?P<num>{_NUMBER})|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+    rf"(?:\s*(?:\^|\*\*)\s*(?P<exp>{_NUMBER}))?)\s*(?P<op>\*(?!\*)|[+-]|\Z)"
 )
 
 
@@ -336,82 +338,42 @@ def parse_varname(name: str) -> VarId:
     return VarId(dof, f"x{i}")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            remainder = text[pos:].strip()
-            if not remainder:
-                break
-            raise PolyParseError(f"cannot parse polynomial text near {remainder[:20]!r}")
-        pos = m.end()
-        for kind in ("num", "name", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind)))
-                break
-    return tokens
-
-
 def parse_poly(text: str) -> Poly:
     """Parse the whitespace-insensitive textual polynomial form."""
-    tokens = _tokenize(text)
-    if not tokens:
-        return Poly.zero()
     result = Poly.zero()
-    i = 0
-    n = len(tokens)
-    while i < n:
-        sign = 1.0
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise PolyParseError("dangling sign at end of polynomial")
-        coeff = sign
+    pos = 0
+    while True:
+        signs = _SIGNS_RE.match(text, pos)
+        pos = signs.end()
+        if pos == len(text):
+            if signs.group().strip():
+                raise PolyParseError("dangling sign at end of polynomial")
+            return result
+        coeff = -1.0 if signs.group().count("-") % 2 else 1.0
         powers: dict[VarId, int] = {}
-        expect_factor = True
-        while i < n:
-            kind, val = tokens[i]
-            if kind == "op" and val in "+-" and not expect_factor:
-                break
-            if expect_factor:
-                if kind == "num":
-                    coeff *= float(val)
-                    i += 1
-                elif kind == "name":
-                    var = parse_varname(val)
-                    exp = 1
-                    i += 1
-                    if i < n and tokens[i][0] == "op" and tokens[i][1] in ("^", "**"):
-                        i += 1
-                        if i >= n or tokens[i][0] != "num":
-                            raise PolyParseError("exponent must be an integer")
-                        exp_val = float(tokens[i][1])
-                        if exp_val != int(exp_val) or exp_val < 0:
-                            raise PolyParseError("exponent must be a non-negative integer")
-                        exp = int(exp_val)
-                        i += 1
-                    powers[var] = powers.get(var, 0) + exp
-                else:
-                    raise PolyParseError(f"unexpected token {val!r}")
-                expect_factor = False
+        op = "*"
+        while op == "*":
+            m = _FACTOR_RE.match(text, pos)
+            if m is None:
+                raise PolyParseError(f"cannot parse polynomial text near {text[pos:pos + 20]!r}")
+            if m["num"]:
+                coeff *= float(m["num"])
             else:
-                if kind == "op" and val == "*":
-                    expect_factor = True
-                    i += 1
-                else:
-                    raise PolyParseError(f"expected '*' or '+'/'-' before {val!r}")
-        if expect_factor:
-            raise PolyParseError("dangling '*' in polynomial")
+                exp = float(m["exp"]) if m["exp"] else 1.0
+                if not exp.is_integer():
+                    raise PolyParseError(f"exponent {m['exp']} is not a non-negative integer")
+                var = parse_varname(m["name"])
+                powers[var] = powers.get(var, 0) + int(exp)
+            op = m["op"]
+            pos = m.end()
         result = result + Poly.monomial(powers, coeff)
-    return result
+        if not op:
+            return result
+        pos = m.start("op")  # the sign opens the next term
 
 
 def _fmt_coeff(c: float) -> str:
-    if c == int(c) and abs(c) < 1e15:
+    if c.is_integer() and abs(c) < 1e15:
         return str(int(c))
     return repr(c)
 
@@ -421,25 +383,18 @@ def format_poly(poly: Poly) -> str:
     if poly.is_zero:
         return "0"
     suffixed = any(v.dof != 0 for v in poly.variables())
-    pieces = []
+    out = ""
     for mono, coeff in sorted_terms(poly):
         factors = []
         for v, k in mono:
             name = v.name if suffixed else v.slot
             factors.append(name if k == 1 else f"{name}^{k}")
-        mag = abs(coeff)
-        if not factors:
-            body = _fmt_coeff(mag)
-        elif mag == 1.0:
-            body = "*".join(factors)
-        else:
-            body = "*".join([_fmt_coeff(mag)] + factors)
-        pieces.append(("-" if coeff < 0 else "+", body))
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+        if abs(coeff) != 1.0 or not factors:
+            factors.insert(0, _fmt_coeff(abs(coeff)))
+        out += (" - " if coeff < 0 else " + ") + "*".join(factors)
+    if out.startswith(" - "):
+        return "-" + out[3:]
+    return out[3:]
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -505,23 +506,17 @@ def expect(wf: WaveFunction, kind: str, axis: int = 0) -> float:
 
 # --------------------------------------------------------------------------
 # Snapshot files: little-endian, uint32 axis count, per axis
-# (float64 min, float64 max, uint32 n_points), then interleaved re/im float64
-# in C order.
+# (float64 min, float64 max, uint32 n_points), then the amplitudes as
+# complex128 (interleaved re/im float64) in C order.
 # --------------------------------------------------------------------------
 
 
 def save_wavefunction(wf: WaveFunction, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(np.uint32(wf.grid.ndim).astype("<u4").tobytes())
+        fh.write(struct.pack("<I", wf.grid.ndim))
         for lo, hi, n in wf.grid.axes:
-            fh.write(np.float64(lo).astype("<f8").tobytes())
-            fh.write(np.float64(hi).astype("<f8").tobytes())
-            fh.write(np.uint32(n).astype("<u4").tobytes())
-        flat = wf.amps.ravel(order="C")
-        interleaved = np.empty(2 * flat.size, dtype="<f8")
-        interleaved[0::2] = flat.real
-        interleaved[1::2] = flat.imag
-        fh.write(interleaved.tobytes())
+            fh.write(struct.pack("<ddI", lo, hi, n))
+        fh.write(wf.amps.astype("<c16").tobytes())
 
 
 def load_wavefunction(path, hbar: float = 1.0) -> WaveFunction:
@@ -535,25 +530,17 @@ def load_wavefunction(path, hbar: float = 1.0) -> WaveFunction:
             )
 
     need(4, "axis count")
-    n_axes = int(np.frombuffer(raw, dtype="<u4", count=1)[0])
-    offset = 4
-    need(offset + 20 * n_axes, f"header for {n_axes} axes")
-    axes = []
-    for _ in range(n_axes):
-        lo, hi = np.frombuffer(raw, dtype="<f8", count=2, offset=offset)
-        offset += 16
-        n = int(np.frombuffer(raw, dtype="<u4", count=1, offset=offset)[0])
-        offset += 4
-        axes.append((float(lo), float(hi), n))
-    grid = Grid(tuple(axes))
-    count = 2 * int(np.prod(grid.shape))
-    size = offset + 8 * count
-    need(size, f"header and {count // 2} amplitudes")
+    (n_axes,) = struct.unpack_from("<I", raw)
+    offset = 4 + 20 * n_axes
+    need(offset, f"header for {n_axes} axes")
+    grid = Grid(tuple(struct.iter_unpack("<ddI", raw[4:offset])))
+    count = int(np.prod(grid.shape))
+    size = offset + 16 * count
+    need(size, f"header and {count} amplitudes")
     if len(raw) > size:
         raise ValueError(
             f"snapshot {path}: expected {size} bytes, file has {len(raw)} "
             f"({len(raw) - size} trailing)"
         )
-    data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    amps = (data[0::2] + 1j * data[1::2]).reshape(grid.shape)
-    return WaveFunction(grid, amps, hbar)
+    amps = np.frombuffer(raw, "<c16", count, offset).reshape(grid.shape)
+    return WaveFunction(grid, amps.copy(), hbar)

@@ -424,14 +424,12 @@ def _observed(spec: ModelSpec, method: str, traj: Trajectory) -> Trajectory:
 class CompareStat(NamedTuple):
     max_abs: float
     rms: float
-    passed: bool | None
 
 
 def compare(
     traj_a: Trajectory,
     traj_b: Trajectory,
     columns: Sequence[str],
-    tolerance: float | None = None,
 ) -> dict[str, CompareStat]:
     """Per-column max-abs and RMS difference over the common time range.
 
@@ -455,8 +453,7 @@ def compare(
             diff = va[mask] - np.interp(ta[mask], tb, vb)
         max_abs = float(np.max(np.abs(diff)))
         rms = float(np.sqrt(np.mean(diff**2)))
-        passed = (max_abs < tolerance) if tolerance is not None else None
-        out[column] = CompareStat(max_abs, rms, passed)
+        out[column] = CompareStat(max_abs, rms)
     return out
 
 

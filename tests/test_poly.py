@@ -139,19 +139,22 @@ def test_parse_variable_name_forms():
     assert parse_poly("2e-3*q") == Poly.monomial({q(): 1}, 2e-3)
 
 
+def test_parse_accepted_forms():
+    assert parse_poly("q ** 2") == parse_poly("q^2.0") == Poly.var(q()) ** 2
+    assert parse_poly("- - q") == parse_poly("+q") == parse_poly("q\n") == Poly.var(q())
+
+
 def test_parse_rejects_garbage():
-    for bad in ("x0", "q+", "2**", "x1^-2", "x1 x2", "$"):
+    for bad in ("x0", "q+", "2**", "x1^-2", "x1 x2", "$", "x1^1e400", "q*-p", "q^2^3", "2^3"):
         with pytest.raises(PolyParseError):
             parse_poly(bad)
 
 
-def test_format_roundtrip_random():
-    rng = np.random.default_rng(5)
-    vars_ = [q(0), p(0), xvar(1, 0), xvar(3, 1)]
-    for _ in range(30):
-        f = random_poly(rng, vars_, max_degree=3)
-        assert parse_poly(format_poly(f)) == f
+def test_format_zero_and_non_finite_coefficients():
     assert format_poly(Poly.zero()) == "0"
+    assert str(parse_poly("1e400*q")) == "inf*q"
+    assert str(parse_poly("-1e400*q")) == "-inf*q"
+    assert str(parse_poly("0*1e400*q")) == "nan*q"
 
 
 def test_format_uses_suffixes_only_when_needed():

@@ -542,27 +542,40 @@ def test_wavefunction_shape_validation():
 
 
 def test_snapshot_roundtrip_1d_and_2d(tmp_path):
-    from nambu_dyn.quantum import load_wavefunction, save_wavefunction
-
     g1 = Grid.make_1d(-10.0, 10.0, 128)
     wf1 = init_gaussian(g1, 0.3, -0.7, 0.8)
     path1 = tmp_path / "wf1.bin"
-    save_wavefunction(wf1, path1)
-    back1 = load_wavefunction(path1)
+    quantum.save_wavefunction(wf1, path1)
+    back1 = quantum.load_wavefunction(path1)
     assert back1.grid == wf1.grid
     np.testing.assert_array_equal(back1.amps, wf1.amps)
 
     g2 = Grid.make_2d((-7.0, 7.0, 64), (-8.0, 10.0, 128))
     wf2 = init_gaussian(g2, (0.0, 1.0), (0.5, -0.5), (0.7, 0.9))
     path2 = tmp_path / "wf2.bin"
-    save_wavefunction(wf2, path2)
-    back2 = load_wavefunction(path2)
+    quantum.save_wavefunction(wf2, path2)
+    back2 = quantum.load_wavefunction(path2)
     assert back2.grid == wf2.grid
     np.testing.assert_array_equal(back2.amps, wf2.amps)
     # layout: uint32 axis count, per-axis float64 min/max + uint32 n, then
     # interleaved re/im float64
     expected = 4 + 2 * 20 + 16 * 64 * 128
     assert path2.stat().st_size == expected
+
+
+def test_snapshot_roundtrip_is_bit_exact_for_special_values(tmp_path):
+    # Every pairing of -0.0, +-inf, NaN and finite parts in (re, im).
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0, 5e-324])
+    amps = np.empty(64, dtype=complex)
+    amps.real = np.repeat(special, 8)
+    amps.imag = np.tile(special, 8)
+    path = tmp_path / "wf.bin"
+    quantum.save_wavefunction(WaveFunction(Grid.make_1d(-10.0, 10.0, 64), amps), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        back = quantum.load_wavefunction(path)
+    assert back.amps.tobytes() == amps.tobytes()
+    assert back.amps.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -575,12 +588,10 @@ def test_snapshot_roundtrip_1d_and_2d(tmp_path):
     ids=["truncated_header", "truncated_amplitudes", "overlong"],
 )
 def test_snapshot_rejects_bad_sizes(tmp_path, edit, message):
-    from nambu_dyn.quantum import load_wavefunction, save_wavefunction
-
     good = tmp_path / "good.bin"
-    save_wavefunction(init_gaussian(Grid.make_1d(-10.0, 10.0, 128), 0.0, 0.0, 1.0), good)
+    quantum.save_wavefunction(init_gaussian(Grid.make_1d(-10.0, 10.0, 128), 0.0, 0.0, 1.0), good)
     bad = tmp_path / "bad.bin"
     bad.write_bytes(edit(good.read_bytes()))
     with pytest.raises(ValueError, match=message) as err:
-        load_wavefunction(bad)
+        quantum.load_wavefunction(bad)
     assert str(bad) in str(err.value)
