@@ -8,6 +8,8 @@ evaluates a flow during a run, and F, G_c once per run on all its rows.
 
 from __future__ import annotations
 
+import array
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -101,6 +103,11 @@ def compile_classical_field(H: Poly, n_dof: int):
 # --------------------------------------------------------------------------
 
 
+# Rows per block of ``Trajectory.to_csv``: its one copy of the values stays
+# this size whatever the row count.
+CSV_BLOCK_ROWS = 1024
+
+
 @dataclass
 class Trajectory:
     """Time series of state rows plus observed conserved quantities."""
@@ -135,27 +142,34 @@ class Trajectory:
         raise KeyError(f"no column {name!r}")
 
     def to_csv(self, path) -> None:
-        lines = [f"# {key} = {value}\n" for key, value in self.meta.items()]
+        """Write the metadata as ``# key = value`` lines, a header and one
+        line per row, each row as soon as it is formatted; the rows are
+        gathered into one float64 array ``CSV_BLOCK_ROWS`` at a time."""
         has_flags = any(self.flags)
         header = ["t", *self.columns, *self.observable_names]
         if has_flags:
             header.append("flags")
-        lines.append(",".join(header) + "\n")
-        ends = [f",{flag}\n" for flag in self.flags] if has_flags else ["\n"] * len(self.t)
-        table = np.column_stack([self.t, self.states, self.observables])
-        lines += [",".join(map(repr, row.tolist())) + end for row, end in zip(table, ends)]
-        del table  # not kept alive through the join below
+        ends = (f",{flag}\n" for flag in self.flags) if has_flags else itertools.repeat("\n")
         with open(path, "w") as fh:
-            fh.write("".join(lines))
+            fh.writelines(f"# {key} = {value}\n" for key, value in self.meta.items())
+            fh.write(",".join(header) + "\n")
+            for lo in range(0, len(self.t), CSV_BLOCK_ROWS):
+                rows = slice(lo, lo + CSV_BLOCK_ROWS)
+                block = np.column_stack([self.t[rows], self.states[rows], self.observables[rows]])
+                fh.writelines(",".join(map(repr, row.tolist())) + end for row, end in zip(block, ends))
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
-        """Read what ``to_csv`` wrote.  A file cut short, with a row missing
-        cells or a last line without its newline, and a cell that is not a
-        number raise ValueError naming the path and line."""
+        """Read what ``to_csv`` wrote, each row into one float64 buffer as it
+        is read.  A file cut short, with a row missing cells or a last line
+        without its newline, and a cell that is not a number raise ValueError
+        naming the path and line; a cell that is not a number is reported
+        only if the file has no fault of the other kinds."""
         meta: dict = {}
-        rows: list[tuple[int, list[str]]] = []
+        values = array.array("d")
+        flags: list[str] = []
         header: list[str] | None = None
+        bad_cell: str | None = None
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.endswith("\n"):
@@ -171,30 +185,32 @@ class Trajectory:
                 cells = line.split(",")
                 if header is None:
                     header = [h.strip() for h in cells]
-                elif len(cells) != len(header):
+                    has_flags = header[-1] == "flags"
+                    names = header[1 : len(header) - 1 if has_flags else len(header)]
+                    continue
+                if len(cells) != len(header):
                     raise ValueError(
                         f"{path}: line {lineno} has {len(cells)} cells, expected {len(header)}"
                     )
-                else:
-                    rows.append((lineno, cells))
+                if has_flags:
+                    flags.append(cells[-1])
+                try:
+                    values.extend(map(float, cells[: 1 + len(names)]))
+                except ValueError:
+                    for name, v in zip(["t", *names], cells):
+                        try:
+                            float(v)
+                        except ValueError:
+                            bad_cell = bad_cell or (
+                                f"{path}: line {lineno}, column {name!r}: {v!r} is not a number"
+                            )
+                            break
         if header is None:
             raise ValueError(f"{path}: no CSV header found")
-        has_flags = header[-1] == "flags"
-        names = header[1 : len(header) - 1 if has_flags else len(header)]
+        if bad_cell is not None:
+            raise ValueError(bad_cell)
         n_state = sum(1 for name in names if name != "F" and not name.startswith("G"))
-        table = np.empty((len(rows), 1 + len(names)))
-        for k, (lineno, cells) in enumerate(rows):
-            try:
-                table[k] = [float(v) for v in cells[: 1 + len(names)]]
-            except ValueError:
-                for name, v in zip(["t", *names], cells):
-                    try:
-                        float(v)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: line {lineno}, column {name!r}: {v!r} is not a number"
-                        ) from None
-        flags = [cells[-1] if has_flags else "" for _, cells in rows]
+        table = np.frombuffer(values, dtype=np.float64).reshape(-1, 1 + len(names))
         return cls(
             table[:, 0], table[:, 1 : 1 + n_state], names[:n_state],
             table[:, 1 + n_state :], names[n_state:], meta, flags,

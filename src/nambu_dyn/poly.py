@@ -402,10 +402,17 @@ def format_poly(poly: Poly) -> str:
 # --------------------------------------------------------------------------
 
 
+# Python's compiler recurses once per factor of a product and overflows near 2,980.
+MAX_TERM_FACTORS = 1000
+
+
 def _term_source(mono: Monomial, coeff: float, refs: Mapping[VarId, str]) -> str:
     if not math.isfinite(coeff):
         term = format_poly(Poly({mono: 1.0}))
         raise ValueError(f"coefficient {coeff!r} of term {term} is not finite")
+    if sum(k for _, k in mono) > MAX_TERM_FACTORS:
+        term = format_poly(Poly({mono: 1.0}))
+        raise ValueError(f"term {term} has more than {MAX_TERM_FACTORS} factors to compile")
     # Powers as repeated products: a float ** k overflow raises in Python,
     # where a product becomes inf as numpy arithmetic does.
     factors = [repr(float(coeff))]

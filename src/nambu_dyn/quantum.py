@@ -533,7 +533,10 @@ def load_wavefunction(path, hbar: float = 1.0) -> WaveFunction:
     (n_axes,) = struct.unpack_from("<I", raw)
     offset = 4 + 20 * n_axes
     need(offset, f"header for {n_axes} axes")
-    grid = Grid(tuple(struct.iter_unpack("<ddI", raw[4:offset])))
+    try:
+        grid = Grid(tuple(struct.iter_unpack("<ddI", raw[4:offset])))
+    except ValueError as err:
+        raise ValueError(f"snapshot {path}: {err}") from None
     count = int(np.prod(grid.shape))
     size = offset + 16 * count
     need(size, f"header and {count} amplitudes")

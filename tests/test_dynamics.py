@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
 
 from nambu_dyn import native
 from nambu_dyn.dynamics import (
+    CSV_BLOCK_ROWS,
     HamiltonianSet,
     NonFiniteStateError,
     Trajectory,
@@ -239,22 +241,6 @@ def test_symbolic_flow_component_count():
     assert flow[0] == parse_poly("x2_0")
 
 
-def test_trajectory_csv_roundtrip(tmp_path):
-    spec = harmonic_model()
-    traj = run_scenario(
-        spec, PacketSpec.make(1.0, 0.0), "nambu", dt=1e-2, t_end=1.0, record_stride=10
-    )
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    loaded = Trajectory.from_csv(path)
-    assert loaded.columns == traj.columns
-    assert loaded.observable_names == traj.observable_names
-    np.testing.assert_allclose(loaded.t, traj.t, atol=0)
-    np.testing.assert_allclose(loaded.states, traj.states, atol=0)
-    np.testing.assert_allclose(loaded.observables, traj.observables, atol=0)
-    assert loaded.meta["model"] == "harmonic"
-
-
 def _edge_values_trajectory():
     return Trajectory(
         [0.0, 0.1, 2.5e-17], [[-0.0, 1e-300], [math.inf, -math.inf], [math.nan, 1.0 / 3.0]],
@@ -262,7 +248,20 @@ def _edge_values_trajectory():
     )
 
 
-@pytest.mark.parametrize(
+def _flags_across_blocks_trajectory():
+    # Rows on both sides of a block boundary of the writer carry flags.
+    n = CSV_BLOCK_ROWS + 2
+    flags = [""] * n
+    flags[CSV_BLOCK_ROWS - 1 : CSV_BLOCK_ROWS + 1] = ["last", "first"]
+    flags[-1] = "escaped"
+    rng = np.random.default_rng(3)
+    return Trajectory(
+        np.arange(n) * 0.1, rng.standard_normal((n, 2)), ["x1_0", "x2_0"],
+        rng.standard_normal((n, 1)), ["F"], {"model": "test"}, flags,
+    )
+
+
+CSV_TRAJECTORIES = pytest.mark.parametrize(
     "make",
     [
         lambda: run_scenario(cubic_model(), PacketSpec.make(0.0, 1.8), "nambu"),
@@ -270,15 +269,63 @@ def _edge_values_trajectory():
             harmonic_model(), PacketSpec.make(1.0, 0.5), "nambu", dt=1e-2, t_end=2.0
         ),
         _edge_values_trajectory,
+        _flags_across_blocks_trajectory,
     ],
-    ids=["escape-flags", "no-flags", "edge-values"],
+    ids=["escape-flags", "no-flags", "edge-values", "flags-across-blocks"],
 )
+
+
+@CSV_TRAJECTORIES
+def test_trajectory_csv_roundtrip(make, tmp_path):
+    traj = make()
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    loaded = Trajectory.from_csv(path)
+    assert loaded.columns == traj.columns
+    assert loaded.observable_names == traj.observable_names
+    for name in ("t", "states", "observables"):
+        a, b = getattr(loaded, name), getattr(traj, name)
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    assert loaded.flags == traj.flags
+    assert loaded.meta == {key: str(value) for key, value in traj.meta.items()}
+
+
+@CSV_TRAJECTORIES
 def test_csv_bytes_match_the_cell_by_cell_writer(make, tmp_path):
     traj = make()
     assert any(traj.flags) == (traj.flags[-1] == "escaped")
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     assert path.read_bytes() == to_csv_reference(traj).encode()
+
+
+def test_csv_write_and_read_keep_memory_near_the_table(tmp_path):
+    # 20,000 rows of 12 columns: a 1.9 MB table.  Neither method may hold
+    # the file's text, its lines or a string per cell: each stays below 3x.
+    rows = 20_000
+    rng = np.random.default_rng(5)
+    traj = Trajectory(
+        np.arange(rows) * 1e-3, rng.standard_normal((rows, 8)), [f"x{k}_0" for k in range(8)],
+        rng.standard_normal((rows, 3)), ["F", "G1", "G2"], {"model": "test"},
+    )
+    table_bytes = rows * 12 * 8
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        traj.to_csv(path)
+        write_peak = tracemalloc.get_traced_memory()[1] - base
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loaded = Trajectory.from_csv(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.states, traj.states)
+    assert write_peak < 3 * table_bytes, write_peak
+    assert read_peak < 3 * table_bytes, read_peak
 
 
 def _counting_fill(block=2, stop_at=None, fail_at=None):
@@ -369,6 +416,10 @@ def test_corrupted_csv_cell_is_rejected(tmp_path):
     with pytest.raises(
         ValueError, match=re.escape(f"{path}: line 7, column 'x2_0': '{cells[2]}' is not a number")
     ):
+        Trajectory.from_csv(path)
+    # A fault of the file's structure on a later line is reported first.
+    path.write_text("".join(lines)[:-1])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 8 ends without a newline")):
         Trajectory.from_csv(path)
 
 

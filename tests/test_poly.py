@@ -4,6 +4,7 @@ import pytest
 from helpers import central_difference, random_poly
 
 from nambu_dyn.poly import (
+    MAX_TERM_FACTORS,
     Poly,
     PolyParseError,
     UnboundVariableError,
@@ -192,6 +193,18 @@ def test_compile_rejects_non_finite_coefficients():
         compile_vector_field([term, Poly.var(X1)], [X1, X2])
     with pytest.raises(ValueError, match="inf of term 1"):
         compile_evaluator(Poly.const(float("inf")), [X1])
+
+
+def test_compile_bounds_the_factors_of_a_term():
+    too_many = rf"term q\^\d+ has more than {MAX_TERM_FACTORS} factors"
+    for text in ("q^20000", "q^1e300"):
+        for compile_poly in (compile_evaluator, lambda f, order: compile_vector_field([f], order)):
+            with pytest.raises(ValueError, match=too_many):
+                compile_poly(parse_poly(text), [q()])
+    at_bound = Poly.var(X1) ** (MAX_TERM_FACTORS - 1) * Poly.var(X2)
+    assert compile_evaluator(at_bound, [X1, X2])([1.0, -2.0]) == -2.0
+    with pytest.raises(ValueError, match="factors"):
+        compile_evaluator(at_bound * Poly.var(X2), [X1, X2])
 
 
 def test_compile_evaluator_broadcasts():

@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -584,8 +585,16 @@ def test_snapshot_roundtrip_is_bit_exact_for_special_values(tmp_path):
         (lambda raw: raw[:10], r"header for 1 axes needs 24 bytes, file has 10"),
         (lambda raw: raw[:-8], r"header and 128 amplitudes needs 2072 bytes, file has 2064"),
         (lambda raw: raw + b"\0" * 3, r"expected 2072 bytes, file has 2075 \(3 trailing\)"),
+        (
+            lambda raw: raw[:4] + struct.pack("<ddI", math.nan, 10.0, 128) + raw[24:],
+            r"bad.bin: axis 0 min = nan is not finite",
+        ),
+        (
+            lambda raw: raw[:4] + struct.pack("<ddI", -10.0, 10.0, 63) + raw[24:],
+            r"bad.bin: n_points must be a power of two >= 64, got 63",
+        ),
     ],
-    ids=["truncated_header", "truncated_amplitudes", "overlong"],
+    ids=["truncated_header", "truncated_amplitudes", "overlong", "nan_bound", "63_points"],
 )
 def test_snapshot_rejects_bad_sizes(tmp_path, edit, message):
     good = tmp_path / "good.bin"
