@@ -12,7 +12,7 @@ import array
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,10 +39,9 @@ __all__ = [
 class NonFiniteStateError(RuntimeError):
     """Integration produced NaN/Inf; carries the partial trajectory."""
 
-    def __init__(self, message: str, trajectory: "Trajectory | None" = None, filled: int = 0):
+    def __init__(self, message: str, trajectory: "Trajectory | None" = None):
         super().__init__(message)
         self.trajectory = trajectory
-        self.filled = filled  # rows a block filled before the failing stride
 
 
 @dataclass(frozen=True)
@@ -253,26 +252,24 @@ def check_run(dt: float, t_end: float, record_stride: int = 1) -> int:
 
 
 def integrate(
-    fill: Callable[[np.ndarray, np.ndarray], tuple[int, int | None]],
+    rows: Callable[[list[int]], Iterator[tuple[Sequence[float], tuple[int, str] | None]]],
     y0: Sequence[float],
     dt: float,
     t_end: float,
     columns: Sequence[str],
     record_stride: int = 1,
-    stop_flag: str = "escaped",
     meta: Mapping | None = None,
 ) -> Trajectory:
     """Drive a run from t = 0 to the largest multiple of dt <= t_end, recording rows.
 
     Rows are recorded at step 0 (``y0``), every ``record_stride`` steps and
-    at the last step; the trajectory has no observables.  ``fill(steps,
-    rows)`` gets the steps of the rows still to record and a view of as many
-    preallocated rows, advances the run, fills a prefix of ``rows`` (one row
-    or more) and returns ``(filled, end)``: ``end`` is None, or the step of a
-    last row that ends the run, flagged ``stop_flag``.  A NonFiniteStateError
-    from ``fill`` leaves with the rows so far, and the ``filled`` rows it
-    counts, as its ``trajectory``.  ``check_run`` rejects a bad run before
-    any step, and ValueError more rows than can be allocated.
+    at the last step; the trajectory has no observables.  ``rows(steps)`` is
+    called once with the steps of the rows after row 0 and yields one
+    ``(row, stop)`` per step, in order: ``stop`` is None, or ``(step, flag)``
+    for a last row that ends the run at ``step``, flagged ``flag``.  A
+    NonFiniteStateError from ``rows`` leaves with the rows yielded before it
+    as its ``trajectory``.  ``check_run`` rejects a bad run before any step,
+    and ValueError more rows than can be allocated.
     """
     n_steps = check_run(dt, t_end, record_stride)
     n_rows = 1 + -(-n_steps // record_stride)
@@ -295,14 +292,13 @@ def integrate(
         )
 
     try:
-        while k < n_rows:
-            filled, end = fill(steps[k:], states[k:])
-            k += filled
-            if end is not None:
-                steps[k - 1], flag = end, stop_flag
+        for row, stop in rows(steps[1:].tolist()):
+            states[k] = row
+            k += 1
+            if stop is not None:
+                steps[k - 1], flag = stop
                 break
     except NonFiniteStateError as exc:
-        k += exc.filled
         exc.trajectory = build()
         raise
     return build()
@@ -338,24 +334,18 @@ def rk4_integrate(
         )
     h = float(dt)
     below = -math.inf if stop_below is None else float(stop_below)
-    state = tuple(y.tolist())
-    done = 0
 
-    def fill(steps: np.ndarray, rows: np.ndarray) -> tuple[int, int | None]:
-        nonlocal state, done
-        steps = steps.tolist()
-        for k, step in enumerate(steps):
+    def rows(steps: list[int]):
+        state, done = tuple(y.tolist()), 0
+        for step in steps:
             state, taken = kernel(state, h, step - done, below)
             done += abs(taken)
             if taken < 0:
                 raise NonFiniteStateError(
                     f"state became non-finite at t = {done * dt:.6g} "
-                    f"(step {done} of {steps[-1]})", filled=k,
+                    f"(step {done} of {steps[-1]})"
                 )
-            rows[k] = state
-            if state[0] < below:
-                return k + 1, done
-        return len(steps), None
+            yield state, (done, "escaped") if state[0] < below else None
 
     columns = [f"y{i}" for i in range(y.size)]
-    return integrate(fill, y, dt, t_end, columns, record_stride, meta=meta)
+    return integrate(rows, y, dt, t_end, columns, record_stride, meta=meta)

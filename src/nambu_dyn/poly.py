@@ -340,7 +340,7 @@ def parse_varname(name: str) -> VarId:
 
 def parse_poly(text: str) -> Poly:
     """Parse the whitespace-insensitive textual polynomial form."""
-    result = Poly.zero()
+    terms: dict[Monomial, float] = {}
     pos = 0
     while True:
         signs = _SIGNS_RE.match(text, pos)
@@ -348,7 +348,7 @@ def parse_poly(text: str) -> Poly:
         if pos == len(text):
             if signs.group().strip():
                 raise PolyParseError("dangling sign at end of polynomial")
-            return result
+            return Poly(terms)
         coeff = -1.0 if signs.group().count("-") % 2 else 1.0
         powers: dict[VarId, int] = {}
         op = "*"
@@ -366,9 +366,10 @@ def parse_poly(text: str) -> Poly:
                 powers[var] = powers.get(var, 0) + int(exp)
             op = m["op"]
             pos = m.end()
-        result = result + Poly.monomial(powers, coeff)
+        mono = _canonical_monomial(powers)
+        terms[mono] = terms.get(mono, 0.0) + coeff
         if not op:
-            return result
+            return Poly(terms)
         pos = m.start("op")  # the sign opens the next term
 
 
@@ -402,8 +403,11 @@ def format_poly(poly: Poly) -> str:
 # --------------------------------------------------------------------------
 
 
-# Python's compiler recurses once per factor of a product and overflows near 2,980.
+# Python's compiler recurses once per factor of a product and once per term
+# of a sum, and overflows near 2,980 levels; a term of a sum at these bounds
+# is at most 2,000 levels deep.
 MAX_TERM_FACTORS = 1000
+MAX_SUM_TERMS = 1000
 
 
 def _term_source(mono: Monomial, coeff: float, refs: Mapping[VarId, str]) -> str:
@@ -426,6 +430,10 @@ def _expr_source(poly: Poly, refs: Mapping[VarId, str]) -> str:
     if missing:
         names = ", ".join(v.name for v in missing)
         raise UnboundVariableError(f"variables not in evaluation order: {names}")
+    if len(poly.terms) > MAX_SUM_TERMS:
+        raise ValueError(
+            f"polynomial of {len(poly.terms)} terms has more than {MAX_SUM_TERMS} terms to compile"
+        )
     pieces = [_term_source(m, c, refs) for m, c in sorted_terms(poly)]
     return " + ".join(pieces) if pieces else "0.0"
 

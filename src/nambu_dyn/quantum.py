@@ -161,13 +161,21 @@ def init_gaussian(
     hbar: float = 1.0,
 ) -> WaveFunction:
     """Normalized Gaussian packet, product form over axes:
-    (2 pi s^2)^(-1/4) exp(-(x-qc)^2 / 4 s^2 + i pc (x-qc) / hbar)."""
+    (2 pi s^2)^(-1/4) exp(-(x-qc)^2 / 4 s^2 + i pc (x-qc) / hbar).
+    ValueError names a center or momentum that is not finite, and a width
+    that is not positive and finite or whose square underflows or overflows."""
     qc = _per_axis(centers, grid.ndim, "centers")
     pc = _per_axis(momenta, grid.ndim, "momenta")
     sig = _per_axis(widths, grid.ndim, "widths")
-    for s in sig:
-        if s <= 0:
-            raise ValueError("packet width sigma must be positive")
+    _positive(hbar, "hbar")
+    for name, values in (("centers", qc), ("momenta", pc)):
+        for axis, v in enumerate(values):
+            if not math.isfinite(v):
+                raise ValueError(f"{name}[{axis}] = {v!r} is not finite")
+    for axis, s in enumerate(sig):
+        _positive(s, f"widths[{axis}]")
+        if not 0 < s * s < math.inf:
+            raise ValueError(f"widths[{axis}] = {s!r} has a square outside the float range")
     amps = np.ones(grid.shape, dtype=np.complex128)
     for axis in range(grid.ndim):
         x = grid.coords(axis) - qc[axis]

@@ -365,36 +365,32 @@ def _run_quantum(spec, packet, grid, dt, t_end, record_stride, meta) -> Trajecto
         split_err_est=repr(split.err_est), strang_err_est=repr(split.strang_err_est),
     )
     block = RowPass(grid, spec.hbar, kinds, max(1, ROW_BLOCK_BYTES // wf.amps.nbytes))
-    snaps, done = block.states, 0
+    snaps = block.states
     snaps[0] = wf.amps
     (first,) = block.rows(1)  # row 0, as a block of one
     checks = [(first.norm, first.boundary_amp)]  # (norm, boundary |psi|) per row
 
-    def fill(steps: np.ndarray, rows: np.ndarray) -> tuple[int, int | None]:
-        nonlocal done
-        steps, n, failure = steps[: len(snaps)].tolist(), 0, None
-        try:
-            for step in steps:  # split.multiple divides every stride
-                snaps[n] = prop.step(wf, (step - done) // split.multiple).amps
-                n, done = n + 1, step
-        except NonFiniteStateError as exc:
-            failure = exc
-        for k, r in enumerate(block.rows(n)):  # the strides taken, in one pass
-            rows[k] = r.values
-            checks.append((r.norm, r.boundary_amp))
-            if absorber is not None and r.norm < ABSORBED_NORM_FLOOR:
-                wf.amps = snaps[k].copy()  # the norm check replaces the position stop
-                return k + 1, steps[k]
-        if failure is not None:  # after the rows before it, unless one ended the run
-            failure.filled = n
-            raise failure
-        return n, None
+    def rows(steps: list[int]):
+        done = 0
+        for lo in range(0, len(steps), len(snaps)):
+            n, failure = 0, None
+            try:
+                for step in steps[lo : lo + len(snaps)]:  # split.multiple divides every stride
+                    snaps[n] = prop.step(wf, (step - done) // split.multiple).amps
+                    n, done = n + 1, step
+            except NonFiniteStateError as exc:
+                failure = exc
+            for k, r in enumerate(block.rows(n)):  # the strides taken, in one pass
+                checks.append((r.norm, r.boundary_amp))
+                absorbed = absorber is not None and r.norm < ABSORBED_NORM_FLOOR
+                if absorbed:  # the norm check replaces the position stop
+                    wf.amps = snaps[k].copy()
+                yield r.values, (steps[lo + k], "absorbed") if absorbed else None
+            if failure is not None:  # after the rows before it, unless one ended the run
+                raise failure
 
     columns = [v.name for v in x_vars(layout)]
-    traj = integrate(
-        fill, first.values, dt, t_end, columns, record_stride=record_stride,
-        stop_flag="absorbed", meta=meta,
-    )
+    traj = integrate(rows, first.values, dt, t_end, columns, record_stride=record_stride, meta=meta)
     norms, edges = np.array(checks).T
     traj.meta["boundary_amp_max"] = repr(float(edges.max()))
     traj.meta["norm_loss"] = repr(float(np.abs(norms - norms[0]).max()))

@@ -328,45 +328,58 @@ def test_csv_write_and_read_keep_memory_near_the_table(tmp_path):
     assert read_peak < 3 * table_bytes, read_peak
 
 
-def _counting_fill(block=2, stop_at=None, fail_at=None):
-    """A fill that records each row's step count as its value, ``block``
-    rows per call; it ends the run at ``stop_at`` and fails at ``fail_at``."""
-    def fill(steps, rows):
-        n = min(block, len(steps))
-        for k, step in enumerate(steps[:n].tolist()):
+def _counting_rows(stop_at=None, fail_at=None):
+    """Runner rows that record each row's step count as its value; they end
+    the run at ``stop_at``, flagged 'escaped', and fail at ``fail_at``."""
+    def rows(steps):
+        for step in steps:
             if step == fail_at:
-                raise NonFiniteStateError(f"failed at step {step}", filled=k)
-            rows[k] = (step,)
-            if stop_at is not None and step >= stop_at:
-                return k + 1, stop_at
-        return n, None
+                raise NonFiniteStateError(f"failed at step {step}")
+            stop = (stop_at, "escaped") if stop_at is not None and step >= stop_at else None
+            yield (step,), stop
 
-    return fill
+    return rows
 
 
-def test_integrate_hands_out_blocks_of_the_row_schedule():
+def test_integrate_hands_the_row_schedule_to_one_runner_call():
     # 10 steps of 0.5 recorded every 3: rows at steps 0, 3, 6, 9 and 10.
     handed = []
 
-    def fill(steps, rows):
-        handed.append(steps.tolist())
-        return _counting_fill()(steps, rows)
+    def rows(steps):
+        handed.append(list(steps))
+        return _counting_rows()(steps)
 
-    traj = integrate(fill, (0.0,), 0.5, 5.25, ["s"], record_stride=3)
-    assert handed == [[3, 6, 9, 10], [9, 10]]
+    traj = integrate(rows, (0.0,), 0.5, 5.25, ["s"], record_stride=3)
+    assert handed == [[3, 6, 9, 10]]
     assert traj.t.tolist() == [0.0, 1.5, 3.0, 4.5, 5.0]
     assert traj.states[:, 0].tolist() == [0, 3, 6, 9, 10]
     assert traj.flags == [""] * 5
-    # A row that ends the run carries the step the fill reports, off the schedule.
-    stopped = integrate(_counting_fill(stop_at=5), (0.0,), 0.5, 5.25, ["s"], record_stride=3)
+    # A row that ends the run carries the step the runner reports, off the schedule.
+    stopped = integrate(_counting_rows(stop_at=5), (0.0,), 0.5, 5.25, ["s"], record_stride=3)
     assert stopped.t.tolist() == [0.0, 1.5, 2.5]
     assert stopped.flags == ["", "", "escaped"]
+
+
+def test_integrate_stops_consuming_rows_at_a_stop():
+    # The runner is closed at its stop row, never resumed, so a failure it
+    # would raise after that row is never raised.
+    resumed = []
+
+    def rows(steps):
+        yield (steps[0],), (steps[0], "absorbed")
+        resumed.append(True)
+        raise NonFiniteStateError("after the stop")
+
+    traj = integrate(rows, (0.0,), 0.5, 5.25, ["s"], record_stride=3)
+    assert traj.t.tolist() == [0.0, 1.5]
+    assert traj.flags == ["", "absorbed"]
+    assert resumed == []
 
 
 @pytest.mark.parametrize("fail_at, kept", [(6, [0, 3]), (9, [0, 3, 6]), (10, [0, 3, 6, 9])])
 def test_integrate_abort_keeps_the_rows_before_the_failing_stride(fail_at, kept):
     with pytest.raises(NonFiniteStateError) as err:
-        integrate(_counting_fill(fail_at=fail_at), (0.0,), 0.5, 5.25, ["s"], record_stride=3)
+        integrate(_counting_rows(fail_at=fail_at), (0.0,), 0.5, 5.25, ["s"], record_stride=3)
     partial = err.value.trajectory
     assert partial.states[:, 0].tolist() == kept
     assert partial.t.tolist() == [0.5 * s for s in kept]

@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from helpers import central_difference, random_poly
 
 from nambu_dyn.poly import (
+    MAX_SUM_TERMS,
     MAX_TERM_FACTORS,
     Poly,
     PolyParseError,
@@ -205,6 +208,39 @@ def test_compile_bounds_the_factors_of_a_term():
     assert compile_evaluator(at_bound, [X1, X2])([1.0, -2.0]) == -2.0
     with pytest.raises(ValueError, match="factors"):
         compile_evaluator(at_bound * Poly.var(X2), [X1, X2])
+
+
+def test_compile_bounds_the_terms_of_a_sum():
+    # 3,100 short terms: Python's compiler would overflow its recursion on the sum.
+    pairs = [f"x1^{a}*x2^{b}" for a in range(56) for b in range(56)]
+    too_wide = parse_poly(" + ".join(pairs[:3100]))
+    for compile_poly in (compile_evaluator, lambda f, order: compile_vector_field([f], order)):
+        with pytest.raises(ValueError, match=f"3100 terms has more than {MAX_SUM_TERMS} terms"):
+            compile_poly(too_wide, [X1, X2])
+    # At both bounds: MAX_SUM_TERMS terms, one of them MAX_TERM_FACTORS factors long.
+    at_bound = parse_poly(" + ".join(pairs[: MAX_SUM_TERMS - 1]) + f" + x1^{MAX_TERM_FACTORS - 1}*x2")
+    assert len(at_bound.terms) == MAX_SUM_TERMS
+    assert compile_evaluator(at_bound, [X1, X2])([1.0, 1.0]) == MAX_SUM_TERMS
+    assert compile_vector_field([at_bound], [X1, X2])([1.0, 1.0]).tolist() == [MAX_SUM_TERMS]
+    with pytest.raises(ValueError, match=f"{MAX_SUM_TERMS + 1} terms"):
+        compile_evaluator(at_bound + Poly.var(X3), [X1, X2, X3])
+
+
+def test_parse_poly_takes_linear_time():
+    pairs = [(a, b) for a in range(200) for b in range(100)]  # 20,000 distinct terms
+    text = " + ".join(f"{a - b + 0.25}*x1^{a}*x2^{b}" for a, b in pairs)
+    start = time.perf_counter()
+    parsed = parse_poly(text)
+    elapsed = time.perf_counter() - start
+    want = Poly({
+        mono: a - b + 0.25 for a, b in pairs for mono in Poly.monomial({X1: a, X2: b}).terms
+    })
+    assert parsed == want
+    assert elapsed < 5.0, elapsed
+    # Repeated terms sum in text order, as one addition of Polys per term would.
+    assert parse_poly("0.1*x1 + 0.2*x1 - 0.3*x1").coefficient({X1: 1}) == (0.1 + 0.2) - 0.3
+    assert parse_poly("x1 - x1 + 0.5*x1").coefficient({X1: 1}) == 0.5
+    assert parse_poly("x1 - x1 + x2").terms.keys() == Poly.var(X2).terms.keys()
 
 
 def test_compile_evaluator_broadcasts():

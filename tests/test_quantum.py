@@ -65,6 +65,37 @@ def test_init_gaussian_rejects_bad_width():
         init_gaussian(g, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "centers, momenta, widths, message",
+    [
+        (math.nan, 0.0, 1.0, r"centers\[0\] = nan is not finite"),
+        (0.0, math.inf, 1.0, r"momenta\[0\] = inf is not finite"),
+        (0.0, -math.inf, 1.0, r"momenta\[0\] = -inf is not finite"),
+        (0.0, 0.0, math.nan, r"widths\[0\] = nan is not a positive finite number"),
+        (0.0, 0.0, math.inf, r"widths\[0\] = inf is not a positive finite number"),
+        (0.0, 0.0, -1.0, r"widths\[0\] = -1.0 is not a positive finite number"),
+        (0.0, 0.0, 1e-300, r"widths\[0\] = 1e-300 has a square outside the float range"),
+        (0.0, 0.0, 1e200, r"widths\[0\] = 1e\+200 has a square outside the float range"),
+    ],
+)
+def test_init_gaussian_rejects_bad_packets(centers, momenta, widths, message):
+    g = Grid.make_1d(-10.0, 10.0, 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any arithmetic warns
+        with pytest.raises(ValueError, match=message):
+            init_gaussian(g, centers, momenta, widths)
+
+
+def test_init_gaussian_names_the_axis_of_a_bad_packet():
+    g = Grid.make_2d((-8.0, 8.0, 64), (-8.0, 8.0, 64))
+    with pytest.raises(ValueError, match=r"centers\[1\] = inf is not finite"):
+        init_gaussian(g, [0.0, math.inf], 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"widths\[1\] = 1e-300 has a square"):
+        init_gaussian(g, 0.0, 0.0, [1.0, 1e-300])
+    with pytest.raises(ValueError, match="hbar = 0.0 is not a positive finite number"):
+        init_gaussian(g, 0.0, 0.0, 1.0, hbar=0.0)
+
+
 def test_init_gaussian_warns_on_boundary_support():
     g = Grid.make_1d(-2.0, 2.0, 64)
     with pytest.warns(BoundarySupportWarning):
@@ -382,17 +413,16 @@ def test_quantum_abort_through_driver_carries_rows_so_far():
     wf = init_gaussian(g, 0.0, 0.0, SIG)
     kinds = ("q", "p", "q2", "p2")
     first = expectation_row(wf, kinds).values
-    done = 0
 
-    def fill(steps, rows):  # one row per call
-        nonlocal done
-        prop.step(wf, int(steps[0]) - done)
-        done = int(steps[0])
-        rows[0] = expectation_row(wf, kinds).values
-        return 1, None
+    def rows(steps):
+        done = 0
+        for step in steps:
+            prop.step(wf, step - done)
+            done = step
+            yield expectation_row(wf, kinds).values, None
 
     with pytest.raises(NonFiniteAmplitudeError) as err:
-        integrate(fill, first, 1e-2, 1.0, list(kinds), record_stride=10)
+        integrate(rows, first, 1e-2, 1.0, list(kinds), record_stride=10)
     assert isinstance(err.value, NonFiniteStateError)
     partial = err.value.trajectory
     assert partial.t.tolist() == [0.0]
