@@ -13,8 +13,8 @@ import enum
 from math import comb, inf, isfinite
 from typing import Sequence
 
-from .multiplets import MultipletDef, QUARTET_QP_Q2P2
-from .poly import Poly, p, q, xvar
+from .multiplets import MultipletDef, QUARTET_QP_Q2P2, TRIPLET_QQPP_QP
+from .poly import Poly, q, xvar
 
 __all__ = [
     "ClosureMode",
@@ -96,20 +96,6 @@ def reduce_moment(n: int, mode: ClosureMode, dof: int = 0) -> Poly:
 # --------------------------------------------------------------------------
 
 
-def _multiplet_kind(m: MultipletDef) -> str:
-    for dof in range(m.n_dof):
-        qv, pv = Poly.var(q(dof)), Poly.var(p(dof))
-        defs = m.defs[dof]
-        if m.N == 4 and defs == (qv, pv, qv * qv, pv * pv):
-            continue
-        if m.N == 3 and defs == (qv * qv, pv * pv, qv * pv):
-            continue
-        raise UnsupportedMultipletError(
-            f"multiplet {m.name!r} has no moment slots the closure understands"
-        )
-    return "quartet" if m.N == 4 else "triplet"
-
-
 def build_F(
     V: Poly,
     m: MultipletDef,
@@ -120,9 +106,13 @@ def build_F(
     x variables; ``masses`` default to 1.
 
     Cross-dof monomials factorize across dofs before the per-dof closure is
-    applied (product trial states).
+    applied (product trial states).  The slots must be the quartet's or the triplet's moments.
     """
-    kind = _multiplet_kind(m)
+    slots = m.moments
+    if slots not in (QUARTET_QP_Q2P2.moments, TRIPLET_QQPP_QP.moments):
+        raise UnsupportedMultipletError(
+            f"multiplet {m.name!r} has no moment slots the closure understands"
+        )
     masses = [1.0] * m.n_dof if masses is None else list(masses)
     if len(masses) != m.n_dof:
         raise ValueError(f"need {m.n_dof} masses, got {len(masses)}")
@@ -139,10 +129,9 @@ def build_F(
             f"potential may only involve position variables; got {names}"
         )
 
-    kinetic_slot = 4 if kind == "quartet" else 2
     F = Poly.zero()
     for dof in range(m.n_dof):
-        F = F + (1.0 / (2.0 * masses[dof])) * Poly.var(xvar(kinetic_slot, dof))
+        F = F + (1.0 / (2.0 * masses[dof])) * Poly.var(xvar(1 + slots.index("p2"), dof))
 
     for mono, coeff in V.terms.items():
         powers = dict(mono)
@@ -151,14 +140,14 @@ def build_F(
             k = powers.get(q(dof), 0)
             if k == 0:
                 continue
-            if kind == "quartet":
+            if "q" in slots:
                 term = term * reduce_moment(k, mode, dof)
+            elif k != 2:
+                raise UnsupportedMultipletError(
+                    "the quadratic triplet hosts only q^2 potential terms"
+                )
             else:
-                if k != 2:
-                    raise UnsupportedMultipletError(
-                        "the quadratic triplet hosts only q^2 potential terms"
-                    )
-                term = term * Poly.var(xvar(1, dof))
+                term = term * Poly.var(xvar(1 + slots.index("q2"), dof))
         F = F + term
     return F
 

@@ -21,6 +21,7 @@ from .poly import Poly, VarId, parse_poly, p, q, xvar
 from .state import Layout
 
 __all__ = [
+    "MOMENTS",
     "MultipletDef",
     "ConsistencyReport",
     "MalformedMultipletError",
@@ -37,6 +38,9 @@ __all__ = [
 
 DEFAULT_CONSISTENCY_TOL = 1e-9
 DEFAULT_CONSISTENCY_SAMPLES = 50
+# A slot defined by the monic q^a p^b holds that operator's expectation value:
+# MOMENTS[(a, b)] names it as a quantum grid row kind (qp_sym: symmetrized qp).
+MOMENTS = {(1, 0): "q", (0, 1): "p", (2, 0): "q2", (0, 2): "p2", (1, 1): "qp_sym"}
 
 
 class MalformedMultipletError(ValueError):
@@ -102,6 +106,13 @@ class MultipletDef:
     @property
     def layout(self) -> Layout:
         return Layout(self.N, self.n_dof)
+
+    @property
+    def moments(self) -> tuple[str | None, ...]:
+        """The ``MOMENTS`` name of each slot; None where the slot's definitions
+        are not one of those monomials or differ between dofs."""
+        per_dof = [[_exponents(d, dof) for d in defs] for dof, defs in enumerate(self.defs)]
+        return tuple(MOMENTS.get(ab[0]) if len(set(ab)) == 1 else None for ab in zip(*per_dof))
 
     def with_n_dof(self, n_dof: int) -> "MultipletDef":
         """Per-dof copies of a single-dof template."""
@@ -239,20 +250,20 @@ def verify_consistency(
 # --------------------------------------------------------------------------
 
 
+def _exponents(d: Poly, dof: int) -> tuple[int, int] | None:
+    """(a, b) of a monic monomial definition q^a p^b of ``dof``, else None."""
+    if list(d.terms.values()) != [1.0]:
+        return None
+    powers = dict(next(iter(d.terms)))
+    return powers.get(q(dof), 0), powers.get(p(dof), 0)
+
+
 def _generator_table(m: MultipletDef, dof: int) -> list[tuple[int, int, int]]:
     """(index, q-exponent, p-exponent) for each generator; monic monomials only."""
-    table = []
-    for idx, d in enumerate(m.defs[dof]):
-        terms = list(d.terms.items())
-        if len(terms) != 1 or terms[0][1] != 1.0:
-            raise MalformedMultipletError(
-                "lifting requires monic monomial generators"
-            )
-        mono = dict(terms[0][0])
-        a = mono.get(q(dof), 0)
-        b = mono.get(p(dof), 0)
-        table.append((idx, a, b))
-    return table
+    table = [(idx, _exponents(d, dof)) for idx, d in enumerate(m.defs[dof])]
+    if any(ab is None for _, ab in table):
+        raise MalformedMultipletError("lifting requires monic monomial generators")
+    return [(idx, *ab) for idx, ab in table]
 
 
 def lift_to_multiplet(f: Poly, m: MultipletDef, dof: int = 0) -> Poly:

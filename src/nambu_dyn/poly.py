@@ -405,9 +405,13 @@ def format_poly(poly: Poly) -> str:
 
 # Python's compiler recurses once per factor of a product and once per term
 # of a sum, and overflows near 2,980 levels; a term of a sum at these bounds
-# is at most 2,000 levels deep.
+# is at most 2,000 levels deep.  Compile time grows with the factors (about
+# 5.5 ms per 1,000 on a 2-core Xeon VM), and so does a native kernel's build:
+# MAX_POLY_FACTORS bounds a polynomial, above the 36,676 of a sum at both
+# other bounds.
 MAX_TERM_FACTORS = 1000
 MAX_SUM_TERMS = 1000
+MAX_POLY_FACTORS = 50_000
 
 
 def _term_source(mono: Monomial, coeff: float, refs: Mapping[VarId, str]) -> str:
@@ -435,6 +439,11 @@ def _expr_source(poly: Poly, refs: Mapping[VarId, str]) -> str:
             f"polynomial of {len(poly.terms)} terms has more than {MAX_SUM_TERMS} terms to compile"
         )
     pieces = [_term_source(m, c, refs) for m, c in sorted_terms(poly)]
+    factors = sum(k for mono in poly.terms for _, k in mono)
+    if factors > MAX_POLY_FACTORS:
+        raise ValueError(
+            f"polynomial of {factors} factors has more than {MAX_POLY_FACTORS} factors to compile"
+        )
     return " + ".join(pieces) if pieces else "0.0"
 
 

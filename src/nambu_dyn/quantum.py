@@ -163,7 +163,8 @@ def init_gaussian(
     """Normalized Gaussian packet, product form over axes:
     (2 pi s^2)^(-1/4) exp(-(x-qc)^2 / 4 s^2 + i pc (x-qc) / hbar).
     ValueError names a center or momentum that is not finite, and a width
-    that is not positive and finite or whose square underflows or overflows."""
+    that is not positive and finite or whose square underflows or overflows,
+    and a packet that misses the grid (its norm there is zero or not finite)."""
     qc = _per_axis(centers, grid.ndim, "centers")
     pc = _per_axis(momenta, grid.ndim, "momenta")
     sig = _per_axis(widths, grid.ndim, "widths")
@@ -177,14 +178,19 @@ def init_gaussian(
         if not 0 < s * s < math.inf:
             raise ValueError(f"widths[{axis}] = {s!r} has a square outside the float range")
     amps = np.ones(grid.shape, dtype=np.complex128)
-    for axis in range(grid.ndim):
-        x = grid.coords(axis) - qc[axis]
-        s2 = sig[axis] ** 2
-        line = (2.0 * np.pi * s2) ** -0.25 * np.exp(
-            -(x**2) / (4.0 * s2) + 1j * pc[axis] * x / hbar
-        )
-        amps = amps * grid.axis_view(line, axis)
-    wf = WaveFunction(grid, amps, hbar).normalize()
+    with np.errstate(over="ignore", invalid="ignore"):  # far off the grid: checked below
+        for axis in range(grid.ndim):
+            x = grid.coords(axis) - qc[axis]
+            s2 = sig[axis] ** 2
+            line = (2.0 * np.pi * s2) ** -0.25 * np.exp(
+                -(x**2) / (4.0 * s2) + 1j * pc[axis] * x / hbar
+            )
+            amps = amps * grid.axis_view(line, axis)
+    wf = WaveFunction(grid, amps, hbar)
+    norm = wf.norm()
+    if not 0 < norm < math.inf:
+        raise ValueError(f"packet at centers {qc}, widths {sig} misses the grid (norm {norm!r})")
+    wf.normalize()
     edge = _edge_amplitude(wf.density())
     if edge > BOUNDARY_AMPLITUDE_TOL:
         warnings.warn(

@@ -248,23 +248,20 @@ class PacketSpec:
 
 
 def init_nambu_from_packet(spec: ModelSpec, packet: PacketSpec) -> np.ndarray:
-    """Multiplet values of the initial Gaussian packet, as the flat state vector.
-
-    Quartet per dof: (qc, pc, qc^2 + s^2, pc^2 + hbar^2/(4 s^2));
-    triplet: (qc^2 + s^2, pc^2 + hbar^2/(4 s^2), qc pc).  A width of zero
-    gives the classical image.
+    """Multiplet values of the initial Gaussian packet, as the flat state vector:
+    per dof, the packet's moment of each slot (``MultipletDef.moments``) among
+    q = qc, p = pc, q2 = qc^2 + s^2, p2 = pc^2 + hbar^2/(4 s^2) and
+    qp_sym = qc pc.  A width of zero gives the classical image.
     """
     if len(packet.qc) != spec.n_dof:
         raise ValueError(f"packet has {len(packet.qc)} dofs, model needs {spec.n_dof}")
-    multiplet = model_multiplet(spec)
+    slots = model_multiplet(spec).moments
     values = []
     for qc, pc, s in zip(packet.qc, packet.pc, packet.resolved_sigmas(spec)):
         s2 = s * s
-        p2_fluct = spec.hbar**2 / (4.0 * s2) if s2 > 0 else 0.0
-        if multiplet.N == 4:
-            values.extend((qc, pc, qc * qc + s2, pc * pc + p2_fluct))
-        else:
-            values.extend((qc * qc + s2, pc * pc + p2_fluct, qc * pc))
+        moments = {"q": qc, "p": pc, "q2": qc * qc + s2, "qp_sym": qc * pc,
+                   "p2": pc * pc + (spec.hbar**2 / (4.0 * s2) if s2 > 0 else 0.0)}
+        values.extend(moments[kind] for kind in slots)
     return np.array(values, dtype=np.float64)
 
 
@@ -355,7 +352,7 @@ def _run_quantum(spec, packet, grid, dt, t_end, record_stride, meta) -> Trajecto
     absorber = absorbing_mask(grid) if spec.model_id == "cubic" else None
     V = potential_poly(spec)
     layout = model_multiplet(spec).layout
-    kinds = ("q", "p", "q2", "p2") if layout.N == 4 else ("q2", "p2", "qp_sym")
+    kinds = model_multiplet(spec).moments
     n_steps = check_run(dt, t_end, record_stride=record_stride)
     split = choose_split_step(wf, V, dt, n_steps, record_stride, kinds, spec.masses, absorber)
     h = split.multiple * dt

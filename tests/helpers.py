@@ -13,8 +13,9 @@ Strang steps from the split-operator factors applied one at a time or fused
 through the public ``np.fft`` transforms, quantum runs stride by stride with
 one expectation row per call (as plain Strang steps of the caller's dt, or
 with a given propagator), CSV text cell by cell, the harmonic packet's
-moments in closed form, and the Henon-Heiles mode energies from
-hand-written packet-center equations integrated with scipy's DOP853.  ``position_moment``, ``mode_energies`` and
+moments in closed form, and the Henon-Heiles mode energies and the cubic
+packet's crossing time from hand-written packet-center equations integrated
+with scipy's DOP853.  ``position_moment``, ``mode_energies`` and
 ``grid_energy`` are test-only grid helpers that used to live in ``nambu_dyn.quantum``,
 and ``poisson_bracket`` and ``nambu_bracket`` the numeric brackets of
 ``nambu_dyn.brackets``.
@@ -483,3 +484,26 @@ def henon_heiles_mode_energies(t, qc, pc, omegas, lam):
     e1 = 0.5 * (p1 * p1 + 1.0 / (4.0 * s1)) + 0.5 * w1 * w1 * (q1 * q1 + s1)
     e2 = 0.5 * (p2 * p2 + 1.0 / (4.0 * s2)) + 0.5 * w2 * w2 * (q2 * q2 + s2)
     return np.column_stack([e1, e2])
+
+
+def cubic_center_crossing(qc, pc, g, s2, level):
+    """First time the center of a frozen Gaussian packet (variance ``s2``) in
+    the cubic potential q^2/2 + g q^3/3 falls to ``level``.
+
+    m = 1; averaging V'(q) = q + g q^2 over the packet gives the center
+    equation q'' = -(q + g (q^2 + s2)), which scipy's DOP853 integrates at
+    rtol = atol = 1e-12 up to the downward crossing of ``level``.
+    """
+    from scipy.integrate import solve_ivp
+
+    def crossing(_t, y):
+        return y[0] - level
+
+    crossing.terminal, crossing.direction = True, -1
+    sol = solve_ivp(
+        lambda _t, y: [y[1], -(y[0] + g * (y[0] * y[0] + s2))], (0.0, 1e3), [qc, pc],
+        method="DOP853", events=crossing, rtol=1e-12, atol=1e-12,
+    )
+    if sol.status != 1:
+        raise RuntimeError(f"DOP853 found no crossing of {level}: {sol.message}")
+    return float(sol.t_events[0][0])

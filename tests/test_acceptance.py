@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    cubic_center_crossing,
     gaussian_moment,
     henon_heiles_mode_energies,
     mode_energies,
@@ -144,17 +145,24 @@ def test_criterion_3_tunneling_dichotomy(cubic_nambu):
     x1 = traj.column("x1_0")
     crossed = x1 < -3.3
     assert crossed.any()
-    t_cross = traj.t[np.argmax(crossed)]
+    k = int(np.argmax(crossed))
+    t_cross = traj.t[k]
+    # Linear between the stride-1 rows around the crossing, against DOP853 on
+    # the frozen-Gaussian center equation (g = 0.3, s^2 = hbar/2mw = 0.5).
+    t_lin = traj.t[k - 1] + (traj.t[k] - traj.t[k - 1]) * (x1[k - 1] + 3.3) / (x1[k - 1] - x1[k])
+    t_oracle = cubic_center_crossing(0.0, 1.8, g=0.3, s2=0.5, level=-3.3)
 
     classical = run_scenario(
         cubic_model(), PacketSpec.make(0.0, 1.8), "classical",
         dt=1e-3, t_end=200.0, record_stride=10,
     )
     q_min = classical.column("x1_0").min()
-    ok = t_cross < 40.0 and q_min > -3.3
+    ok = t_cross < 40.0 and abs(t_lin - t_oracle) < 1e-6 and q_min > -3.3
     report("3 (tunneling dichotomy)", ok,
-           f"flow crosses -3.3 at t={t_cross:.2f} (<40); classical min q {q_min:.3f} stays above -3.3")
+           f"flow crosses -3.3 at t={t_cross:.2f} (<40), {t_lin - t_oracle:+.1e} from DOP853's "
+           f"{t_oracle:.8f} (gate 1e-6); classical min q {q_min:.3f} stays above -3.3")
     assert t_cross < 40.0
+    assert abs(t_lin - t_oracle) < 1e-6
     assert q_min > -3.3
 
     # supporting energetics from 1D root finding

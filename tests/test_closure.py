@@ -107,7 +107,7 @@ def test_build_F_rejects_unknown_multiplets():
     weird = multiplet_from_strings(
         "weird", ["q", "p", "q^2", "q^3"], ["x3 - x1^2", "x4 - x1^3"]
     )
-    with pytest.raises(UnsupportedMultipletError):
+    with pytest.raises(UnsupportedMultipletError, match="'weird' has no moment slots"):
         build_F(parse_poly("0.5*q^2"), weird, ZC)
 
 

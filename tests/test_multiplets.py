@@ -3,7 +3,9 @@ import pytest
 
 from helpers import classical_image, consistency_reference
 
+from nambu_dyn import quantum
 from nambu_dyn.multiplets import (
+    MOMENTS,
     AmbiguousLiftWarning,
     MalformedMultipletError,
     MultipletDef,
@@ -251,3 +253,26 @@ def test_consistency_csv():
     text = consistency_to_csv(reports)
     assert text.splitlines()[0] == "dof,i,j,max_residual,pass"
     assert len(text.splitlines()) == 4
+
+
+@pytest.mark.parametrize("n_dof", [1, 2])
+def test_moments_name_each_slot(n_dof):
+    assert QUARTET_QP_Q2P2.with_n_dof(n_dof).moments == ("q", "p", "q2", "p2")
+    assert TRIPLET_QQPP_QP.with_n_dof(n_dof).moments == ("q2", "p2", "qp_sym")
+
+
+def test_moments_are_the_grid_row_kinds():
+    assert set(MOMENTS.values()) == set(quantum._MOMENTS)
+
+
+def test_moments_none_where_a_slot_is_no_moment_or_dofs_disagree():
+    cubic = multiplet_from_strings("cubic", ["q", "p", "q^2", "q^3"], ["x3 - x1^2", "x4 - x1^3"])
+    assert cubic.moments == ("q", "p", "q2", None)
+    scaled = multiplet_from_strings("scaled", ["2*q", "p", "q^2", "p^2"], ["x3", "x4"])
+    assert scaled.moments == (None, "p", "q2", "p2")
+    quartets = QUARTET_QP_Q2P2.with_n_dof(2)
+    q1, p1 = Poly.var(q(1)), Poly.var(p(1))
+    mixed = MultipletDef(
+        "mixed", 4, 2, (quartets.defs[0], (q1, p1, q1 * q1, q1 * p1)), quartets.constraints
+    )
+    assert mixed.moments == ("q", "p", "q2", None)

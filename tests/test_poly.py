@@ -5,7 +5,9 @@ import pytest
 
 from helpers import central_difference, random_poly
 
+from nambu_dyn import native
 from nambu_dyn.poly import (
+    MAX_POLY_FACTORS,
     MAX_SUM_TERMS,
     MAX_TERM_FACTORS,
     Poly,
@@ -224,6 +226,25 @@ def test_compile_bounds_the_terms_of_a_sum():
     assert compile_vector_field([at_bound], [X1, X2])([1.0, 1.0]).tolist() == [MAX_SUM_TERMS]
     with pytest.raises(ValueError, match=f"{MAX_SUM_TERMS + 1} terms"):
         compile_evaluator(at_bound + Poly.var(X3), [X1, X2, X3])
+
+
+def test_compile_bounds_the_factors_of_a_polynomial(monkeypatch):
+    built = []
+    monkeypatch.setattr(native, "load_rk4", lambda source, dim: built.append(source))
+    n_terms, rest = divmod(MAX_POLY_FACTORS, MAX_TERM_FACTORS)
+    assert rest == 0
+    # n_terms terms of MAX_TERM_FACTORS factors each: every term is within its bound.
+    at_bound = sum(
+        (Poly.monomial({X1: MAX_TERM_FACTORS - k, X2: k}) for k in range(1, n_terms + 1)), Poly.zero()
+    )
+    assert compile_evaluator(at_bound, [X1, X2])([1.0, 1.0]) == n_terms
+    over = at_bound + Poly.var(X3)
+    too_many = f"{MAX_POLY_FACTORS + 1} factors has more than {MAX_POLY_FACTORS} factors"
+    with pytest.raises(ValueError, match=too_many):
+        compile_evaluator(over, [X1, X2, X3])
+    with pytest.raises(ValueError, match=too_many):
+        compile_vector_field([over, Poly.var(X1), Poly.var(X2)], [X1, X2, X3])
+    assert built == []  # rejected before the kernel source reaches a compiler
 
 
 def test_parse_poly_takes_linear_time():

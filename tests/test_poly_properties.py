@@ -1,6 +1,6 @@
-"""Property tests of the polynomial text form (hypothesis): drawn text
-against sympy's reading of it, and format_poly then parse_poly as the
-identity."""
+"""Property tests of polynomials (hypothesis): drawn text against sympy's
+reading of it, format_poly then parse_poly as the identity, and the ring
+laws and the Leibniz rule of ``partial`` on integer-coefficient Polys."""
 
 import pytest
 
@@ -52,3 +52,29 @@ def test_format_roundtrip_random(terms):
     for powers, c in terms.items():
         f = f + Poly.monomial(dict(zip(NAMES.values(), powers)), c)
     assert parse_poly(format_poly(f)) == f
+
+
+RING_VARS = [q(0), p(0), xvar(1)]
+# Small integer coefficients and degrees: every sum, product and derivative of
+# these is an exact float, so the ring laws and the Leibniz rule hold with ==.
+INT_POLY = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * len(RING_VARS)), st.integers(-9, 9), max_size=4
+).map(lambda terms: sum(
+    (Poly.monomial(dict(zip(RING_VARS, powers)), c) for powers, c in terms.items()), Poly.zero()
+))
+
+
+@settings(max_examples=100, deadline=None)
+@given(INT_POLY, INT_POLY, INT_POLY)
+def test_ring_laws_hold_exactly(f, g, h):
+    assert (f + g) + h == f + (g + h)
+    assert f + g == g + f
+    assert (f * g) * h == f * (g * h)
+    assert f * g == g * f
+    assert f * (g + h) == f * g + f * h
+
+
+@settings(max_examples=100, deadline=None)
+@given(INT_POLY, INT_POLY, st.sampled_from([*RING_VARS, xvar(3)]))
+def test_partial_obeys_the_leibniz_rule(f, g, v):
+    assert (f * g).partial(v) == f * g.partial(v) + g * f.partial(v)

@@ -76,12 +76,15 @@ def test_init_gaussian_rejects_bad_width():
         (0.0, 0.0, -1.0, r"widths\[0\] = -1.0 is not a positive finite number"),
         (0.0, 0.0, 1e-300, r"widths\[0\] = 1e-300 has a square outside the float range"),
         (0.0, 0.0, 1e200, r"widths\[0\] = 1e\+200 has a square outside the float range"),
+        # Off the grid the amplitudes underflow to 0, or x^2 overflows: a norm of 0.
+        (500.0, 0.0, 1.0, r"centers \[500.0\], widths \[1.0\] misses the grid"),
+        (1e300, 0.0, 1.0, r"centers \[1e\+300\], widths \[1.0\] misses the grid"),
     ],
 )
 def test_init_gaussian_rejects_bad_packets(centers, momenta, widths, message):
     g = Grid.make_1d(-10.0, 10.0, 256)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # raised before any arithmetic warns
+        warnings.simplefilter("error")  # raised with no arithmetic warning
         with pytest.raises(ValueError, match=message):
             init_gaussian(g, centers, momenta, widths)
 
