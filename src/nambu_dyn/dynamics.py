@@ -235,7 +235,8 @@ def conserved_drift(traj: Trajectory) -> dict[str, DriftStat]:
 def check_run(dt: float, t_end: float, record_stride: int = 1) -> int:
     """The number of steps of dt from 0 to t_end, after the checks that
     ``integrate`` makes before any step; ValueError rejects a bad dt, t_end
-    or stride and more than ``native.LONG_MAX`` steps."""
+    or stride, a t_end shorter than one step and more than ``native.LONG_MAX``
+    steps."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt = {dt!r} is not a positive finite step")
     if not 0 < t_end < math.inf:
@@ -243,6 +244,8 @@ def check_run(dt: float, t_end: float, record_stride: int = 1) -> int:
     if not isinstance(record_stride, (int, np.integer)) or record_stride < 1:
         raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
     steps = np.floor(t_end / dt + 1e-9)
+    if steps < 1:
+        raise ValueError(f"t_end = {t_end!r} is shorter than one step of dt = {dt!r}")
     if not steps <= LONG_MAX:
         raise ValueError(
             f"t_end = {t_end!r} at dt = {dt!r} is {steps:.6g} steps, "

@@ -136,30 +136,6 @@ class MultipletDef:
         return tuple(sum(per_dof, Poly.zero()) for per_dof in zip(*self.constraints))
 
 
-def _quadratic_triplet() -> MultipletDef:
-    qq = Poly.var(q(0)) * Poly.var(q(0))
-    pp = Poly.var(p(0)) * Poly.var(p(0))
-    qp = Poly.var(q(0)) * Poly.var(p(0))
-    x1, x2, x3 = (Poly.var(xvar(i, 0)) for i in (1, 2, 3))
-    g = 2.0 * x3 * x3 - 2.0 * x1 * x2
-    return MultipletDef("triplet", 3, 1, ((qq, pp, qp),), ((g,),))
-
-
-def _quartet() -> MultipletDef:
-    qv = Poly.var(q(0))
-    pv = Poly.var(p(0))
-    x1, x2, x3, x4 = (Poly.var(xvar(i, 0)) for i in (1, 2, 3, 4))
-    g1 = x3 - x1 * x1
-    g2 = x4 - x2 * x2
-    return MultipletDef(
-        "quartet", 4, 1, ((qv, pv, qv * qv, pv * pv),), ((g1, g2),)
-    )
-
-
-TRIPLET_QQPP_QP = _quadratic_triplet()
-QUARTET_QP_Q2P2 = _quartet()
-
-
 def builtin_multiplets() -> dict[str, MultipletDef]:
     """Catalog of built-in single-dof multiplet templates."""
     return {"triplet": TRIPLET_QQPP_QP, "quartet": QUARTET_QP_Q2P2}
@@ -180,6 +156,10 @@ def multiplet_from_strings(
         (tuple(parse_poly(s) for s in constraints),),
     )
     return template.with_n_dof(n_dof)
+
+
+TRIPLET_QQPP_QP = multiplet_from_strings("triplet", ["q^2", "p^2", "q*p"], ["2*x3^2 - 2*x1*x2"])
+QUARTET_QP_Q2P2 = multiplet_from_strings("quartet", ["q", "p", "q^2", "p^2"], ["x3 - x1^2", "x4 - x2^2"])
 
 
 # --------------------------------------------------------------------------

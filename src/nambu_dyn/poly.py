@@ -174,11 +174,7 @@ class Poly:
             return NotImplemented
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            s = out.get(mono, 0.0) + coeff
-            if s == 0.0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+            out[mono] = out.get(mono, 0.0) + coeff
         return Poly(out)
 
     __radd__ = __add__
@@ -207,11 +203,7 @@ class Poly:
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
                 mono = _mono_mul(ma, mb)
-                s = out.get(mono, 0.0) + ca * cb
-                if s == 0.0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
+                out[mono] = out.get(mono, 0.0) + ca * cb
         return Poly(out)
 
     __rmul__ = __mul__
@@ -239,11 +231,7 @@ class Poly:
                     continue
                 rest = mono[:idx] + ((var, k - 1),) + mono[idx + 1 :]
                 rest = tuple(vk for vk in rest if vk[1] != 0)
-                s = out.get(rest, 0.0) + coeff * k
-                if s == 0.0:
-                    out.pop(rest, None)
-                else:
-                    out[rest] = s
+                out[rest] = out.get(rest, 0.0) + coeff * k
                 break
         return Poly(out)
 

@@ -66,12 +66,14 @@ class Grid:
                     raise ValueError(f"axis {axis} {name} = {value!r} is not finite")
             if hi <= lo:
                 raise ValueError(f"axis needs max > min, got [{lo}, {hi}]")
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"axis {axis} n_points = {n!r} is not an integer")
             if n < 64 or n & (n - 1):
                 raise ValueError(f"n_points must be a power of two >= 64, got {n}")
 
     @classmethod
     def make_1d(cls, lo: float, hi: float, n: int) -> "Grid":
-        return cls(((float(lo), float(hi), int(n)),))
+        return cls(((float(lo), float(hi), n),))
 
     @classmethod
     def make_2d(cls, axis0, axis1) -> "Grid":

@@ -436,6 +436,8 @@ def compare(
         if hi <= lo:
             raise ValueError("trajectories cover disjoint time ranges")
         mask = (ta >= lo) & (ta <= hi)
+        if not mask.any():
+            raise ValueError(f"no row of the first trajectory lies in the common range [{lo}, {hi}]")
     out: dict[str, CompareStat] = {}
     for column in columns:
         va = traj_a.column(column)

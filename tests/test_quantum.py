@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import warnings
 
@@ -47,6 +48,15 @@ def test_grid_validation():
         Grid.make_2d((-1.0, 1.0, 64), (-1.0, float("inf"), 64))
     g = Grid.make_1d(-20.0, 10.0, 2048)
     assert g.dx() == pytest.approx(30.0 / 2048)
+
+
+def test_grid_takes_only_an_integer_point_count():
+    for n in (64.0, 64.7, True, "64", None):
+        with pytest.raises(ValueError, match=rf"axis 0 n_points = {re.escape(repr(n))} is not an integer"):
+            Grid.make_1d(-1.0, 1.0, n)
+    with pytest.raises(ValueError, match=r"axis 1 n_points = 64\.0 is not an integer"):
+        Grid(((-1.0, 1.0, 64), (-1.0, 1.0, 64.0)))
+    assert Grid.make_1d(-1.0, 1.0, np.int64(64)).shape == (64,)
 
 
 def test_init_gaussian_moments():

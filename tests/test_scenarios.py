@@ -141,14 +141,24 @@ def test_packet_spec_validation():
         (dict(t_end=math.inf), "need a finite t_end > 0, got t_end = inf"),
         (dict(t_end=0.0), "need a finite t_end > 0, got t_end = 0.0"),
         (dict(t_end=-1.0), "need a finite t_end > 0, got t_end = -1.0"),
+        (dict(t_end=0.005), "t_end = 0.005 is shorter than one step of dt = 0.01"),
     ],
-    ids=["stride_0", "dt_inf", "t_end_inf", "t_end_0", "t_end_negative"],
+    ids=["stride_0", "dt_inf", "t_end_inf", "t_end_0", "t_end_negative", "t_end_under_one_step"],
 )
 def test_bad_run_lengths_fail_before_stepping(method, bad, message):
     kwargs = dict(dt=1e-2, t_end=1.0, record_stride=10, grid=Grid.make_1d(-10.0, 10.0, 128))
     kwargs.update(bad)
     with pytest.raises(ValueError, match=message):
         run_scenario(harmonic_model(), PacketSpec.make(1.0, 0.0), method, **kwargs)
+
+
+@pytest.mark.parametrize("method", ["nambu", "classical", "quantum"])
+def test_cli_rejects_a_run_shorter_than_one_step(method, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    argv = ["run", "--model", "harmonic", "--method", method, "--dt", "0.01", "--t-end", "0.005"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "t_end = 0.005 is shorter than one step of dt = 0.01" in capsys.readouterr().err
 
 
 def test_model_spec_rejects_non_finite_parameters():
@@ -286,6 +296,17 @@ def test_compare_identical_and_disjoint():
     other.t = other.t + 100.0
     with pytest.raises(ValueError, match="disjoint"):
         compare(traj, other, ["x1_0"])
+
+
+def test_compare_rejects_an_overlap_without_rows_of_the_first():
+    # the ranges share [2, 3], but the first trajectory has rows only at 0 and 10
+    spec = harmonic_model()
+    a = run_scenario(spec, PacketSpec.make(1.0, 0.0), "nambu", dt=1.0, t_end=10.0, record_stride=10)
+    b = run_scenario(spec, PacketSpec.make(1.0, 0.0), "nambu", dt=1.0, t_end=1.0)
+    assert a.t.tolist() == [0.0, 10.0] and b.t.tolist() == [0.0, 1.0]
+    b.t = b.t + 2.0
+    with pytest.raises(ValueError, match=r"no row of the first trajectory lies in the common range \[2\.0, 3\.0\]"):
+        compare(a, b, ["x1_0"])
 
 
 def test_compare_interpolates_different_grids():
