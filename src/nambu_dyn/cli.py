@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -161,6 +162,8 @@ def cmd_run(args) -> int:
     stride = _merged(args, "stride", cast=int)
     q_stop = _merged(args, "q_stop", cast=float)
     out = _merged(args, "out", default="traj.csv")
+    if os.path.basename(out) in ("", ".", "..") or Path(out).is_dir():
+        raise ConfigError(f"cannot write {out!r}: it names a directory, not a file")
     if not Path(out).parent.is_dir():
         raise ConfigError(f"cannot write {out}: directory {Path(out).parent} does not exist")
     traj = run_scenario(
@@ -175,8 +178,11 @@ def cmd_run(args) -> int:
     )
     drifts = conserved_drift(traj)
     print(f"wrote {out}: {len(traj)} rows, t in [{traj.t[0]:g}, {traj.t[-1]:g}]")
+    # Grid rows do not conserve F and the G_c: their change is how far the
+    # exact dynamics departs from the frozen-Gaussian closure.
+    label = "closure defect: " if method == "quantum" else ""
     for name, stat in drifts.items():
-        print(f"  max |{name}(t) - {name}(0)| = {stat.max_abs:.3e}")
+        print(f"  {label}max |{name}(t) - {name}(0)| = {stat.max_abs:.3e}")
     if "norm_loss" in traj.meta:
         meta = traj.meta
         print(f"  norm loss = {float(meta['norm_loss']):.3e}")

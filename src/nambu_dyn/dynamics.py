@@ -241,7 +241,8 @@ def check_run(dt: float, t_end: float, record_stride: int = 1) -> int:
         raise ValueError(f"dt = {dt!r} is not a positive finite step")
     if not 0 < t_end < math.inf:
         raise ValueError(f"need a finite t_end > 0, got t_end = {t_end!r}")
-    if not isinstance(record_stride, (int, np.integer)) or record_stride < 1:
+    if (isinstance(record_stride, bool) or not isinstance(record_stride, (int, np.integer))
+            or record_stride < 1):
         raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
     steps = np.floor(t_end / dt + 1e-9)
     if steps < 1:

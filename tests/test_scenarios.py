@@ -1,3 +1,4 @@
+import filecmp
 import math
 
 import numpy as np
@@ -137,13 +138,15 @@ def test_packet_spec_validation():
     "bad, message",
     [
         (dict(record_stride=0), "record_stride must be an integer >= 1, got 0"),
+        (dict(record_stride=True), "record_stride must be an integer >= 1, got True"),
         (dict(dt=math.inf), "dt = inf is not a positive finite step"),
         (dict(t_end=math.inf), "need a finite t_end > 0, got t_end = inf"),
         (dict(t_end=0.0), "need a finite t_end > 0, got t_end = 0.0"),
         (dict(t_end=-1.0), "need a finite t_end > 0, got t_end = -1.0"),
         (dict(t_end=0.005), "t_end = 0.005 is shorter than one step of dt = 0.01"),
     ],
-    ids=["stride_0", "dt_inf", "t_end_inf", "t_end_0", "t_end_negative", "t_end_under_one_step"],
+    ids=["stride_0", "stride_bool", "dt_inf", "t_end_inf", "t_end_0", "t_end_negative",
+         "t_end_under_one_step"],
 )
 def test_bad_run_lengths_fail_before_stepping(method, bad, message):
     kwargs = dict(dt=1e-2, t_end=1.0, record_stride=10, grid=Grid.make_1d(-10.0, 10.0, 128))
@@ -593,25 +596,31 @@ def test_cli_nan_q_stop_exits_2_without_csv(tmp_path, capsys):
 
 
 def test_cli_reduce_prints_closure(capsys):
-    assert main(["reduce", "--moment", "4", "--mode", "zero-cumulant"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out == "3*x3^2 - 2*x1^4"
-    assert main(["reduce", "--moment", "4", "--mode", "ignore-fluctuation"]) == 0
-    assert capsys.readouterr().out.strip() == "6*x1^2*x3 - 5*x1^4"
+    for moment, mode, printed in [
+        ("4", "zero-cumulant", "3*x3^2 - 2*x1^4"),
+        ("4", "ignore-fluctuation", "6*x1^2*x3 - 5*x1^4"),
+        ("6", "zero-cumulant", "15*x3^3 - 30*x1^4*x3 + 16*x1^6"),
+    ]:
+        assert main(["reduce", "--moment", moment, "--mode", mode]) == 0
+        assert capsys.readouterr().out == printed + "\n"
 
 
 def test_cli_verify_consistency(capsys):
-    assert main(["verify", "consistency", "--multiplet", "quartet"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert out.startswith("dof,i,j,max_residual,pass")
+    # Both built-in multiplets reproduce the brackets exactly.
+    for multiplet in ("triplet", "quartet"):
+        for n_dof in ("1", "2"):
+            assert main(["verify", "consistency", "--multiplet", multiplet, "--n-dof", n_dof]) == 0
+            header, *rows, last = capsys.readouterr().out.splitlines()
+            assert header == "dof,i,j,max_residual,pass" and last.startswith("PASS:")
+            assert rows and all(row.split(",")[3:] == ["0.0", "1"] for row in rows)
 
 
 def test_cli_check_fi(capsys):
     assert main(["check", "fi", "--model", "henon-heiles", "--samples", "3"]) == 0
     out = capsys.readouterr().out
     assert "sample_index,lhs,rhs,residual" in out
-    assert "0.11" in out
+    # Henon-Heiles breaks the fundamental identity by -lambda at every sample.
+    assert out.splitlines()[-1].startswith("max residual = 0.11 ")
 
 
 def test_cli_check_fi_rejects_another_model_in_its_config(tmp_path, capsys):
@@ -636,9 +645,15 @@ def test_cli_check_fi_rejects_another_model_in_its_config(tmp_path, capsys):
         (["run", "--config", "{typo}"], "{typo}:3: unknown key 'tend'"),
         (["run", "--model", "cubic", "--method", "nambu", "--out", "{tmp}/missing/x.csv"],
          "directory {tmp}/missing does not exist"),
+        (["run", "--model", "harmonic", "--method", "nambu", "--out", "{tmp}"],
+         "cannot write '{tmp}': it names a directory, not a file"),
+        (["run", "--model", "harmonic", "--method", "nambu", "--out", "{tmp}/new/"],
+         "cannot write '{tmp}/new/': it names a directory, not a file"),
+        (["run", "--model", "harmonic", "--method", "nambu", "--out", ""],
+         "cannot write '': it names a directory, not a file"),
     ],
     ids=["multiplet", "samples-0", "samples-negative", "fi-samples-0", "tol-nan", "config-typo",
-         "out-dir"],
+         "out-dir", "out-is-dir", "out-trailing-sep", "out-empty"],
 )
 def test_cli_rejects_bad_input_before_any_work(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("run started"))
@@ -649,6 +664,7 @@ def test_cli_rejects_bad_input_before_any_work(argv, message, tmp_path, capsys, 
     printed = capsys.readouterr()
     assert message.format(**paths) in printed.err
     assert printed.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sextet.conf", "typo.conf"]
 
 
 def test_cli_run_with_config_and_override(tmp_path, capsys):
@@ -669,6 +685,38 @@ def test_cli_run_with_config_and_override(tmp_path, capsys):
     assert Trajectory.from_csv(out2).t[-1] == pytest.approx(0.5)
 
 
+SHORT = ["--dt", "0.01", "--t-end", "0.2", "--stride", "5"]
+CLI_RUNS = [
+    *[(f"{model}-{method}", model, method, SHORT, "")
+      for model in ("harmonic", "cubic", "henon-heiles")
+      for method in ("nambu", "classical", "quantum")],
+    ("cubic-escape", "cubic", "nambu", ["--pc", "1.8"], "escaped"),
+    ("henon-heiles-dense", "henon-heiles", "nambu", ["--stride", "1", "--t-end", "20"], ""),
+    ("cubic-absorbed", "cubic", "quantum", ["--pc", "1.8", "--dt", "0.01", "--stride", "10"],
+     "absorbed"),
+]
+
+
+@pytest.mark.parametrize(
+    "model, method, flags, stop, kernel",
+    [pytest.param(model, method, flags, stop, kernel, id=name + (f"-{kernel}" if kernel else ""))
+     for name, model, method, flags, stop in CLI_RUNS
+     for kernel in ((None,) if method == "quantum" else ("native", "python"))],
+    indirect=["kernel"],
+)
+def test_cli_run_writes_a_csv_that_reads_back_byte_for_byte(
+    model, method, flags, stop, kernel, tmp_path, capsys
+):
+    out, again = tmp_path / "run.csv", tmp_path / "again.csv"
+    assert main(["run", "--model", model, "--method", method, *flags, "--out", str(out)]) == 0
+    traj = Trajectory.from_csv(out)
+    traj.to_csv(again)
+    assert filecmp.cmp(out, again, shallow=False) and traj.flags[-1] == stop
+    # On grid rows F and the G_c are not conserved: their change is the closure defect.
+    printed = capsys.readouterr().out
+    assert ("closure defect: max |F(t) - F(0)| = " in printed) == (method == "quantum")
+
+
 def test_cli_quantum_run_prints_norm_loss_and_boundary_amplitude(tmp_path, capsys):
     out_csv = tmp_path / "q.csv"
     assert main(["run", "--model", "harmonic", "--method", "quantum", "--qc", "1",
@@ -680,18 +728,26 @@ def test_cli_quantum_run_prints_norm_loss_and_boundary_amplitude(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "model, dt, order, quantum_dt",
-    [("harmonic", "0.01", "2", "0.01"), ("harmonic", "0.001", "4", "0.01"),
-     ("cubic", "0.001", "2", "0.001")],
-    ids=["strang", "composed", "absorbed"],
+    "model, flags, order, quantum_dt",
+    [("harmonic", ["--qc", "1", "--dt", "0.01", "--t-end", "0.1"], "2", "0.01"),
+     ("harmonic", ["--qc", "1", "--dt", "0.001", "--t-end", "0.1"], "4", "0.01"),
+     ("cubic", ["--qc", "1", "--dt", "0.001", "--t-end", "0.1"], "2", "0.001"),
+     ("harmonic", [], "4", "0.01"),
+     ("henon-heiles", ["--t-end", "1"], "4", "0.05"),
+     ("cubic", ["--t-end", "0.2"], "2", "0.001")],
+    ids=["strang", "composed", "absorbed", "harmonic_defaults", "henon_heiles_t_end_1",
+         "cubic_t_end_0.2"],
 )
-def test_cli_quantum_run_reports_its_split_step(model, dt, order, quantum_dt, tmp_path, capsys):
+def test_cli_quantum_run_reports_its_split_step(model, flags, order, quantum_dt, tmp_path, capsys):
     out_csv = tmp_path / "q.csv"
-    assert main(["run", "--model", model, "--method", "quantum", "--qc", "1",
-                 "--dt", dt, "--t-end", "0.1", "--out", str(out_csv)]) == 0
+    assert main(["run", "--model", model, "--method", "quantum", *flags,
+                 "--out", str(out_csv)]) == 0
     printed = capsys.readouterr().out
     meta = Trajectory.from_csv(out_csv).meta
+    dt = dict(zip(flags[::2], flags[1::2])).get("--dt", "0.001")
     assert (meta["split_order"], meta["quantum_dt"], meta["dt"]) == (order, quantum_dt, dt)
+    lines = out_csv.read_text().splitlines()
+    assert f"# split_order = {order}" in lines and f"# quantum_dt = {quantum_dt}" in lines
     assert f"split order = {order}, quantum dt = {quantum_dt}" in printed
     split_err, strang_err = float(meta["split_err_est"]), float(meta["strang_err_est"])
     if model == "cubic":  # the absorber keeps Strang steps, unestimated
@@ -755,17 +811,16 @@ def test_cli_rejects_a_q_stop_that_no_run_applies(model, method, given, code, tm
         assert "q_stop = 5.0 does not apply" in capsys.readouterr().err
 
 
-def test_cli_numerical_abort_exits_3(tmp_path):
-    out_csv = tmp_path / "blow.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(
-            [
-                "run", "--model", "cubic", "--method", "nambu",
-                "--qc", "0", "--pc", "1.8", "--t-end", "40",
-                "--q-stop=-1e300", "--out", str(out_csv),
-            ]
-        )
-    assert code == 3
+def test_cli_numerical_abort_exits_3(kernel, tmp_path, capsys):
+    # With the escape stop out of reach the packet runs until its state is
+    # non-finite; stderr names the step, the same on both kernels.
+    for pc, where in [("1.8", "t = 9.363 (step 9363"), ("3", "t = 6.671 (step 6671")]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--model", "cubic", "--method", "nambu", "--pc", pc,
+                         "--q-stop=-1e300", "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"numerical abort: state became non-finite at {where} of 40000)\n"
 
 
 def test_cli_rejects_unknown_model():
