@@ -6,8 +6,9 @@
     nambu reduce --moment 4 --mode zero-cumulant
 
 Each flag of a subcommand, and no other key, may be set in a config file of
-``key = value`` lines ('#' comments); flags override it.  Exit codes: 0 success,
-1 verification failure, 2 bad input (before any work), 3 numerical abort.
+``key = value`` lines ('#' comments), parsed as that flag; flags override it.
+Exit codes: 0 success, 1 verification failure, 2 bad input (before any work),
+3 numerical abort.
 """
 
 from __future__ import annotations
@@ -27,11 +28,7 @@ from .multiplets import (
 )
 from .poly import Poly, format_poly, xvar
 from .scenarios import (
-    PacketSpec,
-    hamiltonian_set,
-    henon_heiles_model,
-    model_by_name,
-    run_scenario,
+    DEFAULT_Q_STOP, PacketSpec, hamiltonian_set, henon_heiles_model, model_by_name, run_scenario,
 )
 from .state import x_vars
 
@@ -67,39 +64,24 @@ def load_config(path: str, keys) -> dict[str, str]:
     return values
 
 
-def _merged(args: argparse.Namespace, key: str, default=None, cast=None):
-    """CLI value if given, else config file value, else default."""
-    value = getattr(args, key, None)
-    if value is None and getattr(args, "config_values", None):
-        value = args.config_values.get(key)
-    if value is None:
-        return default
-    if cast is not None and isinstance(value, str):
-        try:
-            value = cast(value)
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for {key}: {value!r}") from exc
-    return value
+def _samples(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"samples = {args.samples} must be at least 1")
+    return args.samples
 
 
-def _samples(args: argparse.Namespace, default: int) -> int:
-    samples = _merged(args, "samples", default=default, cast=int)
-    if samples < 1:
-        raise ConfigError(f"samples = {samples} must be at least 1")
-    return samples
-
-
-def _float_list(text) -> tuple[float, ...]:
+def _float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in str(text).split(","))
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated floats, got {text!r}") from exc
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one statement of each option's type, default and choices; a config
+    file's entries are parsed by it as the flags they name."""
     parser = argparse.ArgumentParser(
-        prog="nambu",
-        description="Hidden-Nambu dynamics of expectation values",
+        prog="nambu", description="Hidden-Nambu dynamics of expectation values"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -107,80 +89,76 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="key = value config file")
     run.add_argument("--model", choices=["harmonic", "cubic", "henon-heiles"])
     run.add_argument("--method", choices=["quantum", "nambu", "classical"])
-    run.add_argument("--qc", help="comma-separated packet centers")
-    run.add_argument("--pc", help="comma-separated packet momenta")
-    run.add_argument("--sigma", help="comma-separated packet widths (default sqrt(hbar/2mw))")
+    run.add_argument("--qc", type=_float_list, help="comma-separated packet centers (default 0)")
+    run.add_argument("--pc", type=_float_list, help="comma-separated packet momenta (default 0)")
     run.add_argument(
-        "--dt", type=float,
-        help="time step (default 1e-3); a quantum run without an absorber takes the "
+        "--sigma", type=_float_list,
+        help="comma-separated packet widths (default sqrt(hbar/2mw))",
+    )
+    run.add_argument(
+        "--dt", type=float, default=1e-3,
+        help="time step (default %(default)s); a quantum run without an absorber takes the "
         "largest fourth-order step that is as accurate as Strang steps of dt",
     )
     run.add_argument("--t-end", dest="t_end", type=float)
     run.add_argument("--stride", type=int, help="record every N-th step")
     run.add_argument(
         "--q-stop", dest="q_stop", type=float,
-        help="cubic nambu/classical runs stop below this position (default -15)",
+        help=f"cubic nambu/classical runs stop below this position (default {DEFAULT_Q_STOP:g})",
     )
-    run.add_argument("--out")
+    run.add_argument("--out", default="traj.csv", help="trajectory CSV (default %(default)s)")
 
     verify = sub.add_parser("verify", help="verification reports")
     vsub = verify.add_subparsers(dest="what", required=True)
     cons = vsub.add_parser("consistency", help="multiplet consistency conditions")
     cons.add_argument("--config")
-    cons.add_argument("--multiplet", choices=["triplet", "quartet"])
-    cons.add_argument("--n-dof", dest="n_dof", type=int)
-    cons.add_argument("--samples", type=int)
-    cons.add_argument("--tol", type=float)
+    cons.add_argument("--multiplet", choices=list(builtin_multiplets()))
+    cons.add_argument("--n-dof", dest="n_dof", type=int, default=1, help="(default %(default)s)")
+    cons.add_argument(
+        "--samples", type=int, default=DEFAULT_CONSISTENCY_SAMPLES,
+        help="random points (default %(default)s)",
+    )
+    cons.add_argument(
+        "--tol", type=float, default=DEFAULT_CONSISTENCY_TOL,
+        help="largest residual that passes (default %(default)s)",
+    )
 
     check = sub.add_parser("check", help="bracket identity checks")
     csub = check.add_subparsers(dest="what", required=True)
     fi = csub.add_parser("fi", help="fundamental-identity violation example")
     fi.add_argument("--config")
-    fi.add_argument("--model", choices=["henon-heiles"])
-    fi.add_argument("--samples", type=int)
+    fi.add_argument("--model", choices=["henon-heiles"], default="henon-heiles")
+    fi.add_argument("--samples", type=int, default=20, help="random points (default %(default)s)")
 
     red = sub.add_parser("reduce", help="print a closure polynomial")
     red.add_argument("--config")
     red.add_argument("--moment", type=int)
-    red.add_argument("--mode", choices=["zero-cumulant", "ignore-fluctuation"])
+    red.add_argument(
+        "--mode", choices=["zero-cumulant", "ignore-fluctuation"], default="zero-cumulant",
+        help="(default %(default)s)",
+    )
 
     return parser
 
 
 def cmd_run(args) -> int:
-    model_name = _merged(args, "model")
-    method = _merged(args, "method")
-    if model_name is None or method is None:
+    if args.model is None or args.method is None:
         raise ConfigError("run needs --model and --method (flag or config)")
-    spec = model_by_name(model_name)
-    qc = _float_list(_merged(args, "qc", default="0" + ",0" * (spec.n_dof - 1)))
-    pc = _float_list(_merged(args, "pc", default="0" + ",0" * (spec.n_dof - 1)))
-    sigma = _merged(args, "sigma")
-    packet = PacketSpec.make(qc, pc, _float_list(sigma) if sigma is not None else None)
-    dt = _merged(args, "dt", default=1e-3, cast=float)
-    t_end = _merged(args, "t_end", cast=float)
-    stride = _merged(args, "stride", cast=int)
-    q_stop = _merged(args, "q_stop", cast=float)
-    out = _merged(args, "out", default="traj.csv")
+    spec = model_by_name(args.model)
+    zeros = (0.0,) * spec.n_dof
+    packet = PacketSpec.make(args.qc or zeros, args.pc or zeros, args.sigma)
+    out = args.out
     if os.path.basename(out) in ("", ".", "..") or Path(out).is_dir():
         raise ConfigError(f"cannot write {out!r}: it names a directory, not a file")
     if not Path(out).parent.is_dir():
         raise ConfigError(f"cannot write {out}: directory {Path(out).parent} does not exist")
-    traj = run_scenario(
-        spec,
-        packet,
-        method,
-        dt=dt,
-        t_end=t_end,
-        out_path=out,
-        record_stride=stride,
-        q_stop=q_stop,
-    )
+    traj = run_scenario(spec, packet, args.method, dt=args.dt, t_end=args.t_end, out_path=out,
+                        record_stride=args.stride, q_stop=args.q_stop)
     drifts = conserved_drift(traj)
     print(f"wrote {out}: {len(traj)} rows, t in [{traj.t[0]:g}, {traj.t[-1]:g}]")
     # Grid rows do not conserve F and the G_c: their change is how far the
     # exact dynamics departs from the frozen-Gaussian closure.
-    label = "closure defect: " if method == "quantum" else ""
+    label = "closure defect: " if args.method == "quantum" else ""
     for name, stat in drifts.items():
         print(f"  {label}max |{name}(t) - {name}(0)| = {stat.max_abs:.3e}")
     if "norm_loss" in traj.meta:
@@ -202,17 +180,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify_consistency(args) -> int:
-    name = _merged(args, "multiplet")
-    if name is None:
+    if args.multiplet is None:
         raise ConfigError("verify consistency needs --multiplet")
-    n_dof = _merged(args, "n_dof", default=1, cast=int)
-    samples = _samples(args, default=DEFAULT_CONSISTENCY_SAMPLES)
-    tol = _merged(args, "tol", default=DEFAULT_CONSISTENCY_TOL, cast=float)
+    samples, tol = _samples(args), args.tol
     if not 0 <= tol < math.inf:
         raise ConfigError(f"tol = {tol!r} is not a non-negative finite number")
-    if name not in builtin_multiplets():
-        raise ConfigError(f"unknown multiplet {name!r}; choose triplet or quartet")
-    multiplet = builtin_multiplets()[name].with_n_dof(n_dof)
+    multiplet = builtin_multiplets()[args.multiplet].with_n_dof(args.n_dof)
     reports = verify_consistency(multiplet, samples=samples, tolerance=tol)
     print(consistency_to_csv(reports), end="")
     failed = [r for r in reports if not r.passed]
@@ -224,10 +197,7 @@ def cmd_verify_consistency(args) -> int:
 
 
 def cmd_check_fi(args) -> int:
-    model = _merged(args, "model", default="henon-heiles")
-    if model != "henon-heiles":
-        raise ConfigError(f"check fi has only the henon-heiles example, not model = {model!r}")
-    samples = _samples(args, default=20)
+    samples = _samples(args)
     spec = henon_heiles_model()
     hset = hamiltonian_set(spec)
     layout = hset.layout
@@ -241,21 +211,25 @@ def cmd_check_fi(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    n = _merged(args, "moment", cast=int)
-    if n is None:
+    if args.moment is None:
         raise ConfigError("reduce needs --moment")
-    mode_text = _merged(args, "mode", default="zero-cumulant")
-    mode = ClosureMode.from_string(mode_text)
-    print(format_poly(reduce_moment(n, mode)))
+    print(format_poly(reduce_moment(args.moment, ClosureMode.from_string(args.mode))))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        keys = vars(args).keys() - {"command", "what", "config"}
-        args.config_values = load_config(args.config, keys) if args.config else {}
+        if args.config:
+            # Each file entry becomes its flag, after the subcommand words and
+            # before the given flags, which therefore win.
+            keys = vars(args).keys() - {"command", "what", "config"}
+            flags = [f"--{key.replace('_', '-')}={value}"
+                     for key, value in load_config(args.config, keys).items()]
+            words = 2 if hasattr(args, "what") else 1
+            args = parser.parse_args([*argv[:words], *flags, *argv[words:]])
         command = {"run": cmd_run, "verify": cmd_verify_consistency,
                    "check": cmd_check_fi, "reduce": cmd_reduce}[args.command]
         return command(args)

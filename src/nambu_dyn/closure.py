@@ -59,13 +59,15 @@ class ClosureMode(enum.Enum):
 
 def _moments_from_cumulants(kappas: Sequence[Poly], n: int) -> list[Poly]:
     """Moments m_0..m_n from cumulants via the standard recursion
-    m_k = sum_j C(k-1, j) kappa_{j+1} m_{k-1-j}; absent cumulants are zero."""
+    m_k = sum_j C(k-1, j) kappa_{j+1} m_{k-1-j}; absent cumulants are zero.
+    Raises ValueError at the first m_k with a non-finite coefficient."""
     moments = [Poly.const(1.0)]
     for k in range(1, n + 1):
         mk = Poly.zero()
-        for j in range(k):
-            if j < len(kappas):
-                mk = mk + comb(k - 1, j) * kappas[j] * moments[k - 1 - j]
+        for j in range(min(k, len(kappas))):
+            mk = mk + comb(k - 1, j) * kappas[j] * moments[k - 1 - j]
+        if not all(isfinite(c) for c in mk.terms.values()):
+            raise ValueError(f"moment order {n}: a coefficient of <q^{k}> overflows the float range")
         moments.append(mk)
     return moments
 

@@ -9,7 +9,9 @@ from helpers import harmonic_packet_moments, strang_run, stride_run
 from nambu_dyn import cli, scenarios
 from nambu_dyn.cli import main
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory, conserved_drift
-from nambu_dyn.multiplets import MultipletDef
+from nambu_dyn.multiplets import (
+    DEFAULT_CONSISTENCY_SAMPLES, DEFAULT_CONSISTENCY_TOL, MultipletDef,
+)
 from nambu_dyn.poly import compile_evaluator
 from nambu_dyn.quantum import (
     Grid,
@@ -626,45 +628,97 @@ def test_cli_check_fi(capsys):
 def test_cli_check_fi_rejects_another_model_in_its_config(tmp_path, capsys):
     config = tmp_path / "fi.conf"
     config.write_text("model = cubic\nsamples = 2\n")
-    assert main(["check", "fi", "--config", str(config)]) == 2
+    with pytest.raises(SystemExit) as exc:  # argparse rejects it, as it does the flag
+        main(["check", "fi", "--config", str(config)])
+    assert exc.value.code == 2
     printed = capsys.readouterr()
-    assert "check fi has only the henon-heiles example, not model = 'cubic'" in printed.err
+    assert "argument --model: invalid choice: 'cubic'" in printed.err
     assert printed.out == ""
     config.write_text("model = henon-heiles\nsamples = 2\n")
     assert main(["check", "fi", "--config", str(config)]) == 0
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["verify", "consistency", "--config", "{sextet}"], "unknown multiplet 'sextet'"),
-        (["verify", "consistency", "--multiplet", "quartet", "--samples", "0"], "samples = 0 "),
-        (["verify", "consistency", "--multiplet", "quartet", "--samples", "-3"], "samples = -3 "),
-        (["check", "fi", "--samples", "0"], "samples = 0 "),
-        (["verify", "consistency", "--multiplet", "quartet", "--tol", "nan"], "tol = nan "),
-        (["run", "--config", "{typo}"], "{typo}:3: unknown key 'tend'"),
-        (["run", "--model", "cubic", "--method", "nambu", "--out", "{tmp}/missing/x.csv"],
-         "directory {tmp}/missing does not exist"),
-        (["run", "--model", "harmonic", "--method", "nambu", "--out", "{tmp}"],
-         "cannot write '{tmp}': it names a directory, not a file"),
-        (["run", "--model", "harmonic", "--method", "nambu", "--out", "{tmp}/new/"],
-         "cannot write '{tmp}/new/': it names a directory, not a file"),
-        (["run", "--model", "harmonic", "--method", "nambu", "--out", ""],
-         "cannot write '': it names a directory, not a file"),
-    ],
-    ids=["multiplet", "samples-0", "samples-negative", "fi-samples-0", "tol-nan", "config-typo",
-         "out-dir", "out-is-dir", "out-trailing-sep", "out-empty"],
-)
-def test_cli_rejects_bad_input_before_any_work(argv, message, tmp_path, capsys, monkeypatch):
+def _exit(argv):
+    """main's exit code, and whether argparse raised it (a bad flag or config value)."""
+    try:
+        return main(argv), False
+    except SystemExit as exc:
+        return exc.code, True
+
+
+@pytest.fixture
+def bad_configs(tmp_path, monkeypatch):
+    """Config files with a bad entry; a started run fails the test."""
     monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("run started"))
-    paths = dict(sextet=tmp_path / "sextet.conf", typo=tmp_path / "typo.conf", tmp=tmp_path)
-    paths["sextet"].write_text("multiplet = sextet\n")
-    paths["typo"].write_text("model = cubic\nmethod = nambu\ntend = 1\n")
-    assert main([a.format(**paths) for a in argv]) == 2
+    texts = dict(
+        sextet="multiplet = sextet\n",
+        typo="model = cubic\nmethod = nambu\ntend = 1\n",
+        samples="multiplet = quartet\nsamples = 0\n",
+        dt="model = cubic\nmethod = nambu\ndt = abc\n",
+        method="model = cubic\nmethod = Nambu\n",
+    )
+    paths = {name: tmp_path / f"{name}.conf" for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text)
+    return dict(paths, tmp=tmp_path)
+
+
+def _rejected_before_any_work(argv, message, raised, paths, capsys):
+    assert _exit([a.format(**paths) for a in argv]) == (2, raised)
     printed = capsys.readouterr()
     assert message.format(**paths) in printed.err
     assert printed.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["sextet.conf", "typo.conf"]
+    assert sorted(p.name for p in paths["tmp"].iterdir()) == sorted(
+        f"{name}.conf" for name in paths if name != "tmp"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message, raised",
+    [
+        (["verify", "consistency", "--config", "{sextet}"],
+         "argument --multiplet: invalid choice: 'sextet'", True),
+        (["verify", "consistency", "--multiplet", "quartet", "--samples", "0"], "samples = 0 ",
+         False),
+        (["verify", "consistency", "--multiplet", "quartet", "--samples", "-3"], "samples = -3 ",
+         False),
+        (["check", "fi", "--samples", "0"], "samples = 0 ", False),
+        (["verify", "consistency", "--multiplet", "quartet", "--tol", "nan"], "tol = nan ", False),
+        (["run", "--config", "{typo}"], "{typo}:3: unknown key 'tend'", False),
+        (["run", "--model", "cubic", "--method", "nambu", "--out", "{tmp}/missing/x.csv"],
+         "directory {tmp}/missing does not exist", False),
+        (["run", "--model", "harmonic", "--method", "nambu", "--out", "{tmp}"],
+         "cannot write '{tmp}': it names a directory, not a file", False),
+        (["run", "--model", "harmonic", "--method", "nambu", "--out", "{tmp}/new/"],
+         "cannot write '{tmp}/new/': it names a directory, not a file", False),
+        (["run", "--model", "harmonic", "--method", "nambu", "--out", ""],
+         "cannot write '': it names a directory, not a file", False),
+        (["reduce", "--mode", "zero-cumulant"], "reduce needs --moment", False),
+        (["verify", "consistency", "--n-dof", "2"], "verify consistency needs --multiplet", False),
+        (["verify", "consistency", "--config", "{samples}"], "samples = 0 must be at least 1",
+         False),
+        (["reduce", "--moment", "270"], "moment order 270: a coefficient of <q^270> overflows",
+         False),
+    ],
+    ids=["multiplet", "samples-0", "samples-negative", "fi-samples-0", "tol-nan", "config-typo",
+         "out-dir", "out-is-dir", "out-trailing-sep", "out-empty", "no-moment", "no-multiplet",
+         "config-samples-0", "moment-270"],
+)
+def test_cli_rejects_bad_input_before_any_work(argv, message, raised, bad_configs, capsys):
+    _rejected_before_any_work(argv, message, raised, bad_configs, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--config", "{dt}"], "argument --dt: invalid float value: 'abc'"),
+        (["run", "--config", "{method}"], "argument --method: invalid choice: 'Nambu'"),
+    ],
+    ids=["config-dt-type", "config-method-choice"],
+)
+def test_cli_parses_a_config_value_as_the_flag_it_names(argv, message, bad_configs, capsys):
+    # argparse checks the type and choices of a file entry, and exits 2.
+    _rejected_before_any_work(argv, message, True, bad_configs, capsys)
 
 
 def test_cli_run_with_config_and_override(tmp_path, capsys):
@@ -715,6 +769,48 @@ def test_cli_run_writes_a_csv_that_reads_back_byte_for_byte(
     # On grid rows F and the G_c are not conserved: their change is the closure defect.
     printed = capsys.readouterr().out
     assert ("closure defect: max |F(t) - F(0)| = " in printed) == (method == "quantum")
+
+
+@pytest.mark.parametrize("method", ["nambu", "classical", "quantum"])
+@pytest.mark.parametrize("model", ["harmonic", "cubic", "henon-heiles"])
+def test_cli_config_file_writes_the_csv_of_the_same_flags(model, method, tmp_path, capsys):
+    flagged, configured, conf = tmp_path / "flags.csv", tmp_path / "conf.csv", tmp_path / "r.conf"
+    argv = ["run", "--model", model, "--method", method, *SHORT]
+    assert main([*argv, "--out", str(flagged)]) == 0
+    entries = zip(argv[1::2], argv[2::2])  # the keys are the flag names, '-' and all
+    conf.write_text("".join(f"{flag[2:]} = {value}\n" for flag, value in entries))
+    assert main(["run", "--config", str(conf), "--out", str(configured)]) == 0
+    assert filecmp.cmp(flagged, configured, shallow=False)
+
+
+def test_cli_config_takes_negative_values(tmp_path, capsys):
+    # A file entry is one "--pc=-0.5,-0.5" token; as two tokens argparse would
+    # read "-0.5,-0.5" as an option.
+    flagged, configured, conf = tmp_path / "flags.csv", tmp_path / "conf.csv", tmp_path / "r.conf"
+    argv = ["run", "--model", "henon-heiles", "--method", "nambu", "--t-end", "0.1"]
+    assert main([*argv, "--qc=-1,0", "--pc=-0.5,-0.5", "--out", str(flagged)]) == 0
+    conf.write_text("qc = -1,0\npc = -0.5,-0.5\n")
+    assert main([*argv, "--config", str(conf), "--out", str(configured)]) == 0
+    assert filecmp.cmp(flagged, configured, shallow=False)
+    first = Trajectory.from_csv(configured)
+    assert (first.column("x1_0")[0], first.column("x2_1")[0]) == (-1.0, -0.5)
+
+
+def test_cli_help_renders_each_subcommand_with_its_parser_defaults(capsys):
+    parse = cli.build_parser().parse_args
+    for argv, defaults in [
+        (["run"], [parse(["run"]).dt, f"{scenarios.DEFAULT_Q_STOP:g}", "traj.csv"]),
+        (["verify", "consistency"], [DEFAULT_CONSISTENCY_SAMPLES, DEFAULT_CONSISTENCY_TOL]),
+        (["check", "fi"], [parse(["check", "fi"]).samples]),
+        (["reduce"], [parse(["reduce"]).mode]),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        assert text.startswith(f"usage: nambu {' '.join(argv)} ")
+        for default in defaults:
+            assert f"(default {default})" in text
 
 
 def test_cli_quantum_run_prints_norm_loss_and_boundary_amplitude(tmp_path, capsys):
