@@ -68,8 +68,6 @@ from .scenarios import (
     PacketSpec,
     compare,
     cubic_model,
-    default_grid,
-    default_t_end,
     harmonic_model,
     hamiltonian_set,
     henon_heiles_model,

@@ -28,7 +28,7 @@ from .multiplets import (
 )
 from .poly import Poly, format_poly, xvar
 from .scenarios import (
-    DEFAULT_Q_STOP, PacketSpec, hamiltonian_set, henon_heiles_model, model_by_name, run_scenario,
+    DEFAULT_Q_STOP, MODELS, PacketSpec, hamiltonian_set, model_by_name, run_scenario,
 )
 from .state import x_vars
 
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="integrate one model/method trajectory")
     run.add_argument("--config", help="key = value config file")
-    run.add_argument("--model", choices=["harmonic", "cubic", "henon-heiles"])
+    run.add_argument("--model", choices=[key.replace("_", "-") for key in MODELS])
     run.add_argument("--method", choices=["quantum", "nambu", "classical"])
     run.add_argument("--qc", type=_float_list, help="comma-separated packet centers (default 0)")
     run.add_argument("--pc", type=_float_list, help="comma-separated packet momenta (default 0)")
@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stride", type=int, help="record every N-th step")
     run.add_argument(
         "--q-stop", dest="q_stop", type=float,
-        help=f"cubic nambu/classical runs stop below this position (default {DEFAULT_Q_STOP:g})",
+        help=f"{'/'.join(k for k, m in MODELS.items() if m.escapes)} nambu/classical runs stop "
+        f"below this position (default {DEFAULT_Q_STOP:g})",
     )
     run.add_argument("--out", default="traj.csv", help="trajectory CSV (default %(default)s)")
 
@@ -127,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     csub = check.add_subparsers(dest="what", required=True)
     fi = csub.add_parser("fi", help="fundamental-identity violation example")
     fi.add_argument("--config")
-    fi.add_argument("--model", choices=["henon-heiles"], default="henon-heiles")
+    coupled = [k.replace("_", "-") for k, m in MODELS.items() if (m.n_dof or 0) >= 2]
+    fi.add_argument("--model", choices=coupled, default=coupled[0])
     fi.add_argument("--samples", type=int, default=20, help="random points (default %(default)s)")
 
     red = sub.add_parser("reduce", help="print a closure polynomial")
@@ -198,15 +200,15 @@ def cmd_verify_consistency(args) -> int:
 
 def cmd_check_fi(args) -> int:
     samples = _samples(args)
-    spec = henon_heiles_model()
+    spec = model_by_name(args.model)
     hset = hamiltonian_set(spec)
-    layout = hset.layout
     As = [Poly.var(xvar(i, dof)) for i, dof in ((1, 1), (2, 1), (2, 0), (4, 1))]
-    points = sample_assignments(x_vars(layout), samples)
-    reports = check_fundamental_identity(As, list(hset.hamiltonians), points, layout)
+    points = sample_assignments(x_vars(hset.layout), samples)
+    reports = check_fundamental_identity(As, list(hset.hamiltonians), points, hset.layout)
     print(reports_to_csv(reports), end="")
     worst = max(r.residual for r in reports)
-    print(f"max residual = {worst:.6g} (interaction term lambda = {spec.lam})")
+    coupling = getattr(spec, MODELS[spec.model_id].coupling)
+    print(f"max residual = {worst:.6g} (interaction term lambda = {coupling})")
     return EXIT_OK
 
 

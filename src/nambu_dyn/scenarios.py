@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .quantum import (
 from .state import classical_vars, x_vars
 
 __all__ = [
+    "MODELS",
     "ModelSpec",
     "PacketSpec",
     "CompareStat",
@@ -51,9 +52,6 @@ __all__ = [
     "classical_hamiltonian",
     "model_multiplet",
     "hamiltonian_set",
-    "default_grid",
-    "default_t_end",
-    "default_record_stride",
     "init_nambu_from_packet",
     "run_scenario",
     "compare",
@@ -64,15 +62,11 @@ DEFAULT_Q_STOP = -15.0
 ABSORBED_NORM_FLOOR = 0.99
 # Bytes of states per batched row pass: 4 rows at 2048 points, 1 on 128^2 grids.
 ROW_BLOCK_BYTES = 128 * 1024
-# Output spacing in time units; coarse enough to keep the long runs small,
-# fine enough to resolve every oscillation the models exhibit.
-DEFAULT_OUTPUT_INTERVAL = {"harmonic": 0.01, "cubic": 0.01, "henon_heiles": 0.1}
-DEFAULT_T_END = {"harmonic": 20.0, "cubic": 40.0, "henon_heiles": 100.0}
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One of the built-in models with its physical parameters; masses and
+    """One model of ``MODELS`` with its physical parameters; masses and
     omegas are kept as tuples of floats, so equal specs share one build."""
 
     model_id: str
@@ -85,7 +79,7 @@ class ModelSpec:
     closure: ClosureMode = ClosureMode.ZERO_CUMULANT
 
     def __post_init__(self) -> None:
-        if self.model_id not in ("harmonic", "cubic", "henon_heiles"):
+        if (model := MODELS.get(self.model_id)) is None:
             raise ValueError(f"unknown model {self.model_id!r}")
         if not 0 < len(self.masses) == len(self.omegas):
             raise ValueError("a model needs one or more dofs, each with a mass and an omega")
@@ -101,15 +95,18 @@ class ModelSpec:
         object.__setattr__(self, "omegas", tuple(map(float, self.omegas)))
         if min(*self.masses, *self.omegas, self.hbar) <= 0:
             raise ValueError("masses, frequencies and hbar must be positive")
-        if self.model_id == "henon_heiles" and self.n_dof != 2:
-            raise ValueError(f"henon_heiles needs 2 dofs, got {self.n_dof}")
-        for name, owner in (("g", "cubic"), ("lam", "henon_heiles")):
-            if getattr(self, name) != 0 and self.model_id != owner:
+        if model.n_dof not in (None, self.n_dof):
+            raise ValueError(f"{self.model_id} needs {model.n_dof} dofs, got {self.n_dof}")
+        for owner, other in MODELS.items():
+            name = other.coupling
+            if name not in (None, model.coupling) and getattr(self, name) != 0:
                 raise ValueError(f"{name} applies only to the {owner} model, not {self.model_id}")
-        if self.multiplet_name not in builtin_multiplets():
-            raise ValueError(f"unknown multiplet {self.multiplet_name!r}")
-        if self.multiplet_name == "triplet" and self.model_id != "harmonic":
-            raise ValueError(f"the triplet hosts only the harmonic model, not {self.model_id}")
+        name = self.multiplet_name
+        if name not in builtin_multiplets():
+            raise ValueError(f"unknown multiplet {name!r}")
+        if name not in model.multiplets:
+            hosts = ", ".join(k for k, m in MODELS.items() if name in m.multiplets)
+            raise ValueError(f"the {name} hosts only the {hosts} model, not {self.model_id}")
         if not isinstance(self.closure, ClosureMode):
             raise ValueError(f"closure = {self.closure!r} is not a ClosureMode")
 
@@ -144,13 +141,35 @@ def henon_heiles_model(
     return ModelSpec("henon_heiles", (m1, m2), (omega1, omega2), lam=lam, hbar=hbar)
 
 
+class Model(NamedTuple):
+    """One model's facts; ``MODELS`` maps its id to them."""
+
+    factory: Callable[[], ModelSpec]  # the default spec
+    grid: tuple[tuple[float, float, int], ...]  # the quantum grid's default axes
+    t_end: float
+    output_interval: float  # row spacing: resolves every oscillation, keeps long runs small
+    n_dof: int | None = None  # the dofs it requires; None: any number
+    coupling: str | None = None  # the ModelSpec field that holds its coupling constant
+    term: Callable[[float], Poly] | None = None  # the coupling's term of the potential
+    escapes: bool = False  # unbounded below: a position stop (nambu, classical) or absorber
+    multiplets: tuple[str, ...] = ("quartet",)
+
+
+MODELS: dict[str, Model] = {
+    "harmonic": Model(harmonic_model, ((-10.0, 10.0, 2048),), 20.0, 0.01,
+                      multiplets=("triplet", "quartet")),
+    "cubic": Model(cubic_model, ((-30.0, 15.0, 4096),), 40.0, 0.01, coupling="g",
+                   term=lambda c: (c / 3.0) * Poly.var(q(0)) ** 3, escapes=True),
+    "henon_heiles": Model(henon_heiles_model, ((-8.0, 8.0, 256),) * 2, 100.0, 0.1, n_dof=2,
+                          coupling="lam", term=lambda c: c * Poly.var(q(0)) * Poly.var(q(1)) ** 2),
+}
+
+
 def model_by_name(name: str) -> ModelSpec:
     key = name.strip().lower().replace("-", "_")
-    factories = {"harmonic": harmonic_model, "cubic": cubic_model,
-                 "henon_heiles": henon_heiles_model}
-    if key not in factories:
+    if key not in MODELS:
         raise ValueError(f"unknown model {name!r}")
-    return factories[key]()
+    return MODELS[key].factory()
 
 
 def potential_poly(spec: ModelSpec) -> Poly:
@@ -159,11 +178,8 @@ def potential_poly(spec: ModelSpec) -> Poly:
     for dof in range(spec.n_dof):
         qv = Poly.var(q(dof))
         out = out + 0.5 * spec.masses[dof] * spec.omegas[dof] ** 2 * qv * qv
-    if spec.model_id == "cubic":
-        out = out + (spec.g / 3.0) * Poly.var(q(0)) ** 3
-    elif spec.model_id == "henon_heiles":
-        out = out + spec.lam * Poly.var(q(0)) * Poly.var(q(1)) ** 2
-    return out
+    model = MODELS[spec.model_id]
+    return out if model.term is None else out + model.term(getattr(spec, model.coupling))
 
 
 def classical_hamiltonian(spec: ModelSpec) -> Poly:
@@ -185,24 +201,6 @@ def hamiltonian_set(spec: ModelSpec) -> HamiltonianSet:
     m = model_multiplet(spec)
     F = build_F(potential_poly(spec), m, spec.closure, masses=spec.masses)
     return HamiltonianSet(F, m.summed_constraints(), m.layout)
-
-
-def default_grid(spec: ModelSpec) -> Grid:
-    if spec.model_id == "harmonic":
-        return Grid.make_1d(-10.0, 10.0, 2048)
-    if spec.model_id == "cubic":
-        return Grid.make_1d(-30.0, 15.0, 4096)
-    return Grid.make_2d((-8.0, 8.0, 256), (-8.0, 8.0, 256))
-
-
-def default_t_end(spec: ModelSpec) -> float:
-    return DEFAULT_T_END[spec.model_id]
-
-
-def default_record_stride(spec: ModelSpec, dt: float) -> int:
-    if not 0 < dt < math.inf:
-        return 1  # not a step: the driver rejects it
-    return max(1, int(round(DEFAULT_OUTPUT_INTERVAL[spec.model_id] / dt)))
 
 
 @dataclass(frozen=True)
@@ -284,7 +282,7 @@ def run_scenario(
     """Produce one trajectory (nambu, classical, or quantum) for a model.
 
     Each method's runner steps it through ``dynamics.integrate``, which
-    checks dt, t_end and the stride.  The cubic potential is unbounded
+    checks dt, t_end and the stride.  A model that ``escapes`` is unbounded
     below, so nambu/classical runs stop once the position variable falls
     below ``q_stop`` (None: ``DEFAULT_Q_STOP``; -inf: never), flagging the
     last row 'escaped'; the quantum run stops once the absorber has drained
@@ -295,27 +293,28 @@ def run_scenario(
     """
     if method not in ("nambu", "classical", "quantum"):
         raise ValueError(f"unknown method {method!r}")
+    model = MODELS[spec.model_id]
     if q_stop is not None:
         if math.isnan(q_stop):
             raise ValueError(f"q_stop = {q_stop!r} is not a number; -inf means no escape stop")
-        if spec.model_id != "cubic" or method == "quantum":
+        if not model.escapes or method == "quantum":
+            escaping = ", ".join(k for k, m in MODELS.items() if m.escapes)
             raise ValueError(
                 f"q_stop = {q_stop!r} does not apply to a {spec.model_id} {method} run: "
-                "only cubic nambu and classical runs have a position stop"
+                f"only {escaping} nambu and classical runs have a position stop"
             )
     if len(packet.qc) != spec.n_dof:
         raise ValueError(f"packet has {len(packet.qc)} dofs, model needs {spec.n_dof}")
-    if t_end is None:
-        t_end = default_t_end(spec)
-    if record_stride is None:
-        record_stride = default_record_stride(spec, dt)
-    if spec.model_id == "cubic" and q_stop is None:
+    t_end = model.t_end if t_end is None else t_end
+    if record_stride is None:  # a dt that is not a step gets 1: the driver rejects it
+        record_stride = max(1, int(round(model.output_interval / dt))) if 0 < dt < math.inf else 1
+    if model.escapes and q_stop is None:
         q_stop = DEFAULT_Q_STOP
     meta = {"model": spec.model_id, "method": method, "dt": repr(dt),
             "multiplet": spec.multiplet_name}
     try:
         if method == "quantum":
-            grid = grid if grid is not None else default_grid(spec)
+            grid = grid if grid is not None else Grid(model.grid)
             traj = _run_quantum(spec, packet, grid, dt, t_end, record_stride, meta)
         else:
             traj = _run_rk4(spec, packet, method, dt, t_end, record_stride, q_stop, meta)
@@ -349,7 +348,7 @@ def _run_quantum(spec, packet, grid, dt, t_end, record_stride, meta) -> Trajecto
     also gets the largest boundary |psi| over the rows (``boundary_amp_max``)
     and the largest change of the norm from the first row (``norm_loss``)."""
     wf = init_gaussian(grid, packet.qc, packet.pc, packet.resolved_sigmas(spec), spec.hbar)
-    absorber = absorbing_mask(grid) if spec.model_id == "cubic" else None
+    absorber = absorbing_mask(grid) if MODELS[spec.model_id].escapes else None
     V = potential_poly(spec)
     layout = model_multiplet(spec).layout
     kinds = model_multiplet(spec).moments

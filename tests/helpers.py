@@ -45,7 +45,7 @@ from nambu_dyn.quantum import (
     init_gaussian,
     potential_mesh,
 )
-from nambu_dyn.scenarios import ABSORBED_NORM_FLOOR, model_multiplet, potential_poly
+from nambu_dyn.scenarios import ABSORBED_NORM_FLOOR, MODELS, model_multiplet, potential_poly
 from nambu_dyn.state import Layout, classical_vars, x_vars
 
 
@@ -366,11 +366,11 @@ def strang_run(spec, packet, dt, t_end, record_stride, grid):
     """(t, rows, flags) of ``run_scenario``'s quantum run taken as Strang
     steps of ``dt`` whatever the step rule picks, by ``stride_run``."""
     wf = init_gaussian(grid, packet.qc, packet.pc, packet.resolved_sigmas(spec), spec.hbar)
-    absorber = absorbing_mask(grid) if spec.model_id == "cubic" else None
+    absorber = absorbing_mask(grid) if MODELS[spec.model_id].escapes else None
     prop = SplitOperatorPropagator(
         grid, potential_poly(spec), dt, spec.hbar, spec.masses, absorber
     )
-    kinds = ("q", "p", "q2", "p2") if model_multiplet(spec).N == 4 else ("q2", "p2", "qp_sym")
+    kinds = model_multiplet(spec).moments
     n_steps = int(np.floor(t_end / dt + 1e-9))
     steps, rows, flags = stride_run(
         prop, wf, kinds, n_steps, record_stride, absorbed=absorber is not None

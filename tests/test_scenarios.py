@@ -1,5 +1,8 @@
+import dataclasses
 import filecmp
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +47,29 @@ def test_model_factories_and_names():
         model_by_name("other")
     with pytest.raises(ValueError):
         harmonic_model(m=-1.0)
+
+
+def test_a_model_is_one_table_entry(monkeypatch, tmp_path):
+    harmonic = scenarios.MODELS["harmonic"]
+    copy = harmonic._replace(
+        factory=lambda: dataclasses.replace(harmonic_model(), model_id="harmonic_copy")
+    )
+    monkeypatch.setitem(scenarios.MODELS, "harmonic_copy", copy)
+    spec, renamed = harmonic_model(), model_by_name("harmonic-copy")
+    packet = PacketSpec.make(1.0, 0.5)
+    for method in ("nambu", "classical", "quantum"):  # stride and grid from the table
+        a = run_scenario(spec, packet, method, dt=1e-2, t_end=1.0)
+        b = run_scenario(renamed, packet, method, dt=1e-2, t_end=1.0)
+        for field in ("t", "states", "observables"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert list(a.flags) == list(b.flags) and a.columns == b.columns
+        assert {**a.meta, "model": "harmonic_copy"} == b.meta
+    out = tmp_path / "copy.csv"
+    argv = ["run", "--model", "harmonic-copy", "--method", "nambu", "--t-end", "0.1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert Trajectory.from_csv(out).meta["model"] == "harmonic_copy"
+    with pytest.raises(ValueError, match="unknown model 'harmonic_twin'"):
+        ModelSpec("harmonic_twin", (1.0,), (1.0,))
 
 
 @pytest.mark.parametrize(
@@ -794,6 +820,20 @@ def test_cli_config_takes_negative_values(tmp_path, capsys):
     assert filecmp.cmp(flagged, configured, shallow=False)
     first = Trajectory.from_csv(configured)
     assert (first.column("x1_0")[0], first.column("x2_1")[0]) == (-1.0, -0.5)
+
+
+def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
+    # README's first sh block under "Command line"; a comment after a command
+    # states its output.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("nambu ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        printed, stated = capsys.readouterr().out, line.partition("#")[2].strip()
+        assert not stated or printed.strip() == stated, line
 
 
 def test_cli_help_renders_each_subcommand_with_its_parser_defaults(capsys):
