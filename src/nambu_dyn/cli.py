@@ -43,11 +43,12 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str, keys) -> dict[str, str]:
-    """Flat ``key = value`` file; each key, '-' read as '_', is one of
-    ``keys``, the subcommand's options."""
+    """Flat UTF-8 ``key = value`` file; each key, '-' read as '_', is one
+    of ``keys``, the subcommand's options, and is set once."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -58,8 +59,10 @@ def load_config(path: str, keys) -> dict[str, str]:
                 key = key.strip().replace("-", "_")
                 if key not in keys:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = value.strip()
-    except OSError as exc:
+                if key in lines:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} also set on line {lines[key]}")
+                lines[key], values[key] = lineno, value.strip()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 

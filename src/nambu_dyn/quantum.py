@@ -553,7 +553,7 @@ def load_wavefunction(path, hbar: float = 1.0) -> WaveFunction:
         grid = Grid(tuple(struct.iter_unpack("<ddI", raw[4:offset])))
     except ValueError as err:
         raise ValueError(f"snapshot {path}: {err}") from None
-    count = int(np.prod(grid.shape))
+    count = math.prod(grid.shape)
     size = offset + 16 * count
     need(size, f"header and {count} amplitudes")
     if len(raw) > size:

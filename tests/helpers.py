@@ -15,14 +15,16 @@ one expectation row per call (as plain Strang steps of the caller's dt, or
 with a given propagator), CSV text cell by cell, the harmonic packet's
 moments in closed form, and the Henon-Heiles mode energies and the cubic
 packet's crossing time from hand-written packet-center equations integrated
-with scipy's DOP853.  ``position_moment``, ``mode_energies`` and
-``grid_energy`` are test-only grid helpers that used to live in ``nambu_dyn.quantum``,
-and ``poisson_bracket`` and ``nambu_bracket`` the numeric brackets of
+with scipy's DOP853.  ``readme_section`` reads one section of README for
+the tests of its commands and numbers.  ``position_moment``, ``mode_energies``
+and ``grid_energy`` are test-only grid helpers that used to live in
+``nambu_dyn.quantum``, and ``poisson_bracket`` and ``nambu_bracket`` the numeric brackets of
 ``nambu_dyn.brackets``.
 """
 
 from itertools import combinations, permutations
 from math import factorial
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,6 +49,13 @@ from nambu_dyn.quantum import (
 )
 from nambu_dyn.scenarios import ABSORBED_NORM_FLOOR, MODELS, model_multiplet, potential_poly
 from nambu_dyn.state import Layout, classical_vars, x_vars
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_section(title: str) -> str:
+    """The text of README's ``## title`` section, up to the next ``## `` heading."""
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def gaussian_moment(n: int, mean: float, var: float) -> float:

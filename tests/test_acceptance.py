@@ -6,10 +6,12 @@ independent DOP853 integration of the Henon-Heiles packet-center equations,
 with a lam = 0 control showing that the exchange comes from the coupling.
 No fixed floor is put on the exchange span: the span is set by the model's
 parameters, and a floor of 0.1 is not reached even by the exact grid
-dynamics (README "Known results" gives the measured spans).
+dynamics.  README "Known results" prints the measured numbers, and each
+test asserts the ones it measures at their printed digits (``printed``).
 """
 
 import math
+import re
 import time
 
 import numpy as np
@@ -22,6 +24,7 @@ from helpers import (
     mode_energies,
     nambu_bracket,
     random_poly,
+    readme_section,
 )
 
 from nambu_dyn.brackets import check_fundamental_identity, sample_assignments
@@ -56,6 +59,22 @@ from nambu_dyn.state import Layout, x_vars
 def report(criterion: str, ok: bool, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
     return ok
+
+
+def printed(*phrases: str) -> None:
+    """README "Known results" prints each phrase, a measured value formatted
+    at its printed digits in its context.  Line breaks, the minus sign and
+    exponent padding (1.2e-08 against 1.2e-8) read alike."""
+    def norm(text: str) -> str:
+        return re.sub(r"(\de[+-])0+(\d)", r"\1\2", " ".join(text.replace("\u2212", "-").split()))
+
+    section = norm(readme_section("Known results"))
+    for phrase in phrases:
+        assert norm(phrase) in section, f'README "Known results" does not print {phrase!r}'
+
+
+# The grid's split step, as README names it.
+SPLIT_STEPS = {"2": "Strang steps", "4": "Chin's fourth-order steps"}
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +125,10 @@ def test_criterion_1_harmonic_exactness():
     assert worst < 1e-3
     assert worst < 1e-4  # the harmonic comparison holds a tighter bound too
     assert elapsed < 60.0
+    printed(f"Over t ∈ [0, {nambu.t[-1]:g}] the N=3 Nambu trajectory matches the grid quantum "
+            f"expectation values to {worst:.1e} (gate 1e-3, and 1e-4 in the benchmark)",
+            f"The grid takes {SPLIT_STEPS[quantum.meta['split_order']]} of "
+            f"{float(quantum.meta['quantum_dt']):g}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +145,8 @@ def test_criterion_2_conservation_cubic(cubic_nambu):
            f"max drift {worst:.2e} (gate 1e-8), runtime {elapsed:.1f}s (gate 30s)")
     assert worst < 1e-8
     assert elapsed < 30.0
+    assert traj.flags[-1] == "escaped"
+    printed(f"drift by at most {worst:.1e} on the cubic run, up to its escape")
 
 
 def test_criterion_2_conservation_henon_heiles(hh_nambu):
@@ -133,6 +158,7 @@ def test_criterion_2_conservation_henon_heiles(hh_nambu):
            f"max drift {worst:.2e} (gate 1e-8), runtime {elapsed:.1f}s (gate 30s)")
     assert worst < 1e-8
     assert elapsed < 30.0
+    printed(f"and by {worst:.1e} on Henon–Heiles over t ≤ {traj.t[-1]:g} (gate 1e-8)")
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +220,12 @@ def test_criterion_3_tunneling_dichotomy(cubic_nambu):
     report("3 (barrier energetics)", True,
            f"classical barrier {barrier:.3f} > energy {energy:.3f}; "
            f"effective barrier {barrier_c:.3f} (top {qc_top:.3f}) < extended energy {f0:.3f}")
+    printed(f"(energy {energy:.2f}, barrier {barrier:.3f} at q = −10/3)",
+            f"lower barrier ({barrier_c:.3f} at q_c = {qc_top:.3f}, against extended energy "
+            f"{f0:.2f}) and crosses q = −3.3 at t ≈ {t_cross:.1f}",
+            "q̈ = −(q + g(q² + σ²)), g = 0.3, σ² = 0.5,",
+            f"crosses at t = {t_oracle:.8f}",
+            f"cross {t_oracle - t_lin:.1e} earlier (gate 1e-6)")
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +252,7 @@ def test_criterion_4_fundamental_identity():
            f"|lhs| <= {worst_lhs:.1e} (gate 1e-12), |rhs-0.11| <= {worst_rhs:.1e} (gate 1e-12)")
     assert worst_lhs < 1e-12
     assert worst_rhs < 1e-12
+    assert reports[0].rhs == pytest.approx(-spec.lam, abs=1e-12)
 
     rng = np.random.default_rng(77)
     layout3 = Layout(3, 1)
@@ -235,6 +268,8 @@ def test_criterion_4_fundamental_identity():
     report("4 (single-multiplet identity)", ok2,
            f"max residual {worst:.1e} over random N=3 instances (gate 1e-8)")
     assert worst < 1e-8
+    printed(f"fails with lhs = {worst_lhs:.0f} and rhs = {reports[0].rhs:.2f} = −λ at every "
+            "sampled state (gate 1e-12), while single-multiplet instances satisfy it to < 1e-8")
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +296,15 @@ def test_criterion_5_zero_point_energies(hh_nambu):
     assert e1_err < 1e-12
     assert e2_err < 1e-12
     assert grid_err < 1e-5
+    assert grid_err < 1e-12  # README's claim
+    printed(f"start at E₁ = {E[0, 0]:.1f} = ħω₁/2 and E₂ = {E[0, 1]:.3f} (gate 1e-12), and "
+            "the 2D grid's match them to < 1e-12")
 
 
 def test_criterion_5_energy_exchange_range(hh_nambu):
     # The exchange amplitude is set by the model's parameters (even the exact
-    # 2D grid propagation spans only 0.084/0.099, so a floor such as 0.1 is no
-    # property of the model).  The Nambu mode energies are therefore checked
+    # 2D grid propagation stays below 0.1, see the next test, so a floor such
+    # as 0.1 is no property of the model).  The Nambu mode energies are therefore checked
     # row by row against an independent integration of the same physics.  The
     # oracle takes README's defaults as literals, so a changed default in
     # henon_heiles_model() is caught too.
@@ -298,6 +336,10 @@ def test_criterion_5_energy_exchange_range(hh_nambu):
     assert err < 1e-9
     assert span_err < 1e-9
     assert spans0.max() < 1e-10
+    printed(f"Over t ∈ [0, {traj.t[-1]:g}] the Nambu mode energies span "
+            f"**{spans[0]:.4f} (mode 1) and {spans[1]:.4f} (mode 2)**",
+            f"agree with the Nambu flow to {err:.0e} at every row (gate 1e-9)",
+            "With λ = 0 both spans fall below 1e-10")
 
 
 def test_criterion_5_classical_offset_and_quantum_rms(hh_nambu):
@@ -315,13 +357,20 @@ def test_criterion_5_classical_offset_and_quantum_rms(hh_nambu):
            f"mode-1 gap {gap1:.3f} (= hw1/2), mode-2 gap {gap2:.3f} (= hw2/2) at t=0")
     assert gap1 == pytest.approx(0.5, abs=1e-12)
     assert gap2 == pytest.approx(0.55, abs=1e-12)
+    printed(f"miss exactly the ħω/2 offsets, {gap1:.1f} and {gap2:.2f}")
 
-    # deviation from the exact grid propagation: reported, not gated
+    # deviation from the exact grid propagation: reported, not gated; rows
+    # every 0.1, where README prints the grid's spans
     quantum = run_scenario(
-        spec, packet, "quantum", dt=0.02, t_end=100.0, record_stride=50,
+        spec, packet, "quantum", dt=0.02, t_end=100.0, record_stride=5,
         grid=Grid.make_2d((-8.0, 8.0, 128), (-8.0, 8.0, 128)),
     )
     Eq = mode_energy_series(quantum, spec)
+    spans = np.ptp(Eq, axis=0)
+    assert spans.max() < 0.1  # README: even the exact dynamics stays below 0.1
+    printed(f"(128², dt 0.02, {SPLIT_STEPS[quantum.meta['split_order']]} of "
+            f"{float(quantum.meta['quantum_dt']):g}, rows every {quantum.t[1]:g}) spans "
+            f"{spans[0]:.4f} and {spans[1]:.4f}")
     nambu_idx = np.searchsorted(traj.t, quantum.t)
     rms1 = float(np.sqrt(np.mean((En[nambu_idx, 0] - Eq[:, 0]) ** 2)))
     rms2 = float(np.sqrt(np.mean((En[nambu_idx, 1] - Eq[:, 1]) ** 2)))

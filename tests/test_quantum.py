@@ -631,8 +631,18 @@ def test_snapshot_roundtrip_is_bit_exact_for_special_values(tmp_path):
             lambda raw: raw[:4] + struct.pack("<ddI", -10.0, 10.0, 63) + raw[24:],
             r"bad.bin: n_points must be a power of two >= 64, got 63",
         ),
+        # 64-byte files whose headers count 2^93 and 2^63 amplitudes, past int64
+        (
+            lambda raw: struct.pack("<I", 3) + struct.pack("<ddI", -10.0, 10.0, 2**31) * 3,
+            rf"header and {2**93} amplitudes needs {64 + 16 * 2**93} bytes, file has 64",
+        ),
+        (
+            lambda raw: struct.pack("<I", 3) + struct.pack("<ddI", -10.0, 10.0, 2**21) * 3,
+            rf"header and {2**63} amplitudes needs {64 + 16 * 2**63} bytes, file has 64",
+        ),
     ],
-    ids=["truncated_header", "truncated_amplitudes", "overlong", "nan_bound", "63_points"],
+    ids=["truncated_header", "truncated_amplitudes", "overlong", "nan_bound", "63_points",
+         "2^93_points", "2^63_points"],
 )
 def test_snapshot_rejects_bad_sizes(tmp_path, edit, message):
     good = tmp_path / "good.bin"

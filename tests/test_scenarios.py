@@ -1,14 +1,19 @@
+import ast
 import dataclasses
 import filecmp
+import importlib
 import math
+import pkgutil
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import harmonic_packet_moments, strang_run, stride_run
+from helpers import README, harmonic_packet_moments, readme_section, strang_run, stride_run
 
+import nambu_dyn
 from nambu_dyn import cli, scenarios
 from nambu_dyn.cli import main
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory, conserved_drift
@@ -682,10 +687,12 @@ def bad_configs(tmp_path, monkeypatch):
         samples="multiplet = quartet\nsamples = 0\n",
         dt="model = cubic\nmethod = nambu\ndt = abc\n",
         method="model = cubic\nmethod = Nambu\n",
+        twice="model = cubic\nmethod = nambu\nmodel = harmonic\n",
+        latin1="model = cubic\nmethod = nambu\n# caf\xe9\n".encode("latin-1"),
     )
     paths = {name: tmp_path / f"{name}.conf" for name in texts}
     for name, text in texts.items():
-        paths[name].write_text(text)
+        paths[name].write_bytes(text if isinstance(text, bytes) else text.encode())
     return dict(paths, tmp=tmp_path)
 
 
@@ -711,6 +718,9 @@ def _rejected_before_any_work(argv, message, raised, paths, capsys):
         (["check", "fi", "--samples", "0"], "samples = 0 ", False),
         (["verify", "consistency", "--multiplet", "quartet", "--tol", "nan"], "tol = nan ", False),
         (["run", "--config", "{typo}"], "{typo}:3: unknown key 'tend'", False),
+        (["run", "--config", "{twice}"], "{twice}:3: key 'model' also set on line 1", False),
+        (["run", "--config", "{latin1}"],
+         "cannot read config file {latin1}: 'utf-8' codec can't decode byte 0xe9", False),
         (["run", "--model", "cubic", "--method", "nambu", "--out", "{tmp}/missing/x.csv"],
          "directory {tmp}/missing does not exist", False),
         (["run", "--model", "harmonic", "--method", "nambu", "--out", "{tmp}"],
@@ -727,6 +737,7 @@ def _rejected_before_any_work(argv, message, raised, paths, capsys):
          False),
     ],
     ids=["multiplet", "samples-0", "samples-negative", "fi-samples-0", "tol-nan", "config-typo",
+         "config-key-twice", "config-not-utf8",
          "out-dir", "out-is-dir", "out-trailing-sep", "out-empty", "no-moment", "no-multiplet",
          "config-samples-0", "moment-270"],
 )
@@ -825,8 +836,7 @@ def test_cli_config_takes_negative_values(tmp_path, capsys):
 def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
     # README's first sh block under "Command line"; a comment after a command
     # states its output.
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_section("Command line").split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("nambu ")]
     assert lines
     monkeypatch.chdir(tmp_path)
@@ -834,6 +844,55 @@ def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
         assert main(shlex.split(line, comments=True)[1:]) == 0, line
         printed, stated = capsys.readouterr().out, line.partition("#")[2].strip()
         assert not stated or printed.strip() == stated, line
+
+
+def _defined_names(path: Path) -> set[str]:
+    """Top-level functions, classes and assignments of a module file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_readme_references_resolve():
+    # Every backticked `module.name`, `Class.member`, `tests/file.py::name`,
+    # test file and test name in README names something that exists; the
+    # removed-API table's first column is exempt.
+    root = Path(__file__).parents[1]
+    readme = README.read_text(encoding="utf-8")
+    removed_rows = readme.split("| removed | instead |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    removed = {span for row in removed_rows.splitlines()
+               for span in re.findall(r"`([^`]+)`", row.split(" | ")[0])}
+    modules = {info.name: importlib.import_module(f"nambu_dyn.{info.name}")
+               for info in pkgutil.iter_modules(nambu_dyn.__path__)}
+    classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
+               if isinstance(obj, type) and obj.__module__ == module.__name__}
+    tests = {path.name: _defined_names(path) for path in (root / "tests").glob("*.py")}
+    checked = 0
+    for span in set(re.findall(r"`([^`\n]+)`", readme)) - removed:
+        if file := re.fullmatch(r"tests/([\w*]+\.py)(?:::(\w+))?", span):
+            assert list(root.glob(f"tests/{file[1]}")), span
+            assert file[2] is None or file[2] in tests[file[1]], span
+        elif re.fullmatch(r"test_\w+", span):
+            assert any(span in names for names in tests.values()), span
+        elif dotted := re.match(r"(\w+)((?:\.\w+)+)", span):
+            first, members = dotted[1], dotted[2].split(".")[1:]
+            obj = modules.get(first, classes.get(first, nambu_dyn if first == "nambu_dyn" else None))
+            if obj is None:
+                continue  # numpy, a local variable or a file name
+            for member in members:
+                assert hasattr(obj, member) or member in getattr(
+                    obj, "__dataclass_fields__", {}), span
+                obj = getattr(obj, member, None)
+        else:
+            continue
+        checked += 1
+    assert checked > 50
 
 
 def test_cli_help_renders_each_subcommand_with_its_parser_defaults(capsys):
