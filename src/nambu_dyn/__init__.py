@@ -9,6 +9,7 @@ propagation provide the reference dynamics.
 from .poly import (
     Poly,
     VarId,
+    ValidationError,
     UnboundVariableError,
     parse_poly,
     format_poly,

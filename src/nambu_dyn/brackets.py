@@ -14,7 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import Poly, UnboundVariableError, VarId, compile_evaluator, p, q, xvar
+from .poly import Poly, UnboundVariableError, ValidationError, VarId, check_count, p, q, xvar
+from .poly import compile_evaluator
 from .state import Layout, x_vars
 
 __all__ = [
@@ -35,7 +36,7 @@ MAX_SYMBOLIC_N = 5
 DEFAULT_SAMPLE_SEED = 20240901
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(ValidationError):
     """A Poly references variables outside the declared layout."""
 
 
@@ -115,7 +116,7 @@ def nambu_bracket_poly(fns: Sequence[Poly], layout: Layout) -> Poly:
     if len(fns) != N:
         raise DimensionMismatchError(f"need {N} functions, got {len(fns)}")
     if N > MAX_SYMBOLIC_N:
-        raise ValueError(f"symbolic expansion is limited to N <= {MAX_SYMBOLIC_N}")
+        raise ValidationError(f"symbolic expansion is limited to N <= {MAX_SYMBOLIC_N}")
     _check_layout_vars(fns, layout)
     out = Poly.zero()
     for dof in range(n_dof):
@@ -144,8 +145,7 @@ def _at_samples(polys: Sequence[Poly], samples) -> list[np.ndarray]:
 
 
 def _reports(lhs: Poly, rhs: Poly, samples) -> list[BracketReport]:
-    if len(samples) < 1:
-        raise ValueError("an identity check needs at least 1 sample")
+    check_count(len(samples), "len(samples)")
     pairs = zip(*(v.tolist() for v in _at_samples([lhs, rhs], samples)))
     return [BracketReport.make(k, a, b) for k, (a, b) in enumerate(pairs)]
 
@@ -215,6 +215,7 @@ def sample_assignments(
     high: float = 2.0,
 ) -> list[dict[VarId, float]]:
     """Reproducible uniform sample points for identity checks."""
+    check_count(n_samples, "samples")
     rng = np.random.default_rng(seed)
     return [
         {v: float(x) for v, x in zip(variables, rng.uniform(low, high, len(variables)))}

@@ -7,8 +7,8 @@
 
 Each flag of a subcommand, and no other key, may be set in a config file of
 ``key = value`` lines ('#' comments), parsed as that flag; flags override it.
-Exit codes: 0 success, 1 verification failure, 2 bad input (before any work),
-3 numerical abort.
+Exit codes: 0 success, 1 verification failure, 2 bad input (``ValidationError``, before
+any work), 3 numerical abort (``NonFiniteStateError``); anything else is a bug.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .multiplets import (
     DEFAULT_CONSISTENCY_SAMPLES, DEFAULT_CONSISTENCY_TOL, builtin_multiplets, consistency_to_csv,
     verify_consistency,
 )
-from .poly import Poly, format_poly, xvar
+from .poly import Poly, ValidationError, format_poly, xvar
 from .scenarios import (
     DEFAULT_Q_STOP, MODELS, PacketSpec, hamiltonian_set, model_by_name, run_scenario,
 )
@@ -38,8 +38,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(ValidationError):
+    """A config file, or a flag combination, that the subcommand cannot use."""
 
 
 def load_config(path: str, keys) -> dict[str, str]:
@@ -67,17 +67,8 @@ def load_config(path: str, keys) -> dict[str, str]:
     return values
 
 
-def _samples(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"samples = {args.samples} must be at least 1")
-    return args.samples
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from None
+def floats(text: str) -> tuple[float, ...]:  # argparse reports a bad one: "invalid floats value"
+    return tuple(float(v) for v in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,10 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="key = value config file")
     run.add_argument("--model", choices=[key.replace("_", "-") for key in MODELS])
     run.add_argument("--method", choices=["quantum", "nambu", "classical"])
-    run.add_argument("--qc", type=_float_list, help="comma-separated packet centers (default 0)")
-    run.add_argument("--pc", type=_float_list, help="comma-separated packet momenta (default 0)")
+    run.add_argument("--qc", type=floats, help="comma-separated packet centers (default 0)")
+    run.add_argument("--pc", type=floats, help="comma-separated packet momenta (default 0)")
     run.add_argument(
-        "--sigma", type=_float_list,
+        "--sigma", type=floats,
         help="comma-separated packet widths (default sqrt(hbar/2mw))",
     )
     run.add_argument(
@@ -187,26 +178,24 @@ def cmd_run(args) -> int:
 def cmd_verify_consistency(args) -> int:
     if args.multiplet is None:
         raise ConfigError("verify consistency needs --multiplet")
-    samples, tol = _samples(args), args.tol
-    if not 0 <= tol < math.inf:
-        raise ConfigError(f"tol = {tol!r} is not a non-negative finite number")
+    if not 0 <= args.tol < math.inf:
+        raise ConfigError(f"tol = {args.tol!r} is not a non-negative finite number")
     multiplet = builtin_multiplets()[args.multiplet].with_n_dof(args.n_dof)
-    reports = verify_consistency(multiplet, samples=samples, tolerance=tol)
+    reports = verify_consistency(multiplet, samples=args.samples, tolerance=args.tol)
     print(consistency_to_csv(reports), end="")
     failed = [r for r in reports if not r.passed]
     if failed:
         print(f"FAIL: {len(failed)} of {len(reports)} consistency conditions violated")
         return EXIT_VERIFY_FAILED
-    print(f"PASS: all {len(reports)} consistency conditions hold (tol {tol:g})")
+    print(f"PASS: all {len(reports)} consistency conditions hold (tol {args.tol:g})")
     return EXIT_OK
 
 
 def cmd_check_fi(args) -> int:
-    samples = _samples(args)
     spec = model_by_name(args.model)
     hset = hamiltonian_set(spec)
+    points = sample_assignments(x_vars(hset.layout), args.samples)
     As = [Poly.var(xvar(i, dof)) for i, dof in ((1, 1), (2, 1), (2, 0), (4, 1))]
-    points = sample_assignments(x_vars(hset.layout), samples)
     reports = check_fundamental_identity(As, list(hset.hamiltonians), points, hset.layout)
     print(reports_to_csv(reports), end="")
     worst = max(r.residual for r in reports)
@@ -238,7 +227,7 @@ def main(argv=None) -> int:
         command = {"run": cmd_run, "verify": cmd_verify_consistency,
                    "check": cmd_check_fi, "reduce": cmd_reduce}[args.command]
         return command(args)
-    except ValueError as exc:  # ConfigError included
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteStateError as exc:

@@ -10,11 +10,11 @@ Gaussian closure) or by dropping central moments of order three and up
 from __future__ import annotations
 
 import enum
-from math import comb, inf, isfinite
+from math import comb, isfinite
 from typing import Sequence
 
 from .multiplets import MultipletDef, QUARTET_QP_Q2P2, TRIPLET_QQPP_QP
-from .poly import Poly, q, xvar
+from .poly import Poly, ValidationError, check_finite, check_positive, check_width, q, xvar
 
 __all__ = [
     "ClosureMode",
@@ -27,15 +27,15 @@ __all__ = [
 ]
 
 
-class UnsupportedMultipletError(ValueError):
+class UnsupportedMultipletError(ValidationError):
     """The multiplet lacks the moment slots the closure needs."""
 
 
-class UnsupportedMomentError(ValueError):
+class UnsupportedMomentError(ValidationError):
     """A moment outside the closure's scope (momentum or mixed) was requested."""
 
 
-class UnsupportedPotentialError(ValueError):
+class UnsupportedPotentialError(ValidationError):
     """The potential's degree is outside the supported family."""
 
 
@@ -49,7 +49,7 @@ class ClosureMode(enum.Enum):
         for mode in cls:
             if mode.value == key:
                 return mode
-        raise ValueError(f"unknown closure mode {text!r}")
+        raise ValidationError(f"unknown closure mode {text!r}")
 
 
 # --------------------------------------------------------------------------
@@ -60,14 +60,14 @@ class ClosureMode(enum.Enum):
 def _moments_from_cumulants(kappas: Sequence[Poly], n: int) -> list[Poly]:
     """Moments m_0..m_n from cumulants via the standard recursion
     m_k = sum_j C(k-1, j) kappa_{j+1} m_{k-1-j}; absent cumulants are zero.
-    Raises ValueError at the first m_k with a non-finite coefficient."""
+    Raises ValidationError at the first m_k with a non-finite coefficient."""
     moments = [Poly.const(1.0)]
     for k in range(1, n + 1):
         mk = Poly.zero()
         for j in range(min(k, len(kappas))):
             mk = mk + comb(k - 1, j) * kappas[j] * moments[k - 1 - j]
         if not all(isfinite(c) for c in mk.terms.values()):
-            raise ValueError(f"moment order {n}: a coefficient of <q^{k}> overflows the float range")
+            raise ValidationError(f"moment order {n}: a coefficient of <q^{k}> overflows the float range")
         moments.append(mk)
     return moments
 
@@ -75,7 +75,7 @@ def _moments_from_cumulants(kappas: Sequence[Poly], n: int) -> list[Poly]:
 def reduce_moment(n: int, mode: ClosureMode, dof: int = 0) -> Poly:
     """<q^n> as a polynomial in x1 = <q> and x3 = <q^2> for one dof."""
     if int(n) != n or n < 0:
-        raise ValueError("moment order must be a non-negative integer")
+        raise ValidationError("moment order must be a non-negative integer")
     n = int(n)
     x1 = Poly.var(xvar(1, dof))
     x3 = Poly.var(xvar(3, dof))
@@ -90,7 +90,7 @@ def reduce_moment(n: int, mode: ClosureMode, dof: int = 0) -> Poly:
         return _moments_from_cumulants([x1, variance], n)[n]
     if mode is ClosureMode.IGNORE_FLUCTUATION:
         return x1**n + comb(n, 2) * x1 ** (n - 2) * variance
-    raise ValueError(f"unknown closure mode {mode!r}")
+    raise ValidationError(f"unknown closure mode {mode!r}")
 
 
 # --------------------------------------------------------------------------
@@ -117,13 +117,11 @@ def build_F(
         )
     masses = [1.0] * m.n_dof if masses is None else list(masses)
     if len(masses) != m.n_dof:
-        raise ValueError(f"need {m.n_dof} masses, got {len(masses)}")
+        raise ValidationError(f"need {m.n_dof} masses, got {len(masses)}")
     for dof, mass in enumerate(masses):
-        if not (isfinite(mass) and mass > 0):
-            raise ValueError(f"mass of dof {dof} = {mass!r} is not a positive finite number")
+        check_positive(mass, f"mass of dof {dof}")
     for mono, coeff in V.terms.items():
-        if not isfinite(coeff):
-            raise ValueError(f"potential coefficient of {Poly.monomial(dict(mono))} is {coeff!r}")
+        check_finite(coeff, f"potential coefficient of {Poly.monomial(dict(mono))}")
     extra = V.variables() - {q(dof) for dof in range(m.n_dof)}
     if extra:
         names = ", ".join(sorted(v.name for v in extra))
@@ -159,9 +157,8 @@ def effective_potential(V: Poly, sigma: float, hbar: float = 1.0, mass: float = 
     x3 = qc^2 + sigma^2 and x4 = pc^2 + hbar^2/(4 sigma^2), for V(q0) of
     degree <= 3; the pc^2 kinetic part is excluded, the hbar-dependent
     corrections are kept."""
-    for name, value in (("sigma", sigma), ("hbar", hbar)):
-        if not 0 < value < inf:
-            raise ValueError(f"{name} = {value!r} is not a positive finite number")
+    check_width(sigma, "sigma")
+    check_positive(hbar, "hbar")
     degree = max((sum(k for _, k in mono) for mono in V.terms), default=0)
     if degree > 3:
         raise UnsupportedPotentialError(

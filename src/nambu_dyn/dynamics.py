@@ -18,7 +18,8 @@ import numpy as np
 
 from .brackets import _check_layout_vars, nambu_bracket_poly
 from .native import LONG_MAX
-from .poly import Poly, compile_evaluator, compile_vector_field, p, q
+from .poly import Poly, ValidationError, check_count, check_positive, compile_evaluator, p, q
+from .poly import compile_vector_field
 from .state import Layout, classical_vars, x_vars
 
 __all__ = [
@@ -54,7 +55,7 @@ class HamiltonianSet:
 
     def __post_init__(self) -> None:
         if len(self.gs) != self.layout.N - 2:
-            raise ValueError(
+            raise ValidationError(
                 f"layout N={self.layout.N} needs {self.layout.N - 2} constraints, "
                 f"got {len(self.gs)}"
             )
@@ -161,7 +162,7 @@ class Trajectory:
     def from_csv(cls, path) -> "Trajectory":
         """Read what ``to_csv`` wrote, each row into one float64 buffer as it
         is read.  A file cut short, with a row missing cells or a last line
-        without its newline, and a cell that is not a number raise ValueError
+        without its newline, and a cell that is not a number raise ValidationError
         naming the path and line; a cell that is not a number is reported
         only if the file has no fault of the other kinds."""
         meta: dict = {}
@@ -172,7 +173,7 @@ class Trajectory:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.endswith("\n"):
-                    raise ValueError(f"{path}: line {lineno} ends without a newline")
+                    raise ValidationError(f"{path}: line {lineno} ends without a newline")
                 line = line.strip()
                 if not line:
                     continue
@@ -188,7 +189,7 @@ class Trajectory:
                     names = header[1 : len(header) - 1 if has_flags else len(header)]
                     continue
                 if len(cells) != len(header):
-                    raise ValueError(
+                    raise ValidationError(
                         f"{path}: line {lineno} has {len(cells)} cells, expected {len(header)}"
                     )
                 if has_flags:
@@ -205,9 +206,9 @@ class Trajectory:
                             )
                             break
         if header is None:
-            raise ValueError(f"{path}: no CSV header found")
+            raise ValidationError(f"{path}: no CSV header found")
         if bad_cell is not None:
-            raise ValueError(bad_cell)
+            raise ValidationError(bad_cell)
         n_state = sum(1 for name in names if name != "F" and not name.startswith("G"))
         table = np.frombuffer(values, dtype=np.float64).reshape(-1, 1 + len(names))
         return cls(
@@ -234,21 +235,17 @@ def conserved_drift(traj: Trajectory) -> dict[str, DriftStat]:
 
 def check_run(dt: float, t_end: float, record_stride: int = 1) -> int:
     """The number of steps of dt from 0 to t_end, after the checks that
-    ``integrate`` makes before any step; ValueError rejects a bad dt, t_end
-    or stride, a t_end shorter than one step and more than ``native.LONG_MAX``
-    steps."""
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt = {dt!r} is not a positive finite step")
-    if not 0 < t_end < math.inf:
-        raise ValueError(f"need a finite t_end > 0, got t_end = {t_end!r}")
-    if (isinstance(record_stride, bool) or not isinstance(record_stride, (int, np.integer))
-            or record_stride < 1):
-        raise ValueError(f"record_stride must be an integer >= 1, got {record_stride!r}")
+    ``integrate`` makes before any step; ValidationError rejects a dt or t_end that is
+    not positive and finite, a stride that is not an integer >= 1, a t_end shorter than
+    one step and more than ``native.LONG_MAX`` steps."""
+    check_positive(dt, "dt")
+    check_positive(t_end, "t_end")
+    check_count(record_stride, "record_stride")
     steps = np.floor(t_end / dt + 1e-9)
     if steps < 1:
-        raise ValueError(f"t_end = {t_end!r} is shorter than one step of dt = {dt!r}")
+        raise ValidationError(f"t_end = {t_end!r} is shorter than one step of dt = {dt!r}")
     if not steps <= LONG_MAX:
-        raise ValueError(
+        raise ValidationError(
             f"t_end = {t_end!r} at dt = {dt!r} is {steps:.6g} steps, "
             f"more than the limit of {LONG_MAX} (the RK4 kernel's C long)"
         )
@@ -273,14 +270,14 @@ def integrate(
     for a last row that ends the run at ``step``, flagged ``flag``.  A
     NonFiniteStateError from ``rows`` leaves with the rows yielded before it
     as its ``trajectory``.  ``check_run`` rejects a bad run before any step,
-    and ValueError more rows than can be allocated.
+    and ValidationError more rows than can be allocated.
     """
     n_steps = check_run(dt, t_end, record_stride)
     n_rows = 1 + -(-n_steps // record_stride)
     try:
         states, steps = np.empty((n_rows, len(columns))), np.arange(n_rows)
     except (MemoryError, ValueError):  # numpy's ValueError: larger than any array
-        raise ValueError(
+        raise ValidationError(
             f"{n_steps} steps at record_stride {record_stride} make {n_rows} rows, "
             "too many to allocate; raise record_stride or shorten the run"
         ) from None
@@ -329,7 +326,7 @@ def rk4_integrate(
     y = np.array(y0, dtype=np.float64)
     out_shape = np.shape(field(y))
     if out_shape != y.shape:
-        raise ValueError(f"field maps a state of shape {y.shape} to shape {out_shape}")
+        raise ValidationError(f"field maps a state of shape {y.shape} to shape {out_shape}")
     kernel = getattr(field, "rk4", None)
     if kernel is None:
         raise TypeError(

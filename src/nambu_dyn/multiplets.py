@@ -17,7 +17,7 @@ from typing import Sequence
 from .brackets import (
     DEFAULT_SAMPLE_SEED, _at_samples, _det_poly, _partial, poisson_bracket_poly, sample_assignments,
 )
-from .poly import Poly, VarId, parse_poly, p, q, xvar
+from .poly import Poly, ValidationError, VarId, parse_poly, p, q, xvar
 from .state import Layout
 
 __all__ = [
@@ -43,11 +43,11 @@ DEFAULT_CONSISTENCY_SAMPLES = 50
 MOMENTS = {(1, 0): "q", (0, 1): "p", (2, 0): "q2", (0, 2): "p2", (1, 1): "qp_sym"}
 
 
-class MalformedMultipletError(ValueError):
+class MalformedMultipletError(ValidationError):
     """Definitions or constraints do not fit the declared N and n_dof."""
 
 
-class UnliftableMonomialError(ValueError):
+class UnliftableMonomialError(ValidationError):
     """A (q, p) monomial has no representation in the multiplet variables."""
 
 
@@ -206,19 +206,17 @@ def verify_consistency(
 ) -> list[ConsistencyReport]:
     """Per dof and variable pair, the worst residual at random (q, p) points
     of the constraint contraction, each x_i replaced by its definition, minus
-    the Poisson bracket of the two defining variables."""
-    if samples < 1:
-        raise ValueError(f"samples = {samples} must be at least 1")
+    the Poisson bracket of the two defining variables; samples are drawn first."""
     pairs = list(combinations(range(m.N), 2))
     reports = []
     for dof, defs in enumerate(m.defs):
+        points = sample_assignments([q(dof), p(dof)], samples, seed)
         vs = [xvar(i, dof) for i in range(1, m.N + 1)]
         residuals = [
             _constraint_contraction(m.constraints[dof], vs, i, j).subs(dict(zip(vs, defs)))
             - poisson_bracket_poly(defs[i], defs[j], dof + 1)
             for i, j in pairs
         ]
-        points = sample_assignments([q(dof), p(dof)], samples, seed)
         for (i, j), r in zip(pairs, _at_samples(residuals, points)):
             worst = max(abs(v) for v in r.tolist())
             reports.append(ConsistencyReport(dof, i + 1, j + 1, worst, tolerance))

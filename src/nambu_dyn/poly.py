@@ -28,6 +28,7 @@ from . import native
 __all__ = [
     "VarId",
     "Poly",
+    "ValidationError",
     "UnboundVariableError",
     "PolyParseError",
     "q",
@@ -40,11 +41,42 @@ __all__ = [
 ]
 
 
-class UnboundVariableError(ValueError):
+class ValidationError(ValueError):
+    """Bad input from a caller: an argument, file or config; ``nambu`` exits 2 on it alone."""
+
+
+def check_finite(value: float, name: str) -> None:
+    """ValidationError if ``value`` is not finite; TypeError if it is not a number."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} = {value!r} is not finite")
+
+
+def check_positive(value: float, name: str) -> float:
+    """``value`` as a float; ValidationError if it is not positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} = {value!r} is not a positive finite number")
+    return float(value)
+
+
+def check_width(s: float, name: str) -> float:
+    """A packet width ``s``, positive with a positive finite square; else ValidationError."""
+    check_positive(s, name)
+    if not 0 < s * s < math.inf:
+        raise ValidationError(f"{name} = {s!r} has a square outside the float range")
+    return s
+
+
+def check_count(n: int, name: str) -> None:
+    """ValidationError unless ``n`` is an integer >= 1 (a bool is not an integer)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"{name} = {n!r} is not an integer >= 1")
+
+
+class UnboundVariableError(ValidationError):
     """Raised when evaluation hits a variable missing from the assignment."""
 
 
-class PolyParseError(ValueError):
+class PolyParseError(ValidationError):
     """Raised on malformed polynomial text."""
 
 
@@ -72,7 +104,7 @@ def _slot_rank(slot: str) -> tuple:
         return (1, 0)
     if slot.startswith("x"):
         return (2, int(slot[1:]))
-    raise ValueError(f"unknown variable slot {slot!r}")
+    raise ValidationError(f"unknown variable slot {slot!r}")
 
 
 def q(dof: int = 0) -> VarId:
@@ -85,8 +117,7 @@ def p(dof: int = 0) -> VarId:
 
 def xvar(i: int, dof: int = 0) -> VarId:
     """Extended-phase-space variable x_i for one degree of freedom (i >= 1)."""
-    if i < 1:
-        raise ValueError("x-variable index starts at 1")
+    check_count(i, "x-variable index")
     return VarId(dof, f"x{i}")
 
 
@@ -100,7 +131,7 @@ def _canonical_monomial(powers: Mapping[VarId, int]) -> Monomial:
     items = [(v, int(k)) for v, k in powers.items() if k != 0]
     for v, k in items:
         if k < 0:
-            raise ValueError("negative exponents are not supported")
+            raise ValidationError("negative exponents are not supported")
     items.sort(key=lambda vk: vk[0].sort_key)
     return tuple(items)
 
@@ -210,7 +241,7 @@ class Poly:
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0 or int(n) != n:
-            raise ValueError("only non-negative integer powers are supported")
+            raise ValidationError("only non-negative integer powers are supported")
         result = Poly.const(1.0)
         base = self
         n = int(n)
@@ -403,12 +434,10 @@ MAX_POLY_FACTORS = 50_000
 
 
 def _term_source(mono: Monomial, coeff: float, refs: Mapping[VarId, str]) -> str:
-    if not math.isfinite(coeff):
-        term = format_poly(Poly({mono: 1.0}))
-        raise ValueError(f"coefficient {coeff!r} of term {term} is not finite")
-    if sum(k for _, k in mono) > MAX_TERM_FACTORS:
-        term = format_poly(Poly({mono: 1.0}))
-        raise ValueError(f"term {term} has more than {MAX_TERM_FACTORS} factors to compile")
+    if not math.isfinite(coeff) or sum(k for _, k in mono) > MAX_TERM_FACTORS:
+        term = format_poly(Poly({mono: 1.0}))  # named only when it is rejected
+        check_finite(coeff, f"coefficient of term {term}")
+        raise ValidationError(f"term {term} has more than {MAX_TERM_FACTORS} factors to compile")
     # Powers as repeated products: a float ** k overflow raises in Python,
     # where a product becomes inf as numpy arithmetic does.
     factors = [repr(float(coeff))]
@@ -423,13 +452,13 @@ def _expr_source(poly: Poly, refs: Mapping[VarId, str]) -> str:
         names = ", ".join(v.name for v in missing)
         raise UnboundVariableError(f"variables not in evaluation order: {names}")
     if len(poly.terms) > MAX_SUM_TERMS:
-        raise ValueError(
+        raise ValidationError(
             f"polynomial of {len(poly.terms)} terms has more than {MAX_SUM_TERMS} terms to compile"
         )
     pieces = [_term_source(m, c, refs) for m, c in sorted_terms(poly)]
     factors = sum(k for mono in poly.terms for _, k in mono)
     if factors > MAX_POLY_FACTORS:
-        raise ValueError(
+        raise ValidationError(
             f"polynomial of {factors} factors has more than {MAX_POLY_FACTORS} factors to compile"
         )
     return " + ".join(pieces) if pieces else "0.0"

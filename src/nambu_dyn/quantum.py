@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import NonFiniteStateError
-from .poly import Poly, compile_evaluator, q
+from .poly import Poly, ValidationError, check_count, check_finite, check_positive, check_width
+from .poly import compile_evaluator, q
 
 __all__ = [
     "Grid",
@@ -61,15 +62,13 @@ class Grid:
 
     def __post_init__(self) -> None:
         for axis, (lo, hi, n) in enumerate(self.axes):
-            for name, value in (("min", lo), ("max", hi)):
-                if not math.isfinite(value):
-                    raise ValueError(f"axis {axis} {name} = {value!r} is not finite")
+            check_finite(lo, f"axis {axis} min")
+            check_finite(hi, f"axis {axis} max")
             if hi <= lo:
-                raise ValueError(f"axis needs max > min, got [{lo}, {hi}]")
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-                raise ValueError(f"axis {axis} n_points = {n!r} is not an integer")
+                raise ValidationError(f"axis needs max > min, got [{lo}, {hi}]")
+            check_count(n, f"axis {axis} n_points")
             if n < 64 or n & (n - 1):
-                raise ValueError(f"n_points must be a power of two >= 64, got {n}")
+                raise ValidationError(f"n_points must be a power of two >= 64, got {n}")
 
     @classmethod
     def make_1d(cls, lo: float, hi: float, n: int) -> "Grid":
@@ -122,10 +121,10 @@ class WaveFunction:
     def __post_init__(self) -> None:
         self.amps = np.asarray(self.amps, dtype=np.complex128)
         if self.amps.shape != self.grid.shape:
-            raise ValueError(
+            raise ValidationError(
                 f"amplitude shape {self.amps.shape} != grid shape {self.grid.shape}"
             )
-        _positive(self.hbar, "hbar")
+        check_positive(self.hbar, "hbar")
 
     def norm(self) -> float:
         """Total probability, sum |psi|^2 dV."""
@@ -140,18 +139,12 @@ class WaveFunction:
         return self.amps.real**2 + self.amps.imag**2
 
 
-def _positive(value: float, name: str) -> float:
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} = {value!r} is not a positive finite number")
-    return float(value)
-
-
 def _per_axis(value, ndim: int, name: str) -> list[float]:
     if np.isscalar(value):
         return [float(value)] * ndim
     out = [float(v) for v in value]
     if len(out) != ndim:
-        raise ValueError(f"{name} needs one entry per axis ({ndim}), got {len(out)}")
+        raise ValidationError(f"{name} needs one entry per axis ({ndim}), got {len(out)}")
     return out
 
 
@@ -164,21 +157,16 @@ def init_gaussian(
 ) -> WaveFunction:
     """Normalized Gaussian packet, product form over axes:
     (2 pi s^2)^(-1/4) exp(-(x-qc)^2 / 4 s^2 + i pc (x-qc) / hbar).
-    ValueError names a center or momentum that is not finite, and a width
-    that is not positive and finite or whose square underflows or overflows,
-    and a packet that misses the grid (its norm there is zero or not finite)."""
+    ValidationError names a center or momentum that is not finite, a width that breaks
+    ``check_width`` and a packet that misses the grid (its norm there is 0 or not finite)."""
     qc = _per_axis(centers, grid.ndim, "centers")
     pc = _per_axis(momenta, grid.ndim, "momenta")
     sig = _per_axis(widths, grid.ndim, "widths")
-    _positive(hbar, "hbar")
-    for name, values in (("centers", qc), ("momenta", pc)):
-        for axis, v in enumerate(values):
-            if not math.isfinite(v):
-                raise ValueError(f"{name}[{axis}] = {v!r} is not finite")
-    for axis, s in enumerate(sig):
-        _positive(s, f"widths[{axis}]")
-        if not 0 < s * s < math.inf:
-            raise ValueError(f"widths[{axis}] = {s!r} has a square outside the float range")
+    check_positive(hbar, "hbar")
+    for axis in range(grid.ndim):
+        check_finite(qc[axis], f"centers[{axis}]")
+        check_finite(pc[axis], f"momenta[{axis}]")
+        check_width(sig[axis], f"widths[{axis}]")
     amps = np.ones(grid.shape, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # far off the grid: checked below
         for axis in range(grid.ndim):
@@ -191,7 +179,7 @@ def init_gaussian(
     wf = WaveFunction(grid, amps, hbar)
     norm = wf.norm()
     if not 0 < norm < math.inf:
-        raise ValueError(f"packet at centers {qc}, widths {sig} misses the grid (norm {norm!r})")
+        raise ValidationError(f"packet at centers {qc}, widths {sig} misses the grid (norm {norm!r})")
     wf.normalize()
     edge = _edge_amplitude(wf.density())
     if edge > BOUNDARY_AMPLITUDE_TOL:
@@ -226,7 +214,7 @@ def potential_mesh(grid: Grid, V: Poly) -> np.ndarray:
     extra = V.variables() - set(order)
     if extra:
         names = ", ".join(sorted(v.name for v in extra))
-        raise ValueError(f"potential Poly uses non-position variables: {names}")
+        raise ValidationError(f"potential Poly uses non-position variables: {names}")
     views = [grid.axis_view(grid.coords(axis), axis) for axis in range(grid.ndim)]
     return np.full(grid.shape, compile_evaluator(V, order)(views), dtype=np.float64)
 
@@ -286,17 +274,15 @@ class SplitOperatorPropagator:
         absorber: np.ndarray | None = None,
         order: int = 2,
     ):
-        if not 0 < dt < math.inf:
-            raise ValueError(f"dt = {dt!r} is not a positive finite step")
+        self.dt = check_positive(dt, "dt")
         if order not in (2, 4):
-            raise ValueError(f"split order must be 2 or 4, got {order!r}")
+            raise ValidationError(f"split order must be 2 or 4, got {order!r}")
         if order == 4 and absorber is not None:
-            raise ValueError("an absorber damps once per step; order 4 takes no absorber")
+            raise ValidationError("an absorber damps once per step; order 4 takes no absorber")
         self.grid = grid
-        self.dt = float(dt)
-        self.hbar = _positive(hbar, "hbar")
+        self.hbar = check_positive(hbar, "hbar")
         masses = _per_axis(masses if masses is not None else 1.0, grid.ndim, "masses")
-        self.masses = [_positive(m, "mass") for m in masses]
+        self.masses = [check_positive(m, "mass") for m in masses]
         vmesh = potential_mesh(grid, V)
         kin = np.zeros(grid.shape)
         for axis in range(grid.ndim):
@@ -470,7 +456,7 @@ class RowPass:
     def __init__(self, grid: Grid, hbar: float, kinds: Sequence[str], size: int):
         for kind in kinds:
             if kind not in _MOMENTS:
-                raise ValueError(f"unknown expectation kind {kind!r}")
+                raise ValidationError(f"unknown expectation kind {kind!r}")
         self.grid, self.kinds, self.weights = grid, tuple(kinds), _grid_weights(grid, hbar)
         self.axes = grid.ndim * ("qp_sym" in kinds)
         self.states = np.empty((size, *grid.shape), dtype=np.complex128)
@@ -541,9 +527,7 @@ def load_wavefunction(path, hbar: float = 1.0) -> WaveFunction:
 
     def need(size: int, what: str) -> None:
         if len(raw) < size:
-            raise ValueError(
-                f"snapshot {path}: {what} needs {size} bytes, file has {len(raw)}"
-            )
+            raise ValidationError(f"snapshot {path}: {what} needs {size} bytes, file has {len(raw)}")
 
     need(4, "axis count")
     (n_axes,) = struct.unpack_from("<I", raw)
@@ -551,13 +535,13 @@ def load_wavefunction(path, hbar: float = 1.0) -> WaveFunction:
     need(offset, f"header for {n_axes} axes")
     try:
         grid = Grid(tuple(struct.iter_unpack("<ddI", raw[4:offset])))
-    except ValueError as err:
-        raise ValueError(f"snapshot {path}: {err}") from None
+    except ValidationError as err:
+        raise ValidationError(f"snapshot {path}: {err}") from None
     count = math.prod(grid.shape)
     size = offset + 16 * count
     need(size, f"header and {count} amplitudes")
     if len(raw) > size:
-        raise ValueError(
+        raise ValidationError(
             f"snapshot {path}: expected {size} bytes, file has {len(raw)} "
             f"({len(raw) - size} trailing)"
         )

@@ -27,7 +27,8 @@ from .dynamics import (
     rk4_integrate,
 )
 from .multiplets import MultipletDef, builtin_multiplets
-from .poly import Poly, compile_evaluator, p, q, xvar
+from .poly import Poly, ValidationError, check_finite, check_positive, check_width, p, q, xvar
+from .poly import compile_evaluator
 from .quantum import (
     Grid,
     RowPass,
@@ -80,35 +81,34 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         if (model := MODELS.get(self.model_id)) is None:
-            raise ValueError(f"unknown model {self.model_id!r}")
+            raise ValidationError(f"unknown model {self.model_id!r}")
         if not 0 < len(self.masses) == len(self.omegas):
-            raise ValueError("a model needs one or more dofs, each with a mass and an omega")
-        params = {"g": self.g, "lam": self.lam, "hbar": self.hbar}
-        params.update((f"masses[{i}]", m) for i, m in enumerate(self.masses))
-        params.update((f"omegas[{i}]", w) for i, w in enumerate(self.omegas))
-        for name, value in params.items():
+            raise ValidationError("a model needs one or more dofs, each with a mass and an omega")
+        scales = {"hbar": self.hbar}
+        scales.update((f"masses[{i}]", m) for i, m in enumerate(self.masses))
+        scales.update((f"omegas[{i}]", w) for i, w in enumerate(self.omegas))
+        for name, value in {"g": self.g, "lam": self.lam, **scales}.items():
             if isinstance(value, bool):
                 raise TypeError(f"model parameter {name} = {value!r} is a bool, not a number")
-            if not math.isfinite(value):  # a non-number raises TypeError here
-                raise ValueError(f"model parameter {name} = {value!r} is not finite")
+            check_finite(value, f"model parameter {name}")  # a non-number raises TypeError here
+        for name, value in scales.items():
+            check_positive(value, f"model parameter {name}")
         object.__setattr__(self, "masses", tuple(map(float, self.masses)))
         object.__setattr__(self, "omegas", tuple(map(float, self.omegas)))
-        if min(*self.masses, *self.omegas, self.hbar) <= 0:
-            raise ValueError("masses, frequencies and hbar must be positive")
         if model.n_dof not in (None, self.n_dof):
-            raise ValueError(f"{self.model_id} needs {model.n_dof} dofs, got {self.n_dof}")
+            raise ValidationError(f"{self.model_id} needs {model.n_dof} dofs, got {self.n_dof}")
         for owner, other in MODELS.items():
             name = other.coupling
             if name not in (None, model.coupling) and getattr(self, name) != 0:
-                raise ValueError(f"{name} applies only to the {owner} model, not {self.model_id}")
+                raise ValidationError(f"{name} applies only to the {owner} model, not {self.model_id}")
         name = self.multiplet_name
         if name not in builtin_multiplets():
-            raise ValueError(f"unknown multiplet {name!r}")
+            raise ValidationError(f"unknown multiplet {name!r}")
         if name not in model.multiplets:
             hosts = ", ".join(k for k, m in MODELS.items() if name in m.multiplets)
-            raise ValueError(f"the {name} hosts only the {hosts} model, not {self.model_id}")
+            raise ValidationError(f"the {name} hosts only the {hosts} model, not {self.model_id}")
         if not isinstance(self.closure, ClosureMode):
-            raise ValueError(f"closure = {self.closure!r} is not a ClosureMode")
+            raise ValidationError(f"closure = {self.closure!r} is not a ClosureMode")
 
     @property
     def n_dof(self) -> int:
@@ -168,7 +168,7 @@ MODELS: dict[str, Model] = {
 def model_by_name(name: str) -> ModelSpec:
     key = name.strip().lower().replace("-", "_")
     if key not in MODELS:
-        raise ValueError(f"unknown model {name!r}")
+        raise ValidationError(f"unknown model {name!r}")
     return MODELS[key].factory()
 
 
@@ -205,7 +205,7 @@ def hamiltonian_set(spec: ModelSpec) -> HamiltonianSet:
 
 @dataclass(frozen=True)
 class PacketSpec:
-    """Initial Gaussian packet per dof: centers, momenta, widths."""
+    """Initial Gaussian packet per dof: centers, momenta, widths (0: the classical image)."""
 
     qc: tuple[float, ...]
     pc: tuple[float, ...]
@@ -213,16 +213,16 @@ class PacketSpec:
 
     def __post_init__(self) -> None:
         if len(self.qc) != len(self.pc):
-            raise ValueError("qc and pc must have equal length")
+            raise ValidationError("qc and pc must have equal length")
         for name, values in {"qc": self.qc, "pc": self.pc, "sigmas": self.sigmas or ()}.items():
             for i, value in enumerate(values):
-                if not math.isfinite(value):
-                    raise ValueError(f"packet parameter {name}[{i}] = {value!r} is not finite")
+                check_finite(value, f"packet parameter {name}[{i}]")
         if self.sigmas is not None:
             if len(self.sigmas) != len(self.qc):
-                raise ValueError("sigmas must match the number of dofs")
-            if min(self.sigmas) < 0:
-                raise ValueError("sigma must be non-negative")
+                raise ValidationError("sigmas must match the number of dofs")
+            for i, s in enumerate(self.sigmas):
+                if s != 0:
+                    check_width(s, f"packet parameter sigmas[{i}]")
 
     @classmethod
     def make(cls, qc, pc, sigma=None) -> "PacketSpec":
@@ -236,12 +236,15 @@ class PacketSpec:
         return cls(qc_t, pc_t, sig_t)
 
     def resolved_sigmas(self, spec: ModelSpec) -> tuple[float, ...]:
-        """Explicit widths, defaulting to sqrt(hbar / 2 m w) per dof."""
+        """The widths for ``spec``'s dofs: explicit, or sqrt(hbar / 2mw) (inf if 2mw underflows)."""
+        if len(self.qc) != spec.n_dof:
+            raise ValidationError(f"packet has {len(self.qc)} dofs, model needs {spec.n_dof}")
         if self.sigmas is not None:
             return self.sigmas
         return tuple(
-            math.sqrt(spec.hbar / (2.0 * m * w))
-            for m, w in zip(spec.masses, spec.omegas)
+            check_width(math.sqrt(spec.hbar / (2.0 * m * w)) if m * w else math.inf,
+                        f"default sigmas[{dof}]")
+            for dof, (m, w) in enumerate(zip(spec.masses, spec.omegas))
         )
 
 
@@ -249,17 +252,17 @@ def init_nambu_from_packet(spec: ModelSpec, packet: PacketSpec) -> np.ndarray:
     """Multiplet values of the initial Gaussian packet, as the flat state vector:
     per dof, the packet's moment of each slot (``MultipletDef.moments``) among
     q = qc, p = pc, q2 = qc^2 + s^2, p2 = pc^2 + hbar^2/(4 s^2) and
-    qp_sym = qc pc.  A width of zero gives the classical image.
-    """
-    if len(packet.qc) != spec.n_dof:
-        raise ValueError(f"packet has {len(packet.qc)} dofs, model needs {spec.n_dof}")
-    slots = model_multiplet(spec).moments
+    qp_sym = qc pc.  A width of zero gives the classical image.  ValidationError
+    names a slot whose value is not finite."""
+    multiplet = model_multiplet(spec)
     values = []
     for qc, pc, s in zip(packet.qc, packet.pc, packet.resolved_sigmas(spec)):
         s2 = s * s
         moments = {"q": qc, "p": pc, "q2": qc * qc + s2, "qp_sym": qc * pc,
                    "p2": pc * pc + (spec.hbar**2 / (4.0 * s2) if s2 > 0 else 0.0)}
-        values.extend(moments[kind] for kind in slots)
+        values.extend(moments[kind] for kind in multiplet.moments)
+    for v, value in zip(x_vars(multiplet.layout), values):
+        check_finite(value, f"initial {v.name}")
     return np.array(values, dtype=np.float64)
 
 
@@ -281,33 +284,33 @@ def run_scenario(
 ) -> Trajectory:
     """Produce one trajectory (nambu, classical, or quantum) for a model.
 
-    Each method's runner steps it through ``dynamics.integrate``, which
-    checks dt, t_end and the stride.  A model that ``escapes`` is unbounded
+    Every check of the arguments, the packet and row 0 comes before any work, and
+    ``check_run`` before dt sets the default stride.  A model that ``escapes`` is unbounded
     below, so nambu/classical runs stop once the position variable falls
     below ``q_stop`` (None: ``DEFAULT_Q_STOP``; -inf: never), flagging the
     last row 'escaped'; the quantum run stops once the absorber has drained
     more than 1% of the norm ('absorbed').  A NaN ``q_stop``, and any
     ``q_stop`` for a run without a position stop (every other model, every
-    quantum run), raise ValueError.  ``_observed`` adds F and G_c after
+    quantum run), raise ValidationError.  ``_observed`` adds F and G_c after
     stepping, also to the rows so far of a NonFiniteStateError.
     """
     if method not in ("nambu", "classical", "quantum"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ValidationError(f"unknown method {method!r}")
     model = MODELS[spec.model_id]
     if q_stop is not None:
         if math.isnan(q_stop):
-            raise ValueError(f"q_stop = {q_stop!r} is not a number; -inf means no escape stop")
+            raise ValidationError(f"q_stop = {q_stop!r} is not a number; -inf means no escape stop")
         if not model.escapes or method == "quantum":
             escaping = ", ".join(k for k, m in MODELS.items() if m.escapes)
-            raise ValueError(
+            raise ValidationError(
                 f"q_stop = {q_stop!r} does not apply to a {spec.model_id} {method} run: "
                 f"only {escaping} nambu and classical runs have a position stop"
             )
-    if len(packet.qc) != spec.n_dof:
-        raise ValueError(f"packet has {len(packet.qc)} dofs, model needs {spec.n_dof}")
     t_end = model.t_end if t_end is None else t_end
-    if record_stride is None:  # a dt that is not a step gets 1: the driver rejects it
-        record_stride = max(1, int(round(model.output_interval / dt))) if 0 < dt < math.inf else 1
+    n_steps = check_run(dt, t_end, 1 if record_stride is None else record_stride)
+    if record_stride is None:  # one stride if a subnormal dt makes the quotient inf
+        per_row = model.output_interval / dt
+        record_stride = max(1, int(round(per_row))) if per_row < math.inf else n_steps
     if model.escapes and q_stop is None:
         q_stop = DEFAULT_Q_STOP
     meta = {"model": spec.model_id, "method": method, "dt": repr(dt),
@@ -329,13 +332,14 @@ def run_scenario(
 
 def _run_rk4(spec, packet, method, dt, t_end, record_stride, q_stop, meta) -> Trajectory:
     """The nambu run steps the multiplet by its compiled Nambu flow, the
-    classical run (q0, p0, q1, p1, ...) by Hamilton's equations."""
+    classical run (q0, p0, q1, p1, ...) by Hamilton's equations; row 0 is checked first."""
     if method == "nambu":
-        field = compile_nambu_field(hamiltonian_set(spec))
         y0 = init_nambu_from_packet(spec, packet)
+        field = compile_nambu_field(hamiltonian_set(spec))
     else:
-        field = compile_classical_field(classical_hamiltonian(spec), spec.n_dof)
+        init_nambu_from_packet(spec, PacketSpec(packet.qc, packet.pc, (0.0,) * len(packet.qc)))
         y0 = [v for qp in zip(packet.qc, packet.pc) for v in qp]
+        field = compile_classical_field(classical_hamiltonian(spec), spec.n_dof)
     return rk4_integrate(
         field, y0, dt, t_end, record_stride=record_stride, stop_below=q_stop, meta=meta
     )
@@ -433,10 +437,10 @@ def compare(
     if not same_grid:
         lo, hi = max(ta[0], tb[0]), min(ta[-1], tb[-1])
         if hi <= lo:
-            raise ValueError("trajectories cover disjoint time ranges")
+            raise ValidationError("trajectories cover disjoint time ranges")
         mask = (ta >= lo) & (ta <= hi)
         if not mask.any():
-            raise ValueError(f"no row of the first trajectory lies in the common range [{lo}, {hi}]")
+            raise ValidationError(f"no row of the first trajectory lies in the common range [{lo}, {hi}]")
     out: dict[str, CompareStat] = {}
     for column in columns:
         va = traj_a.column(column)
@@ -455,7 +459,7 @@ def mode_energy_series(traj: Trajectory, spec: ModelSpec) -> np.ndarray:
     """Harmonic mode energies per dof from a trajectory's x columns,
     E_a = x4^(a)/2m_a + m_a w_a^2 x3^(a)/2; shape (rows, n_dof)."""
     if spec.multiplet_name != "quartet":
-        raise ValueError("mode energies need the quartet layout")
+        raise ValidationError("mode energies need the quartet layout")
     out = np.empty((len(traj), spec.n_dof))
     for dof in range(spec.n_dof):
         x3 = traj.column(xvar(3, dof).name)

@@ -166,29 +166,29 @@ def test_criterion_2_conservation_henon_heiles(hh_nambu):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_3_tunneling_dichotomy(cubic_nambu):
-    traj, _ = cubic_nambu
+def _cubic_crossing(traj):
+    """The time of the first Nambu row below q = -3.3, and the crossing time
+    linear between the stride-1 rows around it."""
     x1 = traj.column("x1_0")
     crossed = x1 < -3.3
     assert crossed.any()
     k = int(np.argmax(crossed))
-    t_cross = traj.t[k]
-    # Linear between the stride-1 rows around the crossing, against DOP853 on
-    # the frozen-Gaussian center equation (g = 0.3, s^2 = hbar/2mw = 0.5).
     t_lin = traj.t[k - 1] + (traj.t[k] - traj.t[k - 1]) * (x1[k - 1] + 3.3) / (x1[k - 1] - x1[k])
-    t_oracle = cubic_center_crossing(0.0, 1.8, g=0.3, s2=0.5, level=-3.3)
+    return traj.t[k], t_lin
 
+
+def test_criterion_3_tunneling_dichotomy(cubic_nambu):
+    t_cross, _ = _cubic_crossing(cubic_nambu[0])
     classical = run_scenario(
         cubic_model(), PacketSpec.make(0.0, 1.8), "classical",
         dt=1e-3, t_end=200.0, record_stride=10,
     )
     q_min = classical.column("x1_0").min()
-    ok = t_cross < 40.0 and abs(t_lin - t_oracle) < 1e-6 and q_min > -3.3
+    ok = t_cross < 40.0 and q_min > -3.3
     report("3 (tunneling dichotomy)", ok,
-           f"flow crosses -3.3 at t={t_cross:.2f} (<40), {t_lin - t_oracle:+.1e} from DOP853's "
-           f"{t_oracle:.8f} (gate 1e-6); classical min q {q_min:.3f} stays above -3.3")
+           f"flow crosses -3.3 at t={t_cross:.2f} (<40); "
+           f"classical min q {q_min:.3f} stays above -3.3")
     assert t_cross < 40.0
-    assert abs(t_lin - t_oracle) < 1e-6
     assert q_min > -3.3
 
     # supporting energetics from 1D root finding
@@ -222,8 +222,20 @@ def test_criterion_3_tunneling_dichotomy(cubic_nambu):
            f"effective barrier {barrier_c:.3f} (top {qc_top:.3f}) < extended energy {f0:.3f}")
     printed(f"(energy {energy:.2f}, barrier {barrier:.3f} at q = −10/3)",
             f"lower barrier ({barrier_c:.3f} at q_c = {qc_top:.3f}, against extended energy "
-            f"{f0:.2f}) and crosses q = −3.3 at t ≈ {t_cross:.1f}",
-            "q̈ = −(q + g(q² + σ²)), g = 0.3, σ² = 0.5,",
+            f"{f0:.2f}) and crosses q = −3.3 at t ≈ {t_cross:.1f}")
+
+
+def test_criterion_3_crossing_time_matches_dop853(cubic_nambu):
+    # DOP853 on the frozen-Gaussian center equation (g = 0.3, s^2 = hbar/2mw
+    # = 0.5) is the oracle; without scipy only this part of criterion 3 skips.
+    pytest.importorskip("scipy")
+    _, t_lin = _cubic_crossing(cubic_nambu[0])
+    t_oracle = cubic_center_crossing(0.0, 1.8, g=0.3, s2=0.5, level=-3.3)
+    ok = abs(t_lin - t_oracle) < 1e-6
+    report("3 (crossing time)", ok,
+           f"flow crosses -3.3 {t_lin - t_oracle:+.1e} from DOP853's {t_oracle:.8f} (gate 1e-6)")
+    assert abs(t_lin - t_oracle) < 1e-6
+    printed("q̈ = −(q + g(q² + σ²)), g = 0.3, σ² = 0.5,",
             f"crosses at t = {t_oracle:.8f}",
             f"cross {t_oracle - t_lin:.1e} earlier (gate 1e-6)")
 

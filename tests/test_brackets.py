@@ -22,7 +22,7 @@ from nambu_dyn.brackets import (
     reports_to_csv,
     sample_assignments,
 )
-from nambu_dyn.poly import Poly, UnboundVariableError, p, q, xvar
+from nambu_dyn.poly import Poly, UnboundVariableError, ValidationError, p, q, xvar
 from nambu_dyn.scenarios import hamiltonian_set, henon_heiles_model
 from nambu_dyn.state import Layout, x_vars
 
@@ -217,9 +217,9 @@ def test_fundamental_identity_shape_errors():
 
 def test_identity_checks_reject_an_empty_sample_list():
     # all(r.residual < tol for r in reports) would pass having checked nothing.
-    with pytest.raises(ValueError, match="at least 1 sample"):
+    with pytest.raises(ValidationError, match=r"len\(samples\) = 0 is not an integer >= 1"):
         check_jacobi(Poly.var(q()), Poly.var(p()), Poly.var(q()) * Poly.var(p()), [])
-    with pytest.raises(ValueError, match="at least 1 sample"):
+    with pytest.raises(ValidationError, match=r"len\(samples\) = 0 is not an integer >= 1"):
         check_fundamental_identity([X1, X2, X3], [F_HARM3, G_HARM3], [], TRIPLET_LAYOUT)
 
 

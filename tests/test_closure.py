@@ -150,11 +150,12 @@ def test_effective_potential_harmonic_limit():
         (dict(sigma=float("nan")), "sigma = nan is not a positive finite number"),
         (dict(sigma=float("inf")), "sigma = inf is not a positive finite number"),
         (dict(sigma=0.0), "sigma = 0.0 is not a positive finite number"),
+        (dict(sigma=1e-200), "sigma = 1e-200 has a square outside the float range"),
         (dict(sigma=0.7, hbar=float("nan")), "hbar = nan is not a positive finite number"),
         (dict(sigma=0.7, hbar=-1.0), "hbar = -1.0 is not a positive finite number"),
         (dict(sigma=0.7, hbar=0.0), "hbar = 0.0 is not a positive finite number"),
     ],
-    ids=["sigma-nan", "sigma-inf", "sigma-zero", "hbar-nan", "hbar-negative", "hbar-zero"],
+    ids=["sigma-nan", "sigma-inf", "sigma-zero", "sigma-squares-to-0", "hbar-nan", "hbar-negative", "hbar-zero"],
 )
 def test_effective_potential_rejects_bad_sigma_and_hbar(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -184,7 +185,7 @@ def test_build_F_checks_masses_and_coefficients():
             build_F(V, QUARTET_QP_Q2P2, ZC, masses=[bad])
         with pytest.raises(ValueError, match=f"mass of dof 0 = {bad!r} is not a positive"):
             effective_potential(V, 0.5, mass=bad)
-    with pytest.raises(ValueError, match=r"coefficient of q\^3 is nan"):
+    with pytest.raises(ValueError, match=r"potential coefficient of q\^3 = nan is not finite"):
         build_F(V + float("nan") * Poly.var(q(0)) ** 3, QUARTET_QP_Q2P2, ZC)
 
 

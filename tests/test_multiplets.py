@@ -134,7 +134,7 @@ def test_consistency_matches_point_by_point_reference(m):
 def test_consistency_needs_a_sample(samples):
     # with no sample every condition would pass unchecked
     bad = _quartet_with_g2("x4 - 2*x2^2")
-    with pytest.raises(ValueError, match=f"samples = {samples} must be at least 1"):
+    with pytest.raises(ValueError, match=f"samples = {samples} is not an integer >= 1"):
         verify_consistency(bad, samples=samples)
     assert not all(r.passed for r in verify_consistency(bad, samples=5))
 

@@ -194,9 +194,9 @@ def test_compile_vector_field():
 
 def test_compile_rejects_non_finite_coefficients():
     term = Poly.monomial({X1: 2, X2: 1}, float("nan"))
-    with pytest.raises(ValueError, match=r"nan of term x1\^2\*x2 is not finite"):
+    with pytest.raises(ValueError, match=r"coefficient of term x1\^2\*x2 = nan is not finite"):
         compile_vector_field([term, Poly.var(X1)], [X1, X2])
-    with pytest.raises(ValueError, match="inf of term 1"):
+    with pytest.raises(ValueError, match="coefficient of term 1 = inf is not finite"):
         compile_evaluator(Poly.const(float("inf")), [X1])
 
 

@@ -52,9 +52,10 @@ def test_grid_validation():
 
 def test_grid_takes_only_an_integer_point_count():
     for n in (64.0, 64.7, True, "64", None):
-        with pytest.raises(ValueError, match=rf"axis 0 n_points = {re.escape(repr(n))} is not an integer"):
+        message = rf"axis 0 n_points = {re.escape(repr(n))} is not an integer >= 1"
+        with pytest.raises(ValueError, match=message):
             Grid.make_1d(-1.0, 1.0, n)
-    with pytest.raises(ValueError, match=r"axis 1 n_points = 64\.0 is not an integer"):
+    with pytest.raises(ValueError, match=r"axis 1 n_points = 64\.0 is not an integer >= 1"):
         Grid(((-1.0, 1.0, 64), (-1.0, 1.0, 64.0)))
     assert Grid.make_1d(-1.0, 1.0, np.int64(64)).shape == (64,)
 

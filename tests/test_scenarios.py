@@ -20,7 +20,7 @@ from nambu_dyn.dynamics import NonFiniteStateError, Trajectory, conserved_drift
 from nambu_dyn.multiplets import (
     DEFAULT_CONSISTENCY_SAMPLES, DEFAULT_CONSISTENCY_TOL, MultipletDef,
 )
-from nambu_dyn.poly import compile_evaluator
+from nambu_dyn.poly import ValidationError, compile_evaluator
 from nambu_dyn.quantum import (
     Grid,
     NonFiniteAmplitudeError,
@@ -164,22 +164,44 @@ def test_packet_spec_validation():
         PacketSpec.make(0.0, float("-inf"))
     with pytest.raises(ValueError, match=r"packet parameter sigmas\[0\] = nan is not finite"):
         PacketSpec.make(0.0, 0.0, sigma=float("nan"))
+    for sigma in (1e-200, 5e-324, 1e200):  # sigma^2 underflows to 0 or overflows to inf
+        message = rf"sigmas\[0\] = {re.escape(repr(sigma))} has a square outside the float range"
+        with pytest.raises(ValidationError, match=message):
+            PacketSpec.make(0.0, 0.0, sigma=sigma)
+    assert PacketSpec.make(0.0, 0.0, sigma=-0.0).sigmas == (-0.0,)  # zero: the classical image
+
+
+@pytest.mark.parametrize("method", ["nambu", "quantum"])
+@pytest.mark.parametrize(
+    "m, omega, message",
+    [(1e-200, 1e-200, r"default sigmas\[0\] = inf is not a positive"),
+     (1e300, 1e10, r"default sigmas\[0\] = 0.0 is not a positive")],
+    ids=["2mw_underflows", "2mw_overflows"],
+)
+def test_a_default_width_outside_the_float_range_is_rejected(method, m, omega, message):
+    # sqrt(hbar / 2mw), the default width of the runs that read one.
+    spec, packet = harmonic_model(m=m, omega=omega), PacketSpec.make(1.0, 0.0)
+    with pytest.raises(ValidationError, match=message):
+        run_scenario(spec, packet, method, dt=1e-2, t_end=0.1, grid=Grid.make_1d(-10, 10, 64))
 
 
 @pytest.mark.parametrize("method", ["nambu", "classical", "quantum"])
 @pytest.mark.parametrize(
     "bad, message",
     [
-        (dict(record_stride=0), "record_stride must be an integer >= 1, got 0"),
-        (dict(record_stride=True), "record_stride must be an integer >= 1, got True"),
-        (dict(dt=math.inf), "dt = inf is not a positive finite step"),
-        (dict(t_end=math.inf), "need a finite t_end > 0, got t_end = inf"),
-        (dict(t_end=0.0), "need a finite t_end > 0, got t_end = 0.0"),
-        (dict(t_end=-1.0), "need a finite t_end > 0, got t_end = -1.0"),
+        (dict(record_stride=0), "record_stride = 0 is not an integer >= 1"),
+        (dict(record_stride=True), "record_stride = True is not an integer >= 1"),
+        (dict(dt=math.inf), "dt = inf is not a positive finite number"),
+        (dict(t_end=math.inf), "t_end = inf is not a positive finite number"),
+        (dict(t_end=0.0), "t_end = 0.0 is not a positive finite number"),
+        (dict(t_end=-1.0), "t_end = -1.0 is not a positive finite number"),
         (dict(t_end=0.005), "t_end = 0.005 is shorter than one step of dt = 0.01"),
+        (dict(dt=5e-324), "t_end = 1.0 at dt = 5e-324 is inf steps, more than the limit"),
+        (dict(dt=5e-324, record_stride=None),
+         "t_end = 1.0 at dt = 5e-324 is inf steps, more than the limit"),
     ],
     ids=["stride_0", "stride_bool", "dt_inf", "t_end_inf", "t_end_0", "t_end_negative",
-         "t_end_under_one_step"],
+         "t_end_under_one_step", "dt_subnormal", "dt_subnormal_default_stride"],
 )
 def test_bad_run_lengths_fail_before_stepping(method, bad, message):
     kwargs = dict(dt=1e-2, t_end=1.0, record_stride=10, grid=Grid.make_1d(-10.0, 10.0, 128))
@@ -195,6 +217,15 @@ def test_cli_rejects_a_run_shorter_than_one_step(method, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
     assert "t_end = 0.005 is shorter than one step of dt = 0.01" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["nambu", "quantum"])
+def test_a_subnormal_dt_takes_one_stride_by_default(method):
+    # output_interval / dt is inf for dt < 5.6e-311: the default stride is
+    # then the whole run, 2024 steps.
+    traj = run_scenario(harmonic_model(), PacketSpec.make(1.0, 0.0), method, dt=5e-324,
+                        t_end=1e-320, grid=Grid.make_1d(-10.0, 10.0, 128))
+    assert traj.t.tolist() == [0.0, 2024 * 5e-324] == [0.0, 1e-320]
 
 
 def test_model_spec_rejects_non_finite_parameters():
@@ -679,8 +710,9 @@ def _exit(argv):
 
 @pytest.fixture
 def bad_configs(tmp_path, monkeypatch):
-    """Config files with a bad entry; a started run fails the test."""
-    monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("run started"))
+    """Config files with a bad entry; a first step, RK4 or grid, fails the test."""
+    for name in ("rk4_integrate", "integrate", "choose_split_step"):
+        monkeypatch.setattr(scenarios, name, lambda *a, **k: pytest.fail("run started"))
     texts = dict(
         sextet="multiplet = sextet\n",
         typo="model = cubic\nmethod = nambu\ntend = 1\n",
@@ -731,15 +763,28 @@ def _rejected_before_any_work(argv, message, raised, paths, capsys):
          "cannot write '': it names a directory, not a file", False),
         (["reduce", "--mode", "zero-cumulant"], "reduce needs --moment", False),
         (["verify", "consistency", "--n-dof", "2"], "verify consistency needs --multiplet", False),
-        (["verify", "consistency", "--config", "{samples}"], "samples = 0 must be at least 1",
+        (["verify", "consistency", "--config", "{samples}"], "samples = 0 is not an integer >= 1",
          False),
         (["reduce", "--moment", "270"], "moment order 270: a coefficient of <q^270> overflows",
          False),
+        (["run", "--model", "harmonic", "--method", "nambu", "--qc", "1,x"],
+         "argument --qc: invalid floats value: '1,x'", True),
+        *[(["run", "--model", "harmonic", "--method", method, "--dt", "1e-320", *stride],
+           "t_end = 20.0 at dt = 1e-320 is inf steps, more than the limit", False)
+          for method in ("nambu", "quantum") for stride in ([], ["--stride", "5"])],
+        *[(["run", "--model", "harmonic", "--method", method, "--sigma", "1e-200", "--pc", "1"],
+           "packet parameter sigmas[0] = 1e-200 has a square outside the float range", False)
+          for method in ("nambu", "classical", "quantum")],
+        (["run", "--model", "harmonic", "--method", "quantum", "--sigma", "0"],
+         "widths[0] = 0.0 is not a positive finite number", False),
     ],
     ids=["multiplet", "samples-0", "samples-negative", "fi-samples-0", "tol-nan", "config-typo",
          "config-key-twice", "config-not-utf8",
          "out-dir", "out-is-dir", "out-trailing-sep", "out-empty", "no-moment", "no-multiplet",
-         "config-samples-0", "moment-270"],
+         "config-samples-0", "moment-270", "qc-not-floats",
+         "nambu-dt-subnormal", "nambu-dt-subnormal-stride", "quantum-dt-subnormal",
+         "quantum-dt-subnormal-stride", "nambu-sigma-squares-to-0",
+         "classical-sigma-squares-to-0", "quantum-sigma-squares-to-0", "quantum-sigma-0"],
 )
 def test_cli_rejects_bad_input_before_any_work(argv, message, raised, bad_configs, capsys):
     _rejected_before_any_work(argv, message, raised, bad_configs, capsys)
@@ -974,7 +1019,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert main(["run", "--model", "harmonic", *flags, "--out", out]) == 2
     assert not (tmp_path / "never.csv").exists()
     err = capsys.readouterr().err
-    assert "record_stride must be an integer >= 1, got 0" in err
+    assert "record_stride = 0 is not an integer >= 1" in err
     assert "packet parameter sigmas[0] = nan is not finite" in err
     assert "is 1e+300 steps, more than the limit of" in err
     assert "make 10000000000000001 rows, too many to allocate" in err
@@ -1016,6 +1061,48 @@ def test_cli_numerical_abort_exits_3(kernel, tmp_path, capsys):
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"numerical abort: state became non-finite at {where} of 40000)\n"
+
+
+@pytest.mark.parametrize("method", ["nambu", "classical"])
+@pytest.mark.parametrize(
+    "flag, slot", [("--qc=1e200", "x3_0"), ("--pc=-1e200", "x4_0"), ("--qc=1e300", "x3_0")],
+)
+def test_cli_rejects_a_packet_whose_row_0_is_not_finite(
+    method, flag, slot, kernel, tmp_path, capsys
+):
+    # The packet's moments (a classical run's images) overflow: rejected
+    # before any step, on either kernel.
+    out = tmp_path / "never.csv"
+    argv = ["run", "--model", "cubic", "--method", method, flag, "--t-end", "0.01"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr() == ("", f"error: initial {slot} = inf is not finite\n")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("run_scenario", ["run", "--model", "harmonic", "--method", "nambu"]),
+     ("reduce_moment", ["reduce", "--moment", "4"])],
+)
+def test_cli_lets_a_library_bug_leave_with_its_traceback(name, argv, monkeypatch, tmp_path):
+    # Exit 2 means bad input: only ValidationError maps to it.
+    def bug(*args, **kwargs):
+        raise ValueError("a plain ValueError is a bug")
+
+    monkeypatch.setattr(cli, name, bug)
+    with pytest.raises(ValueError, match="a plain ValueError is a bug"):
+        main([*argv, "--out", str(tmp_path / "never.csv")] if argv[0] == "run" else argv)
+
+
+def test_every_bad_input_error_is_a_validation_error():
+    from nambu_dyn import brackets, closure, multiplets, poly
+
+    assert nambu_dyn.ValidationError is ValidationError and issubclass(ValidationError, ValueError)
+    for error in (cli.ConfigError, poly.PolyParseError, poly.UnboundVariableError,
+                  brackets.DimensionMismatchError, multiplets.MalformedMultipletError,
+                  multiplets.UnliftableMonomialError, closure.UnsupportedMultipletError,
+                  closure.UnsupportedMomentError, closure.UnsupportedPotentialError):
+        assert issubclass(error, ValidationError), error
 
 
 def test_cli_rejects_unknown_model():
