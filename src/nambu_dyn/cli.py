@@ -26,7 +26,7 @@ from .multiplets import (
     DEFAULT_CONSISTENCY_SAMPLES, DEFAULT_CONSISTENCY_TOL, builtin_multiplets, consistency_to_csv,
     verify_consistency,
 )
-from .poly import Poly, ValidationError, format_poly, xvar
+from .poly import Poly, ValidationError, check_count, format_poly, xvar
 from .scenarios import (
     DEFAULT_Q_STOP, MODELS, PacketSpec, hamiltonian_set, model_by_name, run_scenario,
 )
@@ -180,6 +180,7 @@ def cmd_verify_consistency(args) -> int:
         raise ConfigError("verify consistency needs --multiplet")
     if not 0 <= args.tol < math.inf:
         raise ConfigError(f"tol = {args.tol!r} is not a non-negative finite number")
+    check_count(args.samples, "samples")  # before the multiplet is built
     multiplet = builtin_multiplets()[args.multiplet].with_n_dof(args.n_dof)
     reports = verify_consistency(multiplet, samples=args.samples, tolerance=args.tol)
     print(consistency_to_csv(reports), end="")
@@ -192,6 +193,7 @@ def cmd_verify_consistency(args) -> int:
 
 
 def cmd_check_fi(args) -> int:
+    check_count(args.samples, "samples")  # before the model's F is built
     spec = model_by_name(args.model)
     hset = hamiltonian_set(spec)
     points = sample_assignments(x_vars(hset.layout), args.samples)

@@ -67,7 +67,8 @@ def _moments_from_cumulants(kappas: Sequence[Poly], n: int) -> list[Poly]:
         for j in range(min(k, len(kappas))):
             mk = mk + comb(k - 1, j) * kappas[j] * moments[k - 1 - j]
         if not all(isfinite(c) for c in mk.terms.values()):
-            raise ValidationError(f"moment order {n}: a coefficient of <q^{k}> overflows the float range")
+            raise ValidationError(f"moment order {n}: a coefficient of <q^{k}> "
+                                  "overflows the float range")
         moments.append(mk)
     return moments
 

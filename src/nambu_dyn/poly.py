@@ -434,9 +434,10 @@ MAX_POLY_FACTORS = 50_000
 
 
 def _term_source(mono: Monomial, coeff: float, refs: Mapping[VarId, str]) -> str:
-    if not math.isfinite(coeff) or sum(k for _, k in mono) > MAX_TERM_FACTORS:
-        term = format_poly(Poly({mono: 1.0}))  # named only when it is rejected
-        check_finite(coeff, f"coefficient of term {term}")
+    if not math.isfinite(coeff):  # the term is named only when it is rejected
+        check_finite(coeff, f"coefficient of term {format_poly(Poly({mono: 1.0}))}")
+    if sum(k for _, k in mono) > MAX_TERM_FACTORS:
+        term = format_poly(Poly({mono: 1.0}))
         raise ValidationError(f"term {term} has more than {MAX_TERM_FACTORS} factors to compile")
     # Powers as repeated products: a float ** k overflow raises in Python,
     # where a product becomes inf as numpy arithmetic does.

@@ -179,7 +179,8 @@ def init_gaussian(
     wf = WaveFunction(grid, amps, hbar)
     norm = wf.norm()
     if not 0 < norm < math.inf:
-        raise ValidationError(f"packet at centers {qc}, widths {sig} misses the grid (norm {norm!r})")
+        raise ValidationError(f"packet at centers {qc}, widths {sig} misses the grid "
+                              f"(norm {norm!r})")
     wf.normalize()
     edge = _edge_amplitude(wf.density())
     if edge > BOUNDARY_AMPLITUDE_TOL:
@@ -527,7 +528,8 @@ def load_wavefunction(path, hbar: float = 1.0) -> WaveFunction:
 
     def need(size: int, what: str) -> None:
         if len(raw) < size:
-            raise ValidationError(f"snapshot {path}: {what} needs {size} bytes, file has {len(raw)}")
+            raise ValidationError(f"snapshot {path}: {what} needs {size} bytes, "
+                                  f"file has {len(raw)}")
 
     need(4, "axis count")
     (n_axes,) = struct.unpack_from("<I", raw)

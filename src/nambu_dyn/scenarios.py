@@ -91,7 +91,7 @@ class ModelSpec:
             if isinstance(value, bool):
                 raise TypeError(f"model parameter {name} = {value!r} is a bool, not a number")
             check_finite(value, f"model parameter {name}")  # a non-number raises TypeError here
-        for name, value in scales.items():
+        for name, value in scales.items():  # a non-finite scale was named "not finite" above
             check_positive(value, f"model parameter {name}")
         object.__setattr__(self, "masses", tuple(map(float, self.masses)))
         object.__setattr__(self, "omegas", tuple(map(float, self.omegas)))
@@ -100,7 +100,8 @@ class ModelSpec:
         for owner, other in MODELS.items():
             name = other.coupling
             if name not in (None, model.coupling) and getattr(self, name) != 0:
-                raise ValidationError(f"{name} applies only to the {owner} model, not {self.model_id}")
+                raise ValidationError(f"{name} applies only to the {owner} model, "
+                                      f"not {self.model_id}")
         name = self.multiplet_name
         if name not in builtin_multiplets():
             raise ValidationError(f"unknown multiplet {name!r}")
@@ -284,9 +285,10 @@ def run_scenario(
 ) -> Trajectory:
     """Produce one trajectory (nambu, classical, or quantum) for a model.
 
-    Every check of the arguments, the packet and row 0 comes before any work, and
-    ``check_run`` before dt sets the default stride.  A model that ``escapes`` is unbounded
-    below, so nambu/classical runs stop once the position variable falls
+    The checks of the arguments, the packet and row 0 come before any compiling or
+    stepping, and ``check_run`` before dt sets the default stride; only ``integrate``'s
+    check for more rows than can be allocated comes later.  A model that ``escapes`` is
+    unbounded below, so nambu/classical runs stop once the position variable falls
     below ``q_stop`` (None: ``DEFAULT_Q_STOP``; -inf: never), flagging the
     last row 'escaped'; the quantum run stops once the absorber has drained
     more than 1% of the norm ('absorbed').  A NaN ``q_stop``, and any
@@ -318,7 +320,7 @@ def run_scenario(
     try:
         if method == "quantum":
             grid = grid if grid is not None else Grid(model.grid)
-            traj = _run_quantum(spec, packet, grid, dt, t_end, record_stride, meta)
+            traj = _run_quantum(spec, packet, grid, dt, t_end, n_steps, record_stride, meta)
         else:
             traj = _run_rk4(spec, packet, method, dt, t_end, record_stride, q_stop, meta)
     except NonFiniteStateError as exc:
@@ -337,6 +339,7 @@ def _run_rk4(spec, packet, method, dt, t_end, record_stride, q_stop, meta) -> Tr
         y0 = init_nambu_from_packet(spec, packet)
         field = compile_nambu_field(hamiltonian_set(spec))
     else:
+        # Built only to check row 0, the zero-width packet's multiplet (_observed rebuilds it).
         init_nambu_from_packet(spec, PacketSpec(packet.qc, packet.pc, (0.0,) * len(packet.qc)))
         y0 = [v for qp in zip(packet.qc, packet.pc) for v in qp]
         field = compile_classical_field(classical_hamiltonian(spec), spec.n_dof)
@@ -345,7 +348,7 @@ def _run_rk4(spec, packet, method, dt, t_end, record_stride, q_stop, meta) -> Tr
     )
 
 
-def _run_quantum(spec, packet, grid, dt, t_end, record_stride, meta) -> Trajectory:
+def _run_quantum(spec, packet, grid, dt, t_end, n_steps, record_stride, meta) -> Trajectory:
     """The grid run: split steps of the size and order ``choose_split_step``
     picks (meta: ``quantum_dt``, ``split_order``, ``split_err_est``,
     ``strang_err_est``) and expectation rows in ``RowPass`` blocks; the meta
@@ -356,7 +359,6 @@ def _run_quantum(spec, packet, grid, dt, t_end, record_stride, meta) -> Trajecto
     V = potential_poly(spec)
     layout = model_multiplet(spec).layout
     kinds = model_multiplet(spec).moments
-    n_steps = check_run(dt, t_end, record_stride=record_stride)
     split = choose_split_step(wf, V, dt, n_steps, record_stride, kinds, spec.masses, absorber)
     h = split.multiple * dt
     prop = SplitOperatorPropagator(grid, V, h, spec.hbar, spec.masses, absorber, split.order)
@@ -440,7 +442,8 @@ def compare(
             raise ValidationError("trajectories cover disjoint time ranges")
         mask = (ta >= lo) & (ta <= hi)
         if not mask.any():
-            raise ValidationError(f"no row of the first trajectory lies in the common range [{lo}, {hi}]")
+            raise ValidationError("no row of the first trajectory lies in the common range "
+                                  f"[{lo}, {hi}]")
     out: dict[str, CompareStat] = {}
     for column in columns:
         va = traj_a.column(column)

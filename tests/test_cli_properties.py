@@ -1,5 +1,6 @@
 """Property test of ``nambu run``'s input checks (hypothesis): any mix of bad
-and extreme values exits 2 before the first step, or reaches it."""
+and extreme values exits 2 before any work (building F, compiling a field,
+planning or taking a step), or reaches that work."""
 
 import math
 
@@ -17,7 +18,7 @@ N_DOF = {"harmonic": 1, "cubic": 1, "henon-heiles": 2}
 
 
 class _Started(Exception):
-    """A run reached its first step: its input passed every check."""
+    """A run reached its first work: its input passed every check."""
 
 
 def _text(flag: str, value: float, n_dof: int) -> str:
@@ -30,11 +31,12 @@ def _text(flag: str, value: float, n_dof: int) -> str:
 
 # A wide packet on its grid warns, and is no bad input.
 @pytest.mark.filterwarnings("ignore::nambu_dyn.quantum.BoundarySupportWarning")
-def test_bad_run_input_exits_2_before_any_step(monkeypatch, tmp_path, capsys):
+def test_bad_run_input_exits_2_before_any_work(monkeypatch, tmp_path, capsys):
     def started(*args, **kwargs):
         raise _Started
 
-    for name in ("rk4_integrate", "integrate", "choose_split_step"):
+    for name in ("hamiltonian_set", "compile_nambu_field", "compile_classical_field",
+                 "rk4_integrate", "integrate", "choose_split_step"):
         monkeypatch.setattr(scenarios, name, started)
     out = tmp_path / "never.csv"
 

@@ -710,9 +710,16 @@ def _exit(argv):
 
 @pytest.fixture
 def bad_configs(tmp_path, monkeypatch):
-    """Config files with a bad entry; a first step, RK4 or grid, fails the test."""
-    for name in ("rk4_integrate", "integrate", "choose_split_step"):
-        monkeypatch.setattr(scenarios, name, lambda *a, **k: pytest.fail("run started"))
+    """Config files with a bad entry; any work fails the test: building a model's F,
+    compiling a field, planning or taking a step, or checking consistency."""
+    def started(*args, **kwargs):
+        pytest.fail("work started")
+
+    for name in ("hamiltonian_set", "compile_nambu_field", "compile_classical_field",
+                 "rk4_integrate", "integrate", "choose_split_step"):
+        monkeypatch.setattr(scenarios, name, started)
+    for name in ("hamiltonian_set", "verify_consistency"):
+        monkeypatch.setattr(cli, name, started)
     texts = dict(
         sextet="multiplet = sextet\n",
         typo="model = cubic\nmethod = nambu\ntend = 1\n",
@@ -777,6 +784,8 @@ def _rejected_before_any_work(argv, message, raised, paths, capsys):
           for method in ("nambu", "classical", "quantum")],
         (["run", "--model", "harmonic", "--method", "quantum", "--sigma", "0"],
          "widths[0] = 0.0 is not a positive finite number", False),
+        *[(["run", "--model", "cubic", "--method", method, "--qc=1e200"],
+           "initial x3_0 = inf is not finite", False) for method in ("nambu", "classical")],
     ],
     ids=["multiplet", "samples-0", "samples-negative", "fi-samples-0", "tol-nan", "config-typo",
          "config-key-twice", "config-not-utf8",
@@ -784,7 +793,8 @@ def _rejected_before_any_work(argv, message, raised, paths, capsys):
          "config-samples-0", "moment-270", "qc-not-floats",
          "nambu-dt-subnormal", "nambu-dt-subnormal-stride", "quantum-dt-subnormal",
          "quantum-dt-subnormal-stride", "nambu-sigma-squares-to-0",
-         "classical-sigma-squares-to-0", "quantum-sigma-squares-to-0", "quantum-sigma-0"],
+         "classical-sigma-squares-to-0", "quantum-sigma-squares-to-0", "quantum-sigma-0",
+         "nambu-row-0-inf", "classical-row-0-inf"],
 )
 def test_cli_rejects_bad_input_before_any_work(argv, message, raised, bad_configs, capsys):
     _rejected_before_any_work(argv, message, raised, bad_configs, capsys)
