@@ -131,9 +131,9 @@ def nambu_bracket_poly(fns: Sequence[Poly], layout: Layout) -> Poly:
 # --------------------------------------------------------------------------
 
 
-def _at_samples(polys: Sequence[Poly], samples) -> list[np.ndarray]:
-    """Each Poly at every sample, by generated code on the sample columns;
-    a constant Poly is broadcast to every sample."""
+def _at_samples(polys: Sequence[Poly], samples) -> np.ndarray:
+    """Each Poly at every sample, shape (polys, samples), by generated code
+    on the sample columns; a constant Poly is broadcast to every sample."""
     order = sorted(set().union(*(f.variables() for f in polys)))
     try:
         columns = np.array([[s[v] for s in samples] for v in order], dtype=np.float64)
@@ -141,7 +141,8 @@ def _at_samples(polys: Sequence[Poly], samples) -> list[np.ndarray]:
         raise UnboundVariableError(
             f"variable {exc.args[0].name} is not bound in the assignment"
         ) from None
-    return [np.broadcast_to(compile_evaluator(f, order)(columns), len(samples)) for f in polys]
+    values = compile_evaluator(polys, order)(columns)
+    return np.broadcast_to(values.T, (len(samples), len(polys))).T
 
 
 def _reports(lhs: Poly, rhs: Poly, samples) -> list[BracketReport]:

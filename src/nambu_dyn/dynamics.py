@@ -74,8 +74,7 @@ class HamiltonianSet:
         generated code on column views: each value as that row alone gives."""
         columns = np.asarray(rows, dtype=np.float64).T
         out = np.empty((columns.shape[1], len(self.hamiltonians)))
-        for k, f in enumerate(self.hamiltonians):
-            out[:, k] = compile_evaluator(f, x_vars(self.layout))(columns)
+        out[:] = compile_evaluator(self.hamiltonians, x_vars(self.layout))(columns).T
         return out
 
 

@@ -266,22 +266,6 @@ class Poly:
                 break
         return Poly(out)
 
-    def eval(self, assignment: Mapping[VarId, float]) -> float:
-        """Evaluate at a point; every variable of the poly must be bound."""
-        total = 0.0
-        for mono, coeff in self._terms.items():
-            term = coeff
-            for v, k in mono:
-                try:
-                    val = assignment[v]
-                except KeyError:
-                    raise UnboundVariableError(
-                        f"variable {v.name} is not bound in the assignment"
-                    ) from None
-                term *= val**k
-            total += term
-        return total
-
     def subs(self, mapping: Mapping[VarId, Union["Poly", float, int]]) -> "Poly":
         """Substitute variables by polynomials (or constants)."""
         repl = {v: _as_poly(r) for v, r in mapping.items()}
@@ -426,8 +410,8 @@ def format_poly(poly: Poly) -> str:
 # of a sum, and overflows near 2,980 levels; a term of a sum at these bounds
 # is at most 2,000 levels deep.  Compile time grows with the factors (about
 # 5.5 ms per 1,000 on a 2-core Xeon VM), and so does a native kernel's build:
-# MAX_POLY_FACTORS bounds a polynomial, above the 36,676 of a sum at both
-# other bounds.
+# MAX_POLY_FACTORS bounds the factors of a list compiled into one function,
+# above the 36,676 of a sum at both other bounds.
 MAX_TERM_FACTORS = 1000
 MAX_SUM_TERMS = 1000
 MAX_POLY_FACTORS = 50_000
@@ -457,11 +441,6 @@ def _expr_source(poly: Poly, refs: Mapping[VarId, str]) -> str:
             f"polynomial of {len(poly.terms)} terms has more than {MAX_SUM_TERMS} terms to compile"
         )
     pieces = [_term_source(m, c, refs) for m, c in sorted_terms(poly)]
-    factors = sum(k for mono in poly.terms for _, k in mono)
-    if factors > MAX_POLY_FACTORS:
-        raise ValidationError(
-            f"polynomial of {factors} factors has more than {MAX_POLY_FACTORS} factors to compile"
-        )
     return " + ".join(pieces) if pieces else "0.0"
 
 
@@ -472,11 +451,19 @@ def _exec_function(src: str, name: str, namespace: dict) -> Callable:
     return fn
 
 
-def compile_evaluator(poly: Poly, var_order: Sequence[VarId]) -> Callable:
-    """Compile a Poly into ``f(y) -> float`` over a flat value vector."""
+def compile_evaluator(polys: Iterable[Poly], var_order: Sequence[VarId]) -> Callable:
+    """Compile Polys into ``f(y)``: their values, float64 of shape ``(len(polys),
+    *broadcast shape)``, over a flat value vector or a sequence of arrays."""
+    polys = tuple(polys)
     refs = {v: f"y[{i}]" for i, v in enumerate(var_order)}
-    src = f"def _poly_fn(y):\n    return {_expr_source(poly, refs)}\n"
-    return _exec_function(src, "_poly_fn", {})
+    body = ", ".join(_expr_source(poly, refs) for poly in polys)
+    factors = sum(k for poly in polys for mono in poly.terms for _, k in mono)
+    if factors > MAX_POLY_FACTORS:
+        raise ValidationError(
+            f"polynomials of {factors} factors have more than {MAX_POLY_FACTORS} to compile"
+        )
+    src = f"def _poly_fn(y):\n    return np.array(np.broadcast_arrays({body}), dtype=np.float64)\n"
+    return _exec_function(src, "_poly_fn", {"np": np})
 
 
 def _rk4_steps(polys: Sequence[Poly], var_order: Sequence[VarId]) -> list[str]:
@@ -558,8 +545,8 @@ def _rk4_c(steps: Sequence[str], dim: int) -> str:
     ]) + "\n"
 
 
-def compile_vector_field(polys: Iterable[Poly], var_order: Sequence[VarId]) -> Callable:
-    """Compile a list of Polys into ``f(y) -> ndarray`` evaluated jointly.
+def compile_vector_field(polys: Sequence[Poly], var_order: Sequence[VarId]) -> Callable:
+    """``compile_evaluator(polys, var_order)`` with an ``rk4`` attribute.
 
     With one Poly per variable, ``f.rk4(y, dt, n, below)`` runs ``_rk4_c``'s
     exit rule (``0 <= n <= native.LONG_MAX``, else ValueError) and returns
@@ -569,11 +556,7 @@ def compile_vector_field(polys: Iterable[Poly], var_order: Sequence[VarId]) -> C
     cache are available, and generated Python otherwise; both run the same
     statements with the same rounding.
     """
-    polys = tuple(polys)
-    refs = {v: f"y[{i}]" for i, v in enumerate(var_order)}
-    body = ", ".join(_expr_source(poly, refs) for poly in polys)
-    src = f"def _field_fn(y):\n    return np.array(({body},), dtype=np.float64)\n"
-    fn = _exec_function(src, "_field_fn", {"np": np})
+    fn = compile_evaluator(polys, var_order)
     fn.rk4 = None
     if len(polys) == len(var_order):
         steps = _rk4_steps(polys, var_order)

@@ -157,8 +157,9 @@ def init_gaussian(
 ) -> WaveFunction:
     """Normalized Gaussian packet, product form over axes:
     (2 pi s^2)^(-1/4) exp(-(x-qc)^2 / 4 s^2 + i pc (x-qc) / hbar).
-    ValidationError names a center or momentum that is not finite, a width that breaks
-    ``check_width`` and a packet that misses the grid (its norm there is 0 or not finite)."""
+    ValidationError names a center or momentum that is not finite, a momentum beyond the
+    grid's largest, hbar pi / dx (it would alias), a width that breaks ``check_width``
+    and a packet that misses the grid (its norm there is 0 or not finite)."""
     qc = _per_axis(centers, grid.ndim, "centers")
     pc = _per_axis(momenta, grid.ndim, "momenta")
     sig = _per_axis(widths, grid.ndim, "widths")
@@ -166,6 +167,10 @@ def init_gaussian(
     for axis in range(grid.ndim):
         check_finite(qc[axis], f"centers[{axis}]")
         check_finite(pc[axis], f"momenta[{axis}]")
+        limit = hbar * math.pi / grid.dx(axis)
+        if abs(pc[axis]) > limit:
+            raise ValidationError(f"momenta[{axis}] = {pc[axis]!r} is beyond the grid's "
+                                  f"largest momentum hbar*pi/dx = {limit!r}")
         check_width(sig[axis], f"widths[{axis}]")
     amps = np.ones(grid.shape, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # far off the grid: checked below
@@ -217,7 +222,7 @@ def potential_mesh(grid: Grid, V: Poly) -> np.ndarray:
         names = ", ".join(sorted(v.name for v in extra))
         raise ValidationError(f"potential Poly uses non-position variables: {names}")
     views = [grid.axis_view(grid.coords(axis), axis) for axis in range(grid.ndim)]
-    return np.full(grid.shape, compile_evaluator(V, order)(views), dtype=np.float64)
+    return np.full(grid.shape, compile_evaluator([V], order)(views)[0], dtype=np.float64)
 
 
 @functools.lru_cache(maxsize=8)

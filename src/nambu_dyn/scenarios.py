@@ -95,6 +95,12 @@ class ModelSpec:
             check_positive(value, f"model parameter {name}")
         object.__setattr__(self, "masses", tuple(map(float, self.masses)))
         object.__setattr__(self, "omegas", tuple(map(float, self.omegas)))
+        for dof, (m, w) in enumerate(zip(self.masses, self.omegas)):
+            try:  # potential_poly's coefficient; a float ** raises on overflow
+                coeff = 0.5 * m * w ** 2
+            except OverflowError:
+                coeff = math.inf
+            check_positive(coeff, f"model parameter masses[{dof}] * omegas[{dof}]**2 / 2")
         if model.n_dof not in (None, self.n_dof):
             raise ValidationError(f"{self.model_id} needs {model.n_dof} dofs, got {self.n_dof}")
         for owner, other in MODELS.items():
@@ -406,8 +412,8 @@ def _observed(spec: ModelSpec, method: str, traj: Trajectory) -> Trajectory:
     states = traj.states
     if method == "classical":
         qp_vars = classical_vars(spec.n_dof)
-        images = [compile_evaluator(d, qp_vars)(states.T) for defs in multiplet.defs for d in defs]
-        states = np.column_stack(images)
+        images = compile_evaluator([d for defs in multiplet.defs for d in defs], qp_vars)
+        states = images(states.T).T
     return Trajectory(
         traj.t, states, [v.name for v in x_vars(multiplet.layout)],
         hset.observables(states), hset.observable_names, traj.meta, traj.flags,

@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: Gaussian moments
 come from the mean/variance recursion on numbers, determinants from the
 permutation sum (the consistency contraction also from the sum over every
 ordering of its columns, each with its Levi-Civita sign), derivatives from
-central differences, vector fields and classical images from ``Poly.eval``
+central differences, polynomial values from ``eval_poly`` (the scalar
+reference that was ``Poly.eval``), vector fields and classical images from it
 point by point (the Nambu field through one LU-determinant bracket per
 component) instead of generated code, the identity checks with their outer
 brackets taken point by point by the LU ``nambu_bracket`` and the per-point
@@ -39,7 +40,7 @@ from nambu_dyn.brackets import (
     sample_assignments,
 )
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory
-from nambu_dyn.poly import Poly, VarId, p, q, xvar
+from nambu_dyn.poly import Poly, UnboundVariableError, VarId, p, q, xvar
 from nambu_dyn.quantum import (
     SplitOperatorPropagator,
     absorbing_mask,
@@ -108,6 +109,24 @@ def random_poly(rng, variables, max_degree=2, n_terms=4, scale=1.0) -> Poly:
     return out
 
 
+def eval_poly(f: Poly, assignment: Mapping[VarId, float]) -> float:
+    """``f`` at one point, term by term in Python floats; every variable of
+    ``f`` must be bound, else UnboundVariableError."""
+    total = 0.0
+    for mono, coeff in f.terms.items():
+        term = coeff
+        for v, k in mono:
+            try:
+                val = assignment[v]
+            except KeyError:
+                raise UnboundVariableError(
+                    f"variable {v.name} is not bound in the assignment"
+                ) from None
+            term *= val**k
+        total += term
+    return total
+
+
 def poisson_bracket(
     A: Poly, B: Poly, point: Mapping[VarId, float], n_dof: int = 1
 ) -> float:
@@ -115,8 +134,8 @@ def poisson_bracket(
     total = 0.0
     for dof in range(n_dof):
         qv, pv = q(dof), p(dof)
-        total += _partial(A, qv).eval(point) * _partial(B, pv).eval(point)
-        total -= _partial(A, pv).eval(point) * _partial(B, qv).eval(point)
+        total += eval_poly(_partial(A, qv), point) * eval_poly(_partial(B, pv), point)
+        total -= eval_poly(_partial(A, pv), point) * eval_poly(_partial(B, qv), point)
     return total
 
 
@@ -148,7 +167,7 @@ def nambu_bracket(fns: Sequence[Poly], state, layout: Layout) -> float:
         vs = [xvar(i, dof) for i in range(1, N + 1)]
         for a, f in enumerate(fns):
             for i, v in enumerate(vs):
-                jac[a, i] = _partial(f, v).eval(point)
+                jac[a, i] = eval_poly(_partial(f, v), point)
         total += float(np.linalg.det(jac))
     return total
 
@@ -183,9 +202,9 @@ def fundamental_identity_reference(As, Bs, samples, layout):
 
 
 def flow_divergence_reference(hamiltonians, point, layout) -> float:
-    """sum_v d/dv {v, H_1, ...} at a sample point, one ``Poly.eval`` per term."""
+    """sum_v d/dv {v, H_1, ...} at a sample point, one ``eval_poly`` per term."""
     return sum(
-        nambu_bracket_poly([Poly.var(v), *hamiltonians], layout).partial(v).eval(point)
+        eval_poly(nambu_bracket_poly([Poly.var(v), *hamiltonians], layout).partial(v), point)
         for v in x_vars(layout)
     )
 
@@ -195,7 +214,7 @@ def consistency_reference(m, samples, seed=DEFAULT_SAMPLE_SEED) -> dict:
     out as the permutation sum: (1/(N-2)!) times the sum over every ordering
     k... of the other variables of eps_{i j k...} (``perm_sign``) times the
     brute-force determinant of dG_c/dx_k, the derivatives taken by
-    ``Poly.eval`` at the image x_i(q, p) of each (q, p) sample, minus the
+    ``eval_poly`` at the image x_i(q, p) of each (q, p) sample, minus the
     Poisson bracket at the sample."""
     worst = {}
     for dof in range(m.n_dof):
@@ -207,13 +226,13 @@ def consistency_reference(m, samples, seed=DEFAULT_SAMPLE_SEED) -> dict:
             rest = [k for k in range(m.N) if k not in (i, j)]
             residuals = []
             for pt in points:
-                image = {v: d.eval(pt) for v, d in zip(vs, m.defs[dof])}
-                jac = np.array([[dg.eval(image) for dg in row] for row in grads])
+                image = {v: eval_poly(d, pt) for v, d in zip(vs, m.defs[dof])}
+                jac = np.array([[eval_poly(dg, image) for dg in row] for row in grads])
                 lhs = sum(
                     perm_sign((i, j, *perm)) * det_by_permutations(jac[:, list(perm)])
                     for perm in permutations(rest)
                 ) / factorial(m.N - 2)
-                residuals.append(abs(lhs - rhs.eval(pt)))
+                residuals.append(abs(lhs - eval_poly(rhs, pt)))
             worst[(dof, i + 1, j + 1)] = max(residuals)
     return worst
 
@@ -232,14 +251,14 @@ def classical_vector_field(H: Poly, point) -> np.ndarray:
     at = dict(zip(classical_vars(n_dof), np.asarray(point, dtype=np.float64).tolist()))
     out = []
     for dof in range(n_dof):
-        out += [H.partial(p(dof)).eval(at), -H.partial(q(dof)).eval(at)]
+        out += [eval_poly(H.partial(p(dof)), at), -eval_poly(H.partial(q(dof)), at)]
     return np.array(out)
 
 
 def classical_image(m, point) -> np.ndarray:
     """x_i(q, p) of the multiplet ``m`` for all dofs at a (q, p) mapping,
     as a dof-major flat vector."""
-    return np.array([d.eval(point) for dof in range(m.n_dof) for d in m.defs[dof]])
+    return np.array([eval_poly(d, point) for dof in range(m.n_dof) for d in m.defs[dof]])
 
 
 def rk4_reference(field, y0, dt, t_end, record_stride=1, stop=None):

@@ -19,6 +19,7 @@ import pytest
 
 from helpers import (
     cubic_center_crossing,
+    eval_poly,
     gaussian_moment,
     henon_heiles_mode_energies,
     mode_energies,
@@ -197,7 +198,7 @@ def test_criterion_3_tunneling_dichotomy(cubic_nambu):
     roots = np.roots([dv.coefficient({q(0): 2}), dv.coefficient({q(0): 1}),
                       dv.coefficient({})])
     q_top = min(roots)
-    barrier = vpoly.eval({q(0): float(q_top)})
+    barrier = eval_poly(vpoly, {q(0): float(q_top)})
     energy = 1.8**2 / 2.0
     assert q_top == pytest.approx(-10.0 / 3.0, abs=1e-12)
     assert barrier == pytest.approx(1.852, abs=1e-3)
@@ -209,10 +210,10 @@ def test_criterion_3_tunneling_dichotomy(cubic_nambu):
     roots_c = np.roots([dvc.coefficient({q(0): 2}), dvc.coefficient({q(0): 1}),
                         dvc.coefficient({})])
     qc_top = min(roots_c)
-    barrier_c = vc.eval({q(0): float(qc_top)})
+    barrier_c = eval_poly(vc, {q(0): float(qc_top)})
     hset = hamiltonian_set(cubic_model())
     y0 = init_nambu_from_packet(cubic_model(), PacketSpec.make(0.0, 1.8))
-    f0 = hset.F.eval(dict(zip(x_vars(hset.layout), y0.tolist())))
+    f0 = eval_poly(hset.F, dict(zip(x_vars(hset.layout), y0.tolist())))
     assert qc_top == pytest.approx(-3.176, abs=1e-3)
     assert barrier_c == pytest.approx(1.864, abs=1e-3)
     assert f0 == pytest.approx(2.12, abs=1e-12)
@@ -403,7 +404,7 @@ def test_criterion_6_closure_correctness():
         var = float(rng.uniform(0.1, 2.0))
         point = {xvar(1): qc, xvar(3): qc * qc + var}
         for n in range(9):
-            closed = reduce_moment(n, ClosureMode.ZERO_CUMULANT).eval(point)
+            closed = eval_poly(reduce_moment(n, ClosureMode.ZERO_CUMULANT), point)
             exact = gaussian_moment(n, qc, var)
             scale = max(1.0, abs(exact))
             worst = max(worst, abs(closed - exact) / scale)

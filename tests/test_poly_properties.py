@@ -1,13 +1,17 @@
 """Property tests of polynomials (hypothesis): drawn text against sympy's
-reading of it, format_poly then parse_poly as the identity, and the ring
-laws and the Leibniz rule of ``partial`` on integer-coefficient Polys."""
+reading of it, format_poly then parse_poly as the identity, the ring
+laws and the Leibniz rule of ``partial`` on integer-coefficient Polys, and
+one evaluator for a list of Polys against each Poly evaluated alone."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nambu_dyn.poly import Poly, format_poly, p, parse_poly, q, xvar  # noqa: E402
+from helpers import eval_poly  # noqa: E402
+
+from nambu_dyn.poly import Poly, compile_evaluator, format_poly, p, parse_poly, q, xvar  # noqa: E402
 
 NAMES = {"q": q(0), "p": p(0), "q1": q(1), "x1": xvar(1), "x3_1": xvar(3, 1)}
 WS = st.sampled_from(["", " ", "  ", "\t"])
@@ -78,3 +82,38 @@ def test_ring_laws_hold_exactly(f, g, h):
 @given(INT_POLY, INT_POLY, st.sampled_from([*RING_VARS, xvar(3)]))
 def test_partial_obeys_the_leibniz_rule(f, g, v):
     assert (f * g).partial(v) == f * g.partial(v) + g * f.partial(v)
+
+
+EVAL_VARS = [xvar(1), xvar(2), xvar(3)]
+# Coefficients and values in [-2, 2], each variable at most once per term: a
+# term is at most 16 in size, so a value's rounding stays far below 1e-13.
+# Constants (zero among them) are drawn both alone and as empty term maps.
+BOUNDED = st.floats(-2.0, 2.0)
+EVAL_POLY = BOUNDED.map(Poly.const) | st.dictionaries(
+    st.tuples(*[st.integers(0, 1)] * len(EVAL_VARS)), BOUNDED, max_size=4
+).map(lambda terms: sum(
+    (Poly.monomial(dict(zip(EVAL_VARS, powers)), c) for powers, c in terms.items()), Poly.zero()
+))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(EVAL_POLY, min_size=1, max_size=5), st.integers(0, 2**32 - 1),
+       st.sampled_from(["scalars", "columns", "grid views"]))
+def test_one_evaluator_gives_each_polynomial_its_own_values(polys, seed, form):
+    rng = np.random.default_rng(seed)
+    y = {
+        "scalars": rng.uniform(-2.0, 2.0, 3),
+        "columns": rng.uniform(-2.0, 2.0, (3, 5)),
+        "grid views": [rng.uniform(-2.0, 2.0, (4, 1)), rng.uniform(-2.0, 2.0, (1, 3)),
+                       np.float64(rng.uniform(-2.0, 2.0))],
+    }[form]
+    values = compile_evaluator(polys, EVAL_VARS)(y)
+    assert values.dtype == np.float64 and len(values) == len(polys)
+    points = np.broadcast_arrays(*y)  # each variable at every point
+    for f, row in zip(polys, values):
+        alone = compile_evaluator([f], EVAL_VARS)(y)[0]
+        assert np.array_equal(row, np.broadcast_to(alone, row.shape))
+        for index in np.ndindex(points[0].shape):
+            point = {v: float(x[index]) for v, x in zip(EVAL_VARS, points)}
+            value = np.broadcast_to(row, points[0].shape)[index]
+            assert value == pytest.approx(eval_poly(f, point), rel=1e-13, abs=1e-13)

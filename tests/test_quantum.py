@@ -76,6 +76,10 @@ def test_init_gaussian_moments():
         (math.nan, 0.0, 1.0, r"centers\[0\] = nan is not finite"),
         (0.0, math.inf, 1.0, r"momenta\[0\] = inf is not finite"),
         (0.0, -math.inf, 1.0, r"momenta\[0\] = -inf is not finite"),
+        # pi / dx = 40.21: a larger momentum would alias onto the grid's wavenumbers.
+        (0.0, 50.0, 1.0, r"momenta\[0\] = 50.0 is beyond the grid's largest momentum "
+                         r"hbar\*pi/dx = 40.21"),
+        (0.0, -1e200, 1.0, r"momenta\[0\] = -1e\+200 is beyond the grid's largest"),
         (0.0, 0.0, math.nan, r"widths\[0\] = nan is not a positive finite number"),
         (0.0, 0.0, math.inf, r"widths\[0\] = inf is not a positive finite number"),
         (0.0, 0.0, -1.0, r"widths\[0\] = -1.0 is not a positive finite number"),
@@ -101,6 +105,8 @@ def test_init_gaussian_names_the_axis_of_a_bad_packet():
         init_gaussian(g, [0.0, math.inf], 0.0, 1.0)
     with pytest.raises(ValueError, match=r"widths\[1\] = 1e-300 has a square"):
         init_gaussian(g, 0.0, 0.0, [1.0, 1e-300])
+    with pytest.raises(ValueError, match=r"momenta\[1\] = 30.0 is beyond .* = 12.56"):
+        init_gaussian(g, 0.0, [0.0, 30.0], 1.0)
     with pytest.raises(ValueError, match="hbar = 0.0 is not a positive finite number"):
         init_gaussian(g, 0.0, 0.0, 1.0, hbar=0.0)
 

@@ -11,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import README, harmonic_packet_moments, readme_section, strang_run, stride_run
+from helpers import (
+    README, eval_poly, harmonic_packet_moments, readme_section, strang_run, stride_run,
+)
 
 import nambu_dyn
-from nambu_dyn import cli, scenarios
+from nambu_dyn import cli, poly, scenarios
 from nambu_dyn.cli import main
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory, conserved_drift
 from nambu_dyn.multiplets import (
@@ -147,8 +149,8 @@ def test_packet_constraints_match_widths():
         packet = PacketSpec.make(rng.uniform(-1, 1), rng.uniform(-1, 1), sigma=sigma)
         state = init_nambu_from_packet(spec, packet)
         point = dict(zip(x_vars(hset.layout), state.tolist()))
-        assert hset.gs[0].eval(point) == pytest.approx(sigma**2, rel=1e-12)
-        assert hset.gs[1].eval(point) == pytest.approx(
+        assert eval_poly(hset.gs[0], point) == pytest.approx(sigma**2, rel=1e-12)
+        assert eval_poly(hset.gs[1], point) == pytest.approx(
             1.0 / (4.0 * sigma**2), rel=1e-12
         )
 
@@ -174,12 +176,13 @@ def test_packet_spec_validation():
 @pytest.mark.parametrize("method", ["nambu", "quantum"])
 @pytest.mark.parametrize(
     "m, omega, message",
-    [(1e-200, 1e-200, r"default sigmas\[0\] = inf is not a positive"),
-     (1e300, 1e10, r"default sigmas\[0\] = 0.0 is not a positive")],
+    [(5e-311, 1.0, r"default sigmas\[0\] = inf is not a positive"),
+     (1e308, 1.0, r"default sigmas\[0\] = 0.0 is not a positive")],
     ids=["2mw_underflows", "2mw_overflows"],
 )
 def test_a_default_width_outside_the_float_range_is_rejected(method, m, omega, message):
-    # sqrt(hbar / 2mw), the default width of the runs that read one.
+    # sqrt(hbar / 2mw), the default width of the runs that read one: 2mw subnormal
+    # (hbar / 2mw overflows) or overflowing, while m w^2 / 2 is a positive float.
     spec, packet = harmonic_model(m=m, omega=omega), PacketSpec.make(1.0, 0.0)
     with pytest.raises(ValidationError, match=message):
         run_scenario(spec, packet, method, dt=1e-2, t_end=0.1, grid=Grid.make_1d(-10, 10, 64))
@@ -233,6 +236,19 @@ def test_model_spec_rejects_non_finite_parameters():
         cubic_model(g=float("nan"))
     with pytest.raises(ValueError, match=r"omegas\[0\] = inf is not finite"):
         harmonic_model(omega=float("inf"))
+
+
+@pytest.mark.parametrize(
+    "m, omega, coeff",
+    [(1e200, 1e200, "inf"), (1.0, 1e-200, "0.0"), (1e300, 1e10, "inf"), (1e-200, 1e-200, "0.0")],
+    ids=["overflows", "underflows", "2mw-overflows", "2mw-underflows"],
+)
+def test_model_spec_rejects_an_oscillator_coefficient_out_of_range(m, omega, coeff):
+    # m omega^2 / 2 is the potential's q^2 coefficient: inf would raise OverflowError
+    # in potential_poly, and 0.0 would silently drop the potential.
+    message = rf"masses\[0\] \* omegas\[0\]\*\*2 / 2 = {coeff} is not a positive finite number"
+    with pytest.raises(ValidationError, match=message):
+        harmonic_model(m=m, omega=omega)
 
 
 def test_equal_specs_share_one_model_build():
@@ -599,9 +615,29 @@ def test_observables_equal_row_by_row_evaluation(name, method):
     hset = hamiltonian_set(spec)
     assert traj.observable_names == ["F"] + [f"G{c + 1}" for c in range(len(hset.gs))]
     for k, f in enumerate(hset.hamiltonians):
-        fn = compile_evaluator(f, x_vars(hset.layout))
-        want = np.array([fn(row) for row in traj.states])
+        fn = compile_evaluator([f], x_vars(hset.layout))
+        want = np.array([fn(row)[0] for row in traj.states])
         assert np.array_equal(traj.observables[:, k], want)
+
+
+@pytest.mark.parametrize("method, images", [("nambu", 0), ("classical", 1)])
+@pytest.mark.parametrize("name", ["harmonic", "cubic", "henon_heiles"])
+def test_a_run_compiles_each_polynomial_list_once(name, method, images, kernel, monkeypatch):
+    # One generated evaluator for the field, one for the classical images of a
+    # classical run and one for F with the G_c; the Python kernel adds its own.
+    built = []
+    exec_function = poly._exec_function
+
+    def counted(src, fn_name, namespace):
+        built.append(fn_name)
+        return exec_function(src, fn_name, namespace)
+
+    monkeypatch.setattr(poly, "_exec_function", counted)
+    spec = model_by_name(name)
+    run_scenario(spec, PacketSpec.make([0.5] * spec.n_dof, [0.3] * spec.n_dof), method,
+                 dt=1e-2, t_end=0.1)
+    kernel_fn = ["_rk4_fn"] if kernel == "python" else []
+    assert built == ["_poly_fn", *kernel_fn, *["_poly_fn"] * images, "_poly_fn"]
 
 
 def test_nambu_abort_keeps_observables_of_the_rows_so_far():
@@ -786,6 +822,9 @@ def _rejected_before_any_work(argv, message, raised, paths, capsys):
          "widths[0] = 0.0 is not a positive finite number", False),
         *[(["run", "--model", "cubic", "--method", method, "--qc=1e200"],
            "initial x3_0 = inf is not finite", False) for method in ("nambu", "classical")],
+        *[(["run", "--model", "harmonic", "--method", "quantum", pc, "--out", "{tmp}/t.csv"],
+           f"momenta[0] = {value} is beyond the grid's largest momentum hbar*pi/dx = 321.69",
+           False) for pc, value in (("--pc=400", "400.0"), ("--pc=1e200", "1e+200"))],
     ],
     ids=["multiplet", "samples-0", "samples-negative", "fi-samples-0", "tol-nan", "config-typo",
          "config-key-twice", "config-not-utf8",
@@ -794,7 +833,7 @@ def _rejected_before_any_work(argv, message, raised, paths, capsys):
          "nambu-dt-subnormal", "nambu-dt-subnormal-stride", "quantum-dt-subnormal",
          "quantum-dt-subnormal-stride", "nambu-sigma-squares-to-0",
          "classical-sigma-squares-to-0", "quantum-sigma-squares-to-0", "quantum-sigma-0",
-         "nambu-row-0-inf", "classical-row-0-inf"],
+         "nambu-row-0-inf", "classical-row-0-inf", "quantum-pc-400", "quantum-pc-1e200"],
 )
 def test_cli_rejects_bad_input_before_any_work(argv, message, raised, bad_configs, capsys):
     _rejected_before_any_work(argv, message, raised, bad_configs, capsys)
@@ -811,6 +850,14 @@ def test_cli_rejects_bad_input_before_any_work(argv, message, raised, bad_config
 def test_cli_parses_a_config_value_as_the_flag_it_names(argv, message, bad_configs, capsys):
     # argparse checks the type and choices of a file entry, and exits 2.
     _rejected_before_any_work(argv, message, True, bad_configs, capsys)
+
+
+def test_cli_runs_a_quantum_packet_up_to_the_grid_momentum(tmp_path):
+    # The harmonic grid's largest momentum is pi / dx = 321.7; row 0 holds <p^2>.
+    out = tmp_path / "t.csv"
+    argv = ["run", "--model", "harmonic", "--method", "quantum", "--pc", "300", "--t-end", "0.01"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert Trajectory.from_csv(out).column("x2_0")[0] == pytest.approx(300.0**2 + 0.5, rel=1e-12)
 
 
 def test_cli_run_with_config_and_override(tmp_path, capsys):
