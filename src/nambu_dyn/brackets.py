@@ -34,6 +34,7 @@ __all__ = [
 MAX_SYMBOLIC_N = 5
 
 DEFAULT_SAMPLE_SEED = 20240901
+SAMPLE_BOX = (-2.0, 2.0)
 
 
 class DimensionMismatchError(ValidationError):
@@ -212,13 +213,11 @@ def sample_assignments(
     variables: Sequence[VarId],
     n_samples: int,
     seed: int = DEFAULT_SAMPLE_SEED,
-    low: float = -2.0,
-    high: float = 2.0,
 ) -> list[dict[VarId, float]]:
-    """Reproducible uniform sample points for identity checks."""
+    """Reproducible sample points for identity checks, uniform on ``SAMPLE_BOX``."""
     check_count(n_samples, "samples")
     rng = np.random.default_rng(seed)
     return [
-        {v: float(x) for v, x in zip(variables, rng.uniform(low, high, len(variables)))}
+        {v: float(x) for v, x in zip(variables, rng.uniform(*SAMPLE_BOX, len(variables)))}
         for _ in range(n_samples)
     ]

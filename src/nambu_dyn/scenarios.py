@@ -243,14 +243,13 @@ class PacketSpec:
         return cls(qc_t, pc_t, sig_t)
 
     def resolved_sigmas(self, spec: ModelSpec) -> tuple[float, ...]:
-        """The widths for ``spec``'s dofs: explicit, or sqrt(hbar / 2mw) (inf if 2mw underflows)."""
+        """The widths for ``spec``'s dofs: explicit, or sqrt(hbar / 2mw)."""
         if len(self.qc) != spec.n_dof:
             raise ValidationError(f"packet has {len(self.qc)} dofs, model needs {spec.n_dof}")
         if self.sigmas is not None:
             return self.sigmas
         return tuple(
-            check_width(math.sqrt(spec.hbar / (2.0 * m * w)) if m * w else math.inf,
-                        f"default sigmas[{dof}]")
+            check_width(math.sqrt(spec.hbar / (2.0 * m * w)), f"default sigmas[{dof}]")
             for dof, (m, w) in enumerate(zip(spec.masses, spec.omegas))
         )
 

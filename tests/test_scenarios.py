@@ -1162,6 +1162,24 @@ def test_every_bad_input_error_is_a_validation_error():
         assert issubclass(error, ValidationError), error
 
 
+def test_the_package_reexports_each_library_module_all_and_nothing_else():
+    # Each module's __all__ is the one statement of its public names.
+    from nambu_dyn import brackets, closure, dynamics, multiplets, quantum, state
+
+    library = (poly, state, brackets, multiplets, closure, dynamics, quantum, scenarios)
+    names = [name for module in library for name in module.__all__]
+    assert nambu_dyn.__all__ == names and len(set(names)) == len(names)
+    for module in library:
+        for name in module.__all__:
+            assert getattr(nambu_dyn, name) is getattr(module, name), (module.__name__, name)
+    public = {name for name, obj in vars(nambu_dyn).items()
+              if not name.startswith("_") and not isinstance(obj, type(nambu_dyn))}
+    assert public == set(names)  # no name added to the package by hand
+    namespace = {}
+    exec("from nambu_dyn import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(names)
+
+
 def test_cli_rejects_unknown_model():
     with pytest.raises(SystemExit) as err:
         main(["run", "--model", "nosuch", "--method", "nambu"])
