@@ -1,4 +1,4 @@
-"""Multiplet definitions, induced-constraint verification, and lifting.
+"""Multiplet definitions and induced-constraint verification.
 
 A multiplet maps each degree of freedom's canonical pair (q, p) to N
 extended variables x_i(q, p) together with the N-2 constraint functions
@@ -9,7 +9,6 @@ integrate the defining conditions to discover new ones.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -25,14 +24,11 @@ __all__ = [
     "MultipletDef",
     "ConsistencyReport",
     "MalformedMultipletError",
-    "UnliftableMonomialError",
-    "AmbiguousLiftWarning",
     "TRIPLET_QQPP_QP",
     "QUARTET_QP_Q2P2",
     "builtin_multiplets",
     "multiplet_from_strings",
     "verify_consistency",
-    "lift_to_multiplet",
     "consistency_to_csv",
 ]
 
@@ -45,14 +41,6 @@ MOMENTS = {(1, 0): "q", (0, 1): "p", (2, 0): "q2", (0, 2): "p2", (1, 1): "qp_sym
 
 class MalformedMultipletError(ValidationError):
     """Definitions or constraints do not fit the declared N and n_dof."""
-
-
-class UnliftableMonomialError(ValidationError):
-    """A (q, p) monomial has no representation in the multiplet variables."""
-
-
-class AmbiguousLiftWarning(UserWarning):
-    """Several equal-degree generators could absorb a monomial."""
 
 
 @dataclass(frozen=True)
@@ -224,7 +212,7 @@ def verify_consistency(
 
 
 # --------------------------------------------------------------------------
-# Lifting (q, p) observables into multiplet variables
+# Slot moments: the exponents of a monomial definition
 # --------------------------------------------------------------------------
 
 
@@ -234,63 +222,3 @@ def _exponents(d: Poly, dof: int) -> tuple[int, int] | None:
         return None
     powers = dict(next(iter(d.terms)))
     return powers.get(q(dof), 0), powers.get(p(dof), 0)
-
-
-def _generator_table(m: MultipletDef, dof: int) -> list[tuple[int, int, int]]:
-    """(index, q-exponent, p-exponent) for each generator; monic monomials only."""
-    table = [(idx, _exponents(d, dof)) for idx, d in enumerate(m.defs[dof])]
-    if any(ab is None for _, ab in table):
-        raise MalformedMultipletError("lifting requires monic monomial generators")
-    return [(idx, *ab) for idx, ab in table]
-
-
-def lift_to_multiplet(f: Poly, m: MultipletDef, dof: int = 0) -> Poly:
-    """Rewrite a (q, p) polynomial in multiplet variables, preferring the
-    highest-degree generators.
-
-    Mixed q-p monomials are absorbed only by mixed generators; writing them
-    as products of pure-q and pure-p variables would misrepresent the
-    corresponding operator expectation, so such monomials are rejected.
-    """
-    allowed = {q(dof), p(dof)}
-    if not f.variables() <= allowed:
-        raise UnliftableMonomialError(
-            f"polynomial involves variables outside dof {dof}'s (q, p)"
-        )
-    gens = _generator_table(m, dof)
-    out = Poly.zero()
-    for mono, coeff in f.terms.items():
-        powers = dict(mono)
-        a = powers.get(q(dof), 0)
-        b = powers.get(p(dof), 0)
-        lifted: dict[VarId, int] = {}
-        while a > 0 or b > 0:
-            candidates = [
-                (idx, ga, gb) for idx, ga, gb in gens
-                if 0 < ga + gb and ga <= a and gb <= b and (ga > 0 < gb) == (a > 0 < b)
-            ]
-            if not candidates:
-                bad = format_monomial(mono)
-                raise UnliftableMonomialError(
-                    f"monomial {bad} cannot be expressed in multiplet {m.name!r}"
-                )
-            best_deg = max(ga + gb for _, ga, gb in candidates)
-            top = [c for c in candidates if c[1] + c[2] == best_deg]
-            if len(top) > 1:
-                warnings.warn(
-                    f"multiple degree-{best_deg} lifts exist for {format_monomial(mono)}; "
-                    f"using the lowest-index generator",
-                    AmbiguousLiftWarning,
-                    stacklevel=2,
-                )
-            idx, ga, gb = min(top)
-            a -= ga
-            b -= gb
-            v = xvar(idx + 1, dof)
-            lifted[v] = lifted.get(v, 0) + 1
-        out = out + Poly.monomial(lifted, coeff)
-    return out
-
-
-def format_monomial(mono) -> str:
-    return str(Poly({mono: 1.0}))

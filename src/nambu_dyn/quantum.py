@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -38,8 +37,6 @@ __all__ = [
     "expectation_row",
     "RowPass",
     "expect",
-    "save_wavefunction",
-    "load_wavefunction",
 ]
 
 BOUNDARY_AMPLITUDE_TOL = 1e-8
@@ -510,47 +507,3 @@ def expect(wf: WaveFunction, kind: str, axis: int = 0) -> float:
     """Expectation value of q, p, q2, p2 or qp_sym along one axis (see
     ``expectation_row``)."""
     return expectation_row(wf, (kind,)).values[axis]
-
-
-# --------------------------------------------------------------------------
-# Snapshot files: little-endian, uint32 axis count, per axis
-# (float64 min, float64 max, uint32 n_points), then the amplitudes as
-# complex128 (interleaved re/im float64) in C order.
-# --------------------------------------------------------------------------
-
-
-def save_wavefunction(wf: WaveFunction, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", wf.grid.ndim))
-        for lo, hi, n in wf.grid.axes:
-            fh.write(struct.pack("<ddI", lo, hi, n))
-        fh.write(wf.amps.astype("<c16").tobytes())
-
-
-def load_wavefunction(path, hbar: float = 1.0) -> WaveFunction:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-
-    def need(size: int, what: str) -> None:
-        if len(raw) < size:
-            raise ValidationError(f"snapshot {path}: {what} needs {size} bytes, "
-                                  f"file has {len(raw)}")
-
-    need(4, "axis count")
-    (n_axes,) = struct.unpack_from("<I", raw)
-    offset = 4 + 20 * n_axes
-    need(offset, f"header for {n_axes} axes")
-    try:
-        grid = Grid(tuple(struct.iter_unpack("<ddI", raw[4:offset])))
-    except ValidationError as err:
-        raise ValidationError(f"snapshot {path}: {err}") from None
-    count = math.prod(grid.shape)
-    size = offset + 16 * count
-    need(size, f"header and {count} amplitudes")
-    if len(raw) > size:
-        raise ValidationError(
-            f"snapshot {path}: expected {size} bytes, file has {len(raw)} "
-            f"({len(raw) - size} trailing)"
-        )
-    amps = np.frombuffer(raw, "<c16", count, offset).reshape(grid.shape)
-    return WaveFunction(grid, amps.copy(), hbar)

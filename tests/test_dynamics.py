@@ -19,6 +19,7 @@ from nambu_dyn.dynamics import (
     HamiltonianSet,
     NonFiniteStateError,
     Trajectory,
+    check_run,
     compile_classical_field,
     compile_nambu_field,
     conserved_drift,
@@ -358,6 +359,8 @@ def test_integrate_hands_the_row_schedule_to_one_runner_call():
     stopped = integrate(_counting_rows(stop_at=5), (0.0,), 0.5, 5.25, ["s"], record_stride=3)
     assert stopped.t.tolist() == [0.0, 1.5, 2.5]
     assert stopped.flags == ["", "", "escaped"]
+    # A t_end within 1e-9 of a step counts that step; one 5e-7 of a step short does not.
+    assert [check_run(0.25, (40 - short) * 0.25) for short in (5e-7, 1e-10, 0.0)] == [39, 40, 40]
 
 
 def test_integrate_stops_consuming_rows_at_a_stop():

@@ -6,15 +6,12 @@ from helpers import classical_image, consistency_reference, eval_poly
 from nambu_dyn import quantum
 from nambu_dyn.multiplets import (
     MOMENTS,
-    AmbiguousLiftWarning,
     MalformedMultipletError,
     MultipletDef,
     QUARTET_QP_Q2P2,
     TRIPLET_QQPP_QP,
-    UnliftableMonomialError,
     builtin_multiplets,
     consistency_to_csv,
-    lift_to_multiplet,
     multiplet_from_strings,
     verify_consistency,
 )
@@ -152,90 +149,16 @@ def test_malformed_multiplet_shapes():
         )
 
 
-def test_lift_prefers_highest_order():
-    assert lift_to_multiplet(parse_poly("p^2"), QUARTET_QP_Q2P2) == Poly.var(xvar(4))
-    assert lift_to_multiplet(parse_poly("q"), QUARTET_QP_Q2P2) == Poly.var(xvar(1))
-    assert lift_to_multiplet(parse_poly("q^3"), QUARTET_QP_Q2P2) == Poly.var(
-        xvar(3)
-    ) * Poly.var(xvar(1))
-
-
-def test_lift_rejects_mixed_monomial_without_mixed_generator():
-    with pytest.raises(UnliftableMonomialError, match="q\\*p"):
-        lift_to_multiplet(parse_poly("q*p"), QUARTET_QP_Q2P2)
-
-
-def test_lift_triplet_uses_mixed_generator():
-    assert lift_to_multiplet(parse_poly("q*p"), TRIPLET_QQPP_QP) == Poly.var(xvar(3))
-    assert lift_to_multiplet(parse_poly("q^2*p^2"), TRIPLET_QQPP_QP) == Poly.var(
-        xvar(3)
-    ) ** 2
-    harmonic = parse_poly("0.5*p^2 + 0.5*q^2")
-    lifted = lift_to_multiplet(harmonic, TRIPLET_QQPP_QP)
-    assert lifted == parse_poly("0.5*x2 + 0.5*x1")
-
-
-def test_lift_cubic_generator_multiplet():
-    m = multiplet_from_strings(
-        "qp-q2-q3",
-        ["q", "p", "q^2", "q^3"],
-        ["x3 - x1^2", "x4 - 3*x3*x1 + 2*x1^3"],
-    )
-    assert lift_to_multiplet(parse_poly("q^3"), m) == Poly.var(xvar(4))
-    # the higher-order constraint choice satisfies the conditions, and so
-    # does the classically equivalent lower-order one
+@pytest.mark.parametrize(
+    "constraints",
+    [["x3 - x1^2", "x4 - 3*x3*x1 + 2*x1^3"], ["x3 - x1^2", "x4 - x1^3"]],
+    ids=["cumulant", "classical"],
+)
+def test_consistency_of_a_cubic_generator_multiplet(constraints):
+    # Both constraint choices for x4 = q^3 satisfy the conditions: the
+    # zero-third-cumulant one and the classically equivalent x1^3.
+    m = multiplet_from_strings("qp-q2-q3", ["q", "p", "q^2", "q^3"], constraints)
     assert all(r.passed for r in verify_consistency(m))
-    alt = multiplet_from_strings(
-        "qp-q2-q3-alt", ["q", "p", "q^2", "q^3"], ["x3 - x1^2", "x4 - x1^3"]
-    )
-    assert all(r.passed for r in verify_consistency(alt))
-
-
-def test_lift_roundtrip_classically():
-    rng = np.random.default_rng(23)
-    m = QUARTET_QP_Q2P2
-    qp_to_x = {}
-    for i, d in enumerate(m.defs[0], start=1):
-        qp_to_x[xvar(i)] = d
-    for _ in range(20):
-        a = int(rng.integers(0, 5))
-        b = int(rng.integers(0, 5))
-        f = Poly.monomial({q(): a}, float(rng.uniform(-2, 2))) * Poly.monomial(
-            {p(): b}
-        )
-        # pure monomials only; mixed ones are rejected by design
-        if a and b:
-            continue
-        lifted = lift_to_multiplet(f, m)
-        assert lifted.subs(qp_to_x) == f
-
-
-def test_lift_warns_on_ambiguous_generators():
-    m = MultipletDef(
-        "ambiguous",
-        4,
-        1,
-        (
-            (
-                Poly.var(q()),
-                Poly.var(p()),
-                Poly.monomial({q(): 2, p(): 1}),
-                Poly.monomial({q(): 1, p(): 2}),
-            ),
-        ),
-        ((parse_poly("x3"), parse_poly("x4")),),
-    )
-    with pytest.warns(AmbiguousLiftWarning):
-        lifted = lift_to_multiplet(parse_poly("q^3*p^3"), m)
-    assert lifted == Poly.var(xvar(3)) * Poly.var(xvar(4))
-
-
-def test_lift_requires_monomial_generators():
-    m = multiplet_from_strings(
-        "nonmono", ["q + p", "p", "q^2"], ["2*x3^2 - 2*x1*x2"]
-    )
-    with pytest.raises(MalformedMultipletError):
-        lift_to_multiplet(parse_poly("q"), m)
 
 
 def test_with_n_dof_replicates_template():

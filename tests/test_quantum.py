@@ -1,6 +1,5 @@
 import math
 import re
-import struct
 import warnings
 
 import numpy as np
@@ -192,6 +191,18 @@ def test_absorber_norm_non_increasing():
     diffs = np.diff(norms)
     assert np.all(diffs <= 1e-12)
     assert norms[-1] < 0.9
+
+
+def test_absorber_covers_the_outer_fifteen_percent_of_each_side():
+    # The cubic model's default grid: the mask is exactly 1 where a point is
+    # at least 0.15 of the box from both edges and below 1 elsewhere.
+    g = Grid.make_1d(-30.0, 15.0, 4096)
+    lo, hi, n = g.axes[0]
+    x = g.coords()
+    inner = np.minimum(x - lo, hi - x) >= 0.15 * (hi - lo)
+    mask = absorbing_mask(g)
+    assert np.all(mask[inner] == 1.0) and np.all(mask[~inner] < 1.0)
+    assert abs(np.mean(mask < 1.0) - 0.30) <= 2 / n
 
 
 def test_strang_splitting_order():
@@ -585,77 +596,3 @@ def test_wavefunction_shape_validation():
     g = Grid.make_1d(-10.0, 10.0, 128)
     with pytest.raises(ValueError):
         WaveFunction(g, np.zeros(64, dtype=complex))
-
-
-def test_snapshot_roundtrip_1d_and_2d(tmp_path):
-    g1 = Grid.make_1d(-10.0, 10.0, 128)
-    wf1 = init_gaussian(g1, 0.3, -0.7, 0.8)
-    path1 = tmp_path / "wf1.bin"
-    quantum.save_wavefunction(wf1, path1)
-    back1 = quantum.load_wavefunction(path1)
-    assert back1.grid == wf1.grid
-    np.testing.assert_array_equal(back1.amps, wf1.amps)
-
-    g2 = Grid.make_2d((-7.0, 7.0, 64), (-8.0, 10.0, 128))
-    wf2 = init_gaussian(g2, (0.0, 1.0), (0.5, -0.5), (0.7, 0.9))
-    path2 = tmp_path / "wf2.bin"
-    quantum.save_wavefunction(wf2, path2)
-    back2 = quantum.load_wavefunction(path2)
-    assert back2.grid == wf2.grid
-    np.testing.assert_array_equal(back2.amps, wf2.amps)
-    # layout: uint32 axis count, per-axis float64 min/max + uint32 n, then
-    # interleaved re/im float64
-    expected = 4 + 2 * 20 + 16 * 64 * 128
-    assert path2.stat().st_size == expected
-
-
-def test_snapshot_roundtrip_is_bit_exact_for_special_values(tmp_path):
-    # Every pairing of -0.0, +-inf, NaN and finite parts in (re, im).
-    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0, 5e-324])
-    amps = np.empty(64, dtype=complex)
-    amps.real = np.repeat(special, 8)
-    amps.imag = np.tile(special, 8)
-    path = tmp_path / "wf.bin"
-    quantum.save_wavefunction(WaveFunction(Grid.make_1d(-10.0, 10.0, 64), amps), path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        back = quantum.load_wavefunction(path)
-    assert back.amps.tobytes() == amps.tobytes()
-    assert back.amps.flags.writeable
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda raw: raw[:10], r"header for 1 axes needs 24 bytes, file has 10"),
-        (lambda raw: raw[:-8], r"header and 128 amplitudes needs 2072 bytes, file has 2064"),
-        (lambda raw: raw + b"\0" * 3, r"expected 2072 bytes, file has 2075 \(3 trailing\)"),
-        (
-            lambda raw: raw[:4] + struct.pack("<ddI", math.nan, 10.0, 128) + raw[24:],
-            r"bad.bin: axis 0 min = nan is not finite",
-        ),
-        (
-            lambda raw: raw[:4] + struct.pack("<ddI", -10.0, 10.0, 63) + raw[24:],
-            r"bad.bin: n_points must be a power of two >= 64, got 63",
-        ),
-        # 64-byte files whose headers count 2^93 and 2^63 amplitudes, past int64
-        (
-            lambda raw: struct.pack("<I", 3) + struct.pack("<ddI", -10.0, 10.0, 2**31) * 3,
-            rf"header and {2**93} amplitudes needs {64 + 16 * 2**93} bytes, file has 64",
-        ),
-        (
-            lambda raw: struct.pack("<I", 3) + struct.pack("<ddI", -10.0, 10.0, 2**21) * 3,
-            rf"header and {2**63} amplitudes needs {64 + 16 * 2**63} bytes, file has 64",
-        ),
-    ],
-    ids=["truncated_header", "truncated_amplitudes", "overlong", "nan_bound", "63_points",
-         "2^93_points", "2^63_points"],
-)
-def test_snapshot_rejects_bad_sizes(tmp_path, edit, message):
-    good = tmp_path / "good.bin"
-    quantum.save_wavefunction(init_gaussian(Grid.make_1d(-10.0, 10.0, 128), 0.0, 0.0, 1.0), good)
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(edit(good.read_bytes()))
-    with pytest.raises(ValueError, match=message) as err:
-        quantum.load_wavefunction(bad)
-    assert str(bad) in str(err.value)

@@ -1157,8 +1157,8 @@ def test_every_bad_input_error_is_a_validation_error():
     assert nambu_dyn.ValidationError is ValidationError and issubclass(ValidationError, ValueError)
     for error in (cli.ConfigError, poly.PolyParseError, poly.UnboundVariableError,
                   brackets.DimensionMismatchError, multiplets.MalformedMultipletError,
-                  multiplets.UnliftableMonomialError, closure.UnsupportedMultipletError,
-                  closure.UnsupportedMomentError, closure.UnsupportedPotentialError):
+                  closure.UnsupportedMultipletError, closure.UnsupportedMomentError,
+                  closure.UnsupportedPotentialError):
         assert issubclass(error, ValidationError), error
 
 
