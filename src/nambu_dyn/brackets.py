@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .poly import Poly, UnboundVariableError, ValidationError, VarId, check_count, p, q, xvar
-from .poly import compile_evaluator
+from .poly import check_variables, compile_evaluator
 from .state import Layout, x_vars
 
 __all__ = [
@@ -65,17 +65,6 @@ def _partial(f: Poly, v: VarId) -> Poly:
     return f.partial(v)
 
 
-def _check_layout_vars(fns: Sequence[Poly], layout: Layout) -> None:
-    allowed = set(x_vars(layout))
-    for f in fns:
-        extra = f.variables() - allowed
-        if extra:
-            names = ", ".join(sorted(v.name for v in extra))
-            raise DimensionMismatchError(
-                f"polynomial references variables outside layout {layout}: {names}"
-            )
-
-
 # --------------------------------------------------------------------------
 # Poisson bracket
 # --------------------------------------------------------------------------
@@ -118,7 +107,7 @@ def nambu_bracket_poly(fns: Sequence[Poly], layout: Layout) -> Poly:
         raise DimensionMismatchError(f"need {N} functions, got {len(fns)}")
     if N > MAX_SYMBOLIC_N:
         raise ValidationError(f"symbolic expansion is limited to N <= {MAX_SYMBOLIC_N}")
-    _check_layout_vars(fns, layout)
+    check_variables(fns, set(x_vars(layout)), "bracket functions", DimensionMismatchError)
     out = Poly.zero()
     for dof in range(n_dof):
         vs = [xvar(i, dof) for i in range(1, N + 1)]

@@ -14,7 +14,8 @@ from math import comb, isfinite
 from typing import Sequence
 
 from .multiplets import MultipletDef, QUARTET_QP_Q2P2, TRIPLET_QQPP_QP
-from .poly import Poly, ValidationError, check_finite, check_positive, check_width, q, xvar
+from .poly import Poly, ValidationError, check_finite, check_positive, check_variables, check_width
+from .poly import q, xvar
 
 __all__ = [
     "ClosureMode",
@@ -123,12 +124,7 @@ def build_F(
         check_positive(mass, f"mass of dof {dof}")
     for mono, coeff in V.terms.items():
         check_finite(coeff, f"potential coefficient of {Poly.monomial(dict(mono))}")
-    extra = V.variables() - {q(dof) for dof in range(m.n_dof)}
-    if extra:
-        names = ", ".join(sorted(v.name for v in extra))
-        raise UnsupportedMomentError(
-            f"potential may only involve position variables; got {names}"
-        )
+    check_variables([V], {q(dof) for dof in range(m.n_dof)}, "potential", UnsupportedMomentError)
 
     F = Poly.zero()
     for dof in range(m.n_dof):

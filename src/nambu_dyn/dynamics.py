@@ -16,10 +16,10 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .brackets import _check_layout_vars, nambu_bracket_poly
+from .brackets import DimensionMismatchError, nambu_bracket_poly
 from .native import LONG_MAX
 from .poly import Poly, ValidationError, check_count, check_positive, compile_evaluator, p, q
-from .poly import compile_vector_field
+from .poly import check_variables, compile_vector_field
 from .state import Layout, classical_vars, x_vars
 
 __all__ = [
@@ -59,7 +59,8 @@ class HamiltonianSet:
                 f"layout N={self.layout.N} needs {self.layout.N - 2} constraints, "
                 f"got {len(self.gs)}"
             )
-        _check_layout_vars([self.F, *self.gs], self.layout)
+        xs = set(x_vars(self.layout))
+        check_variables(self.hamiltonians, xs, "F and G_c", DimensionMismatchError)
 
     @property
     def hamiltonians(self) -> tuple[Poly, ...]:

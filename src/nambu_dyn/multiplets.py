@@ -16,7 +16,7 @@ from typing import Sequence
 from .brackets import (
     DEFAULT_SAMPLE_SEED, _at_samples, _det_poly, _partial, poisson_bracket_poly, sample_assignments,
 )
-from .poly import Poly, ValidationError, VarId, parse_poly, p, q, xvar
+from .poly import Poly, ValidationError, VarId, check_variables, parse_poly, p, q, xvar
 from .state import Layout
 
 __all__ = [
@@ -69,18 +69,11 @@ class MultipletDef:
                 raise MalformedMultipletError(
                     f"dof {dof}: expected {self.N - 2} constraints"
                 )
-            allowed_qp = {q(dof), p(dof)}
-            for d in self.defs[dof]:
-                if not d.variables() <= allowed_qp:
-                    raise MalformedMultipletError(
-                        f"dof {dof}: definitions must use only q{dof}, p{dof}"
-                    )
-            allowed_x = {xvar(i, dof) for i in range(1, self.N + 1)}
-            for g in self.constraints[dof]:
-                if not g.variables() <= allowed_x:
-                    raise MalformedMultipletError(
-                        f"dof {dof}: constraints must use only that dof's x variables"
-                    )
+            qp, xs = {q(dof), p(dof)}, {xvar(i, dof) for i in range(1, self.N + 1)}
+            check_variables(self.defs[dof], qp, f"dof {dof} definitions", MalformedMultipletError)
+            check_variables(
+                self.constraints[dof], xs, f"dof {dof} constraints", MalformedMultipletError
+            )
             nonzero = sum(
                 1
                 for i, j in combinations(range(self.N), 2)

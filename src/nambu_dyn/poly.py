@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -70,6 +70,19 @@ def check_count(n: int, name: str) -> None:
     """ValidationError unless ``n`` is an integer >= 1 (a bool is not an integer)."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"{name} = {n!r} is not an integer >= 1")
+
+
+def check_variables(
+    polys: Iterable[Poly], allowed: Collection[VarId], what: str, error: type = ValidationError
+) -> None:
+    """``error`` (a ValidationError class) if ``polys`` use variables outside ``allowed``."""
+    extra = {v for poly in polys for v in poly.variables() if v not in allowed}
+    if extra:  # both sets named in canonical order
+        scope, names = (
+            ", ".join(v.name for v in sorted(vs, key=lambda v: v.sort_key))
+            for vs in (allowed, extra)
+        )
+        raise error(f"{what} may use only {{{scope}}}; got {names}")
 
 
 class UnboundVariableError(ValidationError):
@@ -432,10 +445,7 @@ def _term_source(mono: Monomial, coeff: float, refs: Mapping[VarId, str]) -> str
 
 
 def _expr_source(poly: Poly, refs: Mapping[VarId, str]) -> str:
-    missing = [v for v in poly.variables() if v not in refs]
-    if missing:
-        names = ", ".join(v.name for v in missing)
-        raise UnboundVariableError(f"variables not in evaluation order: {names}")
+    check_variables([poly], refs, "compiled polynomial", UnboundVariableError)
     if len(poly.terms) > MAX_SUM_TERMS:
         raise ValidationError(
             f"polynomial of {len(poly.terms)} terms has more than {MAX_SUM_TERMS} terms to compile"

@@ -33,14 +33,13 @@ import numpy as np
 from nambu_dyn.brackets import (
     DEFAULT_SAMPLE_SEED,
     DimensionMismatchError,
-    _check_layout_vars,
     _partial,
     nambu_bracket_poly,
     poisson_bracket_poly,
     sample_assignments,
 )
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory
-from nambu_dyn.poly import Poly, UnboundVariableError, VarId, p, q, xvar
+from nambu_dyn.poly import Poly, UnboundVariableError, VarId, check_variables, p, q, xvar
 from nambu_dyn.quantum import (
     SplitOperatorPropagator,
     absorbing_mask,
@@ -159,7 +158,7 @@ def nambu_bracket(fns: Sequence[Poly], state, layout: Layout) -> float:
     N, n_dof = layout
     if len(fns) != N:
         raise DimensionMismatchError(f"need {N} functions, got {len(fns)}")
-    _check_layout_vars(fns, layout)
+    check_variables(fns, set(x_vars(layout)), "bracket functions", DimensionMismatchError)
     point = as_point(state, layout)
     total = 0.0
     jac = np.empty((N, N), dtype=np.float64)
@@ -372,22 +371,26 @@ def mode_energies(wf, params) -> tuple[float, float]:
 
 
 def stride_run(prop, wf, kinds, n_steps, record_stride, multiple=1, absorbed=False):
-    """(steps, rows, flags) of a quantum run in a loop of its own: one
-    ``prop.step`` call per recording stride, of ``multiple`` steps of the
-    run's dt each, one ``expectation_row`` per row and, when ``absorbed``,
-    the absorber's 1 % norm stop; ``wf`` is left at the last row's state."""
-    steps, rows, flags = [0], [expectation_row(wf, kinds).values], [""]
+    """(steps, rows, flags, norms, edges) of a quantum run in a loop of its
+    own: one ``prop.step`` call per recording stride, of ``multiple`` steps of
+    the run's dt each, one ``expectation_row`` per row, its ``norm`` and
+    ``boundary_amp`` and, when ``absorbed``, the absorber's 1 % norm stop;
+    ``wf`` is left at the last row's state."""
+    first = expectation_row(wf, kinds)
+    steps, rows, flags, checks = [0], [first.values], [""], [(first.norm, first.boundary_amp)]
     while steps[-1] < n_steps:
         n = min(record_stride, n_steps - steps[-1])
         prop.step(wf, n // multiple)
         row = expectation_row(wf, kinds)
         steps.append(steps[-1] + n)
         rows.append(row.values)
+        checks.append((row.norm, row.boundary_amp))
         stop = absorbed and row.norm < ABSORBED_NORM_FLOOR
         flags.append("absorbed" if stop else "")
         if stop:
             break
-    return np.array(steps), np.array(rows), flags
+    norms, edges = np.array(checks).T
+    return np.array(steps), np.array(rows), flags, norms, edges
 
 
 def strang_run(spec, packet, dt, t_end, record_stride, grid):
@@ -400,7 +403,7 @@ def strang_run(spec, packet, dt, t_end, record_stride, grid):
     )
     kinds = model_multiplet(spec).moments
     n_steps = int(np.floor(t_end / dt + 1e-9))
-    steps, rows, flags = stride_run(
+    steps, rows, flags, _, _ = stride_run(
         prop, wf, kinds, n_steps, record_stride, absorbed=absorber is not None
     )
     return steps * dt, rows, flags

@@ -82,6 +82,9 @@ def test_nambu_dimension_mismatch():
         nambu_bracket([X1, X2, X4], np.zeros(3), layout)
     with pytest.raises(DimensionMismatchError):
         nambu_bracket([X1, X2], np.zeros(3), layout)
+    # expanded, x4 would differentiate to 0 and the bracket vanish unnoticed
+    with pytest.raises(DimensionMismatchError, match="got x4_0$"):
+        nambu_bracket_poly([X1, X2, X4], layout)
 
 
 def test_nambu_antisymmetry_random():

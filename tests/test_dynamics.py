@@ -14,6 +14,7 @@ from helpers import (
 )
 
 from nambu_dyn import native
+from nambu_dyn.brackets import DimensionMismatchError
 from nambu_dyn.dynamics import (
     CSV_BLOCK_ROWS,
     HamiltonianSet,
@@ -234,6 +235,9 @@ def test_non_finite_state_raises_with_partial_trajectory():
 def test_hamiltonian_set_validates_constraint_count():
     with pytest.raises(ValueError):
         HamiltonianSet(CUBIC.F, CUBIC.gs, Layout(3, 1))
+    # and F, G_c over the layout's x alone: the flow would treat x1_1 as a constant
+    with pytest.raises(DimensionMismatchError, match="F and G_c .* got x1_1$"):
+        HamiltonianSet(CUBIC.F * parse_poly("x1_1"), CUBIC.gs, CUBIC.layout)
 
 
 def test_symbolic_flow_component_count():

@@ -147,6 +147,11 @@ def test_malformed_multiplet_shapes():
             ((Poly.var(q()), Poly.var(q()), Poly.var(q())),),
             ((parse_poly("x1"),),),
         )
+    # A template's definitions lie in q0, p0 and its constraints in its own x.
+    with pytest.raises(MalformedMultipletError, match="definitions .* got q1$"):
+        multiplet_from_strings("bad", ["q", "p", "q1^2"], ["x3 - x1^2"])
+    with pytest.raises(MalformedMultipletError, match="constraints .* got x4_0$"):
+        multiplet_from_strings("bad", ["q^2", "p^2", "q*p"], ["2*x4^2 - 2*x1*x2"])
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from helpers import (
 
 from nambu_dyn import quantum
 from nambu_dyn.dynamics import NonFiniteStateError, integrate
-from nambu_dyn.poly import Poly, q
+from nambu_dyn.poly import Poly, ValidationError, p, q
 from nambu_dyn.quantum import (
     BoundarySupportWarning,
     Grid,
@@ -27,7 +27,9 @@ from nambu_dyn.quantum import (
     expect,
     RowPass,
     expectation_row,
+    choose_split_step,
     init_gaussian,
+    potential_mesh,
 )
 
 SIG = math.sqrt(0.5)
@@ -114,6 +116,15 @@ def test_init_gaussian_warns_on_boundary_support():
     g = Grid.make_1d(-2.0, 2.0, 64)
     with pytest.warns(BoundarySupportWarning):
         init_gaussian(g, 1.5, 0.0, 1.0)
+    # Width sqrt(1/2) and 5.6 below the last point: |psi| there is about 1.2e-7,
+    # above the 1e-8 tolerance, below 1e-6, and far above |psi| at the first point.
+    g = Grid.make_1d(-10.0, 10.0, 512)
+    with pytest.warns(BoundarySupportWarning):
+        wf = init_gaussian(g, g.coords()[-1] - 5.6, 0.0, SIG)
+    density = wf.amps.real**2 + wf.amps.imag**2
+    assert 1e-8 < math.sqrt(density[-1]) < 1e-6 and density[0] < density[-1]
+    edge = math.sqrt(max(density[0], density[-1]))
+    assert expectation_row(wf, ("q",)).boundary_amp == edge
 
 
 def test_qp_sym_of_moving_packet():
@@ -264,6 +275,33 @@ def test_fourth_order_needs_a_polynomial_potential():
         with pytest.raises(TypeError, match="potential must be a Poly"):
             SplitOperatorPropagator(g, lambda x: 0.5 * x**2, 1e-2, order=order)
         SplitOperatorPropagator(g, HARMONIC, 1e-2, order=order)
+    with pytest.raises(ValidationError, match="got p0$"):
+        potential_mesh(g, HARMONIC + Poly.var(p(0)))
+
+
+def test_split_step_estimates_are_scaled_step_halving_differences():
+    # Over the window g = gcd(10, 30) = 10 steps of dt from the packet, a
+    # step h of order k has the estimate max|E(h) - E(h/2)| * 2^k / (2^k - 1):
+    # Strang at dt sets the target, and the fourth-order step taken, j dt,
+    # has its own.  With 20 steps, 3g > n_steps: no estimate, Strang at dt.
+    g, dt = Grid.make_1d(-10.0, 10.0, 512), 1e-2
+
+    def packet():
+        return init_gaussian(g, 1.0, 0.5, SIG)
+
+    def halving_gap(order, h, steps):
+        rows = []
+        for halves in (1, 2):
+            prop = SplitOperatorPropagator(g, HARMONIC, h / halves, order=order)
+            rows.append(expectation_row(prop.step(packet(), halves * steps), QUARTET).values)
+        return float(np.max(np.abs(np.subtract(*rows))))
+
+    split = choose_split_step(packet(), HARMONIC, dt, 30, 10, QUARTET)
+    assert split.order == 4 and 10 % split.multiple == 0
+    assert split.strang_err_est == halving_gap(2, dt, 10) * 4 / 3
+    assert split.err_est == halving_gap(4, split.multiple * dt, 10 // split.multiple) * 16 / 15
+    kept = choose_split_step(packet(), HARMONIC, dt, 20, 10, QUARTET)
+    assert kept[:2] == (1, 2) and math.isnan(kept.err_est) and math.isnan(kept.strang_err_est)
 
 
 def test_fourth_order_rejects_an_absorber():

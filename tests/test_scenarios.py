@@ -553,7 +553,7 @@ def test_block_rows_match_a_stride_by_stride_loop(name, pc, dt, t_end, grid, mon
     ref = init_gaussian(grid, packet.qc, packet.pc, packet.resolved_sigmas(spec), spec.hbar)
     kinds = ("q2", "p2", "qp_sym") if name == "harmonic" else ("q", "p", "q2", "p2")
     n_steps = int(np.floor(t_end / dt + 1e-9))
-    steps, rows, flags = stride_run(
+    steps, rows, flags, _, _ = stride_run(
         prop, ref, kinds, n_steps, 10, round(h / dt), absorber is not None
     )
     block = scenarios.ROW_BLOCK_BYTES // wf.amps.nbytes
@@ -565,6 +565,29 @@ def test_block_rows_match_a_stride_by_stride_loop(name, pc, dt, t_end, grid, mon
     assert np.array_equal(traj.states, rows)
     assert traj.flags == flags
     assert np.array_equal(wf.amps, ref.amps)
+
+
+def test_run_meta_takes_the_boundary_and_norm_extremes_over_all_rows(monkeypatch):
+    # The packet (0, 5) is at q = 5, nearest the edge, after a quarter period
+    # and back at q = 0 after half of one: its largest boundary |psi| is on
+    # a middle row.  The meta must agree to the bit with the largest
+    # boundary_amp and the largest |norm - norm_0| of a stride-by-stride loop.
+    spec, packet = harmonic_model(), PacketSpec.make(0.0, 5.0)
+    dt, t_end = 1e-2, math.pi
+    traj, wf = _captured_run(monkeypatch, spec, packet, dt=dt, t_end=t_end, record_stride=10,
+                             grid=Grid.make_1d(-10.0, 10.0, 512))
+    h, order = float(traj.meta["quantum_dt"]), int(traj.meta["split_order"])
+    prop = SplitOperatorPropagator(wf.grid, potential_poly(spec), h, order=order)
+    ref = init_gaussian(wf.grid, packet.qc, packet.pc, packet.resolved_sigmas(spec))
+    kinds = scenarios.model_multiplet(spec).moments
+    n_steps = int(np.floor(t_end / dt + 1e-9))
+    steps, _, _, norms, edges = stride_run(prop, ref, kinds, n_steps, 10, round(h / dt))
+    assert np.array_equal(traj.t, steps * dt)
+    assert 0 < np.argmax(edges) < len(edges) - 1
+    change = norms - norms[0]
+    assert change[np.argmax(np.abs(change))] > 0  # the largest change is a gain
+    assert float(traj.meta["boundary_amp_max"]) == edges.max()
+    assert float(traj.meta["norm_loss"]) == np.abs(change).max()
 
 
 @pytest.mark.parametrize("fail_at", [1, 3, 5, 11])
