@@ -31,11 +31,11 @@ from .poly import Poly, ValidationError, check_finite, check_positive, check_wid
 from .poly import compile_evaluator
 from .quantum import (
     Grid,
-    RowPass,
     SplitOperatorPropagator,
     absorbing_mask,
     choose_split_step,
     expect,  # noqa: F401  (bench/hooks.py traces scenarios.expect)
+    expectation_row,
     init_gaussian,
 )
 from .state import classical_vars, x_vars
@@ -356,9 +356,12 @@ def _run_rk4(spec, packet, method, dt, t_end, record_stride, q_stop, meta) -> Tr
 def _run_quantum(spec, packet, grid, dt, t_end, n_steps, record_stride, meta) -> Trajectory:
     """The grid run: split steps of the size and order ``choose_split_step``
     picks (meta: ``quantum_dt``, ``split_order``, ``split_err_est``,
-    ``strang_err_est``) and expectation rows in ``RowPass`` blocks; the meta
+    ``strang_err_est``) and expectation rows in ``RowPass`` blocks, computed
+    while the next block is stepped (``_rowworker.RowBlocks``); the meta
     also gets the largest boundary |psi| over the rows (``boundary_amp_max``)
     and the largest change of the norm from the first row (``norm_loss``)."""
+    from ._rowworker import RowBlocks  # here, so that runs without a grid do not load it
+
     wf = init_gaussian(grid, packet.qc, packet.pc, packet.resolved_sigmas(spec), spec.hbar)
     absorber = absorbing_mask(grid) if MODELS[spec.model_id].escapes else None
     V = potential_poly(spec)
@@ -371,33 +374,26 @@ def _run_quantum(spec, packet, grid, dt, t_end, n_steps, record_stride, meta) ->
         quantum_dt=repr(h), split_order=str(split.order),
         split_err_est=repr(split.err_est), strang_err_est=repr(split.strang_err_est),
     )
-    block = RowPass(grid, spec.hbar, kinds, max(1, ROW_BLOCK_BYTES // wf.amps.nbytes))
-    snaps = block.states
-    snaps[0] = wf.amps
-    (first,) = block.rows(1)  # row 0, as a block of one
+    first = expectation_row(wf, kinds)  # row 0, a block of one
     checks = [(first.norm, first.boundary_amp)]  # (norm, boundary |psi|) per row
 
     def rows(steps: list[int]):
-        done = 0
-        for lo in range(0, len(steps), len(snaps)):
-            n, failure = 0, None
-            try:
-                for step in steps[lo : lo + len(snaps)]:  # split.multiple divides every stride
-                    snaps[n] = prop.step(wf, (step - done) // split.multiple).amps
-                    n, done = n + 1, step
-            except NonFiniteStateError as exc:
-                failure = exc
-            for k, r in enumerate(block.rows(n)):  # the strides taken, in one pass
-                checks.append((r.norm, r.boundary_amp))
-                absorbed = absorber is not None and r.norm < ABSORBED_NORM_FLOOR
-                if absorbed:  # the norm check replaces the position stop
-                    wf.amps = snaps[k].copy()
-                yield r.values, (steps[lo + k], "absorbed") if absorbed else None
-            if failure is not None:  # after the rows before it, unless one ended the run
-                raise failure
+        def advance(gap: int) -> np.ndarray:  # split.multiple divides every stride
+            return prop.step(wf, gap // split.multiple).amps
+
+        for step, r, state in blocks.stepped(steps, advance):
+            checks.append((r.norm, r.boundary_amp))
+            absorbed = absorber is not None and r.norm < ABSORBED_NORM_FLOOR
+            if absorbed:  # the norm check replaces the position stop
+                wf.amps = state.copy()
+            yield r.values, (step, "absorbed") if absorbed else None
 
     columns = [v.name for v in x_vars(layout)]
-    traj = integrate(rows, first.values, dt, t_end, columns, record_stride=record_stride, meta=meta)
+    size = max(1, ROW_BLOCK_BYTES // wf.amps.nbytes)
+    with RowBlocks(grid, spec.hbar, kinds, size) as blocks:
+        traj = integrate(
+            rows, first.values, dt, t_end, columns, record_stride=record_stride, meta=meta
+        )
     norms, edges = np.array(checks).T
     traj.meta["boundary_amp_max"] = repr(float(edges.max()))
     traj.meta["norm_loss"] = repr(float(np.abs(norms - norms[0]).max()))

@@ -1,3 +1,5 @@
+import importlib.util
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -6,7 +8,22 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nambu_dyn import native  # noqa: E402
+
+def _bench_thread_pools() -> dict:
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", Path(__file__).parents[1] / "bench" / "run.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.THREAD_POOLS
+
+
+# The BLAS and OpenMP pools pinned to one thread before numpy loads, with the
+# variables the benchmark sets: the test process then has one thread, and a
+# quantum run selects its row worker as it does in the benchmark.
+os.environ.update(_bench_thread_pools())
+
+from nambu_dyn import _rowworker, native  # noqa: E402
 
 
 @pytest.fixture(params=["native", "python"])
@@ -19,3 +36,33 @@ def kernel(request, monkeypatch):
     elif request.param == "native" and shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     return request.param
+
+
+@pytest.fixture
+def row_paths(monkeypatch):
+    """Where a quantum run computes its expectation rows, each in turn: a test
+    runs its body once per path, ``for path in row_paths:``.  "worker" forces
+    the selection onto a forked worker, whatever the run's size, and
+    "in-process" off it.  Each pass must fork as its path says and leave no
+    child behind.  A loop, not fixture parameters, keeps the test ids."""
+    fork = os.fork
+
+    def paths():
+        for path in ("worker", "in-process"):
+            forks = []
+
+            def counted():
+                pid = fork()
+                if pid:
+                    forks.append(pid)
+                return pid
+
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "fork", counted)
+                patch.setattr(_rowworker, "use_worker", lambda recorded: path == "worker")
+                yield path
+            assert bool(forks) == (path == "worker"), (path, forks)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    return paths()

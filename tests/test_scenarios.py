@@ -535,92 +535,104 @@ CUBIC_1024 = Grid.make_1d(-30.0, 15.0, 1024)
     [("harmonic", 0.5, 1e-2, 1.05, None), ("cubic", 1.8, 1e-2, 40.0, CUBIC_1024)],
     ids=["short-last-stride", "absorbed-mid-block"],
 )
-def test_block_rows_match_a_stride_by_stride_loop(name, pc, dt, t_end, grid, monkeypatch):
+def test_block_rows_match_a_stride_by_stride_loop(name, pc, dt, t_end, grid, monkeypatch,
+                                                  row_paths):
     # The run records its rows in blocks of ROW_BLOCK_BYTES of states (4 rows
     # at 2048 points, 8 at 1024); the loop steps one stride and takes one
-    # row at a time.  Rows, flags and the final state must agree to the bit.
+    # row at a time.  Rows, flags and the final state must agree to the bit,
+    # with the rows on a worker and in process.
     spec = model_by_name(name)
     packet = PacketSpec.make(1.0 if name == "harmonic" else 0.0, pc)
-    traj, wf = _captured_run(
-        monkeypatch, spec, packet, dt=dt, t_end=t_end, record_stride=10, grid=grid
-    )
-    grid = wf.grid
-    h, order = float(traj.meta["quantum_dt"]), int(traj.meta["split_order"])
-    absorber = absorbing_mask(grid) if name == "cubic" else None
-    prop = SplitOperatorPropagator(
-        grid, potential_poly(spec), h, spec.hbar, spec.masses, absorber, order
-    )
-    ref = init_gaussian(grid, packet.qc, packet.pc, packet.resolved_sigmas(spec), spec.hbar)
-    kinds = ("q2", "p2", "qp_sym") if name == "harmonic" else ("q", "p", "q2", "p2")
-    n_steps = int(np.floor(t_end / dt + 1e-9))
-    steps, rows, flags, _, _ = stride_run(
-        prop, ref, kinds, n_steps, 10, round(h / dt), absorber is not None
-    )
-    block = scenarios.ROW_BLOCK_BYTES // wf.amps.nbytes
-    if name == "harmonic":  # 10 full strides and one of 5 steps: blocks of 4, 4 and 3
-        assert (block, steps[-1] - steps[-2], flags[-1]) == (4, 5, "")
-    else:  # row 54 ends the run, the sixth of the block of rows 49-56
-        assert (block, len(steps) - 1, flags[-1]) == (8, 54, "absorbed")
-    assert np.array_equal(traj.t, steps * dt)
-    assert np.array_equal(traj.states, rows)
-    assert traj.flags == flags
-    assert np.array_equal(wf.amps, ref.amps)
+    for _ in row_paths:
+        traj, wf = _captured_run(
+            monkeypatch, spec, packet, dt=dt, t_end=t_end, record_stride=10, grid=grid
+        )
+        h, order = float(traj.meta["quantum_dt"]), int(traj.meta["split_order"])
+        absorber = absorbing_mask(wf.grid) if name == "cubic" else None
+        prop = SplitOperatorPropagator(
+            wf.grid, potential_poly(spec), h, spec.hbar, spec.masses, absorber, order
+        )
+        ref = init_gaussian(wf.grid, packet.qc, packet.pc, packet.resolved_sigmas(spec),
+                            spec.hbar)
+        kinds = ("q2", "p2", "qp_sym") if name == "harmonic" else ("q", "p", "q2", "p2")
+        n_steps = int(np.floor(t_end / dt + 1e-9))
+        steps, rows, flags, _, _ = stride_run(
+            prop, ref, kinds, n_steps, 10, round(h / dt), absorber is not None
+        )
+        block = scenarios.ROW_BLOCK_BYTES // wf.amps.nbytes
+        if name == "harmonic":  # 10 full strides and one of 5 steps: blocks of 4, 4 and 3
+            assert (block, steps[-1] - steps[-2], flags[-1]) == (4, 5, "")
+        else:  # row 54 ends the run, the sixth of the block of rows 49-56
+            assert (block, len(steps) - 1, flags[-1]) == (8, 54, "absorbed")
+        assert np.array_equal(traj.t, steps * dt)
+        assert np.array_equal(traj.states, rows)
+        assert traj.flags == flags
+        assert np.array_equal(wf.amps, ref.amps)
 
 
-def test_run_meta_takes_the_boundary_and_norm_extremes_over_all_rows(monkeypatch):
+def test_run_meta_takes_the_boundary_and_norm_extremes_over_all_rows(monkeypatch, row_paths):
     # The packet (0, 5) is at q = 5, nearest the edge, after a quarter period
     # and back at q = 0 after half of one: its largest boundary |psi| is on
     # a middle row.  The meta must agree to the bit with the largest
     # boundary_amp and the largest |norm - norm_0| of a stride-by-stride loop.
     spec, packet = harmonic_model(), PacketSpec.make(0.0, 5.0)
     dt, t_end = 1e-2, math.pi
-    traj, wf = _captured_run(monkeypatch, spec, packet, dt=dt, t_end=t_end, record_stride=10,
-                             grid=Grid.make_1d(-10.0, 10.0, 512))
-    h, order = float(traj.meta["quantum_dt"]), int(traj.meta["split_order"])
-    prop = SplitOperatorPropagator(wf.grid, potential_poly(spec), h, order=order)
-    ref = init_gaussian(wf.grid, packet.qc, packet.pc, packet.resolved_sigmas(spec))
-    kinds = scenarios.model_multiplet(spec).moments
-    n_steps = int(np.floor(t_end / dt + 1e-9))
-    steps, _, _, norms, edges = stride_run(prop, ref, kinds, n_steps, 10, round(h / dt))
-    assert np.array_equal(traj.t, steps * dt)
-    assert 0 < np.argmax(edges) < len(edges) - 1
-    change = norms - norms[0]
-    assert change[np.argmax(np.abs(change))] > 0  # the largest change is a gain
-    assert float(traj.meta["boundary_amp_max"]) == edges.max()
-    assert float(traj.meta["norm_loss"]) == np.abs(change).max()
+    for _ in row_paths:
+        traj, wf = _captured_run(monkeypatch, spec, packet, dt=dt, t_end=t_end,
+                                 record_stride=10, grid=Grid.make_1d(-10.0, 10.0, 512))
+        h, order = float(traj.meta["quantum_dt"]), int(traj.meta["split_order"])
+        prop = SplitOperatorPropagator(wf.grid, potential_poly(spec), h, order=order)
+        ref = init_gaussian(wf.grid, packet.qc, packet.pc, packet.resolved_sigmas(spec))
+        kinds = scenarios.model_multiplet(spec).moments
+        n_steps = int(np.floor(t_end / dt + 1e-9))
+        steps, rows, flags, norms, edges = stride_run(prop, ref, kinds, n_steps, 10,
+                                                      round(h / dt))
+        assert np.array_equal(traj.t, steps * dt)
+        assert np.array_equal(traj.states, rows) and traj.flags == flags
+        assert np.array_equal(wf.amps, ref.amps)
+        assert 0 < np.argmax(edges) < len(edges) - 1
+        change = norms - norms[0]
+        assert change[np.argmax(np.abs(change))] > 0  # the largest change is a gain
+        assert float(traj.meta["boundary_amp_max"]) == edges.max()
+        assert float(traj.meta["norm_loss"]) == np.abs(change).max()
 
 
 @pytest.mark.parametrize("fail_at", [1, 3, 5, 11])
-def test_quantum_abort_in_a_block_keeps_the_rows_before_it(fail_at, monkeypatch):
+def test_quantum_abort_in_a_block_keeps_the_rows_before_it(fail_at, monkeypatch, row_paths):
     # 11 strides in blocks of 4, 4 and 3: the failing stride opens the first
-    # block, sits inside it, opens the second, or closes the run.
+    # block, sits inside it, opens the second, or closes the run.  The whole
+    # run computes its rows in process, each abort on both paths.
     spec, packet = harmonic_model(), PacketSpec.make(1.0, 0.5)
     run = dict(dt=1e-2, t_end=1.05, record_stride=10)
     whole = run_scenario(spec, packet, "quantum", **run)
     monkeypatch.setattr(_FailsAtCall, "FAIL_AT", fail_at)
     monkeypatch.setattr(scenarios, "SplitOperatorPropagator", _FailsAtCall)
-    with pytest.raises(NonFiniteAmplitudeError) as err:
-        run_scenario(spec, packet, "quantum", **run)
-    partial = err.value.trajectory
-    assert len(partial) == fail_at
-    assert np.array_equal(partial.t, whole.t[:fail_at])
-    assert np.array_equal(partial.states, whole.states[:fail_at])
-    assert np.array_equal(partial.observables, whole.observables[:fail_at])
-    assert partial.flags == [""] * fail_at
+    for _ in row_paths:
+        with pytest.raises(NonFiniteAmplitudeError) as err:
+            run_scenario(spec, packet, "quantum", **run)
+        partial = err.value.trajectory
+        assert len(partial) == fail_at
+        assert np.array_equal(partial.t, whole.t[:fail_at])
+        assert np.array_equal(partial.states, whole.states[:fail_at])
+        assert np.array_equal(partial.observables, whole.observables[:fail_at])
+        assert partial.flags == [""] * fail_at
 
 
-def test_quantum_abort_after_an_absorbed_row_in_its_block_is_not_raised(monkeypatch):
+def test_quantum_abort_after_an_absorbed_row_in_its_block_is_not_raised(monkeypatch, row_paths):
     # Rows 49-56 form one block at 1024 points; row 54 is absorbed, so a
-    # failure in the stride to row 55 comes after the end of the run and
-    # changes nothing.
+    # failure in the stride to row 55, or to row 60 in the next block, which
+    # the runner steps before it takes the rows of this one, comes after the
+    # end of the run and changes nothing.
     spec, packet = cubic_model(), PacketSpec.make(0.0, 1.8)
     run = dict(dt=1e-2, record_stride=10, grid=CUBIC_1024)
     whole = run_scenario(spec, packet, "quantum", **run)
     assert len(whole) == 55 and whole.flags[-1] == "absorbed"
-    monkeypatch.setattr(_FailsAtCall, "FAIL_AT", 55)
     monkeypatch.setattr(scenarios, "SplitOperatorPropagator", _FailsAtCall)
-    traj = run_scenario(spec, packet, "quantum", **run)
-    assert np.array_equal(traj.states, whole.states) and traj.flags == whole.flags
+    for _ in row_paths:
+        for fail_at in (55, 60):
+            monkeypatch.setattr(_FailsAtCall, "FAIL_AT", fail_at)
+            traj = run_scenario(spec, packet, "quantum", **run)
+            assert np.array_equal(traj.states, whole.states) and traj.flags == whole.flags
 
 
 SMALL_GRIDS = {"henon_heiles": Grid.make_2d((-8.0, 8.0, 64), (-8.0, 8.0, 64))}
@@ -921,16 +933,22 @@ CLI_RUNS = [
     indirect=["kernel"],
 )
 def test_cli_run_writes_a_csv_that_reads_back_byte_for_byte(
-    model, method, flags, stop, kernel, tmp_path, capsys
+    model, method, flags, stop, kernel, tmp_path, capsys, row_paths
 ):
-    out, again = tmp_path / "run.csv", tmp_path / "again.csv"
-    assert main(["run", "--model", model, "--method", method, *flags, "--out", str(out)]) == 0
-    traj = Trajectory.from_csv(out)
-    traj.to_csv(again)
-    assert filecmp.cmp(out, again, shallow=False) and traj.flags[-1] == stop
-    # On grid rows F and the G_c are not conserved: their change is the closure defect.
-    printed = capsys.readouterr().out
-    assert ("closure defect: max |F(t) - F(0)| = " in printed) == (method == "quantum")
+    # A quantum run writes the same file with its rows on a worker and in process.
+    written = []
+    for path in row_paths if method == "quantum" else ["rk4"]:
+        out, again = tmp_path / f"{path}.csv", tmp_path / "again.csv"
+        assert main(["run", "--model", model, "--method", method, *flags,
+                     "--out", str(out)]) == 0
+        traj = Trajectory.from_csv(out)
+        traj.to_csv(again)
+        assert filecmp.cmp(out, again, shallow=False) and traj.flags[-1] == stop
+        # On grid rows F and the G_c are not conserved: their change is the closure defect.
+        printed = capsys.readouterr().out
+        assert ("closure defect: max |F(t) - F(0)| = " in printed) == (method == "quantum")
+        written.append(out)
+    assert all(filecmp.cmp(written[0], out, shallow=False) for out in written)
 
 
 @pytest.mark.parametrize("method", ["nambu", "classical", "quantum"])
