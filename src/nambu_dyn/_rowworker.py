@@ -20,9 +20,9 @@ import numpy as np
 from .dynamics import NonFiniteStateError
 from .quantum import ExpectationRow, Grid, RowPass
 
-# The states a run must record for a worker to pay: forking and reaping one
-# cost 5-10 ms, and at 2048 points the worker lost at 51 rows and won at 201
-# (6.3 MiB); 8 MiB is 256 rows there.
+# The states a run must record for a worker to pay: forking, starting and
+# reaping one took 3.6-4.9 ms, and at 2048 points the worker lost at 51 rows
+# and won at 201 (6.3 MiB); 8 MiB is 256 rows there.
 FORK_MIN_BYTES = 8 * 1024 * 1024
 
 
