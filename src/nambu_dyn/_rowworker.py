@@ -5,7 +5,9 @@ anonymous shared ``mmap``, each with a float64 result block of its rows.  The
 runner steps states into one slot while the rows of the other are computed,
 by a child process forked once per run (``use_worker``) or, without one, in
 process when the runner asks for them.  Either way ``RowPass.rows`` runs on a
-copy of the slot, so the rows are the same to the bit.
+copy of the slot, so the rows are the same to the bit.  The worker keeps off
+the CPU its parent ran on at fork (``_place_beside``), so that the two overlap;
+the parent's own affinity is never changed.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from .dynamics import NonFiniteStateError
 from .quantum import ExpectationRow, Grid, RowPass
 
 # The states a run must record for a worker to pay: forking, starting and
-# reaping one took 3.6-4.9 ms, and at 2048 points the worker lost at 51 rows
-# and won at 201 (6.3 MiB); 8 MiB is 256 rows there.
+# reaping one took 3.6-4.9 ms, and at 2048 points the worker, placed beside
+# its parent, lost at 51 rows and won at 201 (6.3 MiB) and 801, in 15
+# alternations each; 8 MiB is 256 rows there.
 FORK_MIN_BYTES = 8 * 1024 * 1024
 
 
@@ -40,6 +43,31 @@ def _threads() -> int:
         import threading
 
         return threading.active_count()
+
+
+def _cpu() -> int | None:
+    """The CPU this process is running on: field 39 of ``/proc/self/stat``
+    (after the parenthesised name, which may hold spaces), or None where the
+    file cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _place_beside(cpu: int | None) -> None:
+    """Restrict this process, the worker, to the CPUs it may run on other
+    than ``cpu``, the one its parent ran on at fork.  Left to the scheduler,
+    the woken worker often ran on its parent's CPU and preempted the stepping
+    parent at every block.  Skipped where ``cpu`` is unknown, no other CPU is allowed or the
+    affinity cannot be set: the worker then runs where the scheduler puts it."""
+    if cpu is None or not hasattr(os, "sched_setaffinity"):  # Linux has both calls
+        return
+    try:
+        os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+    except OSError:  # not permitted, or an empty set: no other CPU allowed (EINVAL)
+        pass
 
 
 def use_worker(recorded_bytes: int) -> bool:
@@ -126,6 +154,7 @@ class RowBlocks:
         try:
             fds += os.pipe()
             fds += os.pipe()
+            cpu = _cpu()
             pid = os.fork()
         except OSError:  # no worker: the rows are computed in process
             for fd in fds:
@@ -137,6 +166,7 @@ class RowBlocks:
             try:
                 os.close(jobs_w)
                 os.close(done_r)
+                _place_beside(cpu)
                 while len(job := _read(jobs_r, 8)) == 8:  # "slot s holds n states"
                     s, n = int.from_bytes(job[:4], "little"), int.from_bytes(job[4:], "little")
                     self._compute(s, n)

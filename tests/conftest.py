@@ -25,6 +25,8 @@ os.environ.update(_bench_thread_pools())
 
 from nambu_dyn import _rowworker, native  # noqa: E402
 
+AFFINITY = os.sched_getaffinity(0)  # the CPUs this test process may run on
+
 
 @pytest.fixture(params=["native", "python"])
 def kernel(request, monkeypatch):
@@ -43,8 +45,9 @@ def row_paths(monkeypatch):
     """Where a quantum run computes its expectation rows, each in turn: a test
     runs its body once per path, ``for path in row_paths:``.  "worker" forces
     the selection onto a forked worker, whatever the run's size, and
-    "in-process" off it.  Each pass must fork as its path says and leave no
-    child behind.  A loop, not fixture parameters, keeps the test ids."""
+    "in-process" off it.  Each pass must fork as its path says, leave no
+    child behind and leave this process's CPU affinity as the session found
+    it.  A loop, not fixture parameters, keeps the test ids."""
     fork = os.fork
 
     def paths():
@@ -64,5 +67,6 @@ def row_paths(monkeypatch):
             assert bool(forks) == (path == "worker"), (path, forks)
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
+            assert os.sched_getaffinity(0) == AFFINITY, path
 
     return paths()

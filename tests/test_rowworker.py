@@ -202,3 +202,85 @@ def test_a_second_thread_keeps_the_rows_in_process(monkeypatch, forks):
     assert not thread.is_alive() and forks == []
     _no_child_left()
     assert _same_rows(traj, _in_process(monkeypatch, *HARMONIC, **AT_BUDGET))
+
+
+# ---------------------------------------------------------------------------
+# Placement: the worker runs beside its parent, whose affinity never changes
+# ---------------------------------------------------------------------------
+
+
+ALLOWED = os.sched_getaffinity(0)  # the CPUs this test process may run on
+
+
+def _affinities_mid_run(monkeypatch, worker):
+    """The affinities of worker and parent in a forked run, read by the parent
+    at row 10, after the worker's first block; the run must reap its worker
+    and give the in-process rows."""
+    seen = {}
+
+    def integrate(rows, *args, **kwargs):
+        def reading(steps):
+            for k, row in enumerate(rows(steps)):
+                if k == 10:
+                    seen.update(worker=os.sched_getaffinity(worker[0]),
+                                parent=os.sched_getaffinity(0))
+                yield row
+
+        return dynamics.integrate(reading, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "integrate", integrate)
+    traj = run_scenario(*HARMONIC, "quantum", **BELOW_BUDGET)
+    assert len(worker) == 1
+    _no_child_left()
+    monkeypatch.undo()
+    assert _same_rows(traj, _in_process(monkeypatch, *HARMONIC, **BELOW_BUDGET))
+    return seen
+
+
+def test_the_cpu_read_is_the_one_in_proc_self_stat():
+    def field_39():  # the interpreter's name holds no space
+        with open("/proc/self/stat") as stat:
+            return int(stat.read().split()[38])
+
+    for _ in range(100):  # a migration between the reads tries again
+        before, read, after = field_39(), _rowworker._cpu(), field_39()
+        if before == after:
+            break
+    assert read == before and read in ALLOWED
+
+
+@pytest.mark.skipif(len(ALLOWED) < 2, reason="one CPU allowed: the worker shares it")
+def test_the_worker_keeps_off_the_cpu_its_parent_was_on_at_fork(monkeypatch, worker):
+    at_fork, cpu = [], _rowworker._cpu
+    monkeypatch.setattr(_rowworker, "_cpu", lambda: at_fork.append(cpu()) or at_fork[-1])
+    seen = _affinities_mid_run(monkeypatch, worker)
+    assert len(at_fork) == 1 and at_fork[0] in ALLOWED
+    assert at_fork[0] not in seen["worker"] and seen["worker"] <= ALLOWED
+    assert seen["parent"] == ALLOWED
+
+
+def _no_setaffinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+
+
+def _setaffinity_fails(monkeypatch):
+    def refused(pid, cpus):
+        raise PermissionError("affinity refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+
+
+def _stat_unreadable(monkeypatch):
+    def refused(path, *args, **kwargs):
+        raise PermissionError(f"cannot open {path}")
+
+    monkeypatch.setattr(_rowworker, "open", refused, raising=False)
+
+
+@pytest.mark.parametrize("condition", [_no_setaffinity, _setaffinity_fails, _stat_unreadable],
+                         ids=["no-setaffinity", "setaffinity-fails", "stat-unreadable"])
+def test_a_worker_that_cannot_be_placed_runs_where_it_was_forked(condition, monkeypatch,
+                                                                  worker):
+    condition(monkeypatch)
+    seen = _affinities_mid_run(monkeypatch, worker)
+    assert seen == {"worker": ALLOWED, "parent": ALLOWED}
