@@ -2,8 +2,9 @@
 
 Brackets are expanded into Polys: the Nambu bracket by cofactors
 (N <= 5).  Time stepping compiles the flows built from them, and the
-identity checkers expand both sides of each identity and evaluate them once
-over all sample points with generated code.
+fundamental-identity check and the consistency check of ``multiplets``
+expand both sides of their identity and evaluate them once over all sample
+points with generated code.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ __all__ = [
     "DimensionMismatchError",
     "poisson_bracket_poly",
     "nambu_bracket_poly",
-    "check_jacobi",
     "check_fundamental_identity",
-    "flow_divergence",
     "sample_assignments",
     "reports_to_csv",
 ]
@@ -117,7 +116,7 @@ def nambu_bracket_poly(fns: Sequence[Poly], layout: Layout) -> Poly:
 
 
 # --------------------------------------------------------------------------
-# Identity checkers
+# Identity checks
 # --------------------------------------------------------------------------
 
 
@@ -133,26 +132,6 @@ def _at_samples(polys: Sequence[Poly], samples) -> np.ndarray:
         ) from None
     values = compile_evaluator(polys, order)(columns)
     return np.broadcast_to(values.T, (len(samples), len(polys))).T
-
-
-def _reports(lhs: Poly, rhs: Poly, samples) -> list[BracketReport]:
-    check_count(len(samples), "len(samples)")
-    pairs = zip(*(v.tolist() for v in _at_samples([lhs, rhs], samples)))
-    return [BracketReport.make(k, a, b) for k, (a, b) in enumerate(pairs)]
-
-
-def check_jacobi(
-    A1: Poly,
-    A2: Poly,
-    B: Poly,
-    samples: Sequence[Mapping[VarId, float]],
-    n_dof: int = 1,
-) -> list[BracketReport]:
-    """Evaluate both sides of the Jacobi identity at each sample point."""
-    def pb(f, g):
-        return poisson_bracket_poly(f, g, n_dof)
-
-    return _reports(pb(pb(A1, A2), B), pb(pb(A1, B), A2) + pb(A1, pb(A2, B)), samples)
 
 
 def check_fundamental_identity(
@@ -177,25 +156,9 @@ def check_fundamental_identity(
     for a in range(N):
         inner_a = nambu_bracket_poly([As[a], *Bs], layout)
         rhs = rhs + nambu_bracket_poly([*As[:a], inner_a, *As[a + 1 :]], layout)
-    return _reports(lhs, rhs, samples)
-
-
-def flow_divergence(hamiltonians: Sequence[Poly], state: Mapping, layout: Layout) -> float:
-    """Divergence of the bracket-generated flow at a sample {x variable: value}.
-
-    The flow components d(x_i)/dt = {x_i, H_1, ..., H_{N-1}} are formed
-    symbolically and differentiated exactly: the sum is zero up to rounding
-    and reads no variable, so a state that is not a mapping raises TypeError."""
-    if not isinstance(state, Mapping):
-        raise TypeError(f"state must be a mapping of x variables, not {type(state).__name__}")
-    if len(hamiltonians) != layout.N - 1:
-        raise DimensionMismatchError(
-            f"flow needs {layout.N - 1} Hamiltonians, got {len(hamiltonians)}"
-        )
-    div = Poly.zero()
-    for v in x_vars(layout):
-        div = div + nambu_bracket_poly([Poly.var(v), *hamiltonians], layout).partial(v)
-    return float(_at_samples([div], [state])[0][0])
+    check_count(len(samples), "len(samples)")
+    pairs = zip(*(v.tolist() for v in _at_samples([lhs, rhs], samples)))
+    return [BracketReport.make(k, a, b) for k, (a, b) in enumerate(pairs)]
 
 
 def sample_assignments(

@@ -10,21 +10,19 @@ Gaussian closure) or by dropping central moments of order three and up
 from __future__ import annotations
 
 import enum
-from math import comb, isfinite
+from math import comb
 from typing import Sequence
 
 from .multiplets import MultipletDef, QUARTET_QP_Q2P2, TRIPLET_QQPP_QP
-from .poly import Poly, ValidationError, check_finite, check_positive, check_variables, check_width
+from .poly import Poly, ValidationError, check_finite, check_positive, check_variables
 from .poly import q, xvar
 
 __all__ = [
     "ClosureMode",
     "UnsupportedMultipletError",
     "UnsupportedMomentError",
-    "UnsupportedPotentialError",
     "reduce_moment",
     "build_F",
-    "effective_potential",
 ]
 
 
@@ -34,10 +32,6 @@ class UnsupportedMultipletError(ValidationError):
 
 class UnsupportedMomentError(ValidationError):
     """A moment outside the closure's scope (momentum or mixed) was requested."""
-
-
-class UnsupportedPotentialError(ValidationError):
-    """The potential's degree is outside the supported family."""
 
 
 class ClosureMode(enum.Enum):
@@ -58,20 +52,28 @@ class ClosureMode(enum.Enum):
 # --------------------------------------------------------------------------
 
 
-def _moments_from_cumulants(kappas: Sequence[Poly], n: int) -> list[Poly]:
-    """Moments m_0..m_n from cumulants via the standard recursion
-    m_k = sum_j C(k-1, j) kappa_{j+1} m_{k-1-j}; absent cumulants are zero.
-    Raises ValidationError at the first m_k with a non-finite coefficient."""
-    moments = [Poly.const(1.0)]
-    for k in range(1, n + 1):
-        mk = Poly.zero()
-        for j in range(min(k, len(kappas))):
-            mk = mk + comb(k - 1, j) * kappas[j] * moments[k - 1 - j]
-        if not all(isfinite(c) for c in mk.terms.values()):
+# The least integer that rounds to inf as a float: DBL_MAX plus half its last place.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def _zero_cumulant_moment(n: int, dof: int) -> Poly:
+    """<q^n> = sum_b c_b x1^(n-2b) x3^b of a Gaussian, from the recursion
+    m_k = x1 m_{k-1} + (k-1)(x3 - x1^2) m_{k-2} on the exact integers c_b,
+    each rounded to a float once.  Raises ValidationError at the first m_k
+    with a coefficient beyond the float range."""
+    prev, cur = [1], [1]  # c_b of m_0 = 1 and m_1 = x1
+    for k in range(2, n + 1):
+        new = cur + [0] * (k // 2 + 1 - len(cur))
+        for b, c in enumerate(prev):
+            new[b] -= (k - 1) * c
+            new[b + 1] += (k - 1) * c
+        if abs(max(new, key=abs)) >= _FLOAT_OVERFLOW:
             raise ValidationError(f"moment order {n}: a coefficient of <q^{k}> "
                                   "overflows the float range")
-        moments.append(mk)
-    return moments
+        prev, cur = cur, new
+    x1, x3 = xvar(1, dof), xvar(3, dof)
+    terms = (Poly.monomial({x1: n - 2 * b, x3: b}, c) for b, c in enumerate(cur))
+    return sum(terms, Poly.zero())
 
 
 def reduce_moment(n: int, mode: ClosureMode, dof: int = 0) -> Poly:
@@ -87,11 +89,10 @@ def reduce_moment(n: int, mode: ClosureMode, dof: int = 0) -> Poly:
         return x1
     if n == 2:
         return x3
-    variance = x3 - x1 * x1
     if mode is ClosureMode.ZERO_CUMULANT:
-        return _moments_from_cumulants([x1, variance], n)[n]
+        return _zero_cumulant_moment(n, dof)
     if mode is ClosureMode.IGNORE_FLUCTUATION:
-        return x1**n + comb(n, 2) * x1 ** (n - 2) * variance
+        return x1**n + comb(n, 2) * x1 ** (n - 2) * (x3 - x1 * x1)
     raise ValidationError(f"unknown closure mode {mode!r}")
 
 
@@ -148,25 +149,3 @@ def build_F(
         F = F + term
     return F
 
-
-def effective_potential(V: Poly, sigma: float, hbar: float = 1.0, mass: float = 1.0) -> Poly:
-    """Potential governing the packet center after solving the constraints
-    x3 = qc^2 + sigma^2 and x4 = pc^2 + hbar^2/(4 sigma^2), for V(q0) of
-    degree <= 3; the pc^2 kinetic part is excluded, the hbar-dependent
-    corrections are kept."""
-    check_width(sigma, "sigma")
-    check_positive(hbar, "hbar")
-    degree = max((sum(k for _, k in mono) for mono in V.terms), default=0)
-    if degree > 3:
-        raise UnsupportedPotentialError(
-            f"effective potential supports degree <= 3, got {degree}"
-        )
-    F = build_F(V, QUARTET_QP_Q2P2, ClosureMode.ZERO_CUMULANT, masses=[mass])
-    qc = Poly.var(q(0))
-    s2 = sigma * sigma
-    substitution = {
-        xvar(1, 0): qc,
-        xvar(3, 0): qc * qc + Poly.const(s2),
-        xvar(4, 0): Poly.const(hbar * hbar / (4.0 * s2)),
-    }
-    return F.subs(substitution)

@@ -27,7 +27,7 @@ from .dynamics import (
     rk4_integrate,
 )
 from .multiplets import MultipletDef, builtin_multiplets
-from .poly import Poly, ValidationError, check_finite, check_positive, check_width, p, q, xvar
+from .poly import Poly, ValidationError, check_finite, check_positive, check_width, p, q
 from .poly import compile_evaluator
 from .quantum import (
     Grid,
@@ -56,7 +56,6 @@ __all__ = [
     "init_nambu_from_packet",
     "run_scenario",
     "compare",
-    "mode_energy_series",
 ]
 
 DEFAULT_Q_STOP = -15.0
@@ -458,16 +457,3 @@ def compare(
         out[column] = CompareStat(max_abs, rms)
     return out
 
-
-def mode_energy_series(traj: Trajectory, spec: ModelSpec) -> np.ndarray:
-    """Harmonic mode energies per dof from a trajectory's x columns,
-    E_a = x4^(a)/2m_a + m_a w_a^2 x3^(a)/2; shape (rows, n_dof)."""
-    if spec.multiplet_name != "quartet":
-        raise ValidationError("mode energies need the quartet layout")
-    out = np.empty((len(traj), spec.n_dof))
-    for dof in range(spec.n_dof):
-        x3 = traj.column(xvar(3, dof).name)
-        x4 = traj.column(xvar(4, dof).name)
-        m, w = spec.masses[dof], spec.omegas[dof]
-        out[:, dof] = x4 / (2.0 * m) + 0.5 * m * w**2 * x3
-    return out

@@ -20,7 +20,9 @@ with scipy's DOP853.  ``readme_section`` reads one section of README for
 the tests of its commands and numbers.  ``position_moment``, ``mode_energies``
 and ``grid_energy`` are test-only grid helpers that used to live in
 ``nambu_dyn.quantum``, and ``poisson_bracket`` and ``nambu_bracket`` the numeric brackets of
-``nambu_dyn.brackets``.
+``nambu_dyn.brackets``.  ``effective_potential`` (criterion 3's barrier) and
+``mode_energy_series`` (criterion 5's mode energies) read a closure or a
+trajectory that the library builds; no run calls them, so they live here.
 """
 
 from itertools import combinations, permutations
@@ -38,8 +40,13 @@ from nambu_dyn.brackets import (
     poisson_bracket_poly,
     sample_assignments,
 )
+from nambu_dyn.closure import ClosureMode, build_F
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory
-from nambu_dyn.poly import Poly, UnboundVariableError, VarId, check_variables, p, q, xvar
+from nambu_dyn.multiplets import QUARTET_QP_Q2P2
+from nambu_dyn.poly import (
+    Poly, UnboundVariableError, ValidationError, VarId, check_positive, check_variables,
+    check_width, p, q, xvar,
+)
 from nambu_dyn.quantum import (
     SplitOperatorPropagator,
     absorbing_mask,
@@ -47,7 +54,9 @@ from nambu_dyn.quantum import (
     init_gaussian,
     potential_mesh,
 )
-from nambu_dyn.scenarios import ABSORBED_NORM_FLOOR, MODELS, model_multiplet, potential_poly
+from nambu_dyn.scenarios import (
+    ABSORBED_NORM_FLOOR, MODELS, ModelSpec, model_multiplet, potential_poly,
+)
 from nambu_dyn.state import Layout, classical_vars, x_vars
 
 README = Path(__file__).parents[1] / "README.md"
@@ -368,6 +377,47 @@ def mode_energies(wf, params) -> tuple[float, float]:
     e1 = p2_1 / (2 * m1) + 0.5 * m1 * w1**2 * q2_1
     e2 = p2_2 / (2 * m2) + 0.5 * m2 * w2**2 * q2_2
     return (e1, e2)
+
+
+class UnsupportedPotentialError(ValidationError):
+    """The potential's degree is outside the supported family."""
+
+
+def effective_potential(V: Poly, sigma: float, hbar: float = 1.0, mass: float = 1.0) -> Poly:
+    """Potential governing the packet center after solving the constraints
+    x3 = qc^2 + sigma^2 and x4 = pc^2 + hbar^2/(4 sigma^2), for V(q0) of
+    degree <= 3; the pc^2 kinetic part is excluded, the hbar-dependent
+    corrections are kept."""
+    check_width(sigma, "sigma")
+    check_positive(hbar, "hbar")
+    degree = max((sum(k for _, k in mono) for mono in V.terms), default=0)
+    if degree > 3:
+        raise UnsupportedPotentialError(
+            f"effective potential supports degree <= 3, got {degree}"
+        )
+    F = build_F(V, QUARTET_QP_Q2P2, ClosureMode.ZERO_CUMULANT, masses=[mass])
+    qc = Poly.var(q(0))
+    s2 = sigma * sigma
+    substitution = {
+        xvar(1, 0): qc,
+        xvar(3, 0): qc * qc + Poly.const(s2),
+        xvar(4, 0): Poly.const(hbar * hbar / (4.0 * s2)),
+    }
+    return F.subs(substitution)
+
+
+def mode_energy_series(traj: Trajectory, spec: ModelSpec) -> np.ndarray:
+    """Harmonic mode energies per dof from a trajectory's x columns,
+    E_a = x4^(a)/2m_a + m_a w_a^2 x3^(a)/2; shape (rows, n_dof)."""
+    if spec.multiplet_name != "quartet":
+        raise ValidationError("mode energies need the quartet layout")
+    out = np.empty((len(traj), spec.n_dof))
+    for dof in range(spec.n_dof):
+        x3 = traj.column(xvar(3, dof).name)
+        x4 = traj.column(xvar(4, dof).name)
+        m, w = spec.masses[dof], spec.omegas[dof]
+        out[:, dof] = x4 / (2.0 * m) + 0.5 * m * w**2 * x3
+    return out
 
 
 def stride_run(prop, wf, kinds, n_steps, record_stride, multiple=1, absorbed=False):

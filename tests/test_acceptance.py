@@ -19,21 +19,19 @@ import pytest
 
 from helpers import (
     cubic_center_crossing,
+    effective_potential,
     eval_poly,
     gaussian_moment,
     henon_heiles_mode_energies,
     mode_energies,
+    mode_energy_series,
     nambu_bracket,
     random_poly,
     readme_section,
 )
 
 from nambu_dyn.brackets import check_fundamental_identity, sample_assignments
-from nambu_dyn.closure import (
-    ClosureMode,
-    effective_potential,
-    reduce_moment,
-)
+from nambu_dyn.closure import ClosureMode, reduce_moment
 from nambu_dyn.dynamics import compile_nambu_field, conserved_drift, rk4_integrate
 from nambu_dyn.multiplets import (
     MultipletDef,
@@ -51,7 +49,6 @@ from nambu_dyn.scenarios import (
     harmonic_model,
     henon_heiles_model,
     init_nambu_from_packet,
-    mode_energy_series,
     run_scenario,
 )
 from nambu_dyn.state import Layout, x_vars

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import eval_poly, gaussian_moment
+from helpers import UnsupportedPotentialError, effective_potential, eval_poly, gaussian_moment
 
 from nambu_dyn.closure import (
     ClosureMode,
     UnsupportedMomentError,
     UnsupportedMultipletError,
-    UnsupportedPotentialError,
     build_F,
-    effective_potential,
     reduce_moment,
 )
 from nambu_dyn.multiplets import QUARTET_QP_Q2P2, TRIPLET_QQPP_QP, multiplet_from_strings

@@ -3,16 +3,20 @@ import dataclasses
 import filecmp
 import importlib
 import math
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (
-    README, eval_poly, harmonic_packet_moments, readme_section, strang_run, stride_run,
+    README, UnsupportedPotentialError, eval_poly, harmonic_packet_moments, mode_energy_series,
+    readme_section, strang_run, stride_run,
 )
 
 import nambu_dyn
@@ -39,7 +43,6 @@ from nambu_dyn.scenarios import (
     hamiltonian_set,
     henon_heiles_model,
     init_nambu_from_packet,
-    mode_energy_series,
     model_by_name,
     potential_poly,
     run_scenario,
@@ -1199,7 +1202,7 @@ def test_every_bad_input_error_is_a_validation_error():
     for error in (cli.ConfigError, poly.PolyParseError, poly.UnboundVariableError,
                   brackets.DimensionMismatchError, multiplets.MalformedMultipletError,
                   closure.UnsupportedMultipletError, closure.UnsupportedMomentError,
-                  closure.UnsupportedPotentialError):
+                  UnsupportedPotentialError):
         assert issubclass(error, ValidationError), error
 
 
@@ -1219,6 +1222,53 @@ def test_the_package_reexports_each_library_module_all_and_nothing_else():
     namespace = {}
     exec("from nambu_dyn import *", namespace)
     assert namespace.keys() - {"__builtins__"} == set(names)
+
+
+def _read_names(path: Path) -> set[str]:
+    """Names a module reads, as a name, an attribute or an import alias,
+    less each name read inside the top-level statement that defines it."""
+    read = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+        own = {getattr(stmt, "name", None), *(t.id for t in targets if isinstance(t, ast.Name))}
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                names.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        read |= names - own
+    return read
+
+
+def test_every_public_name_is_called_by_src_or_bench():
+    # The library is what a run, a check or the CLI calls: each public name is
+    # read in src/ outside its definition and __all__, or by the benchmark.
+    # A name only tests use belongs in tests/helpers.py.
+    root = Path(__file__).parents[1]
+    read = set().union(*map(_read_names, (root / "src" / "nambu_dyn").glob("*.py")))
+    bench = "".join(path.read_text(encoding="utf-8") for path in (root / "bench").glob("*.py"))
+    uncalled = [name for name in nambu_dyn.__all__
+                if name not in read and not re.search(rf"\b{name}\b", bench)]
+    assert not uncalled, f"public names with no caller in src/ or bench/: {uncalled}"
+
+
+def test_only_a_grid_run_loads_numpy_fft_and_the_row_worker(tmp_path):
+    # Both are imported on first use (quantum._grid_fft, scenarios._run_quantum).
+    # A fresh interpreter, as this one's conftest imports _rowworker.
+    probe = ("import sys; from nambu_dyn.cli import main; assert main(sys.argv[1:]) == 0; "
+             "print([m in sys.modules for m in ('numpy.fft', 'nambu_dyn._rowworker')])")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+
+    def loaded(model, method):
+        argv = ["run", "--model", model, "--method", method, "--t-end", "0.1",
+                "--out", str(tmp_path / f"{model}-{method}.csv")]
+        run = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        return run.stdout.splitlines()[-1]
+
+    assert loaded("henon-heiles", "nambu") == "[False, False]"
+    assert loaded("harmonic", "quantum") == "[True, True]"
 
 
 def test_cli_rejects_unknown_model():

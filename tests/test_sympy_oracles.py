@@ -11,12 +11,12 @@ from math import factorial
 import numpy as np
 import pytest
 
-from helpers import random_poly
+from helpers import effective_potential, random_poly
 
 sp = pytest.importorskip("sympy")
 
 from nambu_dyn.brackets import nambu_bracket_poly, poisson_bracket_poly  # noqa: E402
-from nambu_dyn.closure import ClosureMode, build_F, effective_potential, reduce_moment  # noqa: E402
+from nambu_dyn.closure import ClosureMode, build_F, reduce_moment  # noqa: E402
 from nambu_dyn.dynamics import symbolic_flow  # noqa: E402
 from nambu_dyn.multiplets import QUARTET_QP_Q2P2, _constraint_contraction  # noqa: E402
 from nambu_dyn.poly import Poly, p, parse_poly, q, xvar  # noqa: E402
@@ -187,6 +187,24 @@ def test_zero_cumulant_moment_is_gaussian_integral(n):
         {syms[xvar(1)]: mu, syms[xvar(3)]: mu**2 + sigma**2}
     )
     assert sp.expand(sp.simplify(want) - got) == 0
+
+
+def test_zero_cumulant_coefficients_are_the_exact_integers_rounded_once():
+    # <q^n> = sum_j C(n, 2j) (2j-1)!! x1^(n-2j) (x3 - x1^2)^j, expanded in
+    # sympy's ring over the integers: each coefficient is the float nearest
+    # the exact one, and there is no term where the exact coefficient is 0.
+    _, a, b = sp.ring("x1,x3", sp.ZZ)
+    for n in (*range(3, 61), 200):
+        exact = sum(
+            int(sp.binomial(n, 2 * j) * sp.factorial2(2 * j - 1))
+            * a ** (n - 2 * j) * (b - a**2) ** j
+            for j in range(n // 2 + 1)
+        )
+        want = {powers: float(int(c)) for powers, c in exact.terms()}
+        got = {tuple(dict(mono).get(xvar(i), 0) for i in (1, 3)): c
+               for mono, c in reduce_moment(n, ClosureMode.ZERO_CUMULANT).terms.items()}
+        assert got == want, n
+    assert len(got) == 100
 
 
 def _central_moment(k, var, mode):
