@@ -1,13 +1,13 @@
 """Expectation rows of a quantum run, block by block, on a forked worker process.
 
 ``RowBlocks`` is the runner's double buffer: two slots of states in one
-anonymous shared ``mmap``, each with a float64 result block of its rows.  The
-runner steps states into one slot while the rows of the other are computed,
-by a child process forked once per run (``use_worker``) or, without one, in
-process when the runner asks for them.  Either way ``RowPass.rows`` runs on a
-copy of the slot, so the rows are the same to the bit.  The worker keeps off
-the CPU its parent ran on at fork (``_place_beside``), so that the two overlap;
-the parent's own affinity is never changed.
+anonymous shared ``mmap``, each with the float64 table of its rows.  The
+runner steps states into one slot while ``RowPass.rows`` reads the other and
+writes its table, in a child process forked once per run (``use_worker``) or,
+without one, in process when the runner asks for the rows; so the rows are the
+same to the bit.  The worker keeps off the CPU its parent ran on at fork
+(``_place_beside``), so that the two overlap; the parent's own affinity is
+never changed.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .quantum import ExpectationRow, Grid, RowPass
 # its parent, lost at 51 rows and won at 201 (6.3 MiB) and 801, in 15
 # alternations each; 8 MiB is 256 rows there.
 FORK_MIN_BYTES = 8 * 1024 * 1024
+# Bytes of states per slot: 4 rows at 2048 points, 1 on 128^2 grids.
+ROW_BLOCK_BYTES = 128 * 1024
 
 
 def _cpus() -> int:
@@ -84,16 +86,9 @@ def use_worker(recorded_bytes: int) -> bool:
     )
 
 
-def _read(fd: int, size: int) -> bytes:
-    """``size`` bytes from a pipe, or fewer at its end."""
-    data = b""
-    while len(data) < size and (chunk := os.read(fd, size - len(data))):
-        data += chunk
-    return data
-
-
 class RowBlocks:
-    """Two slots of ``size`` states, ``states[s]``, with the rows of each.
+    """Two slots of ``ROW_BLOCK_BYTES`` of states, ``states[s]``, with the
+    table of their rows, ``results[s]``.
 
     ``stepped(steps, advance)`` fills the slots in turn and yields the rows
     in order; the rows of one slot are computed while the next is filled,
@@ -103,16 +98,15 @@ class RowBlocks:
     stops and reaps the worker.
     """
 
-    def __init__(self, grid: Grid, hbar: float, kinds: Sequence[str], size: int):
-        self.args = (grid, hbar, kinds, size)
-        points, width = math.prod(grid.shape), grid.ndim * len(kinds) + 2  # values, norm, edge
-        shared = mmap.mmap(-1, 2 * size * (16 * points + 8 * width))
+    def __init__(self, grid: Grid, hbar: float, kinds: Sequence[str]):
+        points = math.prod(grid.shape)
+        size = max(1, ROW_BLOCK_BYTES // (16 * points))
+        self.row_pass = RowPass(grid, hbar, kinds, size)
+        shared = mmap.mmap(-1, 2 * size * (16 * points + 8 * self.row_pass.width))
         self.states = np.frombuffer(shared, np.complex128, 2 * size * points)
         self.states = self.states.reshape(2, size, *grid.shape)
         self.results = np.frombuffer(shared, np.float64, offset=self.states.nbytes)
-        self.results = self.results.reshape(2, size, width)
-        self.counts = [0, 0]  # the states submitted per slot
-        self.row_pass: RowPass | None = None  # built on first use, in whichever process
+        self.results = self.results.reshape(2, size, self.row_pass.width)
         self.pid = None
 
     def stepped(self, steps: list[int], advance: Callable[[int], np.ndarray]):
@@ -137,7 +131,7 @@ class RowBlocks:
                 failure = exc
             if n:
                 self._submit(s, n)
-                held.append((lo, s))
+                held.append((lo, s, n))
             if failure is not None:
                 break
         for block in held:
@@ -145,8 +139,8 @@ class RowBlocks:
         if failure is not None:
             raise failure
 
-    def _held(self, steps: list[int], lo: int, s: int):
-        for k, row in enumerate(self._rows(s)):
+    def _held(self, steps: list[int], lo: int, s: int, n: int):
+        for k, row in enumerate(self._rows(s, n)):
             yield steps[lo + k], row, self.states[s, k]
 
     def _fork(self) -> None:
@@ -167,9 +161,10 @@ class RowBlocks:
                 os.close(jobs_w)
                 os.close(done_r)
                 _place_beside(cpu)
-                while len(job := _read(jobs_r, 8)) == 8:  # "slot s holds n states"
+                # A job is one 8-byte write, below PIPE_BUF, so it arrives whole.
+                while len(job := os.read(jobs_r, 8)) == 8:  # "slot s holds n states"
                     s, n = int.from_bytes(job[:4], "little"), int.from_bytes(job[4:], "little")
-                    self._compute(s, n)
+                    self.row_pass.rows(self.states[s, :n], self.results[s, :n])
                     os.write(done_w, bytes([s]))  # "slot s done"
                 code = 0
             finally:
@@ -178,23 +173,14 @@ class RowBlocks:
         os.close(done_w)
         self.pid, self.jobs, self.done = pid, jobs_w, done_r
 
-    def _compute(self, s: int, n: int) -> None:
-        if self.row_pass is None:
-            self.row_pass = RowPass(*self.args)
-        self.row_pass.states[:n] = self.states[s, :n]
-        for k, r in enumerate(self.row_pass.rows(n)):
-            self.results[s, k] = (*r.values, r.norm, r.boundary_amp)
-
     def _submit(self, s: int, n: int) -> None:
-        self.counts[s] = n
         if self.pid is not None:
             try:
                 os.write(self.jobs, s.to_bytes(4, "little") + n.to_bytes(4, "little"))
-            except OSError:  # the worker is gone: _rows(s) computes the block
+            except OSError:  # the worker is gone: _rows(s, n) computes the block
                 self.close()
 
-    def _rows(self, s: int) -> list[ExpectationRow]:
-        n = self.counts[s]
+    def _rows(self, s: int, n: int) -> list[ExpectationRow]:
         if self.pid is not None:
             try:
                 reply = os.read(self.done, 1)
@@ -203,9 +189,8 @@ class RowBlocks:
             if reply != bytes([s]):  # the worker died or failed: finish here
                 self.close()
         if self.pid is None:
-            self._compute(s, n)
-        return [ExpectationRow(r[:-2].tolist(), float(r[-2]), float(r[-1]))
-                for r in self.results[s, :n]]
+            self.row_pass.rows(self.states[s, :n], self.results[s, :n])
+        return [ExpectationRow.of(r) for r in self.results[s, :n]]
 
     def close(self) -> None:
         """Stop and reap the worker, if any: with its job pipe closed it exits

@@ -160,7 +160,7 @@ class ConsistencyReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual < self.tolerance
+        return self.max_residual <= self.tolerance
 
 
 def consistency_to_csv(reports: Sequence[ConsistencyReport]) -> str:

@@ -427,6 +427,11 @@ class ExpectationRow(NamedTuple):
     norm: float  # sum |psi|^2 dV
     boundary_amp: float  # largest |psi| on the grid boundary
 
+    @classmethod
+    def of(cls, row: np.ndarray) -> "ExpectationRow":
+        """One row of a ``RowPass.rows`` table: its values, then norm and boundary |psi|."""
+        return cls(row[:-2].tolist(), float(row[-2]), float(row[-1]))
+
 
 # kind -> (space, power), space 0 position and 1 momentum; qp_sym is normalized like p.
 _MOMENTS = {"q": (0, 1), "q2": (0, 2), "p": (1, 1), "p2": (1, 2), "qp_sym": (1, 0)}
@@ -440,32 +445,34 @@ def expectation_row(wf: WaveFunction, kinds: Sequence[str]) -> ExpectationRow:
     qp_sym = Re <x psi|p psi> / <psi|psi>, the symmetrized product, takes one
     transform per axis by Parseval: Re sum conj(F[x psi]) hbar k F[psi] / sum |F[psi]|^2.
     """
-    block = RowPass(wf.grid, wf.hbar, kinds, 1)
-    block.states[0] = wf.amps
-    return block.rows(1)[0]
+    return ExpectationRow.of(RowPass(wf.grid, wf.hbar, kinds, 1).rows(wf.amps[None])[0])
 
 
 class RowPass:
-    """``expectation_row`` of up to ``size`` amplitude arrays written into ``states``:
-    ``rows(n)`` gives those of the first n, their transforms (psi, and x psi for
-    qp_sym) one ``_grid_fft`` call in place over one stack and each row's sums
-    its own, so bit-identical to a block of one.  The buffers are reused, as
-    malloc maps arrays of 128 KiB and up afresh, page faults and all."""
+    """``expectation_row`` of a stack of up to ``size`` amplitude arrays:
+    ``rows(states)`` makes their transforms (psi, and x psi for qp_sym) in one
+    ``_grid_fft`` call in place over one stack and each row's sums its own, so
+    bit-identical to a stack of one.  The buffers are reused, as malloc maps
+    arrays of 128 KiB and up afresh, page faults and all."""
 
     def __init__(self, grid: Grid, hbar: float, kinds: Sequence[str], size: int):
         for kind in kinds:
             if kind not in _MOMENTS:
                 raise ValidationError(f"unknown expectation kind {kind!r}")
         self.grid, self.kinds, self.weights = grid, tuple(kinds), _grid_weights(grid, hbar)
+        self.width = grid.ndim * len(kinds) + 2  # a row: values, norm, boundary |psi|
         self.axes = grid.ndim * ("qp_sym" in kinds)
-        self.states = np.empty((size, *grid.shape), dtype=np.complex128)
         self.work = np.empty(((1 + self.axes) * size, *grid.shape), dtype=np.complex128)
         self.scratch = np.empty((2, *grid.shape))
 
-    def rows(self, n: int) -> list[ExpectationRow]:
-        grid, kinds, axes, dvol = self.grid, self.kinds, self.axes, self.grid.dvol
+    def rows(self, states: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
+        """The float64 table of ``states``' rows, one row per state (read by
+        ``ExpectationRow.of``), written into ``table`` or a new one; ``states``
+        is read, never written."""
+        grid, kinds, axes, dvol, n = self.grid, self.kinds, self.axes, self.grid.dvol, len(states)
         x, hk, position, momentum = self.weights
         d, sq = self.scratch  # |a|^2 as re^2 + im^2, no allocation per row
+        table = np.empty((n, self.width)) if table is None else table
 
         def density(a: np.ndarray) -> np.ndarray:
             return np.add(np.square(a.real, out=d), np.square(a.imag, out=sq), out=d)
@@ -473,11 +480,11 @@ class RowPass:
         # The stack: psi of each state, then x psi for each axis, each state.
         work = self.work[: (1 + axes) * n]
         psi, xpsi = work[:n], work[n:].reshape(axes, n, *grid.shape)
-        psi[...] = self.states[:n]
-        sums, edges = [], []
-        for a in psi:
+        psi[...] = states
+        sums = []
+        for row, a in zip(table, psi):
             sums.append([[r @ m for r, m in zip(position, _marginals(density(a)))]])
-            edges.append(_edge_amplitude(d))
+            row[-1] = _edge_amplitude(d)
         for axis, out in enumerate(xpsi):
             np.multiply(psi, x[axis], out=out)
         if any(_MOMENTS[kind][0] for kind in kinds):  # a momentum-space kind
@@ -486,17 +493,16 @@ class RowPass:
                 out *= hk[axis]
             for own, a in zip(sums, psi):
                 own.append([r @ m for r, m in zip(momentum, _marginals(density(a)))])
-        rows = []
         for b, own in enumerate(sums):  # own[space][axis]: this row's (1, v, v^2) sums
-            values = []
+            row = table[b]
             for axis in range(grid.ndim):
-                for kind in kinds:
+                for k, kind in enumerate(kinds, axis * len(kinds)):
                     space, order = _MOMENTS[kind]
                     s = own[space][axis]
                     v = np.vdot(xpsi[axis, b], psi[b]).real if kind == "qp_sym" else s[order]
-                    values.append(float(v / s[0]))
-            rows.append(ExpectationRow(values, float(own[0][0][0]) * dvol, edges[b]))
-        return rows
+                    row[k] = v / s[0]
+            row[-2] = own[0][0][0] * dvol
+        return table
 
 
 def expect(wf: WaveFunction, kind: str, axis: int = 0) -> float:

@@ -60,8 +60,6 @@ __all__ = [
 
 DEFAULT_Q_STOP = -15.0
 ABSORBED_NORM_FLOOR = 0.99
-# Bytes of states per batched row pass: 4 rows at 2048 points, 1 on 128^2 grids.
-ROW_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -388,8 +386,7 @@ def _run_quantum(spec, packet, grid, dt, t_end, n_steps, record_stride, meta) ->
             yield r.values, (step, "absorbed") if absorbed else None
 
     columns = [v.name for v in x_vars(layout)]
-    size = max(1, ROW_BLOCK_BYTES // wf.amps.nbytes)
-    with RowBlocks(grid, spec.hbar, kinds, size) as blocks:
+    with RowBlocks(grid, spec.hbar, kinds) as blocks:
         traj = integrate(
             rows, first.values, dt, t_end, columns, record_stride=record_stride, meta=meta
         )

@@ -40,33 +40,48 @@ def kernel(request, monkeypatch):
     return request.param
 
 
+class Forks(list):
+    """The pids ``os.fork`` returned to this process."""
+
+    @staticmethod
+    def none_left() -> None:
+        """No child of this process is left, running or unreaped."""
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
-def row_paths(monkeypatch):
+def forks(monkeypatch) -> Forks:
+    """The test's ``os.fork`` calls, counted: the pids returned to this process."""
+    pids, fork = Forks(), os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def row_paths(monkeypatch, forks):
     """Where a quantum run computes its expectation rows, each in turn: a test
     runs its body once per path, ``for path in row_paths:``.  "worker" forces
     the selection onto a forked worker, whatever the run's size, and
     "in-process" off it.  Each pass must fork as its path says, leave no
     child behind and leave this process's CPU affinity as the session found
     it.  A loop, not fixture parameters, keeps the test ids."""
-    fork = os.fork
 
     def paths():
         for path in ("worker", "in-process"):
-            forks = []
-
-            def counted():
-                pid = fork()
-                if pid:
-                    forks.append(pid)
-                return pid
-
+            before = len(forks)
             with monkeypatch.context() as patch:
-                patch.setattr(os, "fork", counted)
                 patch.setattr(_rowworker, "use_worker", lambda recorded: path == "worker")
                 yield path
-            assert bool(forks) == (path == "worker"), (path, forks)
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
+            assert (len(forks) > before) == (path == "worker"), (path, forks[before:])
+            forks.none_left()
             assert os.sched_getaffinity(0) == AFFINITY, path
 
     return paths()

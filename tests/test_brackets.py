@@ -215,6 +215,11 @@ def test_fundamental_identity_shape_errors():
     layout = Layout(3, 1)
     with pytest.raises(DimensionMismatchError):
         check_fundamental_identity([X1, X2], [X1, X2], [], layout)
+    with pytest.raises(DimensionMismatchError, match="need 3 functions, got 2"):
+        nambu_bracket_poly([X1, X2], layout)
+    six = [Poly.var(xvar(i)) for i in range(1, 7)]
+    with pytest.raises(ValidationError, match="limited to N <= 5"):
+        nambu_bracket_poly(six, Layout(6, 1))
 
 
 def test_identity_checks_reject_an_empty_sample_list():

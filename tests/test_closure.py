@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from helpers import UnsupportedPotentialError, effective_potential, eval_poly, gaussian_moment
 
+from nambu_dyn import closure
 from nambu_dyn.closure import (
     ClosureMode,
     UnsupportedMomentError,
@@ -11,7 +14,7 @@ from nambu_dyn.closure import (
     reduce_moment,
 )
 from nambu_dyn.multiplets import QUARTET_QP_Q2P2, TRIPLET_QQPP_QP, multiplet_from_strings
-from nambu_dyn.poly import Poly, parse_poly, p, q, xvar
+from nambu_dyn.poly import Poly, ValidationError, parse_poly, p, q, xvar
 
 ZC = ClosureMode.ZERO_CUMULANT
 IF = ClosureMode.IGNORE_FLUCTUATION
@@ -28,6 +31,12 @@ def test_reduce_moment_raises_at_the_first_non_finite_coefficient():
     for n in (270, 100000):  # the recursion stops at <q^270>, however high n is
         with pytest.raises(ValueError, match=rf"moment order {n}: a coefficient of <q\^270> "):
             reduce_moment(n, ZC)
+
+
+def test_the_overflow_bound_is_the_least_integer_that_rounds_to_inf():
+    assert float(closure._FLOAT_OVERFLOW - 1) == sys.float_info.max
+    with pytest.raises(OverflowError):
+        float(closure._FLOAT_OVERFLOW)
 
 
 def test_low_moments_are_multiplet_slots():
@@ -59,6 +68,8 @@ def test_zero_cumulant_reproduces_gaussian_moments():
 def test_reduce_moment_rejects_bad_order():
     with pytest.raises(ValueError):
         reduce_moment(-1, ZC)
+    with pytest.raises(ValidationError, match="unknown closure mode 'zero-cumulant'"):
+        reduce_moment(3, "zero-cumulant")  # the CLI's word, not a ClosureMode
 
 
 def test_build_F_cubic():
@@ -115,6 +126,8 @@ def test_build_F_rejects_unknown_multiplets():
     )
     with pytest.raises(UnsupportedMultipletError, match="'weird' has no moment slots"):
         build_F(parse_poly("0.5*q^2"), weird, ZC)
+    with pytest.raises(ValidationError, match="need 1 masses, got 2"):
+        build_F(parse_poly("0.5*q^2"), QUARTET_QP_Q2P2, ZC, masses=(1.0, 2.0))
 
 
 def test_build_F_triplet_rejects_anharmonic():

@@ -399,8 +399,10 @@ def test_integrate_abort_keeps_the_rows_before_the_failing_stride(fail_at, kept)
         (lambda text: text[: text.rindex(",")] + "\n", "line 8 has 5 cells, expected 6"),
         (lambda text: text[:-4], "line 8 ends without a newline"),
         (lambda text: text[:-1], "line 8 ends without a newline"),
+        (lambda text: "".join(line for line in text.splitlines(True) if line.startswith("#")),
+         "no CSV header found"),
     ],
-    ids=["missing_cell", "cut_inside_number", "missing_newline"],
+    ids=["missing_cell", "cut_inside_number", "missing_newline", "no_header"],
 )
 def test_truncated_csv_is_rejected(tmp_path, cut, message):
     traj = run_scenario(
@@ -420,6 +422,9 @@ def test_header_only_csv_keeps_its_observable_columns(tmp_path):
     assert loaded.observable_names == ["F", "G1"]
     assert loaded.observables.shape == (0, 2)
     assert loaded.states.shape == (0, 1) and len(loaded) == 0
+    assert loaded.column("G1").shape == (0,)
+    with pytest.raises(KeyError, match="no column 'x2_0'"):
+        loaded.column("x2_0")
 
 
 def test_corrupted_csv_cell_is_rejected(tmp_path):

@@ -152,6 +152,17 @@ def test_malformed_multiplet_shapes():
         multiplet_from_strings("bad", ["q", "p", "q1^2"], ["x3 - x1^2"])
     with pytest.raises(MalformedMultipletError, match="constraints .* got x4_0$"):
         multiplet_from_strings("bad", ["q^2", "p^2", "q*p"], ["2*x4^2 - 2*x1*x2"])
+    defs, constraints = QUARTET_QP_Q2P2.defs, QUARTET_QP_Q2P2.constraints
+    for args, message in [
+        ((2, 1, ((Poly.var(q()), Poly.var(p())),), ((),)), "needs N >= 3"),
+        ((4, 0, (), ()), "n_dof must be >= 1"),
+        ((4, 2, defs, constraints), "defs/constraints must list every dof"),
+        ((4, 1, (defs[0][:3],), constraints), "dof 0: expected 4 variable definitions"),
+    ]:
+        with pytest.raises(MalformedMultipletError, match=message):
+            MultipletDef("bad", *args)
+    with pytest.raises(MalformedMultipletError, match="with_n_dof expects a single-dof template"):
+        QUARTET_QP_Q2P2.with_n_dof(2).with_n_dof(3)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from nambu_dyn.poly import (
     PolyParseError,
     UnboundVariableError,
     ValidationError,
+    VarId,
     compile_evaluator,
     compile_vector_field,
     format_poly,
@@ -155,6 +156,16 @@ def test_parse_rejects_garbage():
     for bad in ("x0", "q+", "2**", "x1^-2", "x1 x2", "$", "x1^1e400", "q*-p", "q^2^3", "2^3"):
         with pytest.raises(PolyParseError):
             parse_poly(bad)
+    with pytest.raises(PolyParseError, match="unknown variable name 'y1'"):
+        parse_poly("2*y1")
+    # What the parser cannot express, built through the API.
+    with pytest.raises(ValidationError, match="unknown variable slot 'r'"):
+        Poly.var(VarId(0, "r")) * Poly.var(X1)
+    with pytest.raises(ValidationError, match="negative exponents are not supported"):
+        Poly.monomial({X1: -1})
+    for power in (-1, 1.5):
+        with pytest.raises(ValidationError, match="only non-negative integer powers"):
+            Poly.var(X1) ** power
 
 
 def test_format_zero_and_non_finite_coefficients():

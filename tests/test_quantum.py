@@ -19,6 +19,7 @@ from nambu_dyn.dynamics import NonFiniteStateError, integrate
 from nambu_dyn.poly import Poly, ValidationError, p, q
 from nambu_dyn.quantum import (
     BoundarySupportWarning,
+    ExpectationRow,
     Grid,
     NonFiniteAmplitudeError,
     SplitOperatorPropagator,
@@ -90,6 +91,7 @@ def test_init_gaussian_moments():
         # Off the grid the amplitudes underflow to 0, or x^2 overflows: a norm of 0.
         (500.0, 0.0, 1.0, r"centers \[500.0\], widths \[1.0\] misses the grid"),
         (1e300, 0.0, 1.0, r"centers \[1e\+300\], widths \[1.0\] misses the grid"),
+        ((0.0, 1.0), 0.0, 1.0, r"centers needs one entry per axis \(1\), got 2"),
     ],
 )
 def test_init_gaussian_rejects_bad_packets(centers, momenta, widths, message):
@@ -571,9 +573,9 @@ def test_expectation_row_transform_count(transform_calls):
     # each state for the triplet.
     wf = packets["1d"]
     block = RowPass(wf.grid, wf.hbar, TRIPLET, 5)
-    block.states[:] = wf.amps
+    states = np.stack([wf.amps] * 5)
     calls.clear()
-    block.rows(5)
+    block.rows(states)
     assert calls == [2 * 5]
 
 
@@ -605,19 +607,22 @@ def test_block_rows_equal_rows_of_one(case, kinds):
     wf = _row_packet(case)
     g = wf.grid
     prop = SplitOperatorPropagator(g, 0.5 * sum(Poly.var(q(a)) ** 2 for a in range(g.ndim)), 0.05)
-    states = [prop.step(wf, 3).amps for _ in range(5)]
+    states = np.stack([prop.step(wf, 3).amps for _ in range(5)])
     block = RowPass(g, wf.hbar, kinds, 6)
-    block.states[:5] = states
-    kept = block.states.copy()
-    for passes in range(2):  # the buffers serve every pass
-        rows = block.rows(5)
-        assert np.array_equal(block.states, kept)  # the states are read, never written
-        assert len(rows) == 5
-        for state, row in zip(states, rows):
+    kept, width = states.copy(), g.ndim * len(kinds) + 2  # a row: values, norm, boundary |psi|
+    table = np.full((6, width), np.nan)
+    for into in (None, table[:5]):  # the buffers serve every pass, into a new table or one given
+        rows = block.rows(states, into)
+        assert np.array_equal(states, kept)  # the states are read, never written
+        assert rows.shape == (5, width) and rows.dtype == np.float64
+        assert into is None or rows is into
+        for state, r in zip(states, rows):
+            row = ExpectationRow.of(r)
             alone = expectation_row(WaveFunction(g, state, wf.hbar), kinds)
             assert row.values == alone.values
             assert (row.norm, row.boundary_amp) == (alone.norm, alone.boundary_amp)
-    assert block.rows(0) == []
+    assert np.isnan(table[5]).all()  # only the rows of the states are written
+    assert block.rows(states[:0]).shape == (0, width)
 
 
 def test_expectation_row_rejects_unknown_kind():

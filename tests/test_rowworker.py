@@ -19,26 +19,6 @@ BELOW_BUDGET = dict(AT_BUDGET, t_end=2.55)
 HARMONIC = (harmonic_model(), PacketSpec.make(1.0, 0.5))
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids ``os.fork`` returned to this process."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _in_process(monkeypatch, spec, packet, **run):
     with monkeypatch.context() as patch:
         patch.setattr(_rowworker, "use_worker", lambda recorded: False)
@@ -52,6 +32,17 @@ def _same_rows(a, b):
 
 def test_the_budget_is_the_states_of_the_at_budget_run():
     assert 256 * GRID.shape[0] * 16 == _rowworker.FORK_MIN_BYTES
+
+
+@pytest.mark.parametrize("grid, kinds, size", [
+    (GRID, ("q2", "p2", "qp_sym"), 4),  # 32 KiB states
+    (Grid(((-8.0, 8.0, 128), (-8.0, 8.0, 128))), ("q", "p", "q2", "p2"), 1),  # 256 KiB, over budget
+], ids=["2048", "128x128"])
+def test_a_slot_holds_row_block_bytes_of_states(grid, kinds, size):
+    assert size == max(1, _rowworker.ROW_BLOCK_BYTES // (16 * np.prod(grid.shape)))
+    with _rowworker.RowBlocks(grid, 1.0, kinds) as blocks:
+        assert blocks.states.shape == (2, size, *grid.shape)
+        assert blocks.results.shape == (2, size, grid.ndim * len(kinds) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +60,7 @@ def worker(monkeypatch, forks):
 def test_a_completed_run_reaps_its_worker(monkeypatch, worker):
     traj = run_scenario(*HARMONIC, "quantum", **BELOW_BUDGET)
     assert len(worker) == 1
-    _no_child_left()
+    worker.none_left()
     assert _same_rows(traj, _in_process(monkeypatch, *HARMONIC, **BELOW_BUDGET))
 
 
@@ -78,7 +69,7 @@ def test_an_absorbed_stop_reaps_its_worker(monkeypatch, worker):
     run = dict(dt=1e-2, record_stride=10, grid=Grid.make_1d(-30.0, 15.0, 1024))
     traj = run_scenario(cubic_model(), PacketSpec.make(0.0, 1.8), "quantum", **run)
     assert len(worker) == 1 and traj.flags[-1] == "absorbed" and len(traj) == 55
-    _no_child_left()
+    worker.none_left()
     assert _same_rows(traj, _in_process(monkeypatch, cubic_model(), PacketSpec.make(0.0, 1.8),
                                         **run))
 
@@ -98,7 +89,7 @@ def test_an_abort_reaps_its_worker(monkeypatch, worker):
     with pytest.raises(NonFiniteAmplitudeError) as err:
         run_scenario(*HARMONIC, "quantum", **BELOW_BUDGET)
     assert len(worker) == 1 and len(err.value.trajectory) == 30  # row 0 and 29 strides
-    _no_child_left()
+    worker.none_left()
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -117,7 +108,7 @@ def test_an_exception_in_the_consumer_reaps_the_worker(error, monkeypatch, worke
     with pytest.raises(error, match="consumer"):
         run_scenario(*HARMONIC, "quantum", **BELOW_BUDGET)
     assert len(worker) == 1
-    _no_child_left()
+    worker.none_left()
 
 
 @pytest.mark.parametrize("after", [0, 1, 37])
@@ -136,7 +127,7 @@ def test_a_killed_worker_leaves_the_rows_to_the_run(after, monkeypatch, worker):
     monkeypatch.setattr(scenarios, "integrate", integrate)
     traj = run_scenario(*HARMONIC, "quantum", **BELOW_BUDGET)
     assert len(worker) == 1
-    _no_child_left()
+    worker.none_left()
     monkeypatch.undo()
     assert _same_rows(traj, _in_process(monkeypatch, *HARMONIC, **BELOW_BUDGET))
 
@@ -184,7 +175,7 @@ def test_the_worker_is_forked_only_where_it_pays(condition, run, forked, monkeyp
         warnings.simplefilter("error")
         traj = run_scenario(*HARMONIC, "quantum", **run)
     assert len(forks) == forked
-    _no_child_left()
+    forks.none_left()
     assert _same_rows(traj, reference)
 
 
@@ -200,7 +191,7 @@ def test_a_second_thread_keeps_the_rows_in_process(monkeypatch, forks):
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive() and forks == []
-    _no_child_left()
+    forks.none_left()
     assert _same_rows(traj, _in_process(monkeypatch, *HARMONIC, **AT_BUDGET))
 
 
@@ -231,7 +222,7 @@ def _affinities_mid_run(monkeypatch, worker):
     monkeypatch.setattr(scenarios, "integrate", integrate)
     traj = run_scenario(*HARMONIC, "quantum", **BELOW_BUDGET)
     assert len(worker) == 1
-    _no_child_left()
+    worker.none_left()
     monkeypatch.undo()
     assert _same_rows(traj, _in_process(monkeypatch, *HARMONIC, **BELOW_BUDGET))
     return seen

@@ -20,13 +20,13 @@ from helpers import (
 )
 
 import nambu_dyn
-from nambu_dyn import cli, poly, scenarios
+from nambu_dyn import _rowworker, cli, poly, scenarios
 from nambu_dyn.cli import main
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory, conserved_drift
 from nambu_dyn.multiplets import (
-    DEFAULT_CONSISTENCY_SAMPLES, DEFAULT_CONSISTENCY_TOL, MultipletDef,
+    DEFAULT_CONSISTENCY_SAMPLES, DEFAULT_CONSISTENCY_TOL, QUARTET_QP_Q2P2, MultipletDef,
 )
-from nambu_dyn.poly import ValidationError, compile_evaluator
+from nambu_dyn.poly import ValidationError, compile_evaluator, parse_poly
 from nambu_dyn.quantum import (
     Grid,
     NonFiniteAmplitudeError,
@@ -174,6 +174,10 @@ def test_packet_spec_validation():
         with pytest.raises(ValidationError, match=message):
             PacketSpec.make(0.0, 0.0, sigma=sigma)
     assert PacketSpec.make(0.0, 0.0, sigma=-0.0).sigmas == (-0.0,)  # zero: the classical image
+    with pytest.raises(ValidationError, match="sigmas must match the number of dofs"):
+        PacketSpec((0.0, 1.0), (0.0, 1.0), (0.5,))
+    # One width given for two dofs, as by a single --sigma on Henon-Heiles, serves both.
+    assert PacketSpec.make((0.0, 1.0), (0.0, 1.0), sigma=0.5).sigmas == (0.5, 0.5)
 
 
 @pytest.mark.parametrize("method", ["nambu", "quantum"])
@@ -562,7 +566,7 @@ def test_block_rows_match_a_stride_by_stride_loop(name, pc, dt, t_end, grid, mon
         steps, rows, flags, _, _ = stride_run(
             prop, ref, kinds, n_steps, 10, round(h / dt), absorber is not None
         )
-        block = scenarios.ROW_BLOCK_BYTES // wf.amps.nbytes
+        block = _rowworker.ROW_BLOCK_BYTES // wf.amps.nbytes
         if name == "harmonic":  # 10 full strides and one of 5 steps: blocks of 4, 4 and 3
             assert (block, steps[-1] - steps[-2], flags[-1]) == (4, 5, "")
         else:  # row 54 ends the run, the sixth of the block of rows 49-56
@@ -744,13 +748,27 @@ def test_cli_reduce_prints_closure(capsys):
 
 
 def test_cli_verify_consistency(capsys):
-    # Both built-in multiplets reproduce the brackets exactly.
+    # Both built-in multiplets reproduce the brackets exactly, so their zero
+    # residuals pass --tol 0 too: --tol is the largest residual that passes.
     for multiplet in ("triplet", "quartet"):
-        for n_dof in ("1", "2"):
-            assert main(["verify", "consistency", "--multiplet", multiplet, "--n-dof", n_dof]) == 0
+        for n_dof, tol in (("1", []), ("2", []), ("1", ["--tol", "0"])):
+            argv = ["verify", "consistency", "--multiplet", multiplet, "--n-dof", n_dof, *tol]
+            assert main(argv) == 0, argv
             header, *rows, last = capsys.readouterr().out.splitlines()
             assert header == "dof,i,j,max_residual,pass" and last.startswith("PASS:")
             assert rows and all(row.split(",")[3:] == ["0.0", "1"] for row in rows)
+
+
+def test_cli_verify_consistency_exits_1_on_a_violated_condition(monkeypatch, capsys):
+    # A quartet whose G1 lacks its x3 term breaks the (x1, x2) condition by exactly 1.
+    g2 = QUARTET_QP_Q2P2.constraints[0][1]
+    bad = MultipletDef("bad-quartet", 4, 1, QUARTET_QP_Q2P2.defs, ((parse_poly("x1^2"), g2),))
+    monkeypatch.setattr(cli, "builtin_multiplets", lambda: {"quartet": bad})
+    assert main(["verify", "consistency", "--multiplet", "quartet"]) == cli.EXIT_VERIFY_FAILED == 1
+    header, *rows, last = capsys.readouterr().out.splitlines()
+    failed = [row for row in rows if row.endswith(",0")]
+    assert "0,1,2,1.0,0" in failed and len(rows) == 6
+    assert last == f"FAIL: {len(failed)} of 6 consistency conditions violated"
 
 
 def test_cli_check_fi(capsys):
