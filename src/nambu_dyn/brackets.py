@@ -10,18 +10,16 @@ points with generated code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .poly import Poly, UnboundVariableError, ValidationError, VarId, check_count, p, q, xvar
+from .poly import Poly, ValidationError, VarId, check_count, p, q, xvar
 from .poly import check_variables, compile_evaluator
 from .state import Layout, x_vars
 
 __all__ = [
     "BracketReport",
-    "DimensionMismatchError",
     "poisson_bracket_poly",
     "nambu_bracket_poly",
     "check_fundamental_identity",
@@ -34,10 +32,6 @@ MAX_SYMBOLIC_N = 5
 
 DEFAULT_SAMPLE_SEED = 20240901
 SAMPLE_BOX = (-2.0, 2.0)
-
-
-class DimensionMismatchError(ValidationError):
-    """A Poly references variables outside the declared layout."""
 
 
 @dataclass
@@ -59,11 +53,6 @@ def reports_to_csv(reports: Sequence[BracketReport]) -> str:
     return "sample_index,lhs,rhs,residual\n" + "".join(rows)
 
 
-@lru_cache(maxsize=16384)
-def _partial(f: Poly, v: VarId) -> Poly:
-    return f.partial(v)
-
-
 # --------------------------------------------------------------------------
 # Poisson bracket
 # --------------------------------------------------------------------------
@@ -74,7 +63,7 @@ def poisson_bracket_poly(A: Poly, B: Poly, n_dof: int = 1) -> Poly:
     out = Poly.zero()
     for dof in range(n_dof):
         qv, pv = q(dof), p(dof)
-        out = out + _partial(A, qv) * _partial(B, pv) - _partial(A, pv) * _partial(B, qv)
+        out = out + A.partial(qv) * B.partial(pv) - A.partial(pv) * B.partial(qv)
     return out
 
 
@@ -103,14 +92,14 @@ def nambu_bracket_poly(fns: Sequence[Poly], layout: Layout) -> Poly:
     """The Nambu bracket expanded into a Poly by cofactor expansion."""
     N, n_dof = layout
     if len(fns) != N:
-        raise DimensionMismatchError(f"need {N} functions, got {len(fns)}")
+        raise ValidationError(f"need {N} functions, got {len(fns)}")
     if N > MAX_SYMBOLIC_N:
         raise ValidationError(f"symbolic expansion is limited to N <= {MAX_SYMBOLIC_N}")
-    check_variables(fns, set(x_vars(layout)), "bracket functions", DimensionMismatchError)
+    check_variables(fns, set(x_vars(layout)), "bracket functions")
     out = Poly.zero()
     for dof in range(n_dof):
         vs = [xvar(i, dof) for i in range(1, N + 1)]
-        rows = [[_partial(f, v) for v in vs] for f in fns]
+        rows = [[f.partial(v) for v in vs] for f in fns]
         out = out + _det_poly(rows)
     return out
 
@@ -127,7 +116,7 @@ def _at_samples(polys: Sequence[Poly], samples) -> np.ndarray:
     try:
         columns = np.array([[s[v] for s in samples] for v in order], dtype=np.float64)
     except KeyError as exc:
-        raise UnboundVariableError(
+        raise ValidationError(
             f"variable {exc.args[0].name} is not bound in the assignment"
         ) from None
     values = compile_evaluator(polys, order)(columns)
@@ -147,7 +136,7 @@ def check_fundamental_identity(
     """
     N = layout.N
     if len(As) != N or len(Bs) != N - 1:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"fundamental identity needs {N} As and {N - 1} Bs, "
             f"got {len(As)} and {len(Bs)}"
         )

@@ -38,10 +38,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(ValidationError):
-    """A config file, or a flag combination, that the subcommand cannot use."""
-
-
 def load_config(path: str, keys) -> dict[str, str]:
     """Flat UTF-8 ``key = value`` file; each key, '-' read as '_', is one
     of ``keys``, the subcommand's options, and is set once."""
@@ -54,16 +50,16 @@ def load_config(path: str, keys) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                    raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
                 key = key.strip().replace("-", "_")
                 if key not in keys:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                    raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
                 if key in lines:
-                    raise ConfigError(f"{path}:{lineno}: key {key!r} also set on line {lines[key]}")
+                    raise ValidationError(f"{path}:{lineno}: key {key!r} also set on line {lines[key]}")
                 lines[key], values[key] = lineno, value.strip()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
@@ -139,15 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     if args.model is None or args.method is None:
-        raise ConfigError("run needs --model and --method (flag or config)")
+        raise ValidationError("run needs --model and --method (flag or config)")
     spec = model_by_name(args.model)
     zeros = (0.0,) * spec.n_dof
     packet = PacketSpec.make(args.qc or zeros, args.pc or zeros, args.sigma)
     out = args.out
     if os.path.basename(out) in ("", ".", "..") or Path(out).is_dir():
-        raise ConfigError(f"cannot write {out!r}: it names a directory, not a file")
+        raise ValidationError(f"cannot write {out!r}: it names a directory, not a file")
     if not Path(out).parent.is_dir():
-        raise ConfigError(f"cannot write {out}: directory {Path(out).parent} does not exist")
+        raise ValidationError(f"cannot write {out}: directory {Path(out).parent} does not exist")
     traj = run_scenario(spec, packet, args.method, dt=args.dt, t_end=args.t_end, out_path=out,
                         record_stride=args.stride, q_stop=args.q_stop)
     drifts = conserved_drift(traj)
@@ -177,9 +173,9 @@ def cmd_run(args) -> int:
 
 def cmd_verify_consistency(args) -> int:
     if args.multiplet is None:
-        raise ConfigError("verify consistency needs --multiplet")
+        raise ValidationError("verify consistency needs --multiplet")
     if not 0 <= args.tol < math.inf:
-        raise ConfigError(f"tol = {args.tol!r} is not a non-negative finite number")
+        raise ValidationError(f"tol = {args.tol!r} is not a non-negative finite number")
     check_count(args.samples, "samples")  # before the multiplet is built
     multiplet = builtin_multiplets()[args.multiplet].with_n_dof(args.n_dof)
     reports = verify_consistency(multiplet, samples=args.samples, tolerance=args.tol)
@@ -208,7 +204,7 @@ def cmd_check_fi(args) -> int:
 
 def cmd_reduce(args) -> int:
     if args.moment is None:
-        raise ConfigError("reduce needs --moment")
+        raise ValidationError("reduce needs --moment")
     print(format_poly(reduce_moment(args.moment, ClosureMode.from_string(args.mode))))
     return EXIT_OK
 

@@ -19,19 +19,9 @@ from .poly import q, xvar
 
 __all__ = [
     "ClosureMode",
-    "UnsupportedMultipletError",
-    "UnsupportedMomentError",
     "reduce_moment",
     "build_F",
 ]
-
-
-class UnsupportedMultipletError(ValidationError):
-    """The multiplet lacks the moment slots the closure needs."""
-
-
-class UnsupportedMomentError(ValidationError):
-    """A moment outside the closure's scope (momentum or mixed) was requested."""
 
 
 class ClosureMode(enum.Enum):
@@ -115,7 +105,7 @@ def build_F(
     """
     slots = m.moments
     if slots not in (QUARTET_QP_Q2P2.moments, TRIPLET_QQPP_QP.moments):
-        raise UnsupportedMultipletError(
+        raise ValidationError(
             f"multiplet {m.name!r} has no moment slots the closure understands"
         )
     masses = [1.0] * m.n_dof if masses is None else list(masses)
@@ -125,7 +115,7 @@ def build_F(
         check_positive(mass, f"mass of dof {dof}")
     for mono, coeff in V.terms.items():
         check_finite(coeff, f"potential coefficient of {Poly.monomial(dict(mono))}")
-    check_variables([V], {q(dof) for dof in range(m.n_dof)}, "potential", UnsupportedMomentError)
+    check_variables([V], {q(dof) for dof in range(m.n_dof)}, "potential")
 
     F = Poly.zero()
     for dof in range(m.n_dof):
@@ -141,7 +131,7 @@ def build_F(
             if "q" in slots:
                 term = term * reduce_moment(k, mode, dof)
             elif k != 2:
-                raise UnsupportedMultipletError(
+                raise ValidationError(
                     "the quadratic triplet hosts only q^2 potential terms"
                 )
             else:

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .brackets import DimensionMismatchError, nambu_bracket_poly
+from .brackets import nambu_bracket_poly
 from .native import LONG_MAX
 from .poly import Poly, ValidationError, check_count, check_positive, compile_evaluator, p, q
 from .poly import check_variables, compile_vector_field
@@ -60,7 +60,7 @@ class HamiltonianSet:
                 f"got {len(self.gs)}"
             )
         xs = set(x_vars(self.layout))
-        check_variables(self.hamiltonians, xs, "F and G_c", DimensionMismatchError)
+        check_variables(self.hamiltonians, xs, "F and G_c")
 
     @property
     def hamiltonians(self) -> tuple[Poly, ...]:

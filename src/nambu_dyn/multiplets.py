@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .brackets import (
-    DEFAULT_SAMPLE_SEED, _at_samples, _det_poly, _partial, poisson_bracket_poly, sample_assignments,
+    DEFAULT_SAMPLE_SEED, _at_samples, _det_poly, poisson_bracket_poly, sample_assignments,
 )
 from .poly import Poly, ValidationError, VarId, check_variables, parse_poly, p, q, xvar
 from .state import Layout
@@ -23,7 +23,6 @@ __all__ = [
     "MOMENTS",
     "MultipletDef",
     "ConsistencyReport",
-    "MalformedMultipletError",
     "TRIPLET_QQPP_QP",
     "QUARTET_QP_Q2P2",
     "builtin_multiplets",
@@ -39,10 +38,6 @@ DEFAULT_CONSISTENCY_SAMPLES = 50
 MOMENTS = {(1, 0): "q", (0, 1): "p", (2, 0): "q2", (0, 2): "p2", (1, 1): "qp_sym"}
 
 
-class MalformedMultipletError(ValidationError):
-    """Definitions or constraints do not fit the declared N and n_dof."""
-
-
 @dataclass(frozen=True)
 class MultipletDef:
     """Per-dof variable definitions x_i(q, p) and constraints G_c(x)."""
@@ -55,32 +50,30 @@ class MultipletDef:
 
     def __post_init__(self) -> None:
         if self.N < 3:
-            raise MalformedMultipletError("a Nambu multiplet needs N >= 3")
+            raise ValidationError("a Nambu multiplet needs N >= 3")
         if self.n_dof < 1:
-            raise MalformedMultipletError("n_dof must be >= 1")
+            raise ValidationError("n_dof must be >= 1")
         if len(self.defs) != self.n_dof or len(self.constraints) != self.n_dof:
-            raise MalformedMultipletError("defs/constraints must list every dof")
+            raise ValidationError("defs/constraints must list every dof")
         for dof in range(self.n_dof):
             if len(self.defs[dof]) != self.N:
-                raise MalformedMultipletError(
+                raise ValidationError(
                     f"dof {dof}: expected {self.N} variable definitions"
                 )
             if len(self.constraints[dof]) != self.N - 2:
-                raise MalformedMultipletError(
+                raise ValidationError(
                     f"dof {dof}: expected {self.N - 2} constraints"
                 )
             qp, xs = {q(dof), p(dof)}, {xvar(i, dof) for i in range(1, self.N + 1)}
-            check_variables(self.defs[dof], qp, f"dof {dof} definitions", MalformedMultipletError)
-            check_variables(
-                self.constraints[dof], xs, f"dof {dof} constraints", MalformedMultipletError
-            )
+            check_variables(self.defs[dof], qp, f"dof {dof} definitions")
+            check_variables(self.constraints[dof], xs, f"dof {dof} constraints")
             nonzero = sum(
                 1
                 for i, j in combinations(range(self.N), 2)
                 if not poisson_bracket_poly(self.defs[dof][i], self.defs[dof][j], dof + 1).is_zero
             )
             if nonzero < self.N - 1:
-                raise MalformedMultipletError(
+                raise ValidationError(
                     f"dof {dof}: fewer than N-1 nonvanishing pairwise brackets"
                 )
 
@@ -98,7 +91,7 @@ class MultipletDef:
     def with_n_dof(self, n_dof: int) -> "MultipletDef":
         """Per-dof copies of a single-dof template."""
         if self.n_dof != 1:
-            raise MalformedMultipletError("with_n_dof expects a single-dof template")
+            raise ValidationError("with_n_dof expects a single-dof template")
         if n_dof == 1:
             return self
         defs = []
@@ -175,7 +168,7 @@ def _constraint_contraction(
     ordering of the other columns adds the same term, so it is their determinant
     in ascending order times eps_{i j rest} = (-1)^(i+j+1) (0-based i < j)."""
     rest = [k for k in range(len(vs)) if k != i and k != j]
-    det = _det_poly([[_partial(g, vs[k]) for k in rest] for g in constraints])
+    det = _det_poly([[g.partial(vs[k]) for k in rest] for g in constraints])
     return det if (i + j) % 2 else -det
 
 

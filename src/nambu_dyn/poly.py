@@ -29,8 +29,6 @@ __all__ = [
     "VarId",
     "Poly",
     "ValidationError",
-    "UnboundVariableError",
-    "PolyParseError",
     "q",
     "p",
     "xvar",
@@ -72,25 +70,15 @@ def check_count(n: int, name: str) -> None:
         raise ValidationError(f"{name} = {n!r} is not an integer >= 1")
 
 
-def check_variables(
-    polys: Iterable[Poly], allowed: Collection[VarId], what: str, error: type = ValidationError
-) -> None:
-    """``error`` (a ValidationError class) if ``polys`` use variables outside ``allowed``."""
+def check_variables(polys: Iterable[Poly], allowed: Collection[VarId], what: str) -> None:
+    """ValidationError if ``polys`` use variables outside ``allowed``."""
     extra = {v for poly in polys for v in poly.variables() if v not in allowed}
     if extra:  # both sets named in canonical order
         scope, names = (
             ", ".join(v.name for v in sorted(vs, key=lambda v: v.sort_key))
             for vs in (allowed, extra)
         )
-        raise error(f"{what} may use only {{{scope}}}; got {names}")
-
-
-class UnboundVariableError(ValidationError):
-    """Raised when evaluation hits a variable missing from the assignment."""
-
-
-class PolyParseError(ValidationError):
-    """Raised on malformed polynomial text."""
+        raise ValidationError(f"{what} may use only {{{scope}}}; got {names}")
 
 
 class VarId(NamedTuple):
@@ -167,7 +155,7 @@ def _mono_sort_key(mono: Monomial) -> tuple:
 class Poly:
     """Immutable sparse polynomial with real coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, float] | None = None):
         cleaned: dict[Monomial, float] = {}
@@ -177,7 +165,6 @@ class Poly:
                 if c != 0.0:
                     cleaned[mono] = c
         self._terms = cleaned
-        self._hash = None
 
     # ----- constructors -------------------------------------------------
     @classmethod
@@ -300,9 +287,7 @@ class Poly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -343,13 +328,13 @@ _FACTOR_RE = re.compile(
 def parse_varname(name: str) -> VarId:
     m = _NAME_RE.match(name)
     if not m:
-        raise PolyParseError(f"unknown variable name {name!r}")
+        raise ValidationError(f"unknown variable name {name!r}")
     if m.group(1):
         dof = int(m.group(2)) if m.group(2) else 0
         return VarId(dof, m.group(1))
     i = int(m.group(3))
     if i < 1:
-        raise PolyParseError(f"x-variable index must be >= 1 in {name!r}")
+        raise ValidationError(f"x-variable index must be >= 1 in {name!r}")
     dof = int(m.group(4)) if m.group(4) else 0
     return VarId(dof, f"x{i}")
 
@@ -363,7 +348,7 @@ def parse_poly(text: str) -> Poly:
         pos = signs.end()
         if pos == len(text):
             if signs.group().strip():
-                raise PolyParseError("dangling sign at end of polynomial")
+                raise ValidationError("dangling sign at end of polynomial")
             return Poly(terms)
         coeff = -1.0 if signs.group().count("-") % 2 else 1.0
         powers: dict[VarId, int] = {}
@@ -371,13 +356,13 @@ def parse_poly(text: str) -> Poly:
         while op == "*":
             m = _FACTOR_RE.match(text, pos)
             if m is None:
-                raise PolyParseError(f"cannot parse polynomial text near {text[pos:pos + 20]!r}")
+                raise ValidationError(f"cannot parse polynomial text near {text[pos:pos + 20]!r}")
             if m["num"]:
                 coeff *= float(m["num"])
             else:
                 exp = float(m["exp"]) if m["exp"] else 1.0
                 if not exp.is_integer():
-                    raise PolyParseError(f"exponent {m['exp']} is not a non-negative integer")
+                    raise ValidationError(f"exponent {m['exp']} is not a non-negative integer")
                 var = parse_varname(m["name"])
                 powers[var] = powers.get(var, 0) + int(exp)
             op = m["op"]
@@ -445,7 +430,7 @@ def _term_source(mono: Monomial, coeff: float, refs: Mapping[VarId, str]) -> str
 
 
 def _expr_source(poly: Poly, refs: Mapping[VarId, str]) -> str:
-    check_variables([poly], refs, "compiled polynomial", UnboundVariableError)
+    check_variables([poly], refs, "compiled polynomial")
     if len(poly.terms) > MAX_SUM_TERMS:
         raise ValidationError(
             f"polynomial of {len(poly.terms)} terms has more than {MAX_SUM_TERMS} terms to compile"

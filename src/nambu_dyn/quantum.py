@@ -25,7 +25,6 @@ from .poly import compile_evaluator, q
 __all__ = [
     "Grid",
     "WaveFunction",
-    "NonFiniteAmplitudeError",
     "BoundarySupportWarning",
     "init_gaussian",
     "SplitOperatorPropagator",
@@ -43,12 +42,8 @@ BOUNDARY_AMPLITUDE_TOL = 1e-8
 ABSORBER_FRACTION = 0.15
 
 
-class NonFiniteAmplitudeError(NonFiniteStateError):
-    """Propagation produced NaN/Inf amplitudes."""
-
-
 class BoundarySupportWarning(UserWarning):
-    """The packet has non-negligible amplitude at the grid boundary."""
+    """The packet has non-negligible amplitude at the position or momentum grid's boundary."""
 
 
 @dataclass(frozen=True)
@@ -156,7 +151,9 @@ def init_gaussian(
     (2 pi s^2)^(-1/4) exp(-(x-qc)^2 / 4 s^2 + i pc (x-qc) / hbar).
     ValidationError names a center or momentum that is not finite, a momentum beyond the
     grid's largest, hbar pi / dx (it would alias), a width that breaks ``check_width``
-    and a packet that misses the grid (its norm there is 0 or not finite)."""
+    and a packet that misses the grid (its norm there is 0 or not finite).
+    BoundarySupportWarning flags |psi| on the grid's boundary, or |psi-hat| on its
+    Nyquist plane relative to its peak, above ``BOUNDARY_AMPLITUDE_TOL``."""
     qc = _per_axis(centers, grid.ndim, "centers")
     pc = _per_axis(momenta, grid.ndim, "momenta")
     sig = _per_axis(widths, grid.ndim, "widths")
@@ -189,6 +186,17 @@ def init_gaussian(
         warnings.warn(
             f"packet amplitude {edge:.2e} at the grid boundary exceeds "
             f"{BOUNDARY_AMPLITUDE_TOL:.0e}; enlarge the grid",
+            BoundarySupportWarning,
+            stacklevel=2,
+        )
+    # fftshift moves the Nyquist plane, the momentum grid's boundary, to the first.
+    spectrum = np.fft.fftshift(_grid_fft(grid.shape)[0](wf.amps, np.empty_like(wf.amps)))
+    power = spectrum.real**2 + spectrum.imag**2
+    ratio = _edge_amplitude(power) / math.sqrt(power.max())
+    if ratio > BOUNDARY_AMPLITUDE_TOL:
+        warnings.warn(
+            f"packet momentum amplitude {ratio:.2e} of its peak at the grid's largest "
+            f"momentum exceeds {BOUNDARY_AMPLITUDE_TOL:.0e}; refine the grid",
             BoundarySupportWarning,
             stacklevel=2,
         )
@@ -329,7 +337,7 @@ class SplitOperatorPropagator:
                 amps *= self.absorber
         # Exact and out of BLAS: np.vdot's norm here woke a spinning OpenBLAS thread.
         if not np.all(np.isfinite(amps)):
-            raise NonFiniteAmplitudeError("wavefunction amplitudes became non-finite")
+            raise NonFiniteStateError("wavefunction amplitudes became non-finite")
         wf.amps = amps
         return wf
 

@@ -418,7 +418,6 @@ def _observed(spec: ModelSpec, method: str, traj: Trajectory) -> Trajectory:
 
 class CompareStat(NamedTuple):
     max_abs: float
-    rms: float
 
 
 def compare(
@@ -426,7 +425,7 @@ def compare(
     traj_b: Trajectory,
     columns: Sequence[str],
 ) -> dict[str, CompareStat]:
-    """Per-column max-abs and RMS difference over the common time range.
+    """Per-column max-abs difference over the common time range.
 
     Unequal time grids are aligned by linear interpolation of the second
     trajectory onto the first.
@@ -449,8 +448,6 @@ def compare(
             diff = va - vb
         else:
             diff = va[mask] - np.interp(ta[mask], tb, vb)
-        max_abs = float(np.max(np.abs(diff)))
-        rms = float(np.sqrt(np.mean(diff**2)))
-        out[column] = CompareStat(max_abs, rms)
+        out[column] = CompareStat(float(np.max(np.abs(diff))))
     return out
 

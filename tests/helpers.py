@@ -34,8 +34,6 @@ import numpy as np
 
 from nambu_dyn.brackets import (
     DEFAULT_SAMPLE_SEED,
-    DimensionMismatchError,
-    _partial,
     nambu_bracket_poly,
     poisson_bracket_poly,
     sample_assignments,
@@ -44,7 +42,7 @@ from nambu_dyn.closure import ClosureMode, build_F
 from nambu_dyn.dynamics import NonFiniteStateError, Trajectory
 from nambu_dyn.multiplets import QUARTET_QP_Q2P2
 from nambu_dyn.poly import (
-    Poly, UnboundVariableError, ValidationError, VarId, check_positive, check_variables,
+    Poly, ValidationError, VarId, check_positive, check_variables,
     check_width, p, q, xvar,
 )
 from nambu_dyn.quantum import (
@@ -119,7 +117,7 @@ def random_poly(rng, variables, max_degree=2, n_terms=4, scale=1.0) -> Poly:
 
 def eval_poly(f: Poly, assignment: Mapping[VarId, float]) -> float:
     """``f`` at one point, term by term in Python floats; every variable of
-    ``f`` must be bound, else UnboundVariableError."""
+    ``f`` must be bound, else ValidationError."""
     total = 0.0
     for mono, coeff in f.terms.items():
         term = coeff
@@ -127,7 +125,7 @@ def eval_poly(f: Poly, assignment: Mapping[VarId, float]) -> float:
             try:
                 val = assignment[v]
             except KeyError:
-                raise UnboundVariableError(
+                raise ValidationError(
                     f"variable {v.name} is not bound in the assignment"
                 ) from None
             term *= val**k
@@ -142,8 +140,8 @@ def poisson_bracket(
     total = 0.0
     for dof in range(n_dof):
         qv, pv = q(dof), p(dof)
-        total += eval_poly(_partial(A, qv), point) * eval_poly(_partial(B, pv), point)
-        total -= eval_poly(_partial(A, pv), point) * eval_poly(_partial(B, qv), point)
+        total += eval_poly(A.partial(qv), point) * eval_poly(B.partial(pv), point)
+        total -= eval_poly(A.partial(pv), point) * eval_poly(B.partial(qv), point)
     return total
 
 
@@ -153,7 +151,7 @@ def as_point(state, layout: Layout) -> Mapping[VarId, float]:
         return state
     values = np.asarray(state, dtype=np.float64)
     if values.shape != (layout.size,):
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"state vector length {values.size} does not match layout {layout}"
         )
     return dict(zip(x_vars(layout), values.tolist()))
@@ -166,8 +164,8 @@ def nambu_bracket(fns: Sequence[Poly], state, layout: Layout) -> float:
     """
     N, n_dof = layout
     if len(fns) != N:
-        raise DimensionMismatchError(f"need {N} functions, got {len(fns)}")
-    check_variables(fns, set(x_vars(layout)), "bracket functions", DimensionMismatchError)
+        raise ValidationError(f"need {N} functions, got {len(fns)}")
+    check_variables(fns, set(x_vars(layout)), "bracket functions")
     point = as_point(state, layout)
     total = 0.0
     jac = np.empty((N, N), dtype=np.float64)
@@ -175,7 +173,7 @@ def nambu_bracket(fns: Sequence[Poly], state, layout: Layout) -> float:
         vs = [xvar(i, dof) for i in range(1, N + 1)]
         for a, f in enumerate(fns):
             for i, v in enumerate(vs):
-                jac[a, i] = eval_poly(_partial(f, v), point)
+                jac[a, i] = eval_poly(f.partial(v), point)
         total += float(np.linalg.det(jac))
     return total
 
@@ -379,10 +377,6 @@ def mode_energies(wf, params) -> tuple[float, float]:
     return (e1, e2)
 
 
-class UnsupportedPotentialError(ValidationError):
-    """The potential's degree is outside the supported family."""
-
-
 def effective_potential(V: Poly, sigma: float, hbar: float = 1.0, mass: float = 1.0) -> Poly:
     """Potential governing the packet center after solving the constraints
     x3 = qc^2 + sigma^2 and x4 = pc^2 + hbar^2/(4 sigma^2), for V(q0) of
@@ -392,7 +386,7 @@ def effective_potential(V: Poly, sigma: float, hbar: float = 1.0, mass: float = 
     check_positive(hbar, "hbar")
     degree = max((sum(k for _, k in mono) for mono in V.terms), default=0)
     if degree > 3:
-        raise UnsupportedPotentialError(
+        raise ValidationError(
             f"effective potential supports degree <= 3, got {degree}"
         )
     F = build_F(V, QUARTET_QP_Q2P2, ClosureMode.ZERO_CUMULANT, masses=[mass])

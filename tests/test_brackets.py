@@ -14,14 +14,13 @@ from helpers import (
 
 from nambu_dyn.brackets import (
     BracketReport,
-    DimensionMismatchError,
     check_fundamental_identity,
     nambu_bracket_poly,
     poisson_bracket_poly,
     reports_to_csv,
     sample_assignments,
 )
-from nambu_dyn.poly import Poly, UnboundVariableError, ValidationError, p, q, xvar
+from nambu_dyn.poly import Poly, ValidationError, p, q, xvar
 from nambu_dyn.scenarios import hamiltonian_set, henon_heiles_model
 from nambu_dyn.state import Layout, x_vars
 
@@ -76,12 +75,12 @@ def test_nambu_cubic_momentum_component():
 
 def test_nambu_dimension_mismatch():
     layout = Layout(3, 1)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match=r"bracket functions may use only \{x1_0, x2_0, x3_0\}; got x4_0$"):
         nambu_bracket([X1, X2, X4], np.zeros(3), layout)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="need 3 functions, got 2"):
         nambu_bracket([X1, X2], np.zeros(3), layout)
     # expanded, x4 would differentiate to 0 and the bracket vanish unnoticed
-    with pytest.raises(DimensionMismatchError, match="got x4_0$"):
+    with pytest.raises(ValidationError, match="got x4_0$"):
         nambu_bracket_poly([X1, X2, X4], layout)
 
 
@@ -213,9 +212,9 @@ def test_fundamental_identity_duplicate_arguments():
 
 def test_fundamental_identity_shape_errors():
     layout = Layout(3, 1)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValidationError, match="fundamental identity needs 3 As and 2 Bs, got 2 and 2"):
         check_fundamental_identity([X1, X2], [X1, X2], [], layout)
-    with pytest.raises(DimensionMismatchError, match="need 3 functions, got 2"):
+    with pytest.raises(ValidationError, match="need 3 functions, got 2"):
         nambu_bracket_poly([X1, X2], layout)
     six = [Poly.var(xvar(i)) for i in range(1, 7)]
     with pytest.raises(ValidationError, match="limited to N <= 5"):
@@ -285,7 +284,7 @@ def test_constant_side_is_broadcast_to_every_sample():
 def test_sample_missing_a_variable_is_unbound():
     # the left-hand side is -8 x2 x3, and the sample lacks x2
     point = {xvar(1): 1.0, xvar(3): 2.0}
-    with pytest.raises(UnboundVariableError, match="variable x2_0 is not bound"):
+    with pytest.raises(ValidationError, match="variable x2_0 is not bound"):
         check_fundamental_identity(
             [X1 * X2, X2 * X2, X3], [F_HARM3, G_HARM3], [point], TRIPLET_LAYOUT
         )

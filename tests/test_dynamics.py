@@ -14,7 +14,6 @@ from helpers import (
 )
 
 from nambu_dyn import native
-from nambu_dyn.brackets import DimensionMismatchError
 from nambu_dyn.dynamics import (
     CSV_BLOCK_ROWS,
     HamiltonianSet,
@@ -30,6 +29,7 @@ from nambu_dyn.dynamics import (
 )
 from nambu_dyn.poly import (
     Poly,
+    ValidationError,
     compile_vector_field,
     parse_poly,
     xvar,
@@ -236,7 +236,7 @@ def test_hamiltonian_set_validates_constraint_count():
     with pytest.raises(ValueError):
         HamiltonianSet(CUBIC.F, CUBIC.gs, Layout(3, 1))
     # and F, G_c over the layout's x alone: the flow would treat x1_1 as a constant
-    with pytest.raises(DimensionMismatchError, match="F and G_c .* got x1_1$"):
+    with pytest.raises(ValidationError, match="F and G_c .* got x1_1$"):
         HamiltonianSet(CUBIC.F * parse_poly("x1_1"), CUBIC.gs, CUBIC.layout)
 
 

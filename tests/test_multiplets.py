@@ -6,7 +6,6 @@ from helpers import classical_image, consistency_reference, eval_poly
 from nambu_dyn import quantum
 from nambu_dyn.multiplets import (
     MOMENTS,
-    MalformedMultipletError,
     MultipletDef,
     QUARTET_QP_Q2P2,
     TRIPLET_QQPP_QP,
@@ -15,7 +14,7 @@ from nambu_dyn.multiplets import (
     multiplet_from_strings,
     verify_consistency,
 )
-from nambu_dyn.poly import Poly, p, parse_poly, q, xvar
+from nambu_dyn.poly import Poly, ValidationError, p, parse_poly, q, xvar
 
 
 def test_catalog_has_two_entries():
@@ -137,9 +136,9 @@ def test_consistency_needs_a_sample(samples):
 
 
 def test_malformed_multiplet_shapes():
-    with pytest.raises(MalformedMultipletError):
+    with pytest.raises(ValidationError, match="dof 0: expected 2 constraints"):
         MultipletDef("bad", 4, 1, QUARTET_QP_Q2P2.defs, ((parse_poly("x3 - x1^2"),),))
-    with pytest.raises(MalformedMultipletError):
+    with pytest.raises(ValidationError, match="dof 0: fewer than N-1 nonvanishing pairwise brackets"):
         MultipletDef(
             "bad",
             3,
@@ -148,9 +147,9 @@ def test_malformed_multiplet_shapes():
             ((parse_poly("x1"),),),
         )
     # A template's definitions lie in q0, p0 and its constraints in its own x.
-    with pytest.raises(MalformedMultipletError, match="definitions .* got q1$"):
+    with pytest.raises(ValidationError, match="definitions .* got q1$"):
         multiplet_from_strings("bad", ["q", "p", "q1^2"], ["x3 - x1^2"])
-    with pytest.raises(MalformedMultipletError, match="constraints .* got x4_0$"):
+    with pytest.raises(ValidationError, match="constraints .* got x4_0$"):
         multiplet_from_strings("bad", ["q^2", "p^2", "q*p"], ["2*x4^2 - 2*x1*x2"])
     defs, constraints = QUARTET_QP_Q2P2.defs, QUARTET_QP_Q2P2.constraints
     for args, message in [
@@ -159,9 +158,9 @@ def test_malformed_multiplet_shapes():
         ((4, 2, defs, constraints), "defs/constraints must list every dof"),
         ((4, 1, (defs[0][:3],), constraints), "dof 0: expected 4 variable definitions"),
     ]:
-        with pytest.raises(MalformedMultipletError, match=message):
+        with pytest.raises(ValidationError, match=message):
             MultipletDef("bad", *args)
-    with pytest.raises(MalformedMultipletError, match="with_n_dof expects a single-dof template"):
+    with pytest.raises(ValidationError, match="with_n_dof expects a single-dof template"):
         QUARTET_QP_Q2P2.with_n_dof(2).with_n_dof(3)
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from nambu_dyn import _rowworker, dynamics, scenarios
-from nambu_dyn.quantum import Grid, NonFiniteAmplitudeError, SplitOperatorPropagator
+from nambu_dyn.dynamics import NonFiniteStateError
+from nambu_dyn.quantum import Grid, SplitOperatorPropagator
 from nambu_dyn.scenarios import PacketSpec, cubic_model, harmonic_model, run_scenario
 
 GRID = Grid.make_1d(-10.0, 10.0, 2048)  # 32 KiB states, 4 to a block
@@ -86,7 +87,7 @@ class _FailsAtCall(SplitOperatorPropagator):
 
 def test_an_abort_reaps_its_worker(monkeypatch, worker):
     monkeypatch.setattr(scenarios, "SplitOperatorPropagator", _FailsAtCall)
-    with pytest.raises(NonFiniteAmplitudeError) as err:
+    with pytest.raises(NonFiniteStateError, match="wavefunction amplitudes became non-finite") as err:
         run_scenario(*HARMONIC, "quantum", **BELOW_BUDGET)
     assert len(worker) == 1 and len(err.value.trajectory) == 30  # row 0 and 29 strides
     worker.none_left()
