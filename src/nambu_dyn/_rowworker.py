@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,16 +36,6 @@ def _cpus() -> int:
     """The CPUs this process may run on."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-
-
-def _threads() -> int:
-    """The threads of this process: the kernel's count where procfs has it."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        import threading
-
-        return threading.active_count()
 
 
 def _cpu() -> int | None:
@@ -75,14 +66,17 @@ def _place_beside(cpu: int | None) -> None:
 def use_worker(recorded_bytes: int) -> bool:
     """Whether a run that records ``recorded_bytes`` of states computes its rows
     on a forked worker: only where ``os.fork`` exists, the process may run on
-    more than one CPU (pinned to one, the worker slowed a run), has one thread
-    (forking a threaded process can deadlock the child) and the run records at
-    least ``FORK_MIN_BYTES``."""
+    more than one CPU (pinned to one, the worker slowed a run), runs no other
+    Python thread and the run records at least ``FORK_MIN_BYTES``.  Another
+    Python thread could hold a lock the child needs; numpy's OpenBLAS pool
+    thread is no such thread, as OpenBLAS stops its pool at fork
+    (``openblas_fork_handler``), and the child runs only ``RowPass.rows``
+    and pipe I/O."""
     return (
         hasattr(os, "fork")
         and recorded_bytes >= FORK_MIN_BYTES
         and _cpus() > 1
-        and _threads() == 1
+        and threading.active_count() == 1
     )
 
 

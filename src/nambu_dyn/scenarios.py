@@ -74,7 +74,6 @@ class ModelSpec:
     lam: float = 0.0
     hbar: float = 1.0
     multiplet_name: str = "quartet"
-    closure: ClosureMode = ClosureMode.ZERO_CUMULANT
 
     def __post_init__(self) -> None:
         if (model := MODELS.get(self.model_id)) is None:
@@ -111,8 +110,6 @@ class ModelSpec:
         if name not in model.multiplets:
             hosts = ", ".join(k for k, m in MODELS.items() if name in m.multiplets)
             raise ValidationError(f"the {name} hosts only the {hosts} model, not {self.model_id}")
-        if not isinstance(self.closure, ClosureMode):
-            raise ValidationError(f"closure = {self.closure!r} is not a ClosureMode")
 
     @property
     def n_dof(self) -> int:
@@ -203,7 +200,7 @@ def model_multiplet(spec: ModelSpec) -> MultipletDef:
 @functools.lru_cache
 def hamiltonian_set(spec: ModelSpec) -> HamiltonianSet:
     m = model_multiplet(spec)
-    F = build_F(potential_poly(spec), m, spec.closure, masses=spec.masses)
+    F = build_F(potential_poly(spec), m, ClosureMode.ZERO_CUMULANT, masses=spec.masses)
     return HamiltonianSet(F, m.summed_constraints(), m.layout)
 
 
@@ -296,7 +293,8 @@ def run_scenario(
     more than 1% of the norm ('absorbed').  A NaN ``q_stop``, and any
     ``q_stop`` for a run without a position stop (every other model, every
     quantum run), raise ValidationError.  ``_observed`` adds F and G_c after
-    stepping, also to the rows so far of a NonFiniteStateError.
+    stepping, also to the rows so far of a NonFiniteStateError, which are
+    written to ``out_path`` before it is raised.
     """
     if method not in ("nambu", "classical", "quantum"):
         raise ValidationError(f"unknown method {method!r}")
@@ -327,6 +325,8 @@ def run_scenario(
             traj = _run_rk4(spec, packet, method, dt, t_end, record_stride, q_stop, meta)
     except NonFiniteStateError as exc:
         exc.trajectory = _observed(spec, method, exc.trajectory)
+        if out_path is not None:
+            exc.trajectory.to_csv(out_path)
         raise
     traj = _observed(spec, method, traj)
     if out_path is not None:

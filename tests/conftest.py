@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import shutil
 import sys
@@ -7,21 +6,6 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-
-
-def _bench_thread_pools() -> dict:
-    spec = importlib.util.spec_from_file_location(
-        "bench_run", Path(__file__).parents[1] / "bench" / "run.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.THREAD_POOLS
-
-
-# The BLAS and OpenMP pools pinned to one thread before numpy loads, with the
-# variables the benchmark sets: the test process then has one thread, and a
-# quantum run selects its row worker as it does in the benchmark.
-os.environ.update(_bench_thread_pools())
 
 from nambu_dyn import _rowworker, native  # noqa: E402
 

@@ -1,9 +1,13 @@
 """The quantum run's row worker: when it is forked, and that no run leaves it behind."""
 
+import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ GRID = Grid.make_1d(-10.0, 10.0, 2048)  # 32 KiB states, 4 to a block
 AT_BUDGET = dict(dt=1e-2, t_end=2.56, record_stride=1, grid=GRID)
 BELOW_BUDGET = dict(AT_BUDGET, t_end=2.55)
 HARMONIC = (harmonic_model(), PacketSpec.make(1.0, 0.5))
+ALLOWED = os.sched_getaffinity(0)  # the CPUs this test process may run on
 
 
 def _in_process(monkeypatch, spec, packet, **run):
@@ -196,12 +201,62 @@ def test_a_second_thread_keeps_the_rows_in_process(monkeypatch, forks):
     assert _same_rows(traj, _in_process(monkeypatch, *HARMONIC, **AT_BUDGET))
 
 
+# The at-budget run in a fresh interpreter, whose numpy has started its BLAS
+# pool: it prints the threads at import, those at each fork, whether a child
+# is left, and whether its rows are the in-process rows.
+LIVE_POOL_PROBE = """
+import json
+import os
+import numpy as np
+tasks = len(os.listdir("/proc/self/task"))
+from nambu_dyn import _rowworker
+from nambu_dyn.quantum import Grid
+from nambu_dyn.scenarios import PacketSpec, harmonic_model, run_scenario
+run = dict(dt=1e-2, t_end=2.56, record_stride=1, grid=Grid.make_1d(-10.0, 10.0, 2048))
+harmonic = (harmonic_model(), PacketSpec.make(1.0, 0.5), "quantum")
+at_fork, fork = [], os.fork
+def counted():
+    threads = len(os.listdir("/proc/self/task"))
+    pid = fork()
+    if pid:
+        at_fork.append(threads)
+    return pid
+os.fork = counted
+traj = run_scenario(*harmonic, **run)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+os.fork, _rowworker.use_worker = fork, lambda recorded: False
+ref = run_scenario(*harmonic, **run)
+same = (np.array_equal(traj.t, ref.t) and np.array_equal(traj.states, ref.states)
+        and traj.flags == ref.flags)
+print(json.dumps([tasks, at_fork, left, same]))
+"""
+
+
+@pytest.mark.skipif(len(ALLOWED) < 2, reason="one CPU allowed: no worker is forked")
+@pytest.mark.skipif(any(name.endswith("_THREADS") for name in os.environ),
+                    reason="a thread-pool variable is set: numpy's BLAS pool may not start")
+def test_the_worker_forks_beside_numpys_live_blas_pool():
+    # OpenBLAS stops its pool at fork, so its thread does not keep the rows in
+    # process; -W error fails the run on any warning, a fork warning included.
+    src = Path(__file__).parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-W", "error", "-c", LIVE_POOL_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    tasks, at_fork, left, same = json.loads(probe.stdout)
+    assert tasks >= 2, "numpy started no BLAS pool thread: nothing to fork beside"
+    assert len(at_fork) == 1 and at_fork[0] >= 2, at_fork  # one worker, forked beside the pool
+    assert not left and same
+
+
 # ---------------------------------------------------------------------------
 # Placement: the worker runs beside its parent, whose affinity never changes
 # ---------------------------------------------------------------------------
-
-
-ALLOWED = os.sched_getaffinity(0)  # the CPUs this test process may run on
 
 
 def _affinities_mid_run(monkeypatch, worker):

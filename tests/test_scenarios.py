@@ -86,7 +86,6 @@ def test_a_model_is_one_table_entry(monkeypatch, tmp_path):
     "fields, message",
     [
         (dict(multiplet_name="sextet"), "unknown multiplet 'sextet'"),
-        (dict(closure="zero_cumulant"), "closure = 'zero_cumulant' is not a ClosureMode"),
         (dict(masses=(), omegas=()), "a model needs one or more dofs"),
         (dict(model_id="henon_heiles"), "henon_heiles needs 2 dofs, got 1"),
         (dict(g=0.3, multiplet_name="triplet"), "g applies only to the cubic model, not harmonic"),
@@ -97,7 +96,7 @@ def test_a_model_is_one_table_entry(monkeypatch, tmp_path):
               multiplet_name="triplet"),
          "the triplet hosts only the harmonic model, not henon_heiles"),
     ],
-    ids=["multiplet", "closure", "no-dof", "hh-dofs", "g", "lam", "cubic-triplet", "hh-triplet"],
+    ids=["multiplet", "no-dof", "hh-dofs", "g", "lam", "cubic-triplet", "hh-triplet"],
 )
 def test_model_spec_rejects_what_it_would_ignore_or_fail_on(fields, message):
     with pytest.raises(ValueError, match=message):
@@ -1165,16 +1164,33 @@ def test_cli_rejects_a_q_stop_that_no_run_applies(model, method, given, code, tm
         assert "q_stop = 5.0 does not apply" in capsys.readouterr().err
 
 
-def test_cli_numerical_abort_exits_3(kernel, tmp_path, capsys):
+def test_cli_numerical_abort_exits_3(kernel, tmp_path, capsys, monkeypatch):
     # With the escape stop out of reach the packet runs until its state is
-    # non-finite; stderr names the step, the same on both kernels.
+    # non-finite; stderr names the step, the same on both kernels, and the
+    # CSV holds the rows so far, those the exception carries.
+    aborts = []
+
+    def run_scenario(*args, **kwargs):
+        try:
+            return scenarios.run_scenario(*args, **kwargs)
+        except NonFiniteStateError as exc:
+            aborts.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "run_scenario", run_scenario)
     for pc, where in [("1.8", "t = 9.363 (step 9363"), ("3", "t = 6.671 (step 6671")]:
+        out = tmp_path / f"{pc}.csv"
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["run", "--model", "cubic", "--method", "nambu", "--pc", pc,
-                         "--q-stop=-1e300", "--out", str(tmp_path / "x.csv")])
+                         "--q-stop=-1e300", "--out", str(out)])
         assert code == 3
-        err = capsys.readouterr().err
-        assert err == f"numerical abort: state became non-finite at {where} of 40000)\n"
+        assert capsys.readouterr() == (
+            "", f"numerical abort: state became non-finite at {where} of 40000)\n")
+        rows, written = aborts.pop().trajectory, Trajectory.from_csv(out)
+        assert len(rows) > 1 and np.isfinite(rows.states).all()
+        for name in ("t", "states", "observables"):
+            assert np.array_equal(getattr(written, name), getattr(rows, name)), name
+        assert written.flags == rows.flags and written.columns == rows.columns
 
 
 @pytest.mark.parametrize("method", ["nambu", "classical"])
